@@ -458,6 +458,40 @@ let normalize_idempotent_prop =
       let n = Normalize.normalize p in
       Normalize.is_normalized n && eq_program p n)
 
+(* The id supply is shared by every domain (serve workers compile and
+   rewrite programs concurrently): ids minted in parallel must never
+   collide. *)
+let test_id_supply_domain_safe () =
+  let n = 1_000_000 in
+  let ready = Atomic.make 0 in
+  let mint () =
+    (* start both domains together so their minting overlaps *)
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let sids = Array.make n 0 and bids = Array.make n 0 in
+    for i = 0 to n - 1 do
+      sids.(i) <- Ast.fresh_sid ();
+      bids.(i) <- Ast.fresh_bid ()
+    done;
+    (sids, bids)
+  in
+  let d = Domain.spawn mint in
+  let s1, b1 = mint () in
+  let s2, b2 = Domain.join d in
+  let distinct a b =
+    let all = Array.append a b in
+    Array.sort compare all;
+    let ok = ref true in
+    for i = 1 to Array.length all - 1 do
+      if all.(i) = all.(i - 1) then ok := false
+    done;
+    !ok
+  in
+  Alcotest.(check bool) "sids distinct" true (distinct s1 s2);
+  Alcotest.(check bool) "bids distinct" true (distinct b1 b2)
+
 let () =
   Alcotest.run "mhj"
     [
@@ -492,6 +526,8 @@ let () =
       ( "transform",
         [
           Alcotest.test_case "normalize" `Quick test_normalize;
+          Alcotest.test_case "id supply is domain-safe" `Quick
+            test_id_supply_domain_safe;
           Alcotest.test_case "elision" `Quick test_elision;
           Alcotest.test_case "strip" `Quick test_strip_finishes;
           Alcotest.test_case "insert" `Quick test_insert_finishes;

@@ -176,6 +176,23 @@ let test_out_of_fuel () =
     Rt.Interp.Out_of_fuel (fun () ->
       ignore (Par.Engine.run ~fuel:50 ~mode:(Par.Engine.Fuzz { seed = 1 }) prog))
 
+(* --timeout-ms must bound parallel runs too: the engine polls the
+   deadline armed on the calling domain, also from Domains workers. *)
+let test_watchdog_bounds_engine () =
+  let prog =
+    compile
+      "var s: int[] = new int[2]; def main() { finish { async { for (i = 0 \
+       to 100000000) { s[0] = s[0] + 1; } } async { for (i = 0 to \
+       100000000) { s[1] = s[1] + 1; } } } }"
+  in
+  List.iter
+    (fun mode ->
+      Alcotest.check_raises "deadline fires" (Rt.Watchdog.Timeout 50)
+        (fun () ->
+          Rt.Watchdog.with_timeout ~ms:(Some 50) (fun () ->
+              ignore (Par.Engine.run ~fuel:20_000_000 ~mode prog))))
+    [ Par.Engine.Fuzz { seed = 1 }; Par.Engine.Domains { n = 2; seed = 1 } ]
+
 (* ------------------------------------------------------------------ *)
 (* Differential schedule fuzzing over generated programs               *)
 (* ------------------------------------------------------------------ *)
@@ -368,6 +385,8 @@ let () =
           Alcotest.test_case "fuzz replay is deterministic" `Quick
             test_fuzz_replay_deterministic;
           Alcotest.test_case "out of fuel" `Quick test_out_of_fuel;
+          Alcotest.test_case "watchdog bounds the engine" `Quick
+            test_watchdog_bounds_engine;
         ] );
       ( "differential",
         [

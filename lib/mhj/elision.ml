@@ -9,27 +9,10 @@
 open Ast
 
 let rec elide_stmt (st : stmt) : stmt =
-  let s =
-    match st.s with
-    | Async body -> (elide_stmt body).s
-    | Finish body -> (elide_stmt body).s
-    | Isolated body -> (elide_stmt body).s
-    | If (c, a, b) -> If (c, elide_stmt a, Option.map elide_stmt b)
-    | While (c, b) -> While (c, elide_stmt b)
-    | For (i, lo, hi, by, b) -> For (i, lo, hi, by, elide_stmt b)
-    | Block b -> Block { b with stmts = List.map elide_stmt b.stmts }
-    | (Decl _ | Assign _ | Return _ | Expr _) as s -> s
-  in
-  { st with s }
+  match st.s with
+  | Async body | Finish body | Isolated body -> { st with s = (elide_stmt body).s }
+  | _ -> map_sub elide_stmt st
 
 (** [elide p] is [p] with every [async] and [finish] wrapper removed (their
     bodies are kept in place). *)
-let elide (p : program) : program =
-  {
-    p with
-    funcs =
-      List.map
-        (fun f ->
-          { f with body = { f.body with stmts = List.map elide_stmt f.body.stmts } })
-        p.funcs;
-  }
+let elide (p : program) : program = map_funcs elide_stmt p

@@ -8,10 +8,3 @@ let compile ?(require_main = true) (src : string) : Ast.program =
   Obs.Trace.with_span "typecheck" (fun () ->
       Typecheck.check_program ~require_main p);
   Obs.Trace.with_span "normalize" (fun () -> Normalize.normalize p)
-
-(** Render a located front-end error to a human-readable string. *)
-let explain_error = function
-  | Lexer.Error (m, l) -> Some (Fmt.str "lexical error at %a: %s" Loc.pp l m)
-  | Parser.Error (m, l) -> Some (Fmt.str "syntax error at %a: %s" Loc.pp l m)
-  | Typecheck.Error (m, l) -> Some (Fmt.str "type error at %a: %s" Loc.pp l m)
-  | _ -> None

@@ -6,7 +6,3 @@
     @raise Parser.Error on syntax errors
     @raise Typecheck.Error on type errors *)
 val compile : ?require_main:bool -> string -> Ast.program
-
-(** Render a front-end exception to a located human-readable message;
-    [None] for foreign exceptions. *)
-val explain_error : exn -> string option

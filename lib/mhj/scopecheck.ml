@@ -14,53 +14,28 @@ type t = { blocks : (int, stmt array) Hashtbl.t }
 
 let build (p : program) : t =
   let blocks = Hashtbl.create 64 in
+  let on_block b = Hashtbl.replace blocks b.bid (Array.of_list b.stmts) in
   let rec on_stmt st =
-    match st.s with
-    | Decl _ | Assign _ | Return _ | Expr _ -> ()
-    | If (_, a, b) ->
-        on_stmt a;
-        Option.iter on_stmt b
-    | While (_, b) | For (_, _, _, _, b) | Async b | Finish b | Isolated b ->
-        on_stmt b
-    | Block b -> on_block b
-  and on_block b =
-    Hashtbl.replace blocks b.bid (Array.of_list b.stmts);
-    List.iter on_stmt b.stmts
+    (match st.s with Block b -> on_block b | _ -> ());
+    iter_sub on_stmt st
   in
-  List.iter (fun f -> on_block f.body) p.funcs;
+  List.iter (fun f -> on_block f.body; List.iter on_stmt f.body.stmts) p.funcs;
   { blocks }
 
 (* All identifiers referenced by an expression. *)
 let rec expr_names acc (e : expr) =
   match e.e with
-  | Int _ | Float _ | Bool _ | Str _ -> acc
   | Var x -> x :: acc
-  | Bin (_, a, b) -> expr_names (expr_names acc a) b
-  | Un (_, a) -> expr_names acc a
-  | Idx (a, i) -> expr_names (expr_names acc a) i
-  | Call (_, args) -> List.fold_left expr_names acc args
-  | NewArr (_, dims) -> List.fold_left expr_names acc dims
+  | _ -> List.fold_left expr_names acc (sub_exprs e)
 
 (* All identifiers referenced anywhere in a statement (conservative: no
    shadowing analysis — a shadowed reuse of the name also rejects). *)
 let rec stmt_names acc (st : stmt) =
-  match st.s with
-  | Decl (_, _, _, init) -> expr_names acc init
-  | Assign (x, path, rhs) ->
-      x :: List.fold_left expr_names (expr_names acc rhs) path
-  | If (c, a, b) ->
-      let acc = expr_names acc c in
-      let acc = stmt_names acc a in
-      Option.fold ~none:acc ~some:(stmt_names acc) b
-  | While (c, b) -> stmt_names (expr_names acc c) b
-  | For (_, lo, hi, by, b) ->
-      let acc = expr_names (expr_names acc lo) hi in
-      let acc = Option.fold ~none:acc ~some:(expr_names acc) by in
-      stmt_names acc b
-  | Return None -> acc
-  | Return (Some e) | Expr e -> expr_names acc e
-  | Async b | Finish b | Isolated b -> stmt_names acc b
-  | Block b -> List.fold_left stmt_names acc b.stmts
+  let acc = match st.s with Assign (x, _, _) -> x :: acc | _ -> acc in
+  let acc = List.fold_left expr_names acc (stmt_exprs st) in
+  let sub = ref acc in
+  iter_sub (fun s -> sub := stmt_names !sub s) st;
+  !sub
 
 (** [wrap_ok t ~bid ~lo ~hi] — may statements [lo..hi] of block [bid] be
     moved into a nested block without breaking a later reference to a

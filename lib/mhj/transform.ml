@@ -22,30 +22,13 @@ let equal_placement a b = a.bid = b.bid && a.lo = b.lo && a.hi = b.hi
 (* ------------------------------------------------------------------ *)
 
 let rec strip_stmt (st : stmt) : stmt =
-  let s =
-    match st.s with
-    | Finish body -> (strip_stmt body).s
-    | Async body -> Async (strip_stmt body)
-    | Isolated body -> Isolated (strip_stmt body)
-    | If (c, a, b) -> If (c, strip_stmt a, Option.map strip_stmt b)
-    | While (c, b) -> While (c, strip_stmt b)
-    | For (i, lo, hi, by, b) -> For (i, lo, hi, by, strip_stmt b)
-    | Block b -> Block { b with stmts = List.map strip_stmt b.stmts }
-    | (Decl _ | Assign _ | Return _ | Expr _) as s -> s
-  in
-  { st with s }
+  match st.s with
+  | Finish body -> { st with s = (strip_stmt body).s }
+  | _ -> map_sub strip_stmt st
 
 (** Remove every [finish] statement (bodies stay in place).  Statement and
     block ids of the remaining nodes are preserved. *)
-let strip_finishes (p : program) : program =
-  {
-    p with
-    funcs =
-      List.map
-        (fun f ->
-          { f with body = { f.body with stmts = List.map strip_stmt f.body.stmts } })
-        p.funcs;
-  }
+let strip_finishes (p : program) : program = map_funcs strip_stmt p
 
 (* ------------------------------------------------------------------ *)
 (* Finish insertion                                                    *)
@@ -119,10 +102,9 @@ let rec wrap_intervals (stmts : stmt list) (intervals : (int * int) list) :
       done;
       List.rev !out
 
-(** Apply a set of static placements to the program.  Placements targeting
-    the same block may be nested or disjoint but must not cross.
-    @raise Invalid_argument on out-of-range or crossing placements. *)
-let insert_finishes (p : program) (placements : placement list) : program =
+(* Rewrite each block targeted by [placements] with [wrap], given the
+   block's statements and its placements' (lo, hi) intervals. *)
+let apply_placements wrap (p : program) (placements : placement list) =
   let by_bid = Hashtbl.create 8 in
   List.iter
     (fun pl ->
@@ -133,8 +115,14 @@ let insert_finishes (p : program) (placements : placement list) : program =
     (fun b ->
       match Hashtbl.find_opt by_bid b.bid with
       | None -> b
-      | Some intervals -> { b with stmts = wrap_intervals b.stmts intervals })
+      | Some intervals -> { b with stmts = wrap b.stmts intervals })
     p
+
+(** Apply a set of static placements to the program.  Placements targeting
+    the same block may be nested or disjoint but must not cross.
+    @raise Invalid_argument on out-of-range or crossing placements. *)
+let insert_finishes (p : program) (placements : placement list) : program =
+  apply_placements wrap_intervals p placements
 
 (* ------------------------------------------------------------------ *)
 (* Alternative repair rewrites (strategy layer)                        *)
@@ -188,18 +176,7 @@ let wrap_isolated (stmts : stmt list) (intervals : (int * int) list) :
     section.  Placements targeting one block must be pairwise disjoint.
     @raise Invalid_argument on out-of-range or overlapping placements. *)
 let insert_isolated (p : program) (placements : placement list) : program =
-  let by_bid = Hashtbl.create 8 in
-  List.iter
-    (fun pl ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_bid pl.bid) in
-      Hashtbl.replace by_bid pl.bid ((pl.lo, pl.hi) :: cur))
-    placements;
-  map_blocks
-    (fun b ->
-      match Hashtbl.find_opt by_bid b.bid with
-      | None -> b
-      | Some intervals -> { b with stmts = wrap_isolated b.stmts intervals })
-    p
+  apply_placements wrap_isolated p placements
 
 (** [elide_asyncs p sids] demotes each [async] statement whose sid is in
     [sids] to inline sequential execution: the wrapper is removed and its
@@ -208,28 +185,11 @@ let elide_asyncs (p : program) (sids : int list) : program =
   let target = Hashtbl.create 8 in
   List.iter (fun s -> Hashtbl.replace target s ()) sids;
   let rec on_stmt (st : stmt) : stmt =
-    let s =
-      match st.s with
-      | Async body when Hashtbl.mem target st.sid -> (on_stmt body).s
-      | Async body -> Async (on_stmt body)
-      | Finish body -> Finish (on_stmt body)
-      | Isolated body -> Isolated (on_stmt body)
-      | If (c, a, b) -> If (c, on_stmt a, Option.map on_stmt b)
-      | While (c, b) -> While (c, on_stmt b)
-      | For (i, lo, hi, by, b) -> For (i, lo, hi, by, on_stmt b)
-      | Block b -> Block { b with stmts = List.map on_stmt b.stmts }
-      | (Decl _ | Assign _ | Return _ | Expr _) as s -> s
-    in
-    { st with s }
+    match st.s with
+    | Async body when Hashtbl.mem target st.sid -> { st with s = (on_stmt body).s }
+    | _ -> map_sub on_stmt st
   in
-  {
-    p with
-    funcs =
-      List.map
-        (fun f ->
-          { f with body = { f.body with stmts = List.map on_stmt f.body.stmts } })
-        p.funcs;
-  }
+  map_funcs on_stmt p
 
 (** Is the expression duplicable into a chunk guard — evaluation-order
     safe and side-effect free when repeated? *)
@@ -293,33 +253,9 @@ let chunk_loop (p : program) ~(sid : int) ~(chunk : int) : program =
             For
               (c, lo, hi, Some (mk_expr (Int (chunk * step))), outer_body);
         }
-    | _ ->
-        let s =
-          match st.s with
-          | Async body -> Async (on_stmt body)
-          | Finish body -> Finish (on_stmt body)
-          | Isolated body -> Isolated (on_stmt body)
-          | If (c, a, b) -> If (c, on_stmt a, Option.map on_stmt b)
-          | While (c, b) -> While (c, on_stmt b)
-          | For (i, lo, hi, by, b) -> For (i, lo, hi, by, on_stmt b)
-          | Block b -> Block { b with stmts = List.map on_stmt b.stmts }
-          | (Decl _ | Assign _ | Return _ | Expr _) as s -> s
-        in
-        { st with s }
+    | _ -> map_sub on_stmt st
   in
-  let p' =
-    {
-      p with
-      funcs =
-        List.map
-          (fun f ->
-            {
-              f with
-              body = { f.body with stmts = List.map on_stmt f.body.stmts };
-            })
-          p.funcs;
-    }
-  in
+  let p' = map_funcs on_stmt p in
   if not !found then
     invalid_arg (Fmt.str "chunk_loop: no for loop with sid %d" sid);
   p'

@@ -259,49 +259,23 @@ let rec check_stmt env ~(ret : ty) (st : stmt) : unit =
          could deadlock against the section's mutual exclusion, and a
          join would serialize unrelated tasks behind the lock. *)
       let rec no_calls (e : expr) =
-        match e.e with
-        | Int _ | Float _ | Bool _ | Str _ | Var _ -> ()
-        | Bin (_, a, b) ->
-            no_calls a;
-            no_calls b
-        | Un (_, a) -> no_calls a
-        | Idx (a, i) ->
-            no_calls a;
-            no_calls i
-        | NewArr (_, dims) -> List.iter no_calls dims
-        | Call (name, args) ->
+        (match e.e with
+        | Call (name, _) when not (Builtins.is_builtin name) ->
             (* A user function could transitively spawn (breaking the
                section's atomicity); builtins are leaf operations. *)
-            if not (Builtins.is_builtin name) then
-              error e.eloc
-                "call to user function '%s' is not allowed inside isolated"
-                name;
-            List.iter no_calls args
+            error e.eloc
+              "call to user function '%s' is not allowed inside isolated" name
+        | _ -> ());
+        List.iter no_calls (sub_exprs e)
       in
       let rec no_tasks (s : stmt) =
-        match s.s with
+        (match s.s with
         | Async _ -> error s.sloc "async is not allowed inside isolated"
         | Finish _ -> error s.sloc "finish is not allowed inside isolated"
         | Isolated _ -> error s.sloc "isolated sections may not nest"
-        | Decl (_, _, _, init) -> no_calls init
-        | Assign (_, path, rhs) ->
-            List.iter no_calls path;
-            no_calls rhs
-        | Return (Some e) | Expr e -> no_calls e
-        | Return None -> ()
-        | If (c, a, b) ->
-            no_calls c;
-            no_tasks a;
-            Option.iter no_tasks b
-        | While (c, b) ->
-            no_calls c;
-            no_tasks b
-        | For (_, lo, hi, by, b) ->
-            no_calls lo;
-            no_calls hi;
-            Option.iter no_calls by;
-            no_tasks b
-        | Block b -> List.iter no_tasks b.stmts
+        | _ -> ());
+        List.iter no_calls (stmt_exprs s);
+        iter_sub no_tasks s
       in
       no_tasks body;
       in_scope env (fun () -> check_stmt env ~ret body)

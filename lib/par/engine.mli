@@ -13,9 +13,22 @@
       replays the same schedule, which is what the schedule-fuzzing
       differential tests and [repair --validate-par] rely on.
 
-    Racy programs may produce different outputs/final states across
-    schedules — that is the point — but never memory-unsafe behavior
-    (DESIGN.md §9). *)
+    Both modes run the program compiled by the shared evaluator
+    ({!Rt.Eval}); this module supplies its scheduling hooks.  A spawned
+    task runs on a copy of its spawner's slot frame ([Array.copy] at the
+    spawn point), so no frame is ever written by two tasks; globals live
+    in one slot array filled during the sequential initializer phase, and
+    afterwards only its slots and array cells race, which is memory-safe
+    under the OCaml 5 memory model.  Racy programs may produce different
+    outputs/final states across schedules — that is the point — but never
+    memory-unsafe behavior (DESIGN.md §9).
+
+    Fuel is a global [Atomic] decremented in per-worker batches; each
+    batch flush also polls the watchdog deadline armed on the domain that
+    called {!run}, so [--timeout-ms] bounds Domains workers too.  Pacing
+    ([pace_ns] per cost unit) is paid as debt-based sleeping so that
+    wall-clock speedup reflects the schedule's overlap even when the
+    interpreter itself is not the bottleneck. *)
 
 type mode =
   | Fuzz of { seed : int }  (** deterministic schedule exploration *)

@@ -1,8 +1,31 @@
-(** Sequential depth-first interpreter for Mini-HJ (the paper's canonical
-    execution): async bodies run to completion at their spawn point while
-    the S-DPST records the parallel structure.  Abstract {!Cost} units are
-    charged to the current step; structural transitions and monitored
-    memory accesses are reported to an optional {!Monitor}. *)
+(** Sequential depth-first interpreter for Mini-HJ.
+
+    The paper's analyses all run over the {e canonical sequential
+    (depth-first) execution} of the parallel program: an [async] body runs
+    to completion at its spawn point, exactly like the serial elision, while
+    the S-DPST records the parallel structure.  This module is that
+    runtime for the shared evaluator ({!Eval}): it charges abstract
+    {!Cost} units to the current step, builds the S-DPST, and reports
+    structural transitions and shared-memory accesses to an optional
+    {!Monitor}.
+
+    Structural mapping from program to S-DPST:
+    - the root node stands for [main]'s task and its implicit finish;
+    - an [async]/[finish] statement creates an async/finish node whose
+      children come directly from its body block (the AST is normalized, so
+      the body always is a block);
+    - entering any other block (branch or loop body, nested block,
+      [isolated] body) creates a [Scope Sblock] node; each loop iteration
+      is a fresh scope instance;
+    - calling a user function creates a [Scope (Scall f)] node — possibly
+      in the middle of a step, which ends at the call and resumes after;
+    - maximal monitored/costed runs between structural transitions become
+      step leaves.
+
+    Global initializers run before [main], outside any step: they are
+    sequenced before every task, so they never race, charge fuel but not
+    [work], and report no accesses.  The watchdog ({!Watchdog}) of the
+    calling domain is polled every ~1k cost units. *)
 
 exception Runtime_error of string * Mhj.Loc.t
 

@@ -229,6 +229,217 @@ let test_missing_main_rejected () =
          go 0)
   | _ -> Alcotest.fail "program without main must be rejected"
 
+(* ------------------------------------------------------------------ *)
+(* Name resolution and the slot-frame evaluator                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Monitored accesses of a run, as (interned address, kind) pairs. *)
+let accesses src =
+  let acc = ref [] in
+  let monitor =
+    {
+      Rt.Monitor.nop with
+      on_access = (fun ~step:_ ~bid:_ ~idx:_ a k -> acc := (a, k) :: !acc);
+    }
+  in
+  let r = Rt.Interp.run ~monitor (Mhj.Front.compile src) in
+  (String.trim r.output, List.rev !acc)
+
+let test_local_shadows_global () =
+  let out, acc =
+    accesses "var x: int = 5; def main() { var x: int = 1; x = x + 1; print(x); }"
+  in
+  Alcotest.(check string) "local value" "2" out;
+  Alcotest.(check int) "no global access reported" 0 (List.length acc);
+  let out, acc =
+    accesses "var x: int = 5; def main() { x = x + 1; print(x); }"
+  in
+  Alcotest.(check string) "global value" "6" out;
+  Alcotest.(check int) "global read, write, read" 3 (List.length acc)
+
+let test_nested_shadowing () =
+  Alcotest.(check string) "inner then outer" "2\n1"
+    (output "def main() { val x: int = 1; { val x: int = 2; print(x); } print(x); }");
+  (* after the block, [x] is the global again: only those reads reach
+     the monitor *)
+  let out, acc =
+    accesses
+      "var x: int = 7; def main() { { val x: int = 2; print(x); } print(x); }"
+  in
+  Alcotest.(check string) "block local, then global" "2\n7" out;
+  Alcotest.(check int) "one global read" 1 (List.length acc);
+  Alcotest.(check string) "sibling blocks reuse slots" "3\n4"
+    (output
+       "def main() { { val a: int = 3; print(a); } { val b: int = 4; print(b); } }")
+
+let test_for_variables () =
+  Alcotest.(check string) "nested induction variables" "0\n1\n10\n11"
+    (output
+       "def main() { for (i = 0 to 1) { for (j = 0 to 1) { print(i * 10 + j); } } }");
+  let out, acc =
+    accesses
+      "var i: int = 42; def main() { for (i = 0 to 1) { print(i); } print(i); }"
+  in
+  Alcotest.(check string) "loop variable shadows the global" "0\n1\n42" out;
+  Alcotest.(check int) "only the final read is global" 1 (List.length acc);
+  Alcotest.(check string) "a body declaration shadows the loop variable" "5\n5"
+    (output "def main() { for (i = 0 to 1) { val i: int = 5; print(i); } }")
+
+let test_recursion_fresh_frames () =
+  Alcotest.(check string) "each call keeps its own locals" "60"
+    (output
+       {|
+def f(n: int): int {
+  val mine: int = n;
+  if (n > 0) {
+    val r: int = f(n - 1);
+    return mine * 10 + r;
+  }
+  return mine;
+}
+def main() { print(f(3)); }
+|})
+
+(* A deferred task must see the outer [val]s as they were at its spawn,
+   even though the next iteration reuses their frame slots. *)
+let test_deferred_async_snapshot () =
+  let prog =
+    Mhj.Front.compile
+      {|
+var out: int[] = new int[4];
+def main() {
+  finish {
+    for (i = 0 to 3) {
+      val v: int = i * 10;
+      async { out[i] = v + i; }
+    }
+  }
+  print(out[0]); print(out[1]); print(out[2]); print(out[3]);
+}
+|}
+  in
+  let r =
+    Par.Engine.run
+      ~policy:{ Par.Engine.inline_pct = 0; yield_pct = 0 }
+      ~mode:(Par.Engine.Fuzz { seed = 1 })
+      prog
+  in
+  Alcotest.(check string) "values at spawn" "0\n11\n22\n33" (String.trim r.output);
+  Alcotest.(check string) "same as depth-first"
+    (Rt.Interp.run prog).output r.output
+
+(* [return] from inside nested scopes unwinds straight to the call: the
+   S-DPST parent and the (block, index) cursor are those of the call
+   site, so the step the rest of the call statement opens hangs off the
+   caller's node and its accesses carry the caller's positions. *)
+let test_return_restores_cursor () =
+  let prog =
+    Mhj.Front.compile
+      {|
+var g: int = 0;
+def f(): int {
+  for (i = 0 to 3) {
+    { if (i == 1) { return i; } }
+  }
+  return 0;
+}
+def main() {
+  var x: int = 0;
+  x = f() + 1;
+  g = x + 1;
+}
+|}
+  in
+  let main = Option.get (Mhj.Ast.find_func prog "main") in
+  let last = ref [] in
+  let monitor =
+    {
+      Rt.Monitor.nop with
+      on_access =
+        (fun ~step ~bid ~idx _ _ -> last := (step, bid, idx) :: !last);
+    }
+  in
+  let r = Rt.Interp.run ~monitor prog in
+  let root = r.tree.root in
+  let n = Tdrutil.Vec.length root.children in
+  let call = Tdrutil.Vec.get root.children (n - 2)
+  and step = Tdrutil.Vec.get root.children (n - 1) in
+  Alcotest.(check string) "call node under the root" "call:f"
+    (Sdpst.Node.kind_name call.kind);
+  Alcotest.(check bool) "resumed step is the root's child" true
+    (step.kind = Sdpst.Node.Step && Option.get step.parent == root);
+  Alcotest.(check (pair int int)) "step origin is the call statement"
+    (main.body.bid, 1) (step.origin_bid, step.origin_idx);
+  Alcotest.(check int) "step covers the next statement" 2 step.last_idx;
+  match !last with
+  | (s, bid, idx) :: _ ->
+      Alcotest.(check bool) "write reported on the resumed step" true (s == step);
+      Alcotest.(check (pair int int)) "write position" (main.body.bid, 2)
+        (bid, idx)
+  | [] -> Alcotest.fail "no access reported"
+
+(* Runtime errors keep their messages and source locations.  [typed]
+   programs go through the front end; the others skip type checking to
+   reach the evaluator's dynamic checks. *)
+let test_error_messages () =
+  List.iter
+    (fun (name, typed, src, msg, loc) ->
+      let p =
+        if typed then Mhj.Front.compile src
+        else Mhj.Normalize.normalize (Mhj.Parser.parse_program src)
+      in
+      match Rt.Interp.run p with
+      | exception Rt.Interp.Runtime_error (m, l) ->
+          Alcotest.(check (pair string string)) name (msg, loc)
+            (m, Mhj.Loc.to_string l)
+      | _ -> Alcotest.failf "%s: no error" name)
+    [
+      ("bounds", true, "def main() {\n  val a: int[] = new int[2];\n  print(a[2]);\n}",
+       "index 2 out of bounds [0..2)", "3:10");
+      ("store bounds", true,
+       "def main() {\n  val a: int[][] = new int[2][3];\n  a[1][3] = 4;\n}",
+       "index 3 out of bounds [0..3)", "3:3");
+      ("div", true, "def main() {\n  val z: int = 0;\n  print(7 / z);\n}",
+       "division by zero", "3:11");
+      ("mod", true, "def main() {\n  print(7 % (1 - 1));\n}", "modulo by zero",
+       "2:11");
+      ("negative dimension", true, "def main() {\n  val a: int[] = new int[0 - 3];\n}",
+       "negative array dimension -3", "2:18");
+      ("for step", true, "def main() {\n  for (i = 0 to 3 by 0) { print(i); }\n}",
+       "for step must be non-zero", "2:3");
+      ("work", true, "def main() {\n  work(0 - 1);\n}", "work(-1): negative amount",
+       "2:3");
+      ("cas", true,
+       "def main() {\n  val a: int[] = new int[1];\n  print(cas(a, 5, 0, 1));\n}",
+       "cas: index 5 out of bounds [0..1)", "3:9");
+      ("global initializer order", true,
+       "var a: int = b + 1;\nvar b: int = 2;\ndef main() { print(a); }",
+       "unbound variable 'b'", "1:14");
+      ("global initializer order via a call", true,
+       "var a: int = f();\nvar b: int = 2;\ndef f(): int { b = 3; return 1; }\n\
+        def main() { print(a); }",
+       "unbound variable 'b'", "3:16");
+      ("operand types", false, "def main() {\n  print(1 + true);\n}",
+       "operator '+' applied to 1 and true", "2:11");
+      ("int expected", false,
+       "def main() {\n  val a: int[] = new int[2];\n  print(a[false]);\n}",
+       "expected int, got false", "3:11");
+      ("bool expected", false, "def main() {\n  if (3) { print(1); }\n}",
+       "expected bool, got 3", "2:7");
+      ("array expected", false, "def main() {\n  val a: int = 3;\n  print(a[0]);\n}",
+       "expected array, got 3", "3:9");
+      ("unary", false, "def main() {\n  print(-true);\n}",
+       "unary '-' applied to true", "2:9");
+      ("unbound read", false, "def main() {\n  print(zz);\n}",
+       "unbound variable 'zz'", "2:9");
+      ("unbound store", false, "def main() {\n  zz = 1;\n}",
+       "unbound variable 'zz'", "2:3");
+      ("unknown function", false, "def main() {\n  print(g(1));\n}",
+       "unknown function 'g'", "2:9");
+      ("builtin arguments", false, "def main() {\n  print(sqrt(1));\n}",
+       "builtin 'sqrt' applied to (1)", "2:9");
+    ]
+
 let () =
   Alcotest.run "interp"
     [
@@ -263,5 +474,21 @@ let () =
             test_unnormalized_rejected;
           Alcotest.test_case "missing main rejected" `Quick
             test_missing_main_rejected;
+        ] );
+      ( "resolve",
+        [
+          Alcotest.test_case "local shadows global" `Quick
+            test_local_shadows_global;
+          Alcotest.test_case "nested-block shadowing" `Quick
+            test_nested_shadowing;
+          Alcotest.test_case "for-loop variables" `Quick test_for_variables;
+          Alcotest.test_case "recursion gets fresh frames" `Quick
+            test_recursion_fresh_frames;
+          Alcotest.test_case "deferred async sees spawn-time vals" `Quick
+            test_deferred_async_snapshot;
+          Alcotest.test_case "return restores parent and cursor" `Quick
+            test_return_restores_cursor;
+          Alcotest.test_case "error messages and locations" `Quick
+            test_error_messages;
         ] );
     ]

@@ -9,7 +9,9 @@
    deterministic execution twice: with the default slab-chunked shadow
    layout and with the Monolithic doubling-array layout (the pre-scale
    baseline).  Per row it records detection throughput (accesses per
-   second of detection time = run minus uninstrumented baseline), the
+   second of detection time = run minus uninstrumented baseline; null,
+   per layout column, when that difference is below the noise floor —
+   see Clock), the
    GC-heap high-water mark of each layout's run (Obs.Rusage.watermark —
    per-run, unlike process RSS, which is monotone), allocated shadow
    slabs/words, entries retired by epoch GC, and clocks freed (vclock).
@@ -110,23 +112,30 @@ type row = {
   backend : string;  (** "espbags" | "vclock" *)
   accesses : int;
   races : int;
-  nop_s : float;
-  chunked_s : float;
-  mono_s : float;
+  nop_t : Clock.sample;  (** uninstrumented baseline *)
+  chunked_t : Clock.sample;
+  mono_t : Clock.sample;
   chunked : mem;
   mono : mem;
   spilled : int;  (** records through the forced-spill identity run *)
 }
 
-let det_time run nop = Float.max (run -. nop) 1e-6
+(* Detection throughput of each layout's column; [None] below the noise
+   floor (Clock). *)
+let aps r = Clock.rate r.accesses r.chunked_t r.nop_t
 
-let measurable run nop = run -. nop >= Float.max 3e-4 (0.05 *. nop)
+let mono_aps r = Clock.rate r.accesses r.mono_t r.nop_t
 
-let aps r = float_of_int r.accesses /. det_time r.chunked_s r.nop_s
+let row_measurable r = Clock.measurable r.chunked_t r.nop_t
 
-let mono_aps r = float_of_int r.accesses /. det_time r.mono_s r.nop_s
-
-let row_measurable r = measurable r.chunked_s r.nop_s
+(* Aggregate throughput over the measurable rows; [None] without any. *)
+let aggregate_aps mrows =
+  let total f = List.fold_left (fun acc r -> acc +. f r) 0. mrows in
+  if mrows = [] then None
+  else
+    Some
+      (total (fun r -> float_of_int r.accesses)
+      /. total (fun r -> Option.get (Clock.det_time r.chunked_t r.nop_t)))
 
 let identical workload what a b =
   if a <> b then
@@ -151,13 +160,11 @@ let stat det key =
 let measure ~repeat ~spill_dir (name, cfg) : row list =
   let src = Benchsuite.Progen.generate_scaled cfg in
   let prog = Mhj.Front.compile src in
-  let nop_s = ref infinity in
-  let keep_min cell s = if s < !cell then cell := s in
+  let nop_t = Clock.sample () in
   for _ = 1 to repeat do
     let _, s, _ = run_one (fun () -> ignore (Rt.Interp.run prog)) in
-    keep_min nop_s s
+    Clock.record nop_t s
   done;
-  let nop_s = !nop_s in
   (* unbounded oracle: the seed implementation, hashtable bags and boxed
      shadow — no slabs, no GC, no spill *)
   let oracle =
@@ -170,20 +177,20 @@ let measure ~repeat ~spill_dir (name, cfg) : row list =
   in
   let vc layout () = fst (Vclock.Seq.detect ~layout Vclock.Seq.Mrw prog) in
   let time_runs f =
-    let best = ref infinity and last = ref None and hw = ref 0 in
+    let t = Clock.sample () and last = ref None and hw = ref 0 in
     for _ = 1 to repeat do
       let det, s, h = run_one f in
-      keep_min best s;
+      Clock.record t s;
       if h > !hw then hw := h;
       last := Some det
     done;
-    (Option.get !last, !best, !hw)
+    (Option.get !last, t, !hw)
   in
   let backend bname ~detect ~races ~stats ~spill_races : row =
-    let chunked_det, chunked_s, chunked_hw =
+    let chunked_det, chunked_t, chunked_hw =
       time_runs (detect (Tdrutil.Islab.Chunked Tdrutil.Islab.default_chunk))
     in
-    let mono_det, mono_s, mono_hw = time_runs (detect Tdrutil.Islab.Monolithic) in
+    let mono_det, mono_t, mono_hw = time_runs (detect Tdrutil.Islab.Monolithic) in
     let csigs = Espbags.Race.exact_sigs (races chunked_det) in
     identical name (bname ^ " chunked vs seed oracle") csigs oracle;
     identical name
@@ -213,9 +220,9 @@ let measure ~repeat ~spill_dir (name, cfg) : row list =
       backend = bname;
       accesses = stat (stats chunked_det) "detector.accesses";
       races = List.length csigs;
-      nop_s;
-      chunked_s;
-      mono_s;
+      nop_t;
+      chunked_t;
+      mono_t;
       chunked = mem chunked_det chunked_hw;
       mono = mem mono_det mono_hw;
       spilled = n_spilled;
@@ -244,33 +251,29 @@ let measure ~repeat ~spill_dir (name, cfg) : row list =
   in
   [ eb_row; vc_row ]
 
-(* JSON has no NaN/Inf; aggregates over an empty or unmeasurable row set
-   degrade to 0 instead. *)
-let safe f = if Float.is_finite f then f else 0.
-
 let json_of_rows ~repeat ~quick rows =
   let buf = Buffer.create 4096 in
   let row_json r =
     Fmt.str
       "    {\"workload\": %S, \"backend\": %S, \"accesses\": %d, \"races\": \
        %d, \"nop_s\": %.6f, \"chunked_s\": %.6f, \"mono_s\": %.6f, \
-       \"det_accesses_per_s\": %.0f, \"mono_det_accesses_per_s\": %.0f, \
+       \"det_accesses_per_s\": %s, \"mono_det_accesses_per_s\": %s, \
        \"chunked_hw_words\": %d, \"mono_hw_words\": %d, \
        \"chunked_shadow_slabs\": %d, \"chunked_shadow_words\": %d, \
        \"mono_shadow_words\": %d, \"gc_retired\": %d, \"clocks_freed\": %d, \
-       \"spilled_races\": %d, \"measurable\": %b}"
-      r.workload r.backend r.accesses r.races r.nop_s r.chunked_s r.mono_s
-      (safe (aps r)) (safe (mono_aps r)) r.chunked.hw_words r.mono.hw_words
-      r.chunked.shadow_slabs r.chunked.shadow_words r.mono.shadow_words
-      r.chunked.gc_retired r.chunked.clocks_freed r.spilled (row_measurable r)
+       \"spilled_races\": %d, \"measurable\": %b, \"mono_measurable\": \
+       %b}"
+      r.workload r.backend r.accesses r.races r.nop_t.best r.chunked_t.best
+      r.mono_t.best
+      (Clock.json_opt "%.0f" (aps r))
+      (Clock.json_opt "%.0f" (mono_aps r))
+      r.chunked.hw_words r.mono.hw_words r.chunked.shadow_slabs
+      r.chunked.shadow_words r.mono.shadow_words r.chunked.gc_retired
+      r.chunked.clocks_freed r.spilled (row_measurable r)
+      (Clock.measurable r.mono_t r.nop_t)
   in
   let mrows = List.filter row_measurable rows in
   let total_over rs f = List.fold_left (fun acc r -> acc +. f r) 0. rs in
-  let agg_aps =
-    safe
-      (total_over mrows (fun r -> float_of_int r.accesses)
-      /. total_over mrows (fun r -> det_time r.chunked_s r.nop_s))
-  in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf (Fmt.str "  \"repeat\": %d,\n" repeat);
   Buffer.add_string buf (Fmt.str "  \"quick\": %b,\n" quick);
@@ -280,7 +283,8 @@ let json_of_rows ~repeat ~quick rows =
     (Fmt.str "  \"total_accesses\": %.0f,\n"
        (total_over rows (fun r -> float_of_int r.accesses)));
   Buffer.add_string buf
-    (Fmt.str "  \"aggregate_det_accesses_per_s\": %.0f,\n" agg_aps);
+    (Fmt.str "  \"aggregate_det_accesses_per_s\": %s,\n"
+       (Clock.json_opt "%.0f" (aggregate_aps mrows)));
   Buffer.add_string buf
     (Fmt.str "  \"peak_rss_kb\": %d,\n" (Obs.Rusage.peak_rss_kb ()));
   Buffer.add_string buf "  \"rows\": [\n";
@@ -316,12 +320,16 @@ let sweep ~quick () =
               (fun r ->
                 Fmt.pr
                   "%-11s %-8s %10d %6d %9.1f %9.1f %9.1f %7.1fM %7.1fM %9d \
-                   %9.0f@."
-                  r.workload r.backend r.accesses r.races (1e3 *. r.nop_s)
-                  (1e3 *. r.chunked_s) (1e3 *. r.mono_s)
+                   %9s@."
+                  r.workload r.backend r.accesses r.races
+                  (1e3 *. r.nop_t.best) (1e3 *. r.chunked_t.best)
+                  (1e3 *. r.mono_t.best)
                   (float_of_int r.chunked.hw_words /. 1e6)
                   (float_of_int r.mono.hw_words /. 1e6)
-                  r.chunked.gc_retired (safe (aps r)))
+                  r.chunked.gc_retired
+                  (match aps r with
+                  | Some v -> Fmt.str "%.0f" v
+                  | None -> "n/a"))
               rs;
             rs)
           (workloads ~quick ())
@@ -347,25 +355,24 @@ let sweep ~quick () =
                  r.mono.shadow_words))
         rows;
       let mrows = List.filter row_measurable rows in
-      let total_over rs f = List.fold_left (fun acc r -> acc +. f r) 0. rs in
-      let agg_aps =
-        safe
-          (total_over mrows (fun r -> float_of_int r.accesses)
-          /. total_over mrows (fun r -> det_time r.chunked_s r.nop_s))
-      in
+      let agg_aps = aggregate_aps mrows in
       let rss_kb = Obs.Rusage.peak_rss_kb () in
       Fmt.pr
         "reports byte-identical to the unbounded oracle on all %d rows \
-         (both layouts + forced spill); aggregate %.0f accesses/s over %d \
+         (both layouts + forced spill); aggregate %s accesses/s over %d \
          measurable rows; process peak RSS %d MB@."
-        (List.length rows) agg_aps (List.length mrows) (rss_kb / 1024);
+        (List.length rows)
+        (match agg_aps with Some v -> Fmt.str "%.0f" v | None -> "n/a")
+        (List.length mrows) (rss_kb / 1024);
       (let floor = env_float "TDR_BENCH_MIN_ACCESSES_PER_S" 20_000. in
-       if mrows <> [] && floor > 0. && agg_aps < floor then
-         failwith
-           (Fmt.str
-              "scale bench: aggregate %.0f accesses/s is below the %.0f \
-               floor (TDR_BENCH_MIN_ACCESSES_PER_S)"
-              agg_aps floor));
+       match agg_aps with
+       | Some agg when floor > 0. && agg < floor ->
+           failwith
+             (Fmt.str
+                "scale bench: aggregate %.0f accesses/s is below the %.0f \
+                 floor (TDR_BENCH_MIN_ACCESSES_PER_S)"
+                agg floor)
+       | _ -> ());
       (let ceil_mb = env_int "TDR_BENCH_MAX_RSS_MB" 0 in
        if ceil_mb > 0 && rss_kb / 1024 > ceil_mb then
          failwith

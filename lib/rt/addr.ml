@@ -86,16 +86,6 @@ module Intern = struct
   (** Interned id of cell [idx] of array [aid] (must be registered). *)
   let cell_id t ~aid ~idx = Tdrutil.Ivec.get t.bases aid + idx
 
-  (** Interned id of a global already added with {!add_global}; meant for
-      reconstruction paths, not the per-access path (which caches ids). *)
-  let find_global t name =
-    let rec go i =
-      if i >= t.n_globals then None
-      else if String.equal (Tdrutil.Vec.get t.names i) name then Some i
-      else go (i + 1)
-    in
-    go 0
-
   (** Size of the id space so far — an exclusive upper bound on every id
       handed out, for sizing flat shadow tables. *)
   let n_ids t = t.next

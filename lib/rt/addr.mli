@@ -42,10 +42,6 @@ module Intern : sig
   (** Interned id of cell [idx] of a registered array. *)
   val cell_id : t -> aid:int -> idx:int -> int
 
-  (** Id of an interned global, if present (linear scan — reconstruction
-      paths only; the access path caches ids). *)
-  val find_global : t -> string -> int option
-
   (** Exclusive upper bound on every id handed out so far — for sizing
       flat shadow tables. *)
   val n_ids : t -> int

@@ -348,6 +348,43 @@ def main() {
   Alcotest.(check bool) "static count positive" true
     (Espbags.Race.count_static races > 0)
 
+(* A run that dies after its first spill drain must still release the
+   spill file: OCaml never closes channels on GC, so a served job with a
+   spill path and a fuel or time limit would leak one descriptor per
+   job.  50 out-of-fuel MRW runs per backend, each draining to disk
+   before it aborts, must leave the process's descriptor count where it
+   started. *)
+let test_spill_closed_on_abort () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let prog =
+      Mhj.Front.compile
+        {|
+var x: int = 0;
+def main() {
+  finish { for (i = 0 to 100000) { async { x = x + 1; } } }
+}
+|}
+    in
+    let path = Filename.temp_file "tdr_leak" ".spill" in
+    let spill = Espbags.Spill.config ~cap:2 path in
+    let aborts = ref 0 in
+    let run detect =
+      try ignore (detect ()) with Rt.Interp.Out_of_fuel -> incr aborts
+    in
+    let before = open_fds () in
+    for _ = 1 to 50 do
+      run (fun () ->
+          Espbags.Detector.detect ~fuel:200 ~spill Espbags.Detector.Mrw prog);
+      run (fun () ->
+          Vclock.Seq.detect ~fuel:200 ~spill Vclock.Seq.Mrw prog)
+    done;
+    let after = open_fds () in
+    Sys.remove path;
+    Alcotest.(check int) "every run ran out of fuel" 100 !aborts;
+    Alcotest.(check int) "no descriptor leaked" before after
+  end
+
 let () =
   Alcotest.run "espbags"
     [
@@ -379,5 +416,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_trace_errors;
           Alcotest.test_case "dedupe/static counts" `Quick
             test_dedupe_and_static_count;
+          Alcotest.test_case "spill closed on abort" `Quick
+            test_spill_closed_on_abort;
         ] );
     ]

@@ -99,15 +99,14 @@ let backend_arg =
            shape; the choice is printed and recorded in the metrics as \
            $(b,detector.backend)).")
 
-(* [`Auto] resolves here so the pick and its reason are visible on
-   stdout; the driver resolves identically (same Vclock.Select.choose)
-   for the metrics. *)
-let resolve_backend_verbose prog = function
-  | (`Espbags | `Vclock) as b -> b
-  | `Auto ->
-      let pick, reason = Vclock.Select.choose prog in
-      Fmt.pr "auto backend: %a (%s)@." Vclock.Select.pp_choice pick reason;
-      (pick :> [ `Espbags | `Vclock ])
+(* The pick and, for [`Auto], its reason are printed on stdout; the
+   driver resolves identically (same Vclock.Select.resolve) for the
+   metrics. *)
+let resolve_backend_verbose prog backend =
+  let pick, reason = Vclock.Select.resolve backend prog in
+  if backend = `Auto then
+    Fmt.pr "auto backend: %a (%s)@." Vclock.Select.pp_choice pick reason;
+  pick
 
 let strategy_arg =
   let strategy_conv =
@@ -398,38 +397,17 @@ let detect_cmd =
           end
           else None
         in
-        let label, races, n_accesses, n_locations, n_skipped, n_spilled, res =
-          match backend with
-          | `Espbags ->
-              let det, res =
-                Espbags.Detector.detect ?keep ?layout ?spill:spill_cfg mode
-                  prog
-              in
-              ( "ESP-bags",
-                Espbags.Detector.races det,
-                det.Espbags.Detector.n_accesses,
-                det.Espbags.Detector.n_locations,
-                det.Espbags.Detector.n_skipped,
-                Espbags.Detector.n_spilled det,
-                res )
-          | `Vclock ->
-              let det, res =
-                Vclock.Seq.detect ?keep ?layout ?spill:spill_cfg mode prog
-              in
-              ( "vector-clock",
-                Vclock.Seq.races det,
-                det.Vclock.Seq.n_accesses,
-                det.Vclock.Seq.n_locations,
-                det.Vclock.Seq.n_skipped,
-                Vclock.Seq.n_spilled det,
-                res )
+        let d =
+          Vclock.Select.detect ~backend ?keep ?layout ?spill:spill_cfg mode
+            prog
         in
+        let res = d.result and n_spilled = d.n_spilled in
         cleanup_spill spill ~n_spilled;
         (* Races with both endpoints inside [isolated] sections are
            discharged by mutual exclusion — the detectors run the body
            as a plain scope and cannot see the serialization. *)
         let races, discharged =
-          let surviving, discharged = Repair.Isolate.split prog races in
+          let surviving, discharged = Repair.Isolate.split prog d.races in
           (surviving, List.length discharged)
         in
         if dump_sdpst then Fmt.pr "%s@." (Sdpst.Serial.to_string res.tree);
@@ -439,13 +417,17 @@ let detect_cmd =
             Fmt.pr "S-DPST written to %s@." path
         | None -> ());
         Fmt.pr "%a %s: %d race report(s), %d distinct step pair(s)@."
-          Espbags.Detector.pp_mode mode label (List.length races)
+          Espbags.Detector.pp_mode mode
+          (match backend with
+          | `Espbags -> "ESP-bags"
+          | `Vclock -> "vector-clock")
+          (List.length races)
           (List.length (Espbags.Race.dedupe_by_steps races));
         Fmt.pr
           "checked %d access(es) over %d location(s); S-DPST has %d node(s)@."
-          n_accesses n_locations res.Rt.Interp.tree.Sdpst.Node.n_nodes;
-        if n_skipped > 0 then
-          Fmt.pr "skipped %d access(es) proven sequential@." n_skipped;
+          d.n_accesses d.n_locations res.Rt.Interp.tree.Sdpst.Node.n_nodes;
+        if d.n_skipped > 0 then
+          Fmt.pr "skipped %d access(es) proven sequential@." d.n_skipped;
         if discharged > 0 then
           Fmt.pr
             "discharged %d race report(s) serialized by isolated section(s)@."

@@ -120,28 +120,10 @@ exception Unrepairable of string
 (** Which sequential detection backend executes the program: the
     ESP-bags detectors (the paper's algorithm, the default), the
     vector-clock detector ({!Vclock.Seq}, report-identical), or an
-    automatic per-workload pick ({!Vclock.Select.choose}).  The resolved
+    automatic per-workload pick ({!Vclock.Select.resolve}).  The resolved
     choice is recorded in [report.metrics] as [detector.backend]
     (0 = espbags, 1 = vclock). *)
 type backend = [ `Espbags | `Vclock | `Auto ]
-
-let pp_backend ppf = function
-  | `Espbags -> Fmt.string ppf "espbags"
-  | `Vclock -> Fmt.string ppf "vclock"
-  | `Auto -> Fmt.string ppf "auto"
-
-(* Resolve [`Auto] against the program's task shape; returns the pick and
-   the human-readable reason (empty for explicit picks). *)
-let resolve_backend backend prog : [ `Espbags | `Vclock ] * string =
-  match backend with
-  | (`Espbags | `Vclock) as b -> (b, "")
-  | `Auto ->
-      let choice, reason = Vclock.Select.choose prog in
-      Log.info (fun m ->
-          m "backend auto-selection: %a (%s)" pp_backend
-            (choice :> backend)
-            reason);
-      (choice, reason)
 
 (* ------------------------------------------------------------------ *)
 (* Single-iteration placement                                          *)
@@ -454,7 +436,14 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
   let fuel = Guard.effective_fuel guard fuel in
   let metrics = Obs.Metrics.create () in
   declare_metrics metrics;
-  let backend, _auto_reason = resolve_backend backend prog in
+  let backend =
+    let pick, reason = Vclock.Select.resolve backend prog in
+    if backend = `Auto then
+      Log.info (fun m ->
+          m "backend auto-selection: %a (%s)" Vclock.Select.pp_choice pick
+            reason);
+    pick
+  in
   Obs.Metrics.set metrics "detector.backend"
     (match backend with `Espbags -> 0 | `Vclock -> 1);
   let finish program iterations ~converged ~final_races =
@@ -534,31 +523,13 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
       (* Both backends share the detection contract: run the program
          depth-first, return the same Race.t records over the same
          S-DPST (the differential suite holds them report-identical). *)
-      let races, det_stats, n_accesses, n_skipped, res =
+      let d =
         Guard.at_stage Diag.Detect (fun () ->
             Obs.Trace.with_span "detect" (fun () ->
-                match backend with
-                | `Espbags ->
-                    let det, res =
-                      Espbags.Detector.detect ?fuel ?keep ?layout ?spill mode
-                        program
-                    in
-                    ( Espbags.Detector.races det,
-                      Espbags.Detector.stats det,
-                      det.Espbags.Detector.n_accesses,
-                      det.Espbags.Detector.n_skipped,
-                      res )
-                | `Vclock ->
-                    let det, res =
-                      Vclock.Seq.detect ?fuel ?keep ?layout ?spill mode
-                        program
-                    in
-                    ( Vclock.Seq.races det,
-                      Vclock.Seq.stats det,
-                      det.Vclock.Seq.n_accesses,
-                      det.Vclock.Seq.n_skipped,
-                      res )))
+                Vclock.Select.detect ~backend ?fuel ?keep ?layout ?spill mode
+                  program))
       in
+      let races = d.races and res = d.result and stats = Lazy.force d.stats in
       let detect_time = Unix.gettimeofday () -. t0 in
       (* shadow sizes and RSS are gauges (the latest run's footprint),
          unlike the rest of the detector schema, which accumulates
@@ -567,11 +538,11 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
         k = "detector.shadow_slabs" || k = "detector.shadow_words"
       in
       Obs.Metrics.add_all metrics
-        (List.filter (fun kv -> not (shadow_gauge kv)) det_stats);
+        (List.filter (fun kv -> not (shadow_gauge kv)) stats);
       List.iter
         (fun ((k, v) as kv) ->
           if shadow_gauge kv then Obs.Metrics.set metrics k v)
-        det_stats;
+        stats;
       Obs.Metrics.set metrics "detector.peak_rss_kb" (Obs.Rusage.peak_rss_kb ());
       (* Races whose both endpoints sit inside [isolated] sections are
          discharged by mutual exclusion — the detectors run the body as a
@@ -607,8 +578,8 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
             detect_time;
             place_time;
             sdpst_nodes = res.tree.Sdpst.Node.n_nodes;
-            n_accesses;
-            n_skipped;
+            n_accesses = d.n_accesses;
+            n_skipped = d.n_skipped;
           }
         in
         Obs.Metrics.add metrics "driver.races" iter.n_races;

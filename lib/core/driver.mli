@@ -73,12 +73,10 @@ exception Unrepairable of string
 (** Sequential detection backend: the ESP-bags detectors (the paper's
     algorithm, default), the vector-clock detector ({!Vclock.Seq},
     report-identical — the differential suite holds them record-equal),
-    or a per-workload automatic pick ({!Vclock.Select.choose}).  The
+    or a per-workload automatic pick ({!Vclock.Select.resolve}).  The
     resolved choice lands in [report.metrics] as [detector.backend]
     (0 = espbags, 1 = vclock). *)
 type backend = [ `Espbags | `Vclock | `Auto ]
-
-val pp_backend : backend Fmt.t
 
 (** One placement pass: the dynamic placement + location mapping for the
     races of a single detector run, without touching the program.

@@ -89,15 +89,10 @@ type outcome = {
 (* One detection run under the resolved backend: all reported races
    plus the execution's S-DPST (for scoring) and its output (for the
    test-driven semantic check). *)
-let detect ~(backend : [ `Espbags | `Vclock ]) ?fuel ~mode prog :
+let detect ~backend ?fuel ~mode prog :
     Espbags.Race.t list * Sdpst.Node.tree * string =
-  match backend with
-  | `Espbags ->
-      let det, res = Espbags.Detector.detect ?fuel mode prog in
-      (Espbags.Detector.races det, res.Rt.Interp.tree, res.Rt.Interp.output)
-  | `Vclock ->
-      let det, res = Vclock.Seq.detect ?fuel mode prog in
-      (Vclock.Seq.races det, res.Rt.Interp.tree, res.Rt.Interp.output)
+  let d = Vclock.Select.detect ~backend ?fuel mode prog in
+  (d.races, d.result.tree, d.result.output)
 
 (* Serialization edges for scoring: each discharged race pins its two
    step instances into a depth-first mutual-exclusion order. *)
@@ -472,11 +467,6 @@ let metrics_of (candidates : candidate list) (winner : candidate) :
          | None -> [ (k "cpl", 0); (k "work", 0); (k "makespan", 0) ])
        candidates
 
-let resolve (backend : Driver.backend) prog : [ `Espbags | `Vclock ] =
-  match backend with
-  | (`Espbags | `Vclock) as b -> b
-  | `Auto -> fst (Vclock.Select.choose prog)
-
 (* Shield the tournament from one strategy's internal failure (e.g. a
    rewrite producing a program the interpreter rejects): the candidate
    is marked unproduced, the others still compete. *)
@@ -497,7 +487,7 @@ let guarded kind (f : unit -> candidate) : candidate =
       if no strategy produces a verified race-free candidate. *)
 let run ?(mode = Espbags.Detector.Mrw) ?(backend = `Auto) ?fuel ?procs
     ?max_iterations (choice : choice) (prog : Mhj.Ast.program) : outcome =
-  let backend = resolve backend prog in
+  let backend = fst (Vclock.Select.resolve backend prog) in
   (* The test's expected output: the racy program's canonical depth-first
      execution (which realizes the serial-projection order).  Every
      candidate must reproduce it — race freedom alone is not a repair. *)

@@ -1,472 +1,46 @@
-(** The two ESP-bags race detectors.
+(* See detector.mli. *)
 
-    {b SRW} (Single Reader-Writer) is the original algorithm of Raman et
-    al.: the shadow memory keeps one writer and one reader per location, so
-    a single run reports a subset of the races (at least one per racy
-    location, and none iff the input is race-free for the given input).
+module Order = struct
+  type t = Bags.t
 
-    {b MRW} (Multiple Reader-Writer) is the paper's §4.1 modification: the
-    shadow memory keeps {e all} readers and writers per location, so every
-    potential race for the input is reported in one run — the property the
-    repair tool needs to fix all races without re-running the detector per
-    repair.
+  let create = Bags.create
+  let task_begin b (n : Sdpst.Node.t) = Bags.task_begin b ~task:n.id
+  let task_end b (n : Sdpst.Node.t) = Bags.task_end b ~task:n.id
+  let finish_begin b (n : Sdpst.Node.t) = Bags.finish_begin b ~finish:n.id
+  let finish_end b (n : Sdpst.Node.t) = Bags.finish_end b ~finish:n.id
+  let srw_stride = 4
+  let srw_parallel b row i = Bags.in_pbag b (Array.unsafe_get row i)
+  let srw_store b row i = Array.unsafe_set row i (Bags.current_task b)
 
-    Both are packaged as {!Rt.Monitor} implementations to be passed to
-    {!Rt.Interp.run}.
+  (* no epochs: every location shares this never-written empty vector *)
+  let no_epochs = Tdrutil.Ivec.create ()
+  let new_epochs () = no_epochs
 
-    {b Hot-path representation.}  Detection is the inner loop of the whole
-    tool, so the per-access path allocates nothing and hashes nothing:
+  let record b l _ ~sid =
+    Tdrutil.Ivec.push l ((Bags.current_task b lsl 31) lor sid)
 
-    - locations arrive as dense interned ids ({!Rt.Addr.Intern}), so the
-      shadow memory is a table indexed by id — no [Addr.Table] probe, no
-      boxed address;
-    - MRW access lists are struct-of-arrays (an int vector of task ids
-      scanned against the bags, and a parallel vector of step nodes read
-      only when a race is actually reported) — no per-access record;
-    - per-location step {e epochs} (the id of the last recorded
-      reader/writer step) give O(1) full per-step dedup of the lists: the
-      depth-first execution never resumes a step node, so a step's
-      accesses to a location are contiguous and one epoch compare replaces
-      the seed's inspect-the-last-record dance (and its option
-      allocation).  {!Reference} keeps the seed representation; the
-      differential suite holds the two to identical race multisets.
+  let scan_report b l _ ~out ~sink ~meta = Bags.scan_report b l ~out ~sink ~meta
+  let retire_version = Bags.serial_version
 
-    {b Memory bounds at scale} (DESIGN.md §15).  Million-access inputs
-    add three mechanisms, all report-invariant:
-
-    - shadow tables grow in fixed-size slabs ({!Tdrutil.Islab}) allocated
-      per touched id range, instead of one doubling array sized by the
-      highest id ([Monolithic] keeps the old behaviour as the comparison
-      baseline);
-    - {e epoch GC}: once a finish closing in the root task's continuation
-      makes a batch of tasks {!Bags.forever_serial}, their MRW shadow
-      entries can never report again and are dropped — lazily, per
-      location, on its next access;
-    - race-record overflow past a cap spills to disk ({!Spill}) in the
-      trace format; [races] stitches the spilled prefix back in order. *)
-
-type mode = Srw | Mrw
-
-let pp_mode ppf = function
-  | Srw -> Fmt.string ppf "SRW"
-  | Mrw -> Fmt.string ppf "MRW"
-
-let mode_name = function Srw -> "SRW" | Mrw -> "MRW"
-
-(* Race reports are recorded as packed 2-int records in one flat buffer
-   and only materialized into {!Race.t} values when [races] is called:
-   reporting is on the per-access hot path (a racy location's whole
-   access list reports on every later conflicting access), and deferring
-   the boxed-address reconstruction and record allocation keeps that path
-   down to one [Ivec.push2] — no allocation and, crucially, no GC write
-   barrier (pushing a step {e node} instead of its id would run
-   [caml_modify] per report).  Packing [(src lsl 31) lor sink] and
-   [(addr lsl 2) lor kind] halves the buffer: on racy inputs the record
-   volume is the detector's main memory traffic (and GC pacing charge).
-   Step ids are guarded to 31 bits when recorded into shadow lists.  The
-   [steps] registry maps a step id back to its node — one pointer store
-   per step, not per report — and is what materialization reads. *)
-type t = {
-  mode : mode;
-  bags : Bags.t;
-  mutable monitor : Rt.Monitor.t;
-  steps : Sdpst.Node.t Tdrutil.Vec.t;
-      (** step id -> step node, filled on each step's first access *)
-  r_buf : Tdrutil.Ivec.t;
-      (** race records, stride 2, packed: [(src lsl 31) lor sink] of the
-          source/sink step ids, then [(addr lsl 2) lor kind] of the
-          interned address id and encoded {!Race.kind} *)
-  spill : Spill.t option;
-      (** overflow sink: past its cap, [r_buf] drains to disk *)
-  mutable spill_gen : int;
-      (** bumped per drain — invalidates scan-replay memos, whose saved
-          ranges point into the cleared buffer *)
-  mutable intern : Rt.Addr.Intern.t;
-      (** the monitored run's address interner (set by [on_init]); used to
-          reconstruct boxed addresses when races are materialized *)
-  mutable n_accesses : int;  (** monitored accesses checked *)
-  mutable n_locations : int;  (** distinct locations touched *)
-  mutable n_skipped : int;  (** accesses skipped by a static pre-pass *)
-  mutable n_retired : int;  (** shadow entries dropped by epoch GC *)
-  mutable shadow_info : unit -> int * int;
-      (** current (slab count, allocated shadow words) — closes over the
-          flavour's tables, for {!stats} and the scale bench *)
-}
-
-let wr = 0
-
-and rw = 1
-
-and ww = 2
-
-let kind_of_code = Trace_fmt.kind_of_code
-
-let n_spilled t = match t.spill with None -> 0 | Some sp -> Spill.n_spilled sp
-
-let race_count t = n_spilled t + (Tdrutil.Ivec.length t.r_buf / 2)
-
-(** Is the execution race-free (no race reported)? *)
-let clean t = race_count t = 0
-
-let sid_mask = (1 lsl 31) - 1
-
-let races t =
-  let node i = Tdrutil.Vec.unsafe_get t.steps i in
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      let ss = Tdrutil.Ivec.unsafe_get t.r_buf i
-      and meta = Tdrutil.Ivec.unsafe_get t.r_buf (i + 1) in
-      go (i - 2)
-        (Race.make
-           ~src:(node (ss lsr 31))
-           ~sink:(node (ss land sid_mask))
-           ~addr:(Rt.Addr.Intern.of_id t.intern (meta lsr 2))
-           ~kind:(kind_of_code (meta land 3))
-        :: acc)
-  in
-  let in_mem = go (Tdrutil.Ivec.length t.r_buf - 2) [] in
-  match t.spill with
-  | None -> in_mem
-  | Some sp ->
-      (* spilled records came first: original report order is preserved *)
-      Spill.records sp ~resolve:(fun sid -> Tdrutil.Vec.get t.steps sid)
-      @ in_mem
-
-let shadow_slabs t = fst (t.shadow_info ())
-
-let shadow_words t = snd (t.shadow_info ())
-
-let stats t =
-  let slabs, words = t.shadow_info () in
-  [
-    ("detector.accesses", t.n_accesses);
-    ("detector.locations", t.n_locations);
-    ("detector.races", race_count t);
-    ("detector.skipped", t.n_skipped);
-    ("detector.uf_finds", Bags.n_finds t.bags);
-    ("detector.uf_unions", Bags.n_unions t.bags);
-    ("detector.scan_entries", Bags.n_scan_entries t.bags);
-    ("detector.shadow_slabs", slabs);
-    ("detector.shadow_words", words);
-    ("detector.gc_retired", t.n_retired);
-    ("detector.spilled_races", n_spilled t);
-  ]
-
-let report det ~src_id ~sink_id ~addr ~kind =
-  if src_id <> sink_id then
-    Tdrutil.Ivec.push2 det.r_buf
-      ((src_id lsl 31) lor sink_id)
-      ((addr lsl 2) lor kind)
-
-(* Drain the race buffer to disk when it exceeds the spill cap; called at
-   the end of an access, never mid-scan.  Clearing the buffer invalidates
-   every scan-replay memo (their [lo, hi) ranges point into it), hence
-   the generation bump. *)
-let maybe_spill det =
-  match det.spill with
-  | None -> ()
-  | Some sp ->
-      if Tdrutil.Ivec.length det.r_buf >= Spill.cap_ints sp then begin
-        Spill.append sp ~intern:det.intern det.r_buf;
-        Tdrutil.Ivec.clear det.r_buf;
-        Tdrutil.Ivec.compact det.r_buf;
-        det.spill_gen <- det.spill_gen + 1
+  (* an entry of a forever-serial task can never be in a P-bag again *)
+  let retire b l _ =
+    let n = Tdrutil.Ivec.length l in
+    let data = Tdrutil.Ivec.unsafe_data l in
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      let e = Array.unsafe_get data i in
+      if not (Bags.forever_serial b (e lsr 31)) then begin
+        Array.unsafe_set data !j e;
+        incr j
       end
+    done;
+    Tdrutil.Ivec.truncate l !j;
+    n - !j
 
-(* The packed encodings hold step ids in 31-bit fields; unreachable in
-   practice (step ids are fuel-bounded S-DPST node ids) but checked where
-   ids enter shadow state rather than assumed. *)
-let check_sid sid =
-  if sid < 0 || sid >= 1 lsl 31 then
-    invalid_arg "Detector: step id exceeds 31 bits"
+  let stats b =
+    ( [ ("uf_finds", Bags.n_finds b); ("uf_unions", Bags.n_unions b);
+        ("scan_entries", Bags.n_scan_entries b) ],
+      [] )
+end
 
-(* A placeholder step node used as array filler where a slot's task id is
-   the sentinel -1 or the registry slot is unfilled; never read through. *)
-let dummy_step () = (Sdpst.Node.create_tree ~main_bid:(-1)).Sdpst.Node.root
-
-(* Record [step] in the id -> node registry (no-op after the step's first
-   access).  Every reported id is registered: a sink is the current step,
-   and a source was the current step when its access was recorded. *)
-let register_step det ~dummy step sid =
-  Tdrutil.Vec.ensure det.steps (sid + 1) ~fill:dummy;
-  if Tdrutil.Vec.unsafe_get det.steps sid == dummy then
-    Tdrutil.Vec.unsafe_set det.steps sid step
-
-let structural (bags : Bags.t) ~on_init ~on_access : Rt.Monitor.t =
-  {
-    Rt.Monitor.on_init;
-    on_task_begin = (fun n -> Bags.task_begin bags ~task:n.Sdpst.Node.id);
-    on_task_end = (fun n -> Bags.task_end bags ~task:n.Sdpst.Node.id);
-    on_finish_begin = (fun n -> Bags.finish_begin bags ~finish:n.Sdpst.Node.id);
-    on_finish_end = (fun n -> Bags.finish_end bags ~finish:n.Sdpst.Node.id);
-    on_access;
-  }
-
-let fresh ?spill mode =
-  {
-    mode;
-    bags = Bags.create ();
-    monitor = Rt.Monitor.nop;
-    steps = Tdrutil.Vec.create ();
-    r_buf = Tdrutil.Ivec.create ();
-    spill =
-      Option.map (fun cfg -> Spill.create cfg ~mode_name:(mode_name mode)) spill;
-    spill_gen = 0;
-    intern = Rt.Addr.Intern.create ();
-    n_accesses = 0;
-    n_locations = 0;
-    n_skipped = 0;
-    n_retired = 0;
-    shadow_info = (fun () -> (0, 0));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* SRW                                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Slab shadow, stride 4 per location: [w_task; w_id; r_task; r_id], task
-   id -1 = no recorded access.  One [Islab.slot] probe serves the whole
-   row.  The step columns are only read behind a task id >= 0 guard, so
-   the -1 filler is never observed as a step id. *)
-
-let make_srw ?layout ?spill () : t =
-  let det = fresh ?spill Srw in
-  let bags = det.bags in
-  let dummy = dummy_step () in
-  let tbl = Tdrutil.Islab.create ?layout ~fill:(-1) () in
-  det.shadow_info <-
-    (fun () -> (Tdrutil.Islab.n_chunks tbl, Tdrutil.Islab.words tbl));
-  let on_access ~step ~bid:_ ~idx:_ addr kind =
-    det.n_accesses <- det.n_accesses + 1;
-    let row, off = Tdrutil.Islab.slot tbl (addr lsl 2) ~stride:4 in
-    let sid = step.Sdpst.Node.id in
-    register_step det ~dummy step sid;
-    let wt = Array.unsafe_get row off and rt = Array.unsafe_get row (off + 2) in
-    if wt < 0 && rt < 0 then det.n_locations <- det.n_locations + 1;
-    let task = Bags.current_task bags in
-    (match kind with
-    | Rt.Monitor.Read ->
-        if wt >= 0 && Bags.in_pbag bags wt then
-          report det
-            ~src_id:(Array.unsafe_get row (off + 1))
-            ~sink_id:sid ~addr ~kind:wr;
-        if not (rt >= 0 && Bags.in_pbag bags rt) then begin
-          check_sid sid;
-          Array.unsafe_set row (off + 2) task;
-          Array.unsafe_set row (off + 3) sid
-        end
-    | Rt.Monitor.Write ->
-        if wt >= 0 && Bags.in_pbag bags wt then
-          report det
-            ~src_id:(Array.unsafe_get row (off + 1))
-            ~sink_id:sid ~addr ~kind:ww;
-        if rt >= 0 && Bags.in_pbag bags rt then
-          report det
-            ~src_id:(Array.unsafe_get row (off + 3))
-            ~sink_id:sid ~addr ~kind:rw;
-        check_sid sid;
-        Array.unsafe_set row off task;
-        Array.unsafe_set row (off + 1) sid);
-    maybe_spill det
-  in
-  det.monitor <-
-    structural bags ~on_init:(fun intern -> det.intern <- intern) ~on_access;
-  det
-
-(* ------------------------------------------------------------------ *)
-(* MRW                                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-location access lists: one int vector per direction, each entry
-   packing the recording task (a dense {!Bags.current_task} index,
-   scanned against the bags) with its step node id (used when reporting)
-   as [(task lsl 31) lor sid] — one cache line holds eight entries.  The
-   step {e nodes} live in the detector-wide [steps] registry, so the
-   shadow holds no pointers at all. *)
-type mrw_loc = {
-  w_list : Tdrutil.Ivec.t;  (** recorded writers, packed [task, sid] *)
-  r_list : Tdrutil.Ivec.t;  (** recorded readers, packed [task, sid] *)
-  mutable w_epoch : int;  (** id of the last recorded writer step; -1 none *)
-  mutable r_epoch : int;
-  mutable gc_ver : int;
-      (** {!Bags.serial_version} as of this location's last retirement
-          sweep; a mismatch on access triggers the (lazy) sweep *)
-  (* Scan replay (per access kind): while one step executes there are no
-     structural transitions, so bag memberships are frozen, and the only
-     possible change to this location's lists is the step's own recorded
-     entry — which never reports (a task is not parallel with itself, and
-     [report] drops same-step pairs anyway).  A step's repeated
-     same-kind accesses to one location therefore append byte-identical
-     report runs: remember the [r_buf] range the first scan appended and
-     re-emit it with a blit instead of re-scanning.  A memo is only valid
-     within its spill generation: a drain clears the buffer its range
-     points into. *)
-  mutable rscan_epoch : int;  (** last step whose Read scanned here; -1 none *)
-  mutable rscan_gen : int;  (** [spill_gen] of that scan *)
-  mutable rscan_lo : int;  (** its appended [r_buf] range: [lo, hi) *)
-  mutable rscan_hi : int;
-  mutable wscan_epoch : int;  (** same for Write (both its scans) *)
-  mutable wscan_gen : int;
-  mutable wscan_lo : int;
-  mutable wscan_hi : int;
-}
-
-let fresh_loc () =
-  {
-    w_list = Tdrutil.Ivec.create ();
-    r_list = Tdrutil.Ivec.create ();
-    w_epoch = -1;
-    r_epoch = -1;
-    gc_ver = 0;
-    rscan_epoch = -1;
-    rscan_gen = 0;
-    rscan_lo = 0;
-    rscan_hi = 0;
-    wscan_epoch = -1;
-    wscan_gen = 0;
-    wscan_lo = 0;
-    wscan_hi = 0;
-  }
-
-(* Epoch GC: drop the entries of forever-serial tasks, in place and
-   order-preserving (report byte-identity: such an entry can never report
-   again, and the survivors keep their scan order).  Shrink the backing
-   array when the survivors fit in a quarter of it — the capacity freed
-   by a big retirement wave would otherwise stay pinned. *)
-let retire_list bags l =
-  let n = Tdrutil.Ivec.length l in
-  let data = Tdrutil.Ivec.unsafe_data l in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    let e = Array.unsafe_get data i in
-    if not (Bags.forever_serial bags (e lsr 31)) then begin
-      Array.unsafe_set data !j e;
-      incr j
-    end
-  done;
-  Tdrutil.Ivec.truncate l !j;
-  let cap = Tdrutil.Ivec.capacity l in
-  if cap >= 32 && !j * 4 <= cap then Tdrutil.Ivec.compact l;
-  n - !j
-
-let make_mrw ?layout ?spill () : t =
-  let det = fresh ?spill Mrw in
-  let bags = det.bags in
-  let dummy = dummy_step () in
-  (* Shared physical sentinel for untouched slots: location state is
-     created lazily on first access (and counted), without an option. *)
-  let null_loc = fresh_loc () in
-  let shadow : mrw_loc Tdrutil.Slab.t =
-    Tdrutil.Slab.create ?layout ~fill:null_loc ()
-  in
-  det.shadow_info <-
-    (fun () ->
-      (* table words plus the access lists' backing capacity: the lists
-         are the part epoch GC reclaims, so the bench must see them *)
-      let words = ref (Tdrutil.Slab.words shadow) in
-      Tdrutil.Slab.iter_present
-        (fun s ->
-          if s != null_loc then
-            words :=
-              !words
-              + Tdrutil.Ivec.capacity s.w_list
-              + Tdrutil.Ivec.capacity s.r_list)
-        shadow;
-      (Tdrutil.Slab.n_chunks shadow, !words));
-  let scan entries ~sid ~addr ~kind =
-    Bags.scan_report bags entries ~out:det.r_buf ~sink:sid
-      ~meta:((addr lsl 2) lor kind)
-  in
-  let on_access ~step ~bid:_ ~idx:_ addr kind =
-    det.n_accesses <- det.n_accesses + 1;
-    let s = Tdrutil.Slab.get shadow addr in
-    let s =
-      if s != null_loc then s
-      else begin
-        let s = fresh_loc () in
-        Tdrutil.Slab.set shadow addr s;
-        det.n_locations <- det.n_locations + 1;
-        s
-      end
-    in
-    (* lazy epoch GC: a retirement wave happened since this location's
-       last sweep (always between steps, so never mid-scan-replay) *)
-    let sv = Bags.serial_version bags in
-    if s.gc_ver <> sv then begin
-      s.gc_ver <- sv;
-      det.n_retired <-
-        det.n_retired + retire_list bags s.w_list + retire_list bags s.r_list
-    end;
-    let sid = step.Sdpst.Node.id in
-    register_step det ~dummy step sid;
-    (match kind with
-    | Rt.Monitor.Read ->
-        if s.rscan_epoch = sid && s.rscan_gen = det.spill_gen then
-          Tdrutil.Ivec.append_slice det.r_buf s.rscan_lo s.rscan_hi
-        else begin
-          s.rscan_epoch <- sid;
-          s.rscan_gen <- det.spill_gen;
-          s.rscan_lo <- Tdrutil.Ivec.length det.r_buf;
-          scan s.w_list ~sid ~addr ~kind:wr;
-          s.rscan_hi <- Tdrutil.Ivec.length det.r_buf
-        end;
-        (* epoch dedup: the depth-first execution never resumes a step
-           node, so one compare fully dedups the list per step *)
-        if s.r_epoch <> sid then begin
-          check_sid sid;
-          s.r_epoch <- sid;
-          Tdrutil.Ivec.push s.r_list ((Bags.current_task bags lsl 31) lor sid)
-        end
-    | Rt.Monitor.Write ->
-        if s.wscan_epoch = sid && s.wscan_gen = det.spill_gen then
-          Tdrutil.Ivec.append_slice det.r_buf s.wscan_lo s.wscan_hi
-        else begin
-          s.wscan_epoch <- sid;
-          s.wscan_gen <- det.spill_gen;
-          s.wscan_lo <- Tdrutil.Ivec.length det.r_buf;
-          scan s.w_list ~sid ~addr ~kind:ww;
-          scan s.r_list ~sid ~addr ~kind:rw;
-          s.wscan_hi <- Tdrutil.Ivec.length det.r_buf
-        end;
-        if s.w_epoch <> sid then begin
-          check_sid sid;
-          s.w_epoch <- sid;
-          Tdrutil.Ivec.push s.w_list ((Bags.current_task bags lsl 31) lor sid)
-        end);
-    maybe_spill det
-  in
-  det.monitor <-
-    structural bags ~on_init:(fun intern -> det.intern <- intern) ~on_access;
-  det
-
-let make ?layout ?spill = function
-  | Srw -> make_srw ?layout ?spill ()
-  | Mrw -> make_mrw ?layout ?spill ()
-
-(** Run [prog] under a fresh detector; returns the detector (with its
-    recorded races) and the execution result.
-
-    [keep] is a per-statement monitoring predicate (a static MHP pre-pass:
-    {!Static.Prune.keep_fn}); accesses of statements it rejects are skipped
-    and counted in [n_skipped].  With MRW, skipping statements proven
-    race-free leaves the reported race set unchanged.
-
-    [layout] picks the shadow growth policy (slab-chunked by default);
-    [spill] bounds in-memory race records, draining overflow to a trace
-    file. *)
-let detect ?fuel ?keep ?layout ?spill mode (prog : Mhj.Ast.program) :
-    t * Rt.Interp.result =
-  let det = make ?layout ?spill mode in
-  let monitor =
-    match keep with
-    | None -> det.monitor
-    | Some keep ->
-        Rt.Monitor.filter
-          ~keep:(fun ~bid ~idx _addr _kind -> keep ~bid ~idx)
-          ~on_skip:(fun () -> det.n_skipped <- det.n_skipped + 1)
-          det.monitor
-  in
-  let res = Rt.Interp.run ?fuel ~monitor prog in
-  Option.iter Spill.close det.spill;
-  (det, res)
+include Shadow.Make (Order)

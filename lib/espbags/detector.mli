@@ -1,94 +1,15 @@
-(** The two ESP-bags race detectors, packaged as {!Rt.Monitor}
-    implementations.
+(** The ESP-bags race detectors: {!Shadow.Make} over union-find bags.
 
-    {b SRW} (Single Reader-Writer) is the original algorithm: one writer
-    and one reader tracked per location, reporting a subset of the races
-    (none iff the input is race-free).  {b MRW} (Multiple Reader-Writer)
-    is the paper's §4.1 modification: all readers and writers are kept, so
-    every potential race for the input is reported in a single run.
+    {b SRW} (Single Reader-Writer) is the original algorithm of Raman et
+    al.: one writer and one reader per location, so a run reports a subset
+    of the races (none iff the input is race-free).  {b MRW} (Multiple
+    Reader-Writer) is the paper's §4.1 modification: all readers and
+    writers are kept, so every potential race for the input is reported
+    in a single run.
 
-    The per-access hot path is allocation- and hash-free: shadow memory is
-    a slab-chunked table indexed by interned address id, access lists are
-    struct-of-arrays, and per-step dedup is an epoch compare (see
-    detector.ml; {!Reference} keeps the seed representation the
-    differential suite compares against).  At scale, memory stays bounded
-    without changing reports: shadow slabs track touched id ranges, epoch
-    GC retires entries of {!Bags.forever_serial} tasks, and race-record
-    overflow spills to disk (DESIGN.md §15). *)
+    A recorded access is its task's dense {!Bags} index; it is concurrent
+    with the current step iff that task is in a P-bag.  SRW rows are 4
+    ints ([[task; sid]] per slot), MRW lists keep no epochs, and epoch GC
+    retires the entries of {!Bags.forever_serial} tasks. *)
 
-type mode = Srw | Mrw
-
-val pp_mode : mode Fmt.t
-
-type t = private {
-  mode : mode;
-  bags : Bags.t;  (** the run's union-find bag state (for {!stats}) *)
-  mutable monitor : Rt.Monitor.t;  (** pass to {!Rt.Interp.run} *)
-  steps : Sdpst.Node.t Tdrutil.Vec.t;
-      (** step id -> step node, filled on each step's first access *)
-  r_buf : Tdrutil.Ivec.t;
-      (** deferred race records in report order, stride 2, packed:
-          [(src lsl 31) lor sink] step ids, then [(addr lsl 2) lor kind]
-          (see [races], which materializes them) *)
-  spill : Spill.t option;
-      (** overflow sink: past its cap, [r_buf] drains to disk *)
-  mutable spill_gen : int;  (** drains so far (invalidates scan memos) *)
-  mutable intern : Rt.Addr.Intern.t;
-      (** the monitored run's address interner (delivered via the
-          monitor's [on_init]) *)
-  mutable n_accesses : int;  (** monitored accesses checked *)
-  mutable n_locations : int;  (** distinct locations touched *)
-  mutable n_skipped : int;  (** accesses skipped by a static pre-pass *)
-  mutable n_retired : int;  (** shadow entries dropped by epoch GC *)
-  mutable shadow_info : unit -> int * int;
-      (** current (slab count, allocated shadow words) *)
-}
-
-(** Races recorded so far (including any spilled to disk), in report
-    order. *)
-val races : t -> Race.t list
-
-(** The run's counters as ["detector."]-prefixed keys for an
-    {!Obs.Metrics} registry: accesses monitored, distinct shadow
-    locations, races recorded, accesses skipped by a static pre-pass,
-    union-find finds/unions, shadow entries scanned, shadow slabs and
-    words allocated, entries retired by epoch GC, and race records
-    spilled to disk. *)
-val stats : t -> (string * int) list
-
-(** Including spilled records. *)
-val race_count : t -> int
-
-(** Race records spilled to disk so far. *)
-val n_spilled : t -> int
-
-(** Allocated shadow slab count / words (the [detector.shadow_slabs] and
-    [detector.shadow_words] gauges). *)
-val shadow_slabs : t -> int
-
-val shadow_words : t -> int
-
-(** No race reported? *)
-val clean : t -> bool
-
-(** Fresh detector of the given flavour.  [layout] picks the shadow
-    growth policy (default: slab-chunked, {!Tdrutil.Islab.default_chunk}
-    slots); [spill] bounds in-memory race records. *)
-val make : ?layout:Tdrutil.Islab.layout -> ?spill:Spill.config -> mode -> t
-
-(** Run a program under a fresh detector; returns the detector (with its
-    recorded races) and the execution result.
-
-    [keep] is a per-statement monitoring predicate (typically a static
-    MHP pre-pass); accesses of statements it rejects are skipped and
-    counted in [n_skipped].  With MRW, skipping statements proven
-    race-free leaves the reported race set unchanged.  [layout] and
-    [spill] as in {!make}; neither changes the reported races. *)
-val detect :
-  ?fuel:int ->
-  ?keep:(bid:int -> idx:int -> bool) ->
-  ?layout:Tdrutil.Islab.layout ->
-  ?spill:Spill.config ->
-  mode ->
-  Mhj.Ast.program ->
-  t * Rt.Interp.result
+include Shadow.S with type order = Bags.t

@@ -127,7 +127,7 @@ type mrw_shadow = {
 }
 
 type t = {
-  mode : Detector.mode;
+  mode : Trace.mode;
   monitor : Rt.Monitor.t;
   races : Race.t Tdrutil.Vec.t;
   mutable intern : Rt.Addr.Intern.t;
@@ -213,7 +213,7 @@ let make_srw () : t =
   in
   let det =
     {
-      mode = Detector.Srw;
+      mode = Trace.Srw;
       monitor;
       races;
       intern = Rt.Addr.Intern.create ();
@@ -304,7 +304,7 @@ let make_mrw () : t =
   in
   let det =
     {
-      mode = Detector.Mrw;
+      mode = Trace.Mrw;
       monitor;
       races;
       intern = Rt.Addr.Intern.create ();
@@ -317,8 +317,8 @@ let make_mrw () : t =
   det
 
 let make = function
-  | Detector.Srw -> make_srw ()
-  | Detector.Mrw -> make_mrw ()
+  | Trace.Srw -> make_srw ()
+  | Trace.Mrw -> make_mrw ()
 
 (** Seed analogue of {!Detector.detect}. *)
 let detect ?fuel ?keep mode (prog : Mhj.Ast.program) : t * Rt.Interp.result =

@@ -7,7 +7,7 @@
     its overhead numbers.  Do not optimize this module. *)
 
 type t = private {
-  mode : Detector.mode;
+  mode : Trace.mode;
   monitor : Rt.Monitor.t;
   races : Race.t Tdrutil.Vec.t;
   mutable intern : Rt.Addr.Intern.t;
@@ -25,13 +25,13 @@ val race_count : t -> int
 val clean : t -> bool
 
 (** Fresh seed detector of the given flavour. *)
-val make : Detector.mode -> t
+val make : Trace.mode -> t
 
 (** Seed analogue of {!Detector.detect}: same semantics, seed cost
     profile. *)
 val detect :
   ?fuel:int ->
   ?keep:(bid:int -> idx:int -> bool) ->
-  Detector.mode ->
+  Trace.mode ->
   Mhj.Ast.program ->
   t * Rt.Interp.result

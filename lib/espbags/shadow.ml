@@ -1,0 +1,494 @@
+(** The sequential race-detector core, shared by both backends.
+
+    A sequential detector is a shadow memory that records every monitored
+    access, plus a test of whether a recorded access may run in parallel
+    with the current step (paper §4.1).  {!Make} is everything but the
+    test: the packed race buffer, the step registry, disk spill, SRW rows,
+    MRW access lists with per-step epoch dedup and scan-replay memos, lazy
+    epoch-GC triggering, stats assembly, static pruning and [detect].  An
+    {!ORDER} supplies the test and what it needs: the structural
+    transitions, what an access records, and when a recorded access can
+    be retired.  {!Detector} (ESP-bags) and [Vclock.Seq] (vector clocks)
+    are its two instances.
+
+    Without flambda, ocamlopt never inlines a functor argument, so
+    {!ORDER} works on whole rows and lists: one call per access and list,
+    never one per shadow entry. *)
+
+(* Hot path: no allocation, no hashing.  Locations arrive as dense
+   interned ids ({!Rt.Addr.Intern}) indexing slab tables; MRW lists are int
+   vectors of packed entries, and step nodes live in the [steps] registry,
+   so the shadow holds no pointers.  Per-location step epochs (the last
+   recorded reader / writer step) dedup a list in one compare: the
+   depth-first run never resumes a step, so a step's accesses to a location
+   are contiguous.  {!Reference} keeps the seed representation, and the
+   differential suite holds the two to identical races.  At scale
+   (DESIGN.md §15) slab chunks, lazy epoch GC and race spill bound memory
+   without changing a report. *)
+
+module type ORDER = sig
+  type t
+  (** The ordering state of one run. *)
+
+  val create : unit -> t
+
+  (** The four structural transitions, delivered in depth-first order. *)
+
+  val task_begin : t -> Sdpst.Node.t -> unit
+  val task_end : t -> Sdpst.Node.t -> unit
+  val finish_begin : t -> Sdpst.Node.t -> unit
+  val finish_end : t -> Sdpst.Node.t -> unit
+
+  (** {2 SRW rows}
+
+      A location's SRW row is [srw_stride] ints (a power of two, so a row
+      never straddles a slab chunk): the writer slot at the row's offset
+      [off], the reader slot at [off + srw_stride / 2].  A slot is
+      [[task; step id; ...]], task [-1] when empty; the core owns the
+      step id column, the order the rest. *)
+
+  val srw_stride : int
+
+  (** [srw_parallel o row i]: may the access recorded in the non-empty
+      slot at [row.(i)] run in parallel with the current step? *)
+  val srw_parallel : t -> int array -> int -> bool
+
+  (** Record the current task in the slot at [row.(i)]. *)
+  val srw_store : t -> int array -> int -> unit
+
+  (** {2 MRW lists}
+
+      A location keeps one entry list per direction, each entry packed as
+      [(task lsl 31) lor step id], and a parallel epoch vector that an
+      order may leave unused. *)
+
+  (** The epoch vector of a fresh list (an order without epochs returns
+      one shared empty vector and never writes it). *)
+  val new_epochs : unit -> Tdrutil.Ivec.t
+
+  (** Append the current step [sid] to a list and its epoch vector. *)
+  val record : t -> Tdrutil.Ivec.t -> Tdrutil.Ivec.t -> sid:int -> unit
+
+  (** [scan_report o list epochs ~out ~sink ~meta] appends the packed
+      record [(sid lsl 31) lor sink, meta] to [out] for every entry that
+      may run in parallel with the current step, skipping entries whose
+      [sid] is [sink]. *)
+  val scan_report :
+    t ->
+    Tdrutil.Ivec.t ->
+    Tdrutil.Ivec.t ->
+    out:Tdrutil.Ivec.t ->
+    sink:int ->
+    meta:int ->
+    unit
+
+  (** Bumped, only inside a structural transition, each time some
+      recorded entries become ordered before all future work; a location
+      whose stamp lags sweeps itself with {!retire} on its next access. *)
+  val retire_version : t -> int
+
+  (** Drop, in place and order-preserving, the entries of a list (and
+      their epochs) that can never report again; returns how many. *)
+  val retire : t -> Tdrutil.Ivec.t -> Tdrutil.Ivec.t -> int
+
+  (** The order's counters (the core adds the ["detector."] prefix): the
+      first list goes after [skipped], the second after [gc_retired]. *)
+  val stats : t -> (string * int) list * (string * int) list
+end
+
+module type S = sig
+  type order
+
+  type mode = Trace.mode = Srw | Mrw
+
+  val pp_mode : mode Fmt.t
+
+  type t = private {
+    mode : mode;
+    order : order;  (** the run's ordering state *)
+    mutable monitor : Rt.Monitor.t;  (** pass to {!Rt.Interp.run} *)
+    steps : Sdpst.Node.t Tdrutil.Vec.t;
+        (** step id -> step node, filled on each step's first access *)
+    r_buf : Tdrutil.Ivec.t;
+        (** race records in report order: [(src lsl 31) lor sink] step
+            ids, then [(addr lsl 2) lor kind] *)
+    spill : Spill.t option;
+        (** overflow sink: past its cap, [r_buf] drains to disk *)
+    mutable drained : int;  (** [r_buf] ints drained to disk so far *)
+    mutable intern : Rt.Addr.Intern.t;  (** the run's, from [on_init] *)
+    mutable n_accesses : int;  (** monitored accesses checked *)
+    mutable n_locations : int;  (** distinct locations touched *)
+    mutable n_skipped : int;  (** accesses skipped by a static pre-pass *)
+    mutable n_retired : int;  (** shadow entries dropped by epoch GC *)
+    mutable shadow_info : unit -> int * int;
+        (** current (slab count, allocated shadow words) *)
+  }
+
+  (** Races recorded so far (spilled ones included), in report order. *)
+  val races : t -> Race.t list
+
+  (** The run's counters as ["detector."]-prefixed keys for an
+      {!Obs.Metrics} registry: accesses, locations, races, skipped, the
+      order's own counters, shadow slabs and words, entries retired by
+      epoch GC, the order's late counters, and records spilled to disk. *)
+  val stats : t -> (string * int) list
+
+  (** Including spilled records. *)
+  val race_count : t -> int
+
+  (** Race records spilled to disk so far. *)
+  val n_spilled : t -> int
+
+  (** No race reported? *)
+  val clean : t -> bool
+
+  (** Fresh detector.  [layout] picks the shadow growth policy (default:
+      slab-chunked); [spill] bounds in-memory race records.  Neither
+      changes the reported races. *)
+  val make : ?layout:Tdrutil.Islab.layout -> ?spill:Spill.config -> mode -> t
+
+  (** Run a program under a fresh detector; returns the detector (with
+      its recorded races) and the execution result.  The spill file is
+      closed however the run ends.
+
+      [keep] is a per-statement monitoring predicate (typically a static
+      MHP pre-pass); accesses of statements it rejects are skipped and
+      counted in [n_skipped].  With MRW, skipping statements proven
+      race-free leaves the reported race set unchanged.  [layout] and
+      [spill] as in {!make}. *)
+  val detect :
+    ?fuel:int ->
+    ?keep:(bid:int -> idx:int -> bool) ->
+    ?layout:Tdrutil.Islab.layout ->
+    ?spill:Spill.config ->
+    mode ->
+    Mhj.Ast.program ->
+    t * Rt.Interp.result
+end
+
+module Make (O : ORDER) : S with type order = O.t = struct
+  type order = O.t
+  type mode = Trace.mode = Srw | Mrw
+
+  let pp_mode = Trace.pp_mode
+
+  (* Races are packed 2-int records, materialized only by [races]: a
+     report is one [Ivec.push2], with no allocation and no write barrier
+     (a step {e node} would cost a [caml_modify] per report); [steps] maps
+     ids back to nodes with one store per step, not per report. *)
+  type t = {
+    mode : mode;
+    order : order;
+    mutable monitor : Rt.Monitor.t;
+    steps : Sdpst.Node.t Tdrutil.Vec.t;
+    r_buf : Tdrutil.Ivec.t;
+    spill : Spill.t option;
+    mutable drained : int;
+    mutable intern : Rt.Addr.Intern.t;
+    mutable n_accesses : int;
+    mutable n_locations : int;
+    mutable n_skipped : int;
+    mutable n_retired : int;
+    mutable shadow_info : unit -> int * int;
+  }
+
+  (* packed race-kind codes, decoded by {!Trace.kind_of_code} *)
+  let wr, rw, ww = (0, 1, 2)
+
+  let n_spilled t =
+    match t.spill with None -> 0 | Some sp -> Spill.n_spilled sp
+
+  let race_count t = n_spilled t + (Tdrutil.Ivec.length t.r_buf / 2)
+  let clean t = race_count t = 0
+  let sid_mask = (1 lsl 31) - 1
+
+  let races t =
+    let node i = Tdrutil.Vec.unsafe_get t.steps i in
+    let rec go i acc =
+      if i < 0 then acc
+      else
+        let ss = Tdrutil.Ivec.unsafe_get t.r_buf i
+        and meta = Tdrutil.Ivec.unsafe_get t.r_buf (i + 1) in
+        go (i - 2)
+          (Race.make
+             ~src:(node (ss lsr 31))
+             ~sink:(node (ss land sid_mask))
+             ~addr:(Rt.Addr.Intern.of_id t.intern (meta lsr 2))
+             ~kind:(Trace.kind_of_code (meta land 3))
+          :: acc)
+    in
+    let in_mem = go (Tdrutil.Ivec.length t.r_buf - 2) [] in
+    match t.spill with
+    | None -> in_mem
+    | Some sp ->
+        (* spilled records came first: report order is preserved *)
+        Spill.records sp ~resolve:(fun sid -> Tdrutil.Vec.get t.steps sid)
+        @ in_mem
+
+  let stats t =
+    let slabs, words = t.shadow_info () in
+    let early, late = O.stats t.order in
+    let key (k, v) = ("detector." ^ k, v) in
+    List.map key
+      ([ ("accesses", t.n_accesses); ("locations", t.n_locations);
+         ("races", race_count t); ("skipped", t.n_skipped) ]
+      @ early
+      @ [ ("shadow_slabs", slabs); ("shadow_words", words);
+          ("gc_retired", t.n_retired) ]
+      @ late
+      @ [ ("spilled_races", n_spilled t) ])
+
+  let report det ~src_id ~sink_id ~addr ~kind =
+    if src_id <> sink_id then
+      Tdrutil.Ivec.push2 det.r_buf
+        ((src_id lsl 31) lor sink_id)
+        ((addr lsl 2) lor kind)
+
+  (* Drain to disk past the spill cap, at the end of an access. *)
+  let maybe_spill det =
+    match det.spill with
+    | None -> ()
+    | Some sp ->
+        if Tdrutil.Ivec.length det.r_buf >= Spill.cap_ints sp then begin
+          Spill.append sp ~intern:det.intern det.r_buf;
+          det.drained <- det.drained + Tdrutil.Ivec.length det.r_buf;
+          Tdrutil.Ivec.clear det.r_buf;
+          Tdrutil.Ivec.compact det.r_buf
+        end
+
+  (* Packed step ids are 31-bit: checked where ids enter shadow state. *)
+  let check_sid sid =
+    if sid < 0 || sid >= 1 lsl 31 then
+      invalid_arg "Shadow: step id exceeds 31 bits"
+
+  (* Filler for unfilled registry slots; never read through. *)
+  let dummy = (Sdpst.Node.create_tree ~main_bid:(-1)).Sdpst.Node.root
+
+  (* Every reported id is registered: a sink is the current step, and a
+     source was current when its access was recorded. *)
+  let register_step det step sid =
+    Tdrutil.Vec.ensure det.steps (sid + 1) ~fill:dummy;
+    if Tdrutil.Vec.unsafe_get det.steps sid == dummy then
+      Tdrutil.Vec.unsafe_set det.steps sid step
+
+  (* ---------------------------------------------------------------- *)
+  (* SRW                                                                *)
+  (* ---------------------------------------------------------------- *)
+
+  (* One [Islab.slot] probe serves the whole row; the step column is only
+     read behind a task >= 0 guard. *)
+  let srw_store o row i sid =
+    check_sid sid;
+    O.srw_store o row i;
+    Array.unsafe_set row (i + 1) sid
+
+  let srw_access ?layout det =
+    let o = det.order in
+    let stride = O.srw_stride in
+    let half = stride / 2 in
+    let tbl = Tdrutil.Islab.create ?layout ~fill:(-1) () in
+    det.shadow_info <-
+      (fun () -> (Tdrutil.Islab.n_chunks tbl, Tdrutil.Islab.words tbl));
+    fun ~step ~bid:_ ~idx:_ addr kind ->
+      det.n_accesses <- det.n_accesses + 1;
+      let row, w = Tdrutil.Islab.slot tbl (addr * stride) ~stride in
+      let r = w + half in
+      let sid = step.Sdpst.Node.id in
+      register_step det step sid;
+      let w_set = Array.unsafe_get row w >= 0
+      and r_set = Array.unsafe_get row r >= 0 in
+      if not (w_set || r_set) then det.n_locations <- det.n_locations + 1;
+      (match kind with
+      | Rt.Monitor.Read ->
+          if w_set && O.srw_parallel o row w then
+            report det ~src_id:(Array.unsafe_get row (w + 1)) ~sink_id:sid
+              ~addr ~kind:wr;
+          if not (r_set && O.srw_parallel o row r) then srw_store o row r sid
+      | Rt.Monitor.Write ->
+          if w_set && O.srw_parallel o row w then
+            report det ~src_id:(Array.unsafe_get row (w + 1)) ~sink_id:sid
+              ~addr ~kind:ww;
+          if r_set && O.srw_parallel o row r then
+            report det ~src_id:(Array.unsafe_get row (r + 1)) ~sink_id:sid
+              ~addr ~kind:rw;
+          srw_store o row w sid);
+      maybe_spill det
+
+  (* ---------------------------------------------------------------- *)
+  (* MRW                                                                *)
+  (* ---------------------------------------------------------------- *)
+
+  type loc = {
+    w_list : Tdrutil.Ivec.t;  (** recorded writers, packed [task, sid] *)
+    w_eps : Tdrutil.Ivec.t;  (** their epochs, if the order keeps any *)
+    r_list : Tdrutil.Ivec.t;  (** recorded readers *)
+    r_eps : Tdrutil.Ivec.t;
+    mutable w_epoch : int;  (** id of the last recorded writer step; -1 *)
+    mutable r_epoch : int;
+    mutable gc_ver : int;  (** [O.retire_version] at the last sweep here *)
+    (* Scan replay: within one step no transition changes a concurrency
+       answer and the step's own entry never reports, so its repeated
+       same-kind scans append identical runs: the first scan's range is
+       re-emitted with a blit.  Ranges count from the first record ever
+       buffered, so one that starts before [drained] went to disk with a
+       drain and is scanned again. *)
+    mutable rscan_epoch : int;  (** last step whose Read scanned here *)
+    mutable rscan_lo : int;  (** its appended records: [lo, hi) *)
+    mutable rscan_hi : int;
+    mutable wscan_epoch : int;  (** same for Write (both its scans) *)
+    mutable wscan_lo : int;
+    mutable wscan_hi : int;
+  }
+
+  let fresh_loc () =
+    { w_list = Tdrutil.Ivec.create (); w_eps = O.new_epochs ();
+      r_list = Tdrutil.Ivec.create (); r_eps = O.new_epochs ();
+      w_epoch = -1; r_epoch = -1; gc_ver = 0;
+      rscan_epoch = -1; rscan_lo = 0; rscan_hi = 0;
+      wscan_epoch = -1; wscan_lo = 0; wscan_hi = 0 }
+
+  (* Epoch-GC sweep of one list; shrink the backing arrays when the
+     survivors fit in a quarter, or the capacity freed by a big
+     retirement wave would stay pinned. *)
+  let retire o l eps =
+    let n = O.retire o l eps in
+    let cap = Tdrutil.Ivec.capacity l in
+    if cap >= 32 && Tdrutil.Ivec.length l * 4 <= cap then begin
+      Tdrutil.Ivec.compact l;
+      Tdrutil.Ivec.compact eps
+    end;
+    n
+
+  let mrw_access ?layout det version =
+    let o = det.order in
+    (* shared physical sentinel for untouched slots: location state is
+       created lazily on first access (and counted), without an option *)
+    let null_loc = fresh_loc () in
+    let shadow = Tdrutil.Slab.create ?layout ~fill:null_loc () in
+    det.shadow_info <-
+      (fun () ->
+        (* table words plus the lists' backing capacity: the lists are
+           the part epoch GC reclaims, so the bench must see them *)
+        let words = ref (Tdrutil.Slab.words shadow) in
+        let cap = Tdrutil.Ivec.capacity in
+        Tdrutil.Slab.iter_present
+          (fun s ->
+            if s != null_loc then
+              words :=
+                !words + cap s.w_list + cap s.w_eps + cap s.r_list
+                + cap s.r_eps)
+          shadow;
+        (Tdrutil.Slab.n_chunks shadow, !words));
+    fun ~step ~bid:_ ~idx:_ addr kind ->
+      det.n_accesses <- det.n_accesses + 1;
+      let s = Tdrutil.Slab.get shadow addr in
+      let s =
+        if s != null_loc then s
+        else begin
+          let s = fresh_loc () in
+          Tdrutil.Slab.set shadow addr s;
+          det.n_locations <- det.n_locations + 1;
+          s
+        end
+      in
+      (* lazy epoch GC: a retirement wave happened since this location's
+         last sweep (always between steps, so never mid-scan-replay) *)
+      let v = !version in
+      if s.gc_ver <> v then begin
+        s.gc_ver <- v;
+        det.n_retired <-
+          det.n_retired + retire o s.w_list s.w_eps + retire o s.r_list s.r_eps
+      end;
+      let sid = step.Sdpst.Node.id in
+      register_step det step sid;
+      let base = det.drained and out = det.r_buf in
+      (match kind with
+      | Rt.Monitor.Read ->
+          if s.rscan_epoch = sid && s.rscan_lo >= base then
+            Tdrutil.Ivec.append_slice out (s.rscan_lo - base)
+              (s.rscan_hi - base)
+          else begin
+            s.rscan_epoch <- sid;
+            s.rscan_lo <- base + Tdrutil.Ivec.length out;
+            O.scan_report o s.w_list s.w_eps ~out ~sink:sid
+              ~meta:((addr lsl 2) lor wr);
+            s.rscan_hi <- base + Tdrutil.Ivec.length out
+          end;
+          if s.r_epoch <> sid then begin
+            check_sid sid;
+            s.r_epoch <- sid;
+            O.record o s.r_list s.r_eps ~sid
+          end
+      | Rt.Monitor.Write ->
+          if s.wscan_epoch = sid && s.wscan_lo >= base then
+            Tdrutil.Ivec.append_slice out (s.wscan_lo - base)
+              (s.wscan_hi - base)
+          else begin
+            s.wscan_epoch <- sid;
+            s.wscan_lo <- base + Tdrutil.Ivec.length out;
+            O.scan_report o s.w_list s.w_eps ~out ~sink:sid
+              ~meta:((addr lsl 2) lor ww);
+            O.scan_report o s.r_list s.r_eps ~out ~sink:sid
+              ~meta:((addr lsl 2) lor rw);
+            s.wscan_hi <- base + Tdrutil.Ivec.length out
+          end;
+          if s.w_epoch <> sid then begin
+            check_sid sid;
+            s.w_epoch <- sid;
+            O.record o s.w_list s.w_eps ~sid
+          end);
+      maybe_spill det
+
+  let make ?layout ?spill mode =
+    let det =
+      { mode; order = O.create (); monitor = Rt.Monitor.nop;
+        steps = Tdrutil.Vec.create (); r_buf = Tdrutil.Ivec.create ();
+        spill = Option.map (fun cfg -> Spill.create cfg ~mode) spill;
+        drained = 0; intern = Rt.Addr.Intern.create (); n_accesses = 0;
+        n_locations = 0; n_skipped = 0; n_retired = 0;
+        shadow_info = (fun () -> (0, 0)) }
+    in
+    let o = det.order in
+    (* the retirement version moves only inside transitions: read it
+       there, so an access compares a cached int instead of calling [O] *)
+    let version = ref (O.retire_version o) in
+    let after transition n =
+      transition o n;
+      version := O.retire_version o
+    in
+    let on_access =
+      match mode with
+      | Srw -> srw_access ?layout det
+      | Mrw -> mrw_access ?layout det version
+    in
+    det.monitor <-
+      {
+        Rt.Monitor.on_init = (fun intern -> det.intern <- intern);
+        on_task_begin = after O.task_begin;
+        on_task_end = after O.task_end;
+        on_finish_begin = after O.finish_begin;
+        on_finish_end = after O.finish_end;
+        on_access;
+      };
+    det
+
+  let detect ?fuel ?keep ?layout ?spill mode prog =
+    let det = make ?layout ?spill mode in
+    let monitor =
+      match keep with
+      | None -> det.monitor
+      | Some keep ->
+          Rt.Monitor.filter
+            ~keep:(fun ~bid ~idx _addr _kind -> keep ~bid ~idx)
+            ~on_skip:(fun () -> det.n_skipped <- det.n_skipped + 1)
+            det.monitor
+    in
+    (* a run that raises after its first drain must not leak the spill
+       file's descriptor: channels are never closed by the GC *)
+    let res =
+      Fun.protect
+        ~finally:(fun () -> Option.iter Spill.close det.spill)
+        (fun () -> Rt.Interp.run ?fuel ~monitor prog)
+    in
+    (det, res)
+end

@@ -1,4 +1,4 @@
-(* See spill.mli.  The file is the trace line format (Trace_fmt) with the
+(* See spill.mli.  The file is the trace line format (Trace) with the
    header written once at creation and records appended per flush — the
    [races N] summary line is omitted, which Trace.of_string tolerates, so
    a spill file doubles as a loadable trace of the spilled prefix. *)
@@ -14,16 +14,16 @@ let config ?(cap = default_cap) path =
 type t = {
   path : string;
   cap_ints : int;  (** r_buf length threshold: records are 2 ints *)
-  mode_name : string;
+  mode : Trace.mode;
   mutable oc : out_channel option;
   mutable n_spilled : int;  (** race records written out *)
 }
 
-let create (cfg : config) ~mode_name =
+let create (cfg : config) ~mode =
   {
     path = cfg.path;
     cap_ints = 2 * cfg.cap;
-    mode_name;
+    mode;
     oc = None;
     n_spilled = 0;
   }
@@ -48,8 +48,8 @@ let channel t =
       in
       let oc = open_out_gen flags 0o644 t.path in
       if fresh then begin
-        output_string oc (Trace_fmt.magic ^ "\n");
-        output_string oc ("mode " ^ t.mode_name ^ "\n")
+        output_string oc (Trace.magic ^ "\n");
+        output_string oc ("mode " ^ Trace.mode_name t.mode ^ "\n")
       end;
       t.oc <- Some oc;
       oc
@@ -69,8 +69,8 @@ let append t ~intern r_buf =
     while !i < n do
       let ss = Array.unsafe_get data !i
       and meta = Array.unsafe_get data (!i + 1) in
-      Trace_fmt.add_race_line buf
-        ~kind:(Trace_fmt.kind_of_code (meta land 3))
+      Trace.add_race_line buf
+        ~kind:(Trace.kind_of_code (meta land 3))
         ~addr:(Rt.Addr.Intern.of_id intern (meta lsr 2))
         ~src:(ss lsr 31) ~sink:(ss land sid_mask);
       if Buffer.length buf > 65536 then begin
@@ -95,7 +95,7 @@ let close t =
 (** Read the spilled records back, in spill order.  [resolve] maps a step
     id to its node (the detector's step registry: every spilled id was
     registered when recorded).
-    @raise Trace_fmt.Parse_error on a corrupted file *)
+    @raise Trace.Parse_error on a corrupted file *)
 let records t ~resolve : Race.t list =
   Option.iter Stdlib.flush t.oc;
   if t.n_spilled = 0 then []
@@ -116,18 +116,18 @@ let records t ~resolve : Race.t list =
                  | Some src, Some sink ->
                      races :=
                        Race.make ~src:(resolve src) ~sink:(resolve sink)
-                         ~addr:(Trace_fmt.addr_of_string ~line:!lnum addr)
-                         ~kind:(Trace_fmt.kind_of_string ~line:!lnum kind)
+                         ~addr:(Trace.addr_of_string ~line:!lnum addr)
+                         ~kind:(Trace.kind_of_string ~line:!lnum kind)
                        :: !races
                  | _ ->
                      raise
-                       (Trace_fmt.Parse_error ("malformed race endpoints", !lnum))
+                       (Trace.Parse_error ("malformed race endpoints", !lnum))
                  )
              | [ "" ] | [ "mode"; _ ] | [ "races"; _ ] -> ()
-             | [ m ] when m = Trace_fmt.magic -> ()
+             | [ m ] when m = Trace.magic -> ()
              | _ ->
                  raise
-                   (Trace_fmt.Parse_error ("unrecognized line: " ^ line, !lnum))
+                   (Trace.Parse_error ("unrecognized line: " ^ line, !lnum))
            done
          with End_of_file -> ());
         List.rev !races)

@@ -20,9 +20,9 @@ val config : ?cap:int -> string -> config
 
 type t
 
-(** [create cfg ~mode_name] is a fresh sink; the file is only created
+(** [create cfg ~mode] is a fresh sink; the file is only created
     (truncating any stale one) on the first overflow. *)
-val create : config -> mode_name:string -> t
+val create : config -> mode:Trace.mode -> t
 
 val path : t -> string
 
@@ -44,5 +44,5 @@ val close : t -> unit
 (** Read the spilled records back, in spill order.  [resolve] maps a
     step id to its node (every spilled id is in the detector's step
     registry).
-    @raise Trace_fmt.Parse_error on a corrupted file *)
+    @raise Trace.Parse_error on a corrupted file *)
 val records : t -> resolve:(int -> Sdpst.Node.t) -> Race.t list

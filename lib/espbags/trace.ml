@@ -5,27 +5,66 @@
     computes finish placements).  This module implements that exchange
     format: a line-oriented text file identifying race endpoints by their
     S-DPST node ids, which are reproducible because the depth-first
-    execution is deterministic. *)
+    execution is deterministic.  {!Spill} appends detector overflow in the
+    same line format, so the codecs and the detector flavour live here,
+    below both. *)
 
-let magic = Trace_fmt.magic
+type mode = Srw | Mrw
 
-exception Parse_error = Trace_fmt.Parse_error  (** message, 1-based line *)
+let mode_name = function Srw -> "SRW" | Mrw -> "MRW"
 
-(* Line-level codecs live in Trace_fmt, shared with the Spill sink. *)
-let addr_of_string = Trace_fmt.addr_of_string
+let pp_mode ppf m = Fmt.string ppf (mode_name m)
 
-let kind_of_string = Trace_fmt.kind_of_string
+let magic = "tdrace-trace-v1"
+
+exception Parse_error of string * int  (** message, 1-based line number *)
+
+let string_of_addr = function
+  | Rt.Addr.Global g -> "g:" ^ g
+  | Rt.Addr.Cell (a, i) -> Fmt.str "c:%d:%d" a i
+
+let addr_of_string ~line s =
+  match String.split_on_char ':' s with
+  | [ "g"; name ] -> Rt.Addr.Global name
+  | [ "c"; a; i ] -> (
+      match (int_of_string_opt a, int_of_string_opt i) with
+      | Some a, Some i -> Rt.Addr.Cell (a, i)
+      | _ -> raise (Parse_error ("malformed cell address " ^ s, line)))
+  | _ -> raise (Parse_error ("malformed address " ^ s, line))
+
+let string_of_kind = function
+  | Race.Write_read -> "WR"
+  | Race.Read_write -> "RW"
+  | Race.Write_write -> "WW"
+
+let kind_of_string ~line = function
+  | "WR" -> Race.Write_read
+  | "RW" -> Race.Read_write
+  | "WW" -> Race.Write_write
+  | s -> raise (Parse_error ("unknown race kind " ^ s, line))
+
+(* The detectors' packed 2-bit race-kind codes (the low bits of a packed
+   record's meta word). *)
+let kind_of_code = function
+  | 0 -> Race.Write_read
+  | 1 -> Race.Read_write
+  | _ -> Race.Write_write
+
+let add_race_line buf ~kind ~addr ~src ~sink =
+  Buffer.add_string buf
+    (Fmt.str "race %s %s %d %d\n" (string_of_kind kind) (string_of_addr addr)
+       src sink)
 
 (** Render races to the trace format. *)
-let to_string ~(mode : Detector.mode) (races : Race.t list) : string =
+let to_string ~mode (races : Race.t list) : string =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf magic;
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (Fmt.str "mode %a\n" Detector.pp_mode mode);
+  Buffer.add_string buf (Fmt.str "mode %a\n" pp_mode mode);
   Buffer.add_string buf (Fmt.str "races %d\n" (List.length races));
   List.iter
     (fun (r : Race.t) ->
-      Trace_fmt.add_race_line buf ~kind:r.kind ~addr:r.addr
+      add_race_line buf ~kind:r.kind ~addr:r.addr
         ~src:r.src.Sdpst.Node.id ~sink:r.sink.Sdpst.Node.id)
     races;
   Buffer.contents buf
@@ -34,7 +73,7 @@ let to_string ~(mode : Detector.mode) (races : Race.t list) : string =
     produced it; node ids are resolved to step nodes.
     @raise Parse_error on malformed input or unresolvable/non-step ids. *)
 let of_string (tree : Sdpst.Node.tree) (s : string) :
-    Detector.mode * Race.t list =
+    mode * Race.t list =
   let by_id = Hashtbl.create 1024 in
   Sdpst.Node.iter_tree
     (fun n -> Hashtbl.replace by_id n.Sdpst.Node.id n)
@@ -49,15 +88,15 @@ let of_string (tree : Sdpst.Node.tree) (s : string) :
   let lines = String.split_on_char '\n' s in
   match lines with
   | m :: rest when String.trim m = magic ->
-      let mode = ref Detector.Mrw in
+      let mode = ref Mrw in
       let races = ref [] in
       List.iteri
         (fun i line ->
           let lnum = i + 2 in
           match String.split_on_char ' ' (String.trim line) with
           | [ "" ] -> ()
-          | [ "mode"; "SRW" ] -> mode := Detector.Srw
-          | [ "mode"; "MRW" ] -> mode := Detector.Mrw
+          | [ "mode"; "SRW" ] -> mode := Srw
+          | [ "mode"; "MRW" ] -> mode := Mrw
           | [ "races"; _n ] -> ()
           | [ "race"; kind; addr; src; sink ] -> (
               match (int_of_string_opt src, int_of_string_opt sink) with

@@ -27,11 +27,6 @@ let apply_sets prog sets =
              (Repair.Diag.make ~stage:Repair.Diag.Typecheck m)))
     prog sets
 
-let resolve_backend (flags : P.flags) prog : [ `Espbags | `Vclock ] =
-  match flags.backend with
-  | (`Espbags | `Vclock) as b -> b
-  | `Auto -> fst (Vclock.Select.choose prog)
-
 let run_detect (flags : P.flags) prog =
   let keep =
     if flags.static_prune then
@@ -42,31 +37,13 @@ let run_detect (flags : P.flags) prog =
     Option.map (fun n -> Tdrutil.Islab.Chunked n) flags.shadow_chunk
   in
   let spill = Option.map Espbags.Spill.config flags.spill in
-  let backend = resolve_backend flags prog in
-  let label, races, n_accesses, n_locations, n_skipped =
-    match backend with
-    | `Espbags ->
-        let det, _res =
-          Espbags.Detector.detect ?keep ?layout ?spill flags.mode prog
-        in
-        ( "espbags",
-          Espbags.Detector.races det,
-          det.Espbags.Detector.n_accesses,
-          det.Espbags.Detector.n_locations,
-          det.Espbags.Detector.n_skipped )
-    | `Vclock ->
-        let det, _res =
-          Vclock.Seq.detect ?keep ?layout ?spill flags.mode prog
-        in
-        ( "vclock",
-          Vclock.Seq.races det,
-          det.Vclock.Seq.n_accesses,
-          det.Vclock.Seq.n_locations,
-          det.Vclock.Seq.n_skipped )
+  let backend = fst (Vclock.Select.resolve flags.backend prog) in
+  let d =
+    Vclock.Select.detect ~backend ?keep ?layout ?spill flags.mode prog
   in
   (* Races with both endpoints inside [isolated] sections are discharged
      by mutual exclusion, mirroring Driver.detect and the CLI. *)
-  let races = Repair.Isolate.suppress prog races in
+  let races = Repair.Isolate.suppress prog d.races in
   let report =
     J.Obj
       [
@@ -75,13 +52,13 @@ let run_detect (flags : P.flags) prog =
           J.Str
             (match flags.mode with Espbags.Detector.Mrw -> "mrw" | Srw -> "srw")
         );
-        ("backend", J.Str label);
+        ("backend", J.Str (Fmt.str "%a" Vclock.Select.pp_choice backend));
         ("races", J.Int (List.length races));
         ( "race_pairs",
           J.Int (List.length (Espbags.Race.dedupe_by_steps races)) );
-        ("accesses", J.Int n_accesses);
-        ("locations", J.Int n_locations);
-        ("skipped", J.Int n_skipped);
+        ("accesses", J.Int d.n_accesses);
+        ("locations", J.Int d.n_locations);
+        ("skipped", J.Int d.n_skipped);
         ( "race_list",
           J.List
             (List.map

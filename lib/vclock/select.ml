@@ -1,4 +1,4 @@
-(** Static backend auto-selection for [--backend=auto].
+(** Backend selection and backend-erased detection.
 
     Chooses between the ESP-bags and vector-clock detectors from cheap
     syntactic workload features, without executing the program:
@@ -14,8 +14,10 @@
     - {b no tasks}: nothing can race; ESP-bags (the default, most
       battle-tested backend) wins by default.
 
-    The returned reason string is reported to the user and recorded in
-    [report.metrics] as [detector.backend]. *)
+    The returned reason string is reported to the user.  [resolve] is the
+    one place a [--backend] value becomes a pick, and [detect] runs
+    either pick behind one result record, so no caller matches on the
+    backend. *)
 
 open Mhj
 
@@ -94,3 +96,36 @@ let choose (prog : Ast.program) : choice * string =
       Fmt.str "shallow task structure (%d asyncs, %d finishes): ESP-bags \
                default"
         f.n_async f.n_finish )
+
+let resolve backend prog =
+  match backend with
+  | `Espbags -> (`Espbags, "")
+  | `Vclock -> (`Vclock, "")
+  | `Auto -> choose prog
+
+type detection = {
+  races : Espbags.Race.t list;
+  stats : (string * int) list Lazy.t;
+  n_accesses : int;
+  n_locations : int;
+  n_skipped : int;
+  n_spilled : int;
+  result : Rt.Interp.result;
+}
+
+let run (module D : Espbags.Shadow.S) ?fuel ?keep ?layout ?spill mode prog =
+  let det, result = D.detect ?fuel ?keep ?layout ?spill mode prog in
+  {
+    races = D.races det;
+    stats = lazy (D.stats det);
+    n_accesses = det.D.n_accesses;
+    n_locations = det.n_locations;
+    n_skipped = det.n_skipped;
+    n_spilled = D.n_spilled det;
+    result;
+  }
+
+let detect ~backend =
+  match backend with
+  | `Espbags -> run (module Espbags.Detector)
+  | `Vclock -> run (module Seq)

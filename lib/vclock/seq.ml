@@ -1,548 +1,151 @@
-(** Vector-clock race detectors for the sequential (depth-first)
-    interpreter, report-identical to the ESP-bags detectors.
+(* See seq.mli. *)
 
-    Same two flavours as {!Espbags.Detector} ({b SRW} single
-    reader/writer slot, {b MRW} full access lists), same packed hot-path
-    representation (slab shadow tables over interned ids, packed race
-    records, per-step epoch dedup, scan replay, disk spill of race-record
-    overflow) — but concurrency is decided by vector clocks ({!Clock})
-    instead of union-find bags.
+module Order = struct
+  type t = {
+    clocks : Clock.t Tdrutil.Vec.t;
+        (** task index -> clock; replaced by [dead] once the task ends *)
+    dead : Clock.t;  (** shared sentinel standing in for released clocks *)
+    mutable task_stack : int list;  (** task indices, innermost first *)
+    mutable fin_stack : Clock.t list;  (** open finishes' accumulators *)
+    mutable cur : Clock.t;  (** current task's clock (cached stack top) *)
+    mutable cur_tidx : int;
+    mutable retire_ver : int;  (** retirement waves so far *)
+    mutable retire_clock : Clock.t;
+        (** the root's clock at the last wave: entries it covers are
+            permanently ordered (see seq.mli) *)
+    mutable n_tasks : int;
+    mutable n_merges : int;  (** clock fold/merge operations *)
+    mutable n_scan_entries : int;  (** MRW shadow entries scanned *)
+    mutable n_clocks_freed : int;  (** clocks released at task end *)
+  }
 
-    Under the depth-first execution both predicates compute precise
-    may-happen-in-parallel for async-finish programs, so for every
-    recorded shadow entry the clock test [not (covers current t e)]
-    answers exactly like [Bags.in_pbag t]:
+  let create () =
+    { clocks = Tdrutil.Vec.create (); dead = Clock.create ();
+      task_stack = []; fin_stack = []; cur = Clock.create (); cur_tidx = -1;
+      retire_ver = 0; retire_clock = Clock.create (); n_tasks = 0;
+      n_merges = 0; n_scan_entries = 0; n_clocks_freed = 0 }
 
-    - an entry by an ancestor (or an earlier epoch of the current task
-      itself) was inherited at fork time — covered, ordered;
-    - an entry by a task that ended but whose join finish is still open
-      has not been merged anywhere the current task can see — not
-      covered, concurrent (ESP-bags: in a P-bag);
-    - once the finish ends, the accumulator merge makes the current task
-      cover every joined epoch — ordered again (ESP-bags: P-bag unioned
-      into the S-bag).
+  let cur o = o.cur
 
-    The differential suite holds this module's race records byte-equal
-    to {!Espbags.Reference}'s.  The scan-replay optimization remains
-    valid here because a task's clock only changes at structural
-    transitions, never inside a step.
-
-    {b Memory bounds at scale} (DESIGN.md §15), mirroring the ESP-bags
-    backend:
-
-    - a task's clock is released the moment the task ends (it is only
-      ever read at its own forks and its end-merge), collapsing clock
-      footprint from all-tasks to live-tasks — the vclock analogue of
-      "retiring dead task ids";
-    - {e epoch GC}: when a finish closes with only the root task live,
-      every entry covered by the root's clock {e at that moment} is
-      permanently ordered before everything that can still run (all
-      future tasks fork, transitively, from the root and inherit that
-      clock), so MRW entries passing [covers retire_clock] are dropped
-      lazily per location;
-    - shadow slabs and race-record spill exactly as in
-      {!Espbags.Detector}. *)
-
-type mode = Espbags.Detector.mode = Srw | Mrw
-
-let pp_mode = Espbags.Detector.pp_mode
-
-let mode_name = function Srw -> "SRW" | Mrw -> "MRW"
-
-type t = {
-  mode : mode;
-  mutable monitor : Rt.Monitor.t;  (** pass to {!Rt.Interp.run} *)
-  steps : Sdpst.Node.t Tdrutil.Vec.t;
-      (** step id -> step node, filled on each step's first access *)
-  r_buf : Tdrutil.Ivec.t;
-      (** race records, stride 2, packed like {!Espbags.Detector}:
-          [(src lsl 31) lor sink], then [(addr lsl 2) lor kind] *)
-  spill : Espbags.Spill.t option;
-      (** overflow sink: past its cap, [r_buf] drains to disk *)
-  mutable spill_gen : int;  (** drains so far (invalidates scan memos) *)
-  clocks : Clock.t Tdrutil.Vec.t;
-      (** task index -> clock; replaced by [dead] once the task ends *)
-  dead : Clock.t;  (** shared sentinel standing in for released clocks *)
-  mutable task_stack : int list;  (** task indices, innermost first *)
-  mutable fin_stack : Clock.t list;  (** open finishes' accumulators *)
-  mutable cur : Clock.t;  (** current task's clock (cached stack top) *)
-  mutable cur_tidx : int;
-  mutable retire_ver : int;
-      (** retirement waves so far; per-location stamps compare against it *)
-  mutable retire_clock : Clock.t;
-      (** snapshot of the root's clock at the last wave — entries it
-          covers are permanently ordered (see the module comment) *)
-  mutable intern : Rt.Addr.Intern.t;
-  mutable n_accesses : int;
-  mutable n_locations : int;
-  mutable n_skipped : int;
-  mutable n_tasks : int;
-  mutable n_merges : int;  (** clock fold/merge operations *)
-  mutable n_scan_entries : int;  (** MRW shadow entries scanned *)
-  mutable n_retired : int;  (** shadow entries dropped by epoch GC *)
-  mutable n_clocks_freed : int;  (** clocks released at task end *)
-  mutable shadow_info : unit -> int * int;
-      (** current (slab count, allocated shadow words) *)
-}
-
-let wr = 0
-
-and rw = 1
-
-and ww = 2
-
-let kind_of_code = Espbags.Trace_fmt.kind_of_code
-
-let n_spilled t =
-  match t.spill with None -> 0 | Some sp -> Espbags.Spill.n_spilled sp
-
-let race_count t = n_spilled t + (Tdrutil.Ivec.length t.r_buf / 2)
-
-let clean t = race_count t = 0
-
-let sid_mask = (1 lsl 31) - 1
-
-let races t =
-  let node i = Tdrutil.Vec.unsafe_get t.steps i in
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      let ss = Tdrutil.Ivec.unsafe_get t.r_buf i
-      and meta = Tdrutil.Ivec.unsafe_get t.r_buf (i + 1) in
-      go (i - 2)
-        (Espbags.Race.make
-           ~src:(node (ss lsr 31))
-           ~sink:(node (ss land sid_mask))
-           ~addr:(Rt.Addr.Intern.of_id t.intern (meta lsr 2))
-           ~kind:(kind_of_code (meta land 3))
-        :: acc)
-  in
-  let in_mem = go (Tdrutil.Ivec.length t.r_buf - 2) [] in
-  match t.spill with
-  | None -> in_mem
-  | Some sp ->
-      Espbags.Spill.records sp ~resolve:(fun sid -> Tdrutil.Vec.get t.steps sid)
-      @ in_mem
-
-let shadow_slabs t = fst (t.shadow_info ())
-
-let shadow_words t = snd (t.shadow_info ())
-
-let stats t =
-  let slabs, words = t.shadow_info () in
-  [
-    ("detector.accesses", t.n_accesses);
-    ("detector.locations", t.n_locations);
-    ("detector.races", race_count t);
-    ("detector.skipped", t.n_skipped);
-    ("detector.tasks", t.n_tasks);
-    ("detector.clock_merges", t.n_merges);
-    ("detector.scan_entries", t.n_scan_entries);
-    ("detector.shadow_slabs", slabs);
-    ("detector.shadow_words", words);
-    ("detector.gc_retired", t.n_retired);
-    ("detector.clocks_freed", t.n_clocks_freed);
-    ("detector.spilled_races", n_spilled t);
-  ]
-
-let check_sid sid =
-  if sid < 0 || sid >= 1 lsl 31 then
-    invalid_arg "Vclock.Seq: step id exceeds 31 bits"
-
-let check_tidx tidx =
-  if tidx < 0 || tidx >= 1 lsl 31 then
-    invalid_arg "Vclock.Seq: task index exceeds 31 bits"
-
-let dummy_step () = (Sdpst.Node.create_tree ~main_bid:(-1)).Sdpst.Node.root
-
-let register_step det ~dummy step sid =
-  Tdrutil.Vec.ensure det.steps (sid + 1) ~fill:dummy;
-  if Tdrutil.Vec.unsafe_get det.steps sid == dummy then
-    Tdrutil.Vec.unsafe_set det.steps sid step
-
-let maybe_spill det =
-  match det.spill with
-  | None -> ()
-  | Some sp ->
-      if Tdrutil.Ivec.length det.r_buf >= Espbags.Spill.cap_ints sp then begin
-        Espbags.Spill.append sp ~intern:det.intern det.r_buf;
-        Tdrutil.Ivec.clear det.r_buf;
-        Tdrutil.Ivec.compact det.r_buf;
-        det.spill_gen <- det.spill_gen + 1
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Structural transitions                                               *)
-(* ------------------------------------------------------------------ *)
-
-let task_begin det =
-  let tidx = det.n_tasks in
-  check_tidx tidx;
-  det.n_tasks <- tidx + 1;
-  let c =
-    match det.task_stack with
-    | [] ->
-        let c = Clock.create () in
-        Clock.set c tidx 1;
-        c
-    | parent :: _ ->
-        let pc = Tdrutil.Vec.get det.clocks parent in
-        (* copy before the parent's self-increment: accesses the parent
-           recorded before this fork are inherited (ordered), accesses
-           after it are not *)
-        let c = Clock.copy pc in
-        Clock.set c tidx 1;
-        Clock.incr pc parent;
-        c
-  in
-  Tdrutil.Vec.ensure det.clocks (tidx + 1) ~fill:c;
-  Tdrutil.Vec.unsafe_set det.clocks tidx c;
-  det.task_stack <- tidx :: det.task_stack;
-  det.cur <- c;
-  det.cur_tidx <- tidx
-
-let task_end det =
-  match det.task_stack with
-  | [] -> invalid_arg "Vclock.Seq.task_end: empty task stack"
-  | tidx :: rest ->
-      det.task_stack <- rest;
-      (match det.fin_stack with
-      | [] -> ()  (* root task: nothing joins it *)
-      | acc :: _ ->
-          Clock.merge ~into:acc (Tdrutil.Vec.get det.clocks tidx);
-          det.n_merges <- det.n_merges + 1);
-      (* the ended task's clock is only ever read at its own forks and
-         the end-merge above — release it, so clock footprint tracks the
-         live tasks (O(depth)) instead of every task ever forked *)
-      Tdrutil.Vec.unsafe_set det.clocks tidx det.dead;
-      det.n_clocks_freed <- det.n_clocks_freed + 1;
-      (match rest with
-      | [] -> ()
+  let task_begin o _ =
+    let tidx = o.n_tasks in
+    if tidx >= 1 lsl 31 then
+      invalid_arg "Vclock.Seq: task index exceeds 31 bits";
+    o.n_tasks <- tidx + 1;
+    let c =
+      match o.task_stack with
+      | [] -> Clock.create ()
       | parent :: _ ->
-          det.cur <- Tdrutil.Vec.get det.clocks parent;
-          det.cur_tidx <- parent)
+          let pc = Tdrutil.Vec.get o.clocks parent in
+          (* copy before the parent's self-increment: accesses the parent
+             recorded before this fork are inherited (ordered), accesses
+             after it are not *)
+          let c = Clock.copy pc in
+          Clock.incr pc parent;
+          c
+    in
+    Clock.set c tidx 1;
+    Tdrutil.Vec.ensure o.clocks (tidx + 1) ~fill:c;
+    Tdrutil.Vec.unsafe_set o.clocks tidx c;
+    o.task_stack <- tidx :: o.task_stack;
+    o.cur <- c;
+    o.cur_tidx <- tidx
 
-let finish_begin det = det.fin_stack <- Clock.create () :: det.fin_stack
+  let task_end o _ =
+    match o.task_stack with
+    | [] -> invalid_arg "Vclock.Seq.task_end: empty task stack"
+    | tidx :: rest ->
+        o.task_stack <- rest;
+        (match o.fin_stack with
+        | [] -> () (* root task: nothing joins it *)
+        | acc :: _ ->
+            Clock.merge ~into:acc (Tdrutil.Vec.get o.clocks tidx);
+            o.n_merges <- o.n_merges + 1);
+        (* the ended task's clock is only ever read at its own forks and
+           the end-merge above: release it *)
+        Tdrutil.Vec.unsafe_set o.clocks tidx o.dead;
+        o.n_clocks_freed <- o.n_clocks_freed + 1;
+        (match rest with
+        | [] -> ()
+        | parent :: _ ->
+            o.cur <- Tdrutil.Vec.get o.clocks parent;
+            o.cur_tidx <- parent)
 
-let finish_end det =
-  match det.fin_stack with
-  | [] -> invalid_arg "Vclock.Seq.finish_end: empty finish stack"
-  | acc :: rest ->
-      det.fin_stack <- rest;
-      (* every task joined here folded its clock into [acc]; the merge
-         orders all of their accesses before the continuation *)
-      Clock.merge ~into:det.cur acc;
-      det.n_merges <- det.n_merges + 1;
-      (match det.task_stack with
-      | [ _root ] ->
-          (* only the root is live: everything its clock covers now is
-             permanently ordered before all future work (which forks from
-             the root and inherits this clock).  Snapshot it — the lazy
-             per-location sweeps run later, when other tasks are live
-             again, so they must test against this frozen clock, not the
-             then-current one. *)
-          det.retire_ver <- det.retire_ver + 1;
-          det.retire_clock <- Clock.copy det.cur
-      | _ -> ())
+  let finish_begin o _ = o.fin_stack <- Clock.create () :: o.fin_stack
 
-let structural det ~on_init ~on_access : Rt.Monitor.t =
-  {
-    Rt.Monitor.on_init;
-    on_task_begin = (fun _n -> task_begin det);
-    on_task_end = (fun _n -> task_end det);
-    on_finish_begin = (fun _n -> finish_begin det);
-    on_finish_end = (fun _n -> finish_end det);
-    on_access;
-  }
+  let finish_end o _ =
+    match o.fin_stack with
+    | [] -> invalid_arg "Vclock.Seq.finish_end: empty finish stack"
+    | acc :: rest ->
+        o.fin_stack <- rest;
+        (* every task joined here folded its clock into [acc]; the merge
+           orders all of their accesses before the continuation *)
+        Clock.merge ~into:o.cur acc;
+        o.n_merges <- o.n_merges + 1;
+        match o.task_stack with
+        | [ _root ] ->
+            (* only the root is live: snapshot its clock, since the lazy
+               per-location sweeps run later, when other tasks are live
+               again, and must test against this frozen clock *)
+            o.retire_ver <- o.retire_ver + 1;
+            o.retire_clock <- Clock.copy o.cur
+        | _ -> ()
 
-let fresh ?spill mode =
-  let empty = Clock.create () in
-  {
-    mode;
-    monitor = Rt.Monitor.nop;
-    steps = Tdrutil.Vec.create ();
-    r_buf = Tdrutil.Ivec.create ();
-    spill =
-      Option.map
-        (fun cfg -> Espbags.Spill.create cfg ~mode_name:(mode_name mode))
-        spill;
-    spill_gen = 0;
-    clocks = Tdrutil.Vec.create ();
-    dead = Clock.create ();
-    task_stack = [];
-    fin_stack = [];
-    cur = empty;
-    cur_tidx = -1;
-    retire_ver = 0;
-    retire_clock = Clock.create ();
-    intern = Rt.Addr.Intern.create ();
-    n_accesses = 0;
-    n_locations = 0;
-    n_skipped = 0;
-    n_tasks = 0;
-    n_merges = 0;
-    n_scan_entries = 0;
-    n_retired = 0;
-    n_clocks_freed = 0;
-    shadow_info = (fun () -> (0, 0));
-  }
+  let srw_stride = 8
 
-let report det ~src_id ~sink_id ~addr ~kind =
-  if src_id <> sink_id then
-    Tdrutil.Ivec.push2 det.r_buf
-      ((src_id lsl 31) lor sink_id)
-      ((addr lsl 2) lor kind)
+  let srw_parallel o row i =
+    not
+      (Clock.covers o.cur (Array.unsafe_get row i)
+         (Array.unsafe_get row (i + 2)))
 
-(* ------------------------------------------------------------------ *)
-(* SRW                                                                  *)
-(* ------------------------------------------------------------------ *)
+  let srw_store o row i =
+    Array.unsafe_set row i o.cur_tidx;
+    Array.unsafe_set row (i + 2) (Clock.get o.cur o.cur_tidx)
 
-(* Slab shadow, stride 8 per location (6 columns padded to a power of
-   two so a row never straddles a chunk): [w_task; w_id; w_ep; r_task;
-   r_id; r_ep; _; _], task -1 = no recorded access.  The step/epoch
-   columns are only read behind a task >= 0 guard, so the -1 filler is
-   never observed. *)
+  let new_epochs () = Tdrutil.Ivec.create ()
 
-let make_srw ?layout ?spill () : t =
-  let det = fresh ?spill Srw in
-  let dummy = dummy_step () in
-  let tbl = Tdrutil.Islab.create ?layout ~fill:(-1) () in
-  det.shadow_info <-
-    (fun () -> (Tdrutil.Islab.n_chunks tbl, Tdrutil.Islab.words tbl));
-  let on_access ~step ~bid:_ ~idx:_ addr kind =
-    det.n_accesses <- det.n_accesses + 1;
-    let row, off = Tdrutil.Islab.slot tbl (addr lsl 3) ~stride:8 in
-    let sid = step.Sdpst.Node.id in
-    register_step det ~dummy step sid;
-    let wt = Array.unsafe_get row off and rt = Array.unsafe_get row (off + 3) in
-    if wt < 0 && rt < 0 then det.n_locations <- det.n_locations + 1;
-    let cur = det.cur in
-    let parallel t ep = not (Clock.covers cur t ep) in
-    (match kind with
-    | Rt.Monitor.Read ->
-        if wt >= 0 && parallel wt (Array.unsafe_get row (off + 2)) then
-          report det
-            ~src_id:(Array.unsafe_get row (off + 1))
-            ~sink_id:sid ~addr ~kind:wr;
-        if not (rt >= 0 && parallel rt (Array.unsafe_get row (off + 5)))
-        then begin
-          check_sid sid;
-          Array.unsafe_set row (off + 3) det.cur_tidx;
-          Array.unsafe_set row (off + 4) sid;
-          Array.unsafe_set row (off + 5) (Clock.get cur det.cur_tidx)
-        end
-    | Rt.Monitor.Write ->
-        if wt >= 0 && parallel wt (Array.unsafe_get row (off + 2)) then
-          report det
-            ~src_id:(Array.unsafe_get row (off + 1))
-            ~sink_id:sid ~addr ~kind:ww;
-        if rt >= 0 && parallel rt (Array.unsafe_get row (off + 5)) then
-          report det
-            ~src_id:(Array.unsafe_get row (off + 4))
-            ~sink_id:sid ~addr ~kind:rw;
-        check_sid sid;
-        Array.unsafe_set row off det.cur_tidx;
-        Array.unsafe_set row (off + 1) sid;
-        Array.unsafe_set row (off + 2) (Clock.get cur det.cur_tidx));
-    maybe_spill det
-  in
-  det.monitor <-
-    structural det ~on_init:(fun intern -> det.intern <- intern) ~on_access;
-  det
+  let record o l eps ~sid =
+    Tdrutil.Ivec.push l ((o.cur_tidx lsl 31) lor sid);
+    Tdrutil.Ivec.push eps (Clock.get o.cur o.cur_tidx)
 
-(* ------------------------------------------------------------------ *)
-(* MRW                                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Entries pack [(task index lsl 31) lor sid] with a parallel epoch
-   vector; the concurrency test per entry is one clock lookup against
-   the current task's clock instead of a union-find find. *)
-type mrw_loc = {
-  w_list : Tdrutil.Ivec.t;  (** recorded writers, packed [tidx, sid] *)
-  w_eps : Tdrutil.Ivec.t;  (** their epochs, parallel to [w_list] *)
-  r_list : Tdrutil.Ivec.t;
-  r_eps : Tdrutil.Ivec.t;
-  mutable w_epoch : int;  (** id of the last recorded writer step; -1 none *)
-  mutable r_epoch : int;
-  mutable gc_ver : int;  (** [retire_ver] as of the last sweep here *)
-  (* Scan replay, exactly as in Espbags.Detector: the current task's
-     clock cannot change while one step executes (clock maintenance is
-     tied to structural transitions), so a step's repeated same-kind
-     scans of one location produce byte-identical report runs.  Memos
-     are only valid within their spill generation. *)
-  mutable rscan_epoch : int;
-  mutable rscan_gen : int;
-  mutable rscan_lo : int;
-  mutable rscan_hi : int;
-  mutable wscan_epoch : int;
-  mutable wscan_gen : int;
-  mutable wscan_lo : int;
-  mutable wscan_hi : int;
-}
-
-let fresh_loc () =
-  {
-    w_list = Tdrutil.Ivec.create ();
-    w_eps = Tdrutil.Ivec.create ();
-    r_list = Tdrutil.Ivec.create ();
-    r_eps = Tdrutil.Ivec.create ();
-    w_epoch = -1;
-    r_epoch = -1;
-    gc_ver = 0;
-    rscan_epoch = -1;
-    rscan_gen = 0;
-    rscan_lo = 0;
-    rscan_hi = 0;
-    wscan_epoch = -1;
-    wscan_gen = 0;
-    wscan_lo = 0;
-    wscan_hi = 0;
-  }
-
-(* Epoch GC sweep of one direction's entry list and its parallel epoch
-   vector, in place and order-preserving; see the module comment for why
-   [covers retire_clock] entries can never report again. *)
-let retire_lists det l eps =
-  let n = Tdrutil.Ivec.length l in
-  let data = Tdrutil.Ivec.unsafe_data l in
-  let edata = Tdrutil.Ivec.unsafe_data eps in
-  let rc = det.retire_clock in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    let e = Array.unsafe_get data i in
-    if not (Clock.covers rc (e lsr 31) (Array.unsafe_get edata i)) then begin
-      Array.unsafe_set data !j e;
-      Array.unsafe_set edata !j (Array.unsafe_get edata i);
-      incr j
-    end
-  done;
-  Tdrutil.Ivec.truncate l !j;
-  Tdrutil.Ivec.truncate eps !j;
-  let cap = Tdrutil.Ivec.capacity l in
-  if cap >= 32 && !j * 4 <= cap then begin
-    Tdrutil.Ivec.compact l;
-    Tdrutil.Ivec.compact eps
-  end;
-  n - !j
-
-let make_mrw ?layout ?spill () : t =
-  let det = fresh ?spill Mrw in
-  let dummy = dummy_step () in
-  let null_loc = fresh_loc () in
-  let shadow : mrw_loc Tdrutil.Slab.t =
-    Tdrutil.Slab.create ?layout ~fill:null_loc ()
-  in
-  det.shadow_info <-
-    (fun () ->
-      let words = ref (Tdrutil.Slab.words shadow) in
-      Tdrutil.Slab.iter_present
-        (fun s ->
-          if s != null_loc then
-            words :=
-              !words
-              + Tdrutil.Ivec.capacity s.w_list
-              + Tdrutil.Ivec.capacity s.w_eps
-              + Tdrutil.Ivec.capacity s.r_list
-              + Tdrutil.Ivec.capacity s.r_eps)
-        shadow;
-      (Tdrutil.Slab.n_chunks shadow, !words));
-  let scan entries eps ~sid ~meta =
-    let cur = det.cur in
-    let n = Tdrutil.Ivec.length entries in
-    det.n_scan_entries <- det.n_scan_entries + n;
+  (* one clock lookup per entry, in place of a union-find find *)
+  let scan_report o l eps ~out ~sink ~meta =
+    let cur = o.cur in
+    let n = Tdrutil.Ivec.length l in
+    o.n_scan_entries <- o.n_scan_entries + n;
     for i = 0 to n - 1 do
-      let packed = Tdrutil.Ivec.unsafe_get entries i in
-      if not (Clock.covers cur (packed lsr 31) (Tdrutil.Ivec.unsafe_get eps i))
+      let e = Tdrutil.Ivec.unsafe_get l i in
+      if not (Clock.covers cur (e lsr 31) (Tdrutil.Ivec.unsafe_get eps i))
       then begin
-        let src = packed land sid_mask in
-        if src <> sid then
-          Tdrutil.Ivec.push2 det.r_buf ((src lsl 31) lor sid) meta
+        let src = e land ((1 lsl 31) - 1) in
+        if src <> sink then Tdrutil.Ivec.push2 out ((src lsl 31) lor sink) meta
       end
     done
-  in
-  let on_access ~step ~bid:_ ~idx:_ addr kind =
-    det.n_accesses <- det.n_accesses + 1;
-    let s = Tdrutil.Slab.get shadow addr in
-    let s =
-      if s != null_loc then s
-      else begin
-        let s = fresh_loc () in
-        Tdrutil.Slab.set shadow addr s;
-        det.n_locations <- det.n_locations + 1;
-        s
+
+  let retire_version o = o.retire_ver
+
+  let retire o l eps =
+    let n = Tdrutil.Ivec.length l in
+    let data = Tdrutil.Ivec.unsafe_data l in
+    let edata = Tdrutil.Ivec.unsafe_data eps in
+    let rc = o.retire_clock in
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      let e = Array.unsafe_get data i and ep = Array.unsafe_get edata i in
+      if not (Clock.covers rc (e lsr 31) ep) then begin
+        Array.unsafe_set data !j e;
+        Array.unsafe_set edata !j ep;
+        incr j
       end
-    in
-    (* lazy epoch GC: a retirement wave happened since this location's
-       last sweep (waves occur at finish ends, so never mid-step) *)
-    if s.gc_ver <> det.retire_ver then begin
-      s.gc_ver <- det.retire_ver;
-      det.n_retired <-
-        det.n_retired
-        + retire_lists det s.w_list s.w_eps
-        + retire_lists det s.r_list s.r_eps
-    end;
-    let sid = step.Sdpst.Node.id in
-    register_step det ~dummy step sid;
-    let self_epoch () = Clock.get det.cur det.cur_tidx in
-    (match kind with
-    | Rt.Monitor.Read ->
-        if s.rscan_epoch = sid && s.rscan_gen = det.spill_gen then
-          Tdrutil.Ivec.append_slice det.r_buf s.rscan_lo s.rscan_hi
-        else begin
-          s.rscan_epoch <- sid;
-          s.rscan_gen <- det.spill_gen;
-          s.rscan_lo <- Tdrutil.Ivec.length det.r_buf;
-          scan s.w_list s.w_eps ~sid ~meta:((addr lsl 2) lor wr);
-          s.rscan_hi <- Tdrutil.Ivec.length det.r_buf
-        end;
-        if s.r_epoch <> sid then begin
-          check_sid sid;
-          s.r_epoch <- sid;
-          Tdrutil.Ivec.push s.r_list ((det.cur_tidx lsl 31) lor sid);
-          Tdrutil.Ivec.push s.r_eps (self_epoch ())
-        end
-    | Rt.Monitor.Write ->
-        if s.wscan_epoch = sid && s.wscan_gen = det.spill_gen then
-          Tdrutil.Ivec.append_slice det.r_buf s.wscan_lo s.wscan_hi
-        else begin
-          s.wscan_epoch <- sid;
-          s.wscan_gen <- det.spill_gen;
-          s.wscan_lo <- Tdrutil.Ivec.length det.r_buf;
-          scan s.w_list s.w_eps ~sid ~meta:((addr lsl 2) lor ww);
-          scan s.r_list s.r_eps ~sid ~meta:((addr lsl 2) lor rw);
-          s.wscan_hi <- Tdrutil.Ivec.length det.r_buf
-        end;
-        if s.w_epoch <> sid then begin
-          check_sid sid;
-          s.w_epoch <- sid;
-          Tdrutil.Ivec.push s.w_list ((det.cur_tidx lsl 31) lor sid);
-          Tdrutil.Ivec.push s.w_eps (self_epoch ())
-        end);
-    maybe_spill det
-  in
-  det.monitor <-
-    structural det ~on_init:(fun intern -> det.intern <- intern) ~on_access;
-  det
+    done;
+    Tdrutil.Ivec.truncate l !j;
+    Tdrutil.Ivec.truncate eps !j;
+    n - !j
 
-let make ?layout ?spill = function
-  | Srw -> make_srw ?layout ?spill ()
-  | Mrw -> make_mrw ?layout ?spill ()
+  let stats o =
+    ( [ ("tasks", o.n_tasks); ("clock_merges", o.n_merges);
+        ("scan_entries", o.n_scan_entries) ],
+      [ ("clocks_freed", o.n_clocks_freed) ] )
+end
 
-(** Run [prog] under a fresh vector-clock detector; same contract as
-    {!Espbags.Detector.detect}, including [keep]-based static pruning and
-    the report-invariant [layout]/[spill] memory bounds. *)
-let detect ?fuel ?keep ?layout ?spill mode (prog : Mhj.Ast.program) :
-    t * Rt.Interp.result =
-  let det = make ?layout ?spill mode in
-  let monitor =
-    match keep with
-    | None -> det.monitor
-    | Some keep ->
-        Rt.Monitor.filter
-          ~keep:(fun ~bid ~idx _addr _kind -> keep ~bid ~idx)
-          ~on_skip:(fun () -> det.n_skipped <- det.n_skipped + 1)
-          det.monitor
-  in
-  let res = Rt.Interp.run ?fuel ~monitor prog in
-  Option.iter Espbags.Spill.close det.spill;
-  (det, res)
+include Espbags.Shadow.Make (Order)

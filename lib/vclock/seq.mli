@@ -1,92 +1,36 @@
-(** Vector-clock race detectors for the depth-first interpreter,
-    report-identical to the ESP-bags detectors ({!Espbags.Detector},
-    {!Espbags.Reference}) — same SRW/MRW flavours, same packed hot path,
-    but concurrency decided by {!Clock} tests instead of union-find
-    bags.  Under depth-first delivery both predicates compute precise
-    may-happen-in-parallel for async-finish programs, which the
-    differential suite checks record-for-record.
+(** Vector-clock race detectors for the depth-first interpreter:
+    {!Espbags.Shadow.Make} over vector clocks ({!Clock}).  Same SRW/MRW
+    flavours and the same races, record for record, as
+    {!Espbags.Detector}.
 
-    At scale, memory stays bounded without changing reports (DESIGN.md
-    §15): shadow tables grow in slab chunks, dead tasks' clocks are
-    released at task end, epoch GC retires shadow entries that are
-    permanently ordered before all future work, and race-record overflow
-    spills to disk. *)
+    Under depth-first delivery both orderings compute precise
+    may-happen-in-parallel for async-finish programs.  An access records
+    its task index and that task's epoch; it is concurrent with the
+    current step iff the current task's clock does not cover the epoch:
 
-type mode = Espbags.Detector.mode = Srw | Mrw
+    - an entry by an ancestor (or an earlier epoch of the current task)
+      was inherited at fork time — covered, ordered;
+    - an entry by a task that ended but whose join finish is still open
+      has not been merged anywhere the current task can see — not
+      covered, concurrent (ESP-bags: in a P-bag);
+    - once the finish ends, the accumulator merge makes the current task
+      cover every joined epoch — ordered again (ESP-bags: P-bag unioned
+      into the S-bag).
 
-val pp_mode : mode Fmt.t
+    SRW rows are 8 ints ([[task; sid; epoch; _]] per slot), MRW lists
+    keep a parallel epoch vector.  A task's clock is released the moment
+    it ends (it is only read at its own forks and its end-merge), so
+    clock footprint tracks live tasks.  Epoch GC: when a finish closes
+    with only the root task live, every entry the root's clock covers at
+    that moment is ordered before all future work (which forks from the
+    root and inherits that clock), so MRW entries passing a snapshot of
+    it are retired lazily per location. *)
 
-type t = private {
-  mode : mode;
-  mutable monitor : Rt.Monitor.t;  (** pass to {!Rt.Interp.run} *)
-  steps : Sdpst.Node.t Tdrutil.Vec.t;
-  r_buf : Tdrutil.Ivec.t;
-      (** packed race records, same layout as {!Espbags.Detector} *)
-  spill : Espbags.Spill.t option;
-      (** overflow sink: past its cap, [r_buf] drains to disk *)
-  mutable spill_gen : int;  (** drains so far (invalidates scan memos) *)
-  clocks : Clock.t Tdrutil.Vec.t;
-      (** task index -> clock; replaced by [dead] once the task ends *)
-  dead : Clock.t;  (** shared sentinel standing in for released clocks *)
-  mutable task_stack : int list;
-  mutable fin_stack : Clock.t list;
-  mutable cur : Clock.t;
-  mutable cur_tidx : int;
-  mutable retire_ver : int;  (** epoch-GC retirement waves so far *)
-  mutable retire_clock : Clock.t;
-      (** root-clock snapshot of the last wave (see seq.ml) *)
-  mutable intern : Rt.Addr.Intern.t;
-  mutable n_accesses : int;
-  mutable n_locations : int;
-  mutable n_skipped : int;
-  mutable n_tasks : int;
-  mutable n_merges : int;
-  mutable n_scan_entries : int;
-  mutable n_retired : int;  (** shadow entries dropped by epoch GC *)
-  mutable n_clocks_freed : int;  (** clocks released at task end *)
-  mutable shadow_info : unit -> int * int;
-      (** current (slab count, allocated shadow words) *)
-}
+module Order : sig
+  include Espbags.Shadow.ORDER
 
-(** Races recorded so far (including any spilled to disk), in report
-    order. *)
-val races : t -> Espbags.Race.t list
+  (** The current task's clock. *)
+  val cur : t -> Clock.t
+end
 
-(** ["detector."]-prefixed counters for an {!Obs.Metrics} registry;
-    vclock-specific keys are [detector.tasks], [detector.clock_merges],
-    [detector.scan_entries] and [detector.clocks_freed]; shared scaling
-    keys are [detector.shadow_slabs], [detector.shadow_words],
-    [detector.gc_retired] and [detector.spilled_races]. *)
-val stats : t -> (string * int) list
-
-(** Including spilled records. *)
-val race_count : t -> int
-
-(** Race records spilled to disk so far. *)
-val n_spilled : t -> int
-
-(** Allocated shadow slab count / words. *)
-val shadow_slabs : t -> int
-
-val shadow_words : t -> int
-
-(** No race reported? *)
-val clean : t -> bool
-
-(** Fresh detector of the given flavour.  [layout] picks the shadow
-    growth policy (default: slab-chunked); [spill] bounds in-memory race
-    records.  Neither changes the reported races. *)
-val make :
-  ?layout:Tdrutil.Islab.layout -> ?spill:Espbags.Spill.config -> mode -> t
-
-(** Same contract as {!Espbags.Detector.detect}: [keep] is a
-    per-statement monitoring predicate; rejected accesses are skipped
-    and counted in [n_skipped].  [layout] and [spill] as in {!make}. *)
-val detect :
-  ?fuel:int ->
-  ?keep:(bid:int -> idx:int -> bool) ->
-  ?layout:Tdrutil.Islab.layout ->
-  ?spill:Espbags.Spill.config ->
-  mode ->
-  Mhj.Ast.program ->
-  t * Rt.Interp.result
+include Espbags.Shadow.S with type order = Order.t

@@ -407,7 +407,9 @@ let detect_cmd =
            discharged by mutual exclusion — the detectors run the body
            as a plain scope and cannot see the serialization. *)
         let races, discharged =
-          let surviving, discharged = Repair.Isolate.split prog d.races in
+          let surviving, discharged =
+            Repair.Isolate.split prog (Lazy.force d.races)
+          in
           (surviving, List.length discharged)
         in
         if dump_sdpst then Fmt.pr "%s@." (Sdpst.Serial.to_string res.tree);
@@ -422,7 +424,8 @@ let detect_cmd =
           | `Espbags -> "ESP-bags"
           | `Vclock -> "vector-clock")
           (List.length races)
-          (List.length (Espbags.Race.dedupe_by_steps races));
+          (Espbags.Race.Pairs.length
+             (Repair.Isolate.suppress_pairs prog (Lazy.force d.pairs)));
         Fmt.pr
           "checked %d access(es) over %d location(s); S-DPST has %d node(s)@."
           d.n_accesses d.n_locations res.Rt.Interp.tree.Sdpst.Node.n_nodes;

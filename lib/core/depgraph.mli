@@ -35,15 +35,31 @@ val nonscope_children : Sdpst.Node.t -> Sdpst.Node.t list
     O(1). *)
 val are_crossing : t -> i:int -> k:int -> j:int -> bool
 
-(** Build the dependence graph for [lca] from the races whose NS-LCA is
-    [lca].  [span] supplies subtree completion times (usually
-    {!Sdpst.Analysis.span_memo}).
+(** Build the dependence graph for [lca] from the distinct step pairs
+    whose NS-LCA is [lca], in report order.  [span] supplies subtree
+    completion times (usually {!Sdpst.Analysis.span_memo}).
+
+    Each distinct step is mapped to its raw vertex once.  Sink ids never
+    decrease in report order and node ids are depth-first preorder among
+    steps, so sink vertices never decrease either and raw edges dedupe
+    with a per-source stamp; that order is checked on every edge.
 
     @param coalesce merge signature-identical and pure-sink runs of
       non-async children (default [true]; [false] gives the paper's exact
       one-vertex-per-child construction).
-    @raise Invalid_argument if a race endpoint is not a descendant of a
-      non-scope child of [lca]. *)
+    @raise Invalid_argument if a pair endpoint is not a descendant of a
+      non-scope child of [lca], an edge is not left-to-right, or sink
+      vertices decrease. *)
+val of_pairs :
+  ?coalesce:bool ->
+  span:(Sdpst.Node.t -> int) ->
+  Sdpst.Node.t ->
+  Espbags.Race.Pairs.t ->
+  t
+
+(** {!of_pairs} on the distinct step pairs of [races], taken in order of
+    sink id (a stable sort: races in report order are kept as they are).
+    @raise Invalid_argument as {!of_pairs} *)
 val build :
   ?coalesce:bool ->
   span:(Sdpst.Node.t -> int) ->

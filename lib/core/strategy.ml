@@ -92,7 +92,7 @@ type outcome = {
 let detect ~backend ?fuel ~mode prog :
     Espbags.Race.t list * Sdpst.Node.tree * string =
   let d = Vclock.Select.detect ~backend ?fuel mode prog in
-  (d.races, d.result.tree, d.result.output)
+  (Lazy.force d.races, d.result.tree, d.result.output)
 
 (* Serialization edges for scoring: each discharged race pins its two
    step instances into a depth-first mutual-exclusion order. *)

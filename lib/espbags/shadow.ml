@@ -127,6 +127,11 @@ module type S = sig
   (** Races recorded so far (spilled ones included), in report order. *)
   val races : t -> Race.t list
 
+  (** The distinct step pairs of {!races}, with multiplicities, read in
+      one pass over the spill file and then [r_buf] without building a
+      race record. *)
+  val pairs : t -> Race.Pairs.t
+
   (** The run's counters as ["detector."]-prefixed keys for an
       {!Obs.Metrics} registry: accesses, locations, races, skipped, the
       order's own counters, shadow slabs and words, entries retired by
@@ -224,6 +229,17 @@ module Make (O : ORDER) : S with type order = O.t = struct
         (* spilled records came first: report order is preserved *)
         Spill.records sp ~resolve:(fun sid -> Tdrutil.Vec.get t.steps sid)
         @ in_mem
+
+  let pairs t =
+    Race.Pairs.build ~steps:t.steps (fun add ->
+        Option.iter (fun sp -> Spill.iter_keys sp (fun key -> ignore (add key)))
+          t.spill;
+        let n = Tdrutil.Ivec.length t.r_buf in
+        let i = ref 0 in
+        while !i < n do
+          ignore (add (Tdrutil.Ivec.unsafe_get t.r_buf !i));
+          i := !i + 2
+        done)
 
   let stats t =
     let slabs, words = t.shadow_info () in

@@ -92,43 +92,51 @@ let close t =
       close_out oc;
       t.oc <- None
 
+(* Every [race] line of the file, in spill order, as [f ~line kind addr
+   src sink] with the endpoints parsed. *)
+let iter_lines t f =
+  Option.iter Stdlib.flush t.oc;
+  if t.n_spilled > 0 then begin
+    let ic = open_in t.path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        let lnum = ref 0 in
+        try
+          while true do
+            let line = input_line ic in
+            incr lnum;
+            match String.split_on_char ' ' (String.trim line) with
+            | [ "race"; kind; addr; src; sink ] -> (
+                match (int_of_string_opt src, int_of_string_opt sink) with
+                | Some src, Some sink -> f ~line:!lnum kind addr src sink
+                | _ ->
+                    raise
+                      (Trace.Parse_error ("malformed race endpoints", !lnum)))
+            | [ "" ] | [ "mode"; _ ] | [ "races"; _ ] -> ()
+            | [ m ] when m = Trace.magic -> ()
+            | _ ->
+                raise (Trace.Parse_error ("unrecognized line: " ^ line, !lnum))
+          done
+        with End_of_file -> ())
+  end
+
 (** Read the spilled records back, in spill order.  [resolve] maps a step
     id to its node (the detector's step registry: every spilled id was
     registered when recorded).
     @raise Trace.Parse_error on a corrupted file *)
 let records t ~resolve : Race.t list =
-  Option.iter Stdlib.flush t.oc;
-  if t.n_spilled = 0 then []
-  else begin
-    let ic = open_in t.path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let races = ref [] in
-        let lnum = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             incr lnum;
-             match String.split_on_char ' ' (String.trim line) with
-             | [ "race"; kind; addr; src; sink ] -> (
-                 match (int_of_string_opt src, int_of_string_opt sink) with
-                 | Some src, Some sink ->
-                     races :=
-                       Race.make ~src:(resolve src) ~sink:(resolve sink)
-                         ~addr:(Trace.addr_of_string ~line:!lnum addr)
-                         ~kind:(Trace.kind_of_string ~line:!lnum kind)
-                       :: !races
-                 | _ ->
-                     raise
-                       (Trace.Parse_error ("malformed race endpoints", !lnum))
-                 )
-             | [ "" ] | [ "mode"; _ ] | [ "races"; _ ] -> ()
-             | [ m ] when m = Trace.magic -> ()
-             | _ ->
-                 raise
-                   (Trace.Parse_error ("unrecognized line: " ^ line, !lnum))
-           done
-         with End_of_file -> ());
-        List.rev !races)
-  end
+  let races = ref [] in
+  iter_lines t (fun ~line kind addr src sink ->
+      races :=
+        Race.make ~src:(resolve src) ~sink:(resolve sink)
+          ~addr:(Trace.addr_of_string ~line addr)
+          ~kind:(Trace.kind_of_string ~line kind)
+        :: !races);
+  List.rev !races
+
+(** The packed [(src lsl 31) lor sink] key of every spilled record, in
+    spill order.
+    @raise Trace.Parse_error on a corrupted file *)
+let iter_keys t f =
+  iter_lines t (fun ~line:_ _kind _addr src sink -> f ((src lsl 31) lor sink))

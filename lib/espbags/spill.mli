@@ -46,3 +46,8 @@ val close : t -> unit
     registry).
     @raise Trace.Parse_error on a corrupted file *)
 val records : t -> resolve:(int -> Sdpst.Node.t) -> Race.t list
+
+(** The packed [(src lsl 31) lor sink] step-id key of every spilled
+    record, in spill order, without building the records.
+    @raise Trace.Parse_error on a corrupted file *)
+val iter_keys : t -> (int -> unit) -> unit

@@ -43,23 +43,19 @@ let ns_lca a b = first_nonscope (lca a b)
     if a non-scope node interposes between the result and [anc]. *)
 let nonscope_child_ancestor ~anc n =
   if n.id = anc.id then invalid_arg "nonscope_child_ancestor: n = anc";
-  (* Collect the path n .. anc (exclusive), then take the deepest node c
-     such that everything strictly between c and anc is a scope. *)
-  let rec path_up n acc =
-    if n.id = anc.id then acc
+  (* Walk up from [n] to [anc], keeping the last non-scope node passed
+     ([anc] while there is none): everything above it is a scope. *)
+  let rec up n found =
+    if n.id = anc.id then found
     else
+      let found = if is_nonscope n then n else found in
       match n.parent with
       | None -> invalid_arg "nonscope_child_ancestor: not a descendant"
-      | Some p -> path_up p (n :: acc)
+      | Some p -> up p found
   in
-  let path = path_up n [] in
-  (* [path] is ordered from the child of [anc] down to [n].  Walk down while
-     nodes are scopes; the first non-scope node is the answer. *)
-  let rec first = function
-    | [] -> invalid_arg "nonscope_child_ancestor: all-scope path"
-    | c :: rest -> if is_nonscope c then c else first rest
-  in
-  first path
+  let c = up n anc in
+  if c == anc then invalid_arg "nonscope_child_ancestor: all-scope path";
+  c
 
 (** Paper Theorem 1: two distinct steps [s1] (left) and [s2] (right) can
     execute in parallel iff the non-scope child of their NS-LCA that is an

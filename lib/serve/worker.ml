@@ -43,7 +43,8 @@ let run_detect (flags : P.flags) prog =
   in
   (* Races with both endpoints inside [isolated] sections are discharged
      by mutual exclusion, mirroring Driver.detect and the CLI. *)
-  let races = Repair.Isolate.suppress prog d.races in
+  let races = Repair.Isolate.suppress prog (Lazy.force d.races) in
+  let pairs = Repair.Isolate.suppress_pairs prog (Lazy.force d.pairs) in
   let report =
     J.Obj
       [
@@ -54,8 +55,7 @@ let run_detect (flags : P.flags) prog =
         );
         ("backend", J.Str (Fmt.str "%a" Vclock.Select.pp_choice backend));
         ("races", J.Int (List.length races));
-        ( "race_pairs",
-          J.Int (List.length (Espbags.Race.dedupe_by_steps races)) );
+        ("race_pairs", J.Int (Espbags.Race.Pairs.length pairs));
         ("accesses", J.Int d.n_accesses);
         ("locations", J.Int d.n_locations);
         ("skipped", J.Int d.n_skipped);

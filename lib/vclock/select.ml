@@ -104,7 +104,8 @@ let resolve backend prog =
   | `Auto -> choose prog
 
 type detection = {
-  races : Espbags.Race.t list;
+  races : Espbags.Race.t list Lazy.t;
+  pairs : Espbags.Race.Pairs.t Lazy.t;
   stats : (string * int) list Lazy.t;
   n_accesses : int;
   n_locations : int;
@@ -116,7 +117,8 @@ type detection = {
 let run (module D : Espbags.Shadow.S) ?fuel ?keep ?layout ?spill mode prog =
   let det, result = D.detect ?fuel ?keep ?layout ?spill mode prog in
   {
-    races = D.races det;
+    races = lazy (D.races det);
+    pairs = lazy (D.pairs det);
     stats = lazy (D.stats det);
     n_accesses = det.D.n_accesses;
     n_locations = det.n_locations;

@@ -27,7 +27,10 @@ val resolve :
 
 (** One sequential detection run, whichever backend ran it. *)
 type detection = {
-  races : Espbags.Race.t list;  (** in report order *)
+  races : Espbags.Race.t list Lazy.t;  (** in report order *)
+  pairs : Espbags.Race.Pairs.t Lazy.t;
+      (** their distinct step pairs, read off the packed race buffer
+          without building the records *)
   stats : (string * int) list Lazy.t;
       (** the backend's ["detector."] keys (a pass over the shadow) *)
   n_accesses : int;

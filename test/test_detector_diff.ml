@@ -40,6 +40,10 @@ let tests =
       ~backends:[ Diff_harness.espbags_spilled ]
       ~modes:[ Espbags.Detector.Mrw ]
       ~prunes:[ true ] ()
+  (* The distinct step pairs placement reads off the packed buffer (and
+     the spill file, whose records come first) against the deduped
+     materialized races, on both backends. *)
+  @ Diff_harness.pairs_tests ()
 
 let () =
   Alcotest.run "detector-diff"

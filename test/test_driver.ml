@@ -262,6 +262,42 @@ let incremental_matches_batch =
       && race_free incr.program
       && out batch.program = out incr.program)
 
+(* Races between two isolated sections are discharged on the pair set:
+   the first iteration's race and pair counts are the list-path counts
+   of the surviving races, and the discharged pairs demand no finish. *)
+let test_isolated_pairs_discharged () =
+  let prog =
+    Mhj.Front.compile
+      {|
+var x: int = 0;
+var y: int = 0;
+def main() {
+  for (i = 0 to 3) {
+    async {
+      isolated { x = x + 1; }
+      y = y + i;
+    }
+  }
+  print(y);
+}
+|}
+  in
+  let det, _ = Espbags.Detector.detect Espbags.Detector.Mrw prog in
+  let all = Espbags.Detector.races det in
+  let surviving = Repair.Isolate.suppress prog all in
+  Alcotest.(check bool) "some races discharged" true
+    (List.length surviving < List.length all);
+  let r = Repair.Driver.repair prog in
+  Alcotest.(check bool) "converged" true r.converged;
+  match r.iterations with
+  | it :: _ ->
+      Alcotest.(check int) "races after discharge" (List.length surviving)
+        it.n_races;
+      Alcotest.(check int) "pairs after discharge"
+        (List.length (Espbags.Race.dedupe_by_steps surviving))
+        it.n_race_pairs
+  | [] -> Alcotest.fail "no repair iteration"
+
 let test_report_rendering () =
   let report = repair fib_buggy in
   let text =
@@ -299,6 +335,8 @@ let () =
           Alcotest.test_case "statement order" `Quick
             test_statement_order_preserved;
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
+          Alcotest.test_case "isolated pairs discharged" `Quick
+            test_isolated_pairs_discharged;
         ] );
       ( "strategies",
         [

@@ -126,10 +126,14 @@ let table3_4 () =
         time (fun () -> Espbags.Detector.detect Espbags.Detector.Mrw stripped)
       in
       let rep_srw, t_rep_srw =
-        time (fun () -> Repair.Driver.repair ~mode:Espbags.Detector.Srw stripped)
+        time (fun () -> Repair.Driver.repair
+            ~options:{ Repair.Options.default with mode = Espbags.Detector.Srw }
+            stripped)
       in
       let _rep_mrw, t_rep_mrw =
-        time (fun () -> Repair.Driver.repair ~mode:Espbags.Detector.Mrw stripped)
+        time (fun () -> Repair.Driver.repair
+            ~options:{ Repair.Options.default with mode = Espbags.Detector.Mrw }
+            stripped)
       in
       (* the SRW confirmation run: detection on the repaired program *)
       let _, t_second =
@@ -173,7 +177,9 @@ let fig16 () =
          performance sizes, same final placements) *)
       let stripped = Mhj.Transform.strip_finishes expert in
       let report =
-        Repair.Driver.repair ~mode:Espbags.Detector.Srw stripped
+        Repair.Driver.repair
+          ~options:{ Repair.Options.default with mode = Espbags.Detector.Srw }
+          stripped
       in
       let res_rep = Rt.Interp.run report.program in
       let g_rep = Compgraph.Graph.of_sdpst res_rep.tree in

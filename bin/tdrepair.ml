@@ -18,6 +18,10 @@ let write_file path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
+(* -o's file, or stdout *)
+let write_or_print output src =
+  match output with Some path -> write_file path src | None -> print_string src
+
 module Ec = Repair.Exit_code
 
 (* Every pipeline failure exits through the Exit_code contract with a
@@ -44,27 +48,10 @@ let or_die f =
 
 let compile path = Mhj.Front.compile (read_file path)
 
-(* --set NAME=INT test-input overrides *)
-let apply_sets prog sets =
-  List.fold_left
-    (fun p spec ->
-      match String.index_opt spec '=' with
-      | Some i -> (
-          let name = String.sub spec 0 i in
-          let v = String.sub spec (i + 1) (String.length spec - i - 1) in
-          match int_of_string_opt v with
-          | Some v -> (
-              try Mhj.Transform.set_global_int p name v
-              with Invalid_argument m ->
-                Fmt.epr "error: --set %s: %s@." spec m;
-                exit Ec.input_error)
-          | None ->
-              Fmt.epr "error: --set %s: %S is not an integer@." spec v;
-              exit Ec.input_error)
-      | None ->
-          Fmt.epr "error: --set expects NAME=INT, got %S@." spec;
-          exit Ec.input_error)
-    prog sets
+module O = Repair.Options
+
+(* Load a program with its --set overrides applied. *)
+let load file (o : O.t) = O.apply_sets o.sets (compile file)
 
 (* ---------------------------- arguments ---------------------------- *)
 
@@ -74,64 +61,13 @@ let file_arg =
     & pos 0 (some non_dir_file) None
     & info [] ~docv:"FILE" ~doc:"Mini-HJ source file.")
 
-let mode_arg =
-  let mode_conv =
-    Arg.enum [ ("mrw", Espbags.Detector.Mrw); ("srw", Espbags.Detector.Srw) ]
-  in
-  Arg.(
-    value & opt mode_conv Espbags.Detector.Mrw
-    & info [ "mode" ] ~docv:"MODE"
-        ~doc:
-          "ESP-bags detector flavour: $(b,mrw) (all readers/writers, the \
-           paper's default) or $(b,srw) (single reader-writer).")
-
-let backend_arg =
-  let backend_conv =
-    Arg.enum [ ("espbags", `Espbags); ("vclock", `Vclock); ("auto", `Auto) ]
-  in
-  Arg.(
-    value & opt backend_conv `Espbags
-    & info [ "backend" ] ~docv:"B"
-        ~doc:
-          "Detection backend: $(b,espbags) (the paper's algorithm, the \
-           default), $(b,vclock) (vector clocks, report-identical to \
-           ESP-bags), or $(b,auto) (pick per workload from its task \
-           shape; the choice is printed and recorded in the metrics as \
-           $(b,detector.backend)).")
-
-(* The pick and, for [`Auto], its reason are printed on stdout; the
+(* For [`Auto], the pick and its reason are printed on stdout; the
    driver resolves identically (same Vclock.Select.resolve) for the
    metrics. *)
-let resolve_backend_verbose prog backend =
-  let pick, reason = Vclock.Select.resolve backend prog in
+let print_auto_backend prog (backend : O.backend) =
   if backend = `Auto then
-    Fmt.pr "auto backend: %a (%s)@." Vclock.Select.pp_choice pick reason;
-  pick
-
-let strategy_arg =
-  let strategy_conv =
-    Arg.enum
-      [
-        ("finish", `Finish);
-        ("isolated", `Isolated);
-        ("elide", `Elide);
-        ("chunk", `Chunk);
-        ("tournament", `Tournament);
-      ]
-  in
-  Arg.(
-    value & opt strategy_conv `Finish
-    & info [ "strategy" ] ~docv:"S"
-        ~doc:
-          "Repair strategy: $(b,finish) (the paper's interval-DP finish \
-           insertion, the default), $(b,isolated) (wrap the racing \
-           statements in mutually-exclusive isolated sections), \
-           $(b,elide) (demote the offending asyncs to inline sequential \
-           execution), $(b,chunk) (split a racy loop into sub-loops with \
-           a finish at every chunk seam), or $(b,tournament) (run all \
-           four, verify each race-free, and keep the minimum-CPL winner; \
-           ties break toward $(b,finish)).  Per-strategy outcomes land \
-           in the metrics as $(b,strategy.*).")
+    let pick, reason = Vclock.Select.resolve backend prog in
+    Fmt.pr "auto backend: %a (%s)@." Vclock.Select.pp_choice pick reason
 
 (* Per-candidate tournament summary shared by detect (preview) and
    repair. *)
@@ -149,55 +85,18 @@ let pp_candidates ppf (outcome : Repair.Strategy.outcome) =
             (if c.note = "" then "no race-free candidate" else c.note))
     outcome.Repair.Strategy.candidates
 
-let set_arg =
+let sets_arg = Options_cli.arg O.Row.sets O.default.sets
+
+let quiet_arg =
   Arg.(
-    value & opt_all string []
-    & info [ "set" ] ~docv:"NAME=INT"
-        ~doc:
-          "Override an int global's initializer — vary the test input \
-           without editing the program.  Repeatable.")
+    value & flag
+    & info [ "q"; "quiet" ] ~doc:"Do not print the repaired program.")
 
 let output_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Write the result to $(docv).")
-
-let budgets_term =
-  let fuel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget-fuel" ] ~docv:"N"
-          ~doc:
-            "Interpreter budget: abort any execution after $(docv) cost \
-             units (exit code 4).")
-  in
-  let sdpst =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget-sdpst" ] ~docv:"N"
-          ~doc:
-            "S-DPST budget: when a detection run's tree exceeds $(docv) \
-             nodes, collapse race-free regions before placement.  The \
-             repair still converges; the degradation is recorded in the \
-             report and by exit code 4.")
-  in
-  let dp =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget-dp" ] ~docv:"N"
-          ~doc:
-            "Placement-DP budget in work units (~cube of the dependence \
-             graph size).  Affordable groups get the exact DP; exhausted \
-             groups degrade to per-edge interval covers (exit code 4).")
-  in
-  let mk fuel sdpst_nodes dp_work =
-    { Repair.Guard.fuel; sdpst_nodes; dp_work }
-  in
-  Term.(const mk $ fuel $ sdpst $ dp)
 
 let timeout_arg =
   Arg.(
@@ -224,7 +123,7 @@ let parse_cmd =
 let run_cmd =
   let run file procs sets par seed pace_ns =
     or_die (fun () ->
-        let prog = apply_sets (compile file) sets in
+        let prog = O.apply_sets sets (compile file) in
         match par with
         | None ->
             let res = Rt.Interp.run prog in
@@ -312,48 +211,25 @@ let run_cmd =
        ~doc:
          "Execute a program: depth-first with work/critical-path analysis \
           (default), or for real on the parallel backend ($(b,--par)).")
-    Term.(const run $ file_arg $ procs $ set_arg $ par $ seed $ pace)
+    Term.(const run $ file_arg $ procs $ sets_arg $ par $ seed $ pace)
 
-let static_prune_arg =
-  Arg.(
-    value & flag
-    & info [ "static-prune" ]
-        ~doc:
-          "Run the static MHP pre-pass first and skip instrumenting \
-           accesses it proves sequential.  With $(b,--mode mrw) the \
-           reported race set is unchanged; detection only gets cheaper.")
+(* Print the repaired program, or write it to -o's file. *)
+let emit_repaired ~output ~quiet prog =
+  let src = Mhj.Pretty.program_to_string prog in
+  match output with
+  | Some path ->
+      write_file path src;
+      Fmt.pr "repaired program written to %s@." path
+  | None -> if not quiet then print_string src
 
-(* --shadow-chunk / --spill: detector memory bounds (DESIGN.md §15);
-   shared by detect and repair.  Neither changes the reported races. *)
-let shadow_chunk_arg =
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Ok n
-      | Some _ -> Error (`Msg "chunk size must be positive")
-      | None -> Error (`Msg (Fmt.str "%S is not an integer" s))
-    in
-    Arg.conv (parse, Fmt.int)
-  in
-  Arg.(
-    value
-    & opt (some pos_int) None
-    & info [ "shadow-chunk" ] ~docv:"N"
-        ~doc:
-          "Grow the detector's shadow tables in slab chunks of $(docv) \
-           slots (default 8192; rounded up to a power of two).  Reported \
-           races are unchanged; smaller chunks track sparse address \
-           spaces more tightly.")
-
-let spill_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "spill" ] ~docv:"FILE"
-        ~doc:
-          "Bound in-memory race records by draining overflow to $(docv) \
-           (a loadable race-trace file, removed again if nothing \
-           spills).  Reported races are unchanged.")
+(* The --trace timeline and the --metrics counters of a repair. *)
+let save_telemetry ~trace_file ~metrics_file metrics =
+  Option.iter (fun path -> Obs.Trace.save path) trace_file;
+  Option.iter
+    (fun path ->
+      Obs.Json.save path
+        (Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Int v)) metrics)))
+    metrics_file
 
 (* Fail fast on an unwritable spill path (the detector only opens it on
    first overflow, which could be minutes into a run). *)
@@ -363,9 +239,7 @@ let check_spill_writable spill =
       try
         let oc = open_out_gen [ Open_wronly; Open_creat ] 0o644 path in
         close_out oc
-      with Sys_error m ->
-        Fmt.epr "error: --spill %s: %s@." path m;
-        exit Ec.input_error)
+      with Sys_error m -> Options_cli.input_error "--spill %s: %s" path m)
     spill
 
 (* A spill file that never received records is an empty stub, not a
@@ -376,42 +250,24 @@ let cleanup_spill spill ~n_spilled =
   | _ -> ()
 
 let detect_cmd =
-  let run file mode backend strategy sets trace dump_tree dump_sdpst
-      static_prune shadow_chunk spill timeout_ms =
+  let run file (o : O.t) trace dump_tree dump_sdpst timeout_ms =
     or_die (fun () ->
       Rt.Watchdog.with_timeout ~ms:timeout_ms @@ fun () ->
-        let prog = apply_sets (compile file) sets in
-        let backend = resolve_backend_verbose prog backend in
-        check_spill_writable spill;
-        let layout = Option.map (fun n -> Tdrutil.Islab.Chunked n) shadow_chunk in
-        let spill_cfg = Option.map Espbags.Spill.config spill in
-        let keep =
-          if static_prune then begin
-            let pr = Static.Prune.make prog in
+        let prog = load file o in
+        print_auto_backend prog o.backend;
+        check_spill_writable o.spill;
+        let d = Repair.Driver.detect o prog in
+        Option.iter
+          (fun pr ->
             Fmt.pr
               "static prune: %d of %d statement(s) stay monitored (%d \
                unproven MHP conflict(s))@."
               (Static.Prune.n_kept pr) (Static.Prune.n_stmts pr)
-              (Static.Prune.n_conflicts pr);
-            Some (Static.Prune.keep_fn pr)
-          end
-          else None
-        in
-        let d =
-          Vclock.Select.detect ~backend ?keep ?layout ?spill:spill_cfg mode
-            prog
-        in
-        let res = d.result and n_spilled = d.n_spilled in
-        cleanup_spill spill ~n_spilled;
-        (* Races with both endpoints inside [isolated] sections are
-           discharged by mutual exclusion — the detectors run the body
-           as a plain scope and cannot see the serialization. *)
-        let races, discharged =
-          let surviving, discharged =
-            Repair.Isolate.split prog (Lazy.force d.races)
-          in
-          (surviving, List.length discharged)
-        in
+              (Static.Prune.n_conflicts pr))
+          d.prune;
+        let res = d.run.result and n_spilled = d.run.n_spilled in
+        cleanup_spill o.spill ~n_spilled;
+        let races, discharged = Lazy.force d.races in
         if dump_sdpst then Fmt.pr "%s@." (Sdpst.Serial.to_string res.tree);
         (match dump_tree with
         | Some path ->
@@ -419,23 +275,23 @@ let detect_cmd =
             Fmt.pr "S-DPST written to %s@." path
         | None -> ());
         Fmt.pr "%a %s: %d race report(s), %d distinct step pair(s)@."
-          Espbags.Detector.pp_mode mode
-          (match backend with
+          Espbags.Detector.pp_mode o.mode
+          (match d.backend with
           | `Espbags -> "ESP-bags"
           | `Vclock -> "vector-clock")
           (List.length races)
-          (Espbags.Race.Pairs.length
-             (Repair.Isolate.suppress_pairs prog (Lazy.force d.pairs)));
+          (Espbags.Race.Pairs.length (Lazy.force d.pairs));
         Fmt.pr
           "checked %d access(es) over %d location(s); S-DPST has %d node(s)@."
-          d.n_accesses d.n_locations res.Rt.Interp.tree.Sdpst.Node.n_nodes;
-        if d.n_skipped > 0 then
-          Fmt.pr "skipped %d access(es) proven sequential@." d.n_skipped;
-        if discharged > 0 then
+          d.run.n_accesses d.run.n_locations
+          res.Rt.Interp.tree.Sdpst.Node.n_nodes;
+        if d.run.n_skipped > 0 then
+          Fmt.pr "skipped %d access(es) proven sequential@." d.run.n_skipped;
+        if discharged <> [] then
           Fmt.pr
             "discharged %d race report(s) serialized by isolated section(s)@."
-            discharged;
-        (match spill with
+            (List.length discharged);
+        (match o.spill with
         | Some path when n_spilled > 0 ->
             Fmt.pr "spilled %d race record(s) to %s@." n_spilled path
         | _ -> ());
@@ -446,16 +302,15 @@ let detect_cmd =
           races;
         (* --strategy=S previews how each repair strategy would fare on
            the detected races, without rewriting anything. *)
-        (match strategy with
+        (match o.strategy with
         | `Finish -> ()
         | choice when races = [] ->
             Fmt.pr "strategy %a: program already race-free@."
               Repair.Strategy.pp_choice choice
         | choice -> (
+            (* the preview's candidates must not write the spill file *)
             match
-              Repair.Strategy.run ~mode
-                ~backend:(backend :> Repair.Driver.backend)
-                choice prog
+              Repair.Strategy.run ~options:{ o with spill = None } choice prog
             with
             | outcome ->
                 Fmt.pr "strategy %a: %a would win@." Repair.Strategy.pp_choice
@@ -466,7 +321,7 @@ let detect_cmd =
                 Fmt.pr "strategy %a: %s@." Repair.Strategy.pp_choice choice m));
         match trace with
         | Some path ->
-            Espbags.Trace.save path ~mode races;
+            Espbags.Trace.save path ~mode:o.mode races;
             Fmt.pr "trace written to %s@." path
         | None -> ())
   in
@@ -494,9 +349,8 @@ let detect_cmd =
          "Execute a program under a race detector (ESP-bags or vector \
           clocks, see $(b,--backend)) and report its data races.")
     Term.(
-      const run $ file_arg $ mode_arg $ backend_arg $ strategy_arg $ set_arg
-      $ trace $ dump_tree $ dump $ static_prune_arg $ shadow_chunk_arg
-      $ spill_arg $ timeout_arg)
+      const run $ file_arg $ Options_cli.term O.Detect $ trace $ dump_tree
+      $ dump $ timeout_arg)
 
 let analyze_cmd =
   let run file tree_path trace_path output quiet =
@@ -516,13 +370,7 @@ let analyze_cmd =
               (Repair.Report.pp_placement_loc scopes)
               p)
           merged.Repair.Static_place.placements;
-        let repaired = Repair.Static_place.apply prog merged in
-        let src = Mhj.Pretty.program_to_string repaired in
-        match output with
-        | Some path ->
-            write_file path src;
-            Fmt.pr "repaired program written to %s@." path
-        | None -> if not quiet then print_string src)
+        emit_repaired ~output ~quiet (Repair.Static_place.apply prog merged))
   in
   let tree_path =
     Arg.(
@@ -538,70 +386,36 @@ let analyze_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Race trace produced by $(b,detect --trace).")
   in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ] ~doc:"Do not print the repaired program.")
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
          "Compute finish placements offline from a recorded S-DPST and race \
           trace (the paper's Appendix A analyzer; no re-execution).")
-    Term.(const run $ file_arg $ tree_path $ trace_path $ output_arg $ quiet)
-
-let static_verify_arg =
-  Arg.(
-    value & flag
-    & info [ "static-verify" ]
-        ~doc:
-          "After convergence, run the static race checker on the repaired \
-           program.  If it discharges every MHP pair, the repair is \
-           race-free for $(i,all) inputs; otherwise the unproven pairs \
-           are listed and the command exits 4.")
+    Term.(
+      const run $ file_arg $ tree_path $ trace_path $ output_arg $ quiet_arg)
 
 let repair_cmd =
-  let run file mode backend placement strategy sets budgets output
-      report_flag quiet static_prune static_verify validate_par validate_seed
-      budget_validate shadow_chunk spill trace_file metrics_file timeout_ms =
+  let run file (o : O.t) output report_flag quiet validate_par validate_seed
+      budget_validate trace_file metrics_file timeout_ms =
     (* Enable tracing before the compile so the parse/typecheck/normalize
        spans land in the file too. *)
     if trace_file <> None then Obs.Trace.enable ();
     or_die (fun () ->
       Rt.Watchdog.with_timeout ~ms:timeout_ms @@ fun () ->
-        check_spill_writable spill;
-        let prog = apply_sets (compile file) sets in
-        let backend = resolve_backend_verbose prog backend in
-        match strategy with
+        check_spill_writable o.spill;
+        let prog = load file o in
+        print_auto_backend prog o.backend;
+        match o.strategy with
         | (`Isolated | `Elide | `Chunk | `Tournament) as choice ->
             (* Alternative repair strategies go through the tournament
                layer; the winner is verified race-free by a fresh
                detection run before it is printed. *)
-            let outcome =
-              Repair.Strategy.run ~mode
-                ~backend:(backend :> Repair.Driver.backend)
-                choice prog
-            in
+            let outcome = Repair.Strategy.run ~options:o choice prog in
             Fmt.pr "strategy %a: %a wins@." Repair.Strategy.pp_choice choice
               Repair.Strategy.pp_kind outcome.Repair.Strategy.winner.kind;
             Fmt.pr "%a" pp_candidates outcome;
-            Option.iter
-              (fun path ->
-                Obs.Json.save path
-                  (Obs.Json.Obj
-                     (List.map
-                        (fun (k, v) -> (k, Obs.Json.Int v))
-                        outcome.Repair.Strategy.metrics)))
-              metrics_file;
-            Option.iter (fun path -> Obs.Trace.save path) trace_file;
-            let src =
-              Mhj.Pretty.program_to_string outcome.Repair.Strategy.program
-            in
-            (match output with
-            | Some path ->
-                write_file path src;
-                Fmt.pr "repaired program written to %s@." path
-            | None -> if not quiet then print_string src)
+            save_telemetry ~trace_file ~metrics_file outcome.metrics;
+            emit_repaired ~output ~quiet outcome.program
         | `Finish ->
         let validate_par =
           Option.map
@@ -613,28 +427,15 @@ let repair_cmd =
               })
             validate_par
         in
-        let report =
-          Repair.Driver.repair ~mode
-            ~backend:(backend :> Repair.Driver.backend)
-            ~strategy:placement ~budgets ~static_prune ~static_verify
-            ?validate_par ?shadow_chunk ?spill prog
-        in
+        let report = Repair.Driver.repair ~options:o ?validate_par prog in
         let n_spilled =
           Option.value ~default:0
             (List.assoc_opt "detector.spilled_races"
                report.Repair.Driver.metrics)
         in
-        cleanup_spill spill ~n_spilled;
+        cleanup_spill o.spill ~n_spilled;
         (* Write telemetry before anything below can [exit]. *)
-        Option.iter (fun path -> Obs.Trace.save path) trace_file;
-        Option.iter
-          (fun path ->
-            Obs.Json.save path
-              (Obs.Json.Obj
-                 (List.map
-                    (fun (k, v) -> (k, Obs.Json.Int v))
-                    report.Repair.Driver.metrics)))
-          metrics_file;
+        save_telemetry ~trace_file ~metrics_file report.metrics;
         if report_flag then Fmt.pr "%a" Repair.Report.pp (prog, report)
         else begin
           Fmt.pr "%s after %d iteration(s); %d finish statement(s) inserted@."
@@ -664,12 +465,7 @@ let repair_cmd =
             (* the --report path prints this via Report.pp *)
             Fmt.pr "parallel validation: %a@." Par.Validate.pp v
         | _ -> ());
-        let src = Mhj.Pretty.program_to_string report.program in
-        (match output with
-        | Some path ->
-            write_file path src;
-            Fmt.pr "repaired program written to %s@." path
-        | None -> if not quiet then print_string src);
+        emit_repaired ~output ~quiet report.program;
         if not report.converged then exit Ec.not_converged;
         (* a schedule divergence means the "repaired" program still behaves
            nondeterministically: the repair did not actually converge *)
@@ -687,21 +483,6 @@ let repair_cmd =
       value & flag
       & info [ "report" ]
           ~doc:"Print the detailed per-iteration repair report.")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ] ~doc:"Do not print the repaired program.")
-  in
-  let placement =
-    Arg.(
-      value
-      & opt (enum [ ("batch", `Batch); ("incremental", `Incremental) ]) `Batch
-      & info [ "placement" ] ~docv:"P"
-          ~doc:
-            "Finish-placement strategy: $(b,batch) (all NS-LCA groups per \
-             detection run) or $(b,incremental) (the paper's §6.1 \
-             live-S-DPST loop).")
   in
   let validate_par =
     Arg.(
@@ -764,20 +545,16 @@ let repair_cmd =
           input, 4 repaired but degraded by a $(b,--budget-*) limit or \
           left unproven by $(b,--static-verify), 5 unrepairable.")
     Term.(
-      const run $ file_arg $ mode_arg $ backend_arg $ placement
-      $ strategy_arg $ set_arg $ budgets_term $ output_arg $ report_flag
-      $ quiet $ static_prune_arg $ static_verify_arg $ validate_par
-      $ validate_seed $ budget_validate $ shadow_chunk_arg $ spill_arg
+      const run $ file_arg $ Options_cli.term O.Repair $ output_arg
+      $ report_flag $ quiet_arg $ validate_par $ validate_seed $ budget_validate
       $ trace_file $ metrics_file $ timeout_arg)
 
 let strip_cmd =
   let run file output =
     or_die (fun () ->
-        let prog = Mhj.Transform.strip_finishes (compile file) in
-        let src = Mhj.Pretty.program_to_string prog in
-        match output with
-        | Some path -> write_file path src
-        | None -> print_string src)
+        write_or_print output
+          (Mhj.Pretty.program_to_string
+             (Mhj.Transform.strip_finishes (compile file))))
   in
   Cmd.v
     (Cmd.info "strip"
@@ -789,11 +566,8 @@ let strip_cmd =
 let elide_cmd =
   let run file output =
     or_die (fun () ->
-        let prog = Mhj.Elision.elide (compile file) in
-        let src = Mhj.Pretty.program_to_string prog in
-        match output with
-        | Some path -> write_file path src
-        | None -> print_string src)
+        write_or_print output
+          (Mhj.Pretty.program_to_string (Mhj.Elision.elide (compile file))))
   in
   Cmd.v
     (Cmd.info "elide"
@@ -803,7 +577,7 @@ let elide_cmd =
 let coverage_cmd =
   let run file sets =
     or_die (fun () ->
-        let prog = apply_sets (compile file) sets in
+        let prog = O.apply_sets sets (compile file) in
         let res = Rt.Interp.run prog in
         let cov = Repair.Coverage.of_runs prog [ res.tree ] in
         Fmt.pr "%a@." Repair.Coverage.pp cov)
@@ -813,7 +587,7 @@ let coverage_cmd =
        ~doc:
          "Report which statements and async sites the test input exercises \
           (paper §9 extension).")
-    Term.(const run $ file_arg $ set_arg)
+    Term.(const run $ file_arg $ sets_arg)
 
 let grade_cmd =
   let run verbose =
@@ -886,7 +660,7 @@ let grade_file_cmd =
 let explain_cmd =
   let run file sets =
     or_die (fun () ->
-        let prog = apply_sets (compile file) sets in
+        let prog = O.apply_sets sets (compile file) in
         let det, res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
         let races = Espbags.Detector.races det in
         let a, f, s, st = Sdpst.Node.count_by_kind res.tree in
@@ -945,7 +719,7 @@ let explain_cmd =
     (Cmd.info "explain"
        ~doc:
          "Explain a program's parallel structure: S-DPST shape, work and           critical path, contended locations, per-NS-LCA dependence graphs           and the suggested repair — the teaching view behind the paper's           course use-case.")
-    Term.(const run $ file_arg $ set_arg)
+    Term.(const run $ file_arg $ sets_arg)
 
 let bench_list_cmd =
   let run () =
@@ -966,17 +740,13 @@ let emit_cmd =
             Fmt.epr "unknown benchmark %S; try 'tdrepair benchmarks'@." name;
             exit Ec.input_error
         | Some b ->
-            let src =
-              match which with
+            write_or_print output
+              (match which with
               | `Repair -> b.repair_src
               | `Perf -> b.perf_src
               | `Stripped ->
                   Mhj.Pretty.program_to_string
-                    (Benchsuite.Bench.stripped_program b)
-            in
-            (match output with
-            | Some path -> write_file path src
-            | None -> print_string src))
+                    (Benchsuite.Bench.stripped_program b)))
   in
   let name_arg =
     Arg.(
@@ -1017,10 +787,8 @@ let lint_cmd =
               lint_one ("bench:" ^ b.name)
                 (Mhj.Front.compile b.repair_src))
             Benchsuite.Suite.all;
-        if files = [] && not suite then begin
-          Fmt.epr "error: no input files (pass FILE... or --suite)@.";
-          exit Ec.input_error
-        end;
+        if files = [] && not suite then
+          Options_cli.input_error "no input files (pass FILE... or --suite)";
         if !total = 0 then Fmt.pr "no findings@."
         else begin
           Fmt.pr "%d finding(s)@." !total;
@@ -1167,7 +935,7 @@ let serve_cmd =
 
 let call_cmd =
   let module J = Obs.Json in
-  let run socket health shutdown op id file sets timeout_ms trace strategy =
+  let run socket health shutdown op id file (o : O.t) timeout_ms trace =
     or_die (fun () ->
         let req =
           if health then J.Obj [ ("op", J.Str "health") ]
@@ -1177,47 +945,35 @@ let call_cmd =
               match file with
               | Some f -> f
               | None ->
-                  Fmt.epr "error: FILE is required unless --health or \
-                           --shutdown is given@.";
-                  exit Ec.input_error
+                  Options_cli.input_error
+                    "FILE is required unless --health or --shutdown is given"
             in
-            let sets =
-              List.filter_map
-                (fun spec ->
-                  match String.index_opt spec '=' with
-                  | Some i ->
-                      Option.map
-                        (fun v -> (String.sub spec 0 i, J.Int v))
-                        (int_of_string_opt
-                           (String.sub spec (i + 1)
-                              (String.length spec - i - 1)))
-                  | None -> None)
-                sets
+            let options =
+              match O.to_json o with J.Obj kvs -> kvs | _ -> []
             in
             let flags =
-              (if sets = [] then [] else [ ("set", J.Obj sets) ])
+              options
               @ (match timeout_ms with
                 | Some t -> [ ("timeout_ms", J.Int t) ]
                 | None -> [])
-              @ (match strategy with
-                | `Finish -> []
-                | c ->
-                    [
-                      ( "strategy",
-                        J.Str (Fmt.str "%a" Repair.Strategy.pp_choice c) );
-                    ])
               @ if trace then [ ("trace", J.Bool true) ] else []
             in
             J.Obj
-              ([
-                 ("op", J.Str op);
-                 ("id", J.Str id);
-                 ("src", J.Str (read_file file));
-               ]
-              @ if flags = [] then [] else [ ("flags", J.Obj flags) ])
+              [
+                ("op", J.Str op);
+                ("id", J.Str id);
+                ("src", J.Str (read_file file));
+                ("flags", J.Obj flags);
+              ]
           end
         in
-        let c = Serve.Client.connect socket in
+        let c =
+          try Serve.Client.connect socket
+          with Unix.Unix_error (e, _, _) ->
+            Fmt.epr "error: cannot reach a daemon at %s: %s@." socket
+              (Unix.error_message e);
+            exit Ec.unavailable
+        in
         Serve.Client.send_json c req;
         match Serve.Client.recv c with
         | None ->
@@ -1270,6 +1026,13 @@ let call_cmd =
       & info [ "trace" ]
           ~doc:"Ask for the job's pipeline span names in the reply.")
   in
+  (* call takes two of the job options; the daemon fills in the rest *)
+  let options =
+    Term.(
+      const (fun strategy sets -> { O.default with strategy; sets })
+      $ Options_cli.arg O.Row.strategy O.default.strategy
+      $ sets_arg)
+  in
   Cmd.v
     (Cmd.info "call"
        ~doc:
@@ -1277,8 +1040,8 @@ let call_cmd =
           $(b,tdrepair serve) daemon and print the raw JSON reply.  Exit \
           codes: 0 ok, 4 degraded, 1 failed/overloaded.")
     Term.(
-      const run $ socket_arg $ health $ shutdown $ op $ id $ file $ set_arg
-      $ timeout_arg $ trace $ strategy_arg)
+      const run $ socket_arg $ health $ shutdown $ op $ id $ file $ options
+      $ timeout_arg $ trace)
 
 let main_cmd =
   let doc =

@@ -123,7 +123,51 @@ exception Unrepairable of string
     automatic per-workload pick ({!Vclock.Select.resolve}).  The resolved
     choice is recorded in [report.metrics] as [detector.backend]
     (0 = espbags, 1 = vclock). *)
-type backend = [ `Espbags | `Vclock | `Auto ]
+type backend = Options.backend
+
+(* ------------------------------------------------------------------ *)
+(* One detection run                                                   *)
+(* ------------------------------------------------------------------ *)
+
+type detection = {
+  backend : Vclock.Select.choice;
+  prune : Static.Prune.t option;
+  run : Vclock.Select.detection;
+  races : (Espbags.Race.t list * Espbags.Race.t list) Lazy.t;
+  pairs : Espbags.Race.Pairs.t Lazy.t;
+}
+
+let detect (o : Options.t) prog =
+  let backend = fst (Vclock.Select.resolve o.backend prog) in
+  let prune =
+    if o.static_prune then
+      Some
+        (Guard.at_stage Diag.Lint (fun () ->
+             Obs.Trace.with_span "static-prune" (fun () ->
+                 Static.Prune.make prog)))
+    else None
+  in
+  let run =
+    Guard.at_stage Diag.Detect (fun () ->
+        Obs.Trace.with_span "detect" (fun () ->
+            Vclock.Select.detect ~backend
+              ?fuel:(Guard.effective_fuel o.budgets)
+              ?keep:(Option.map Static.Prune.keep_fn prune)
+              ?layout:
+                (Option.map (fun n -> Tdrutil.Islab.Chunked n) o.shadow_chunk)
+              ?spill:(Option.map Espbags.Spill.config o.spill)
+              o.mode prog))
+  in
+  (* Races whose both endpoints sit inside [isolated] sections are
+     discharged by mutual exclusion — the detectors run the body as a
+     plain scope and cannot see the serialization. *)
+  {
+    backend;
+    prune;
+    run;
+    races = lazy (Isolate.split prog (Lazy.force run.races));
+    pairs = lazy (Isolate.suppress_pairs prog (Lazy.force run.pairs));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Single-iteration placement                                          *)
@@ -485,52 +529,39 @@ let enforce_sdpst_budget ~guard (tree : Sdpst.Node.tree) (pairs : Pairs.t) :
 
 (** Repair [prog]: iterate detection and placement until race-free.
 
-    @param mode detector flavour (default {!Espbags.Detector.Mrw})
-    @param strategy how one iteration maps races to placements:
-      [`Batch] (default) solves every NS-LCA group against the one S-DPST
-      of the detection run and merges the demands; [`Incremental] is the
-      paper's §6.1 loop, splicing each finish into a live S-DPST and
-      re-deriving the remaining races' NS-LCAs before the next placement.
-      Both converge to race-free programs; [`Batch] does less work per
-      iteration on large race sets.
-    @param max_iterations safety bound on repair iterations (default 10)
-    @param fuel interpreter fuel per run
-    @param budgets resource budgets (default {!Guard.unlimited}); on
-      exhaustion the repair degrades gracefully and records how in
-      [degradations]
-    @param static_prune run the static MHP pre-pass before each detection
-      run and skip instrumenting accesses it proves sequential (identical
-      race sets with MRW; see {!Static.Prune})
-    @param static_verify after convergence, run the static race checker on
-      the repaired program and record whether it is race-free for {e all}
-      inputs ([verified_static]), with unproven pairs in [static_residual]
+    @param options the job options (default {!Options.default}).  Its
+      [placement] decides how one iteration maps races to placements:
+      [`Batch] solves every NS-LCA group against the one S-DPST of the
+      detection run and merges the demands; [`Incremental] is the paper's
+      §6.1 loop, splicing each finish into a live S-DPST and re-deriving
+      the remaining races' NS-LCAs before the next placement.  Both
+      converge to race-free programs; [`Batch] does less work per
+      iteration on large race sets.  On budget exhaustion the repair
+      degrades gracefully and records how in [degradations].
     @raise Unrepairable if some race admits no scope-valid fix
     @raise Diag.Fail on typed pipeline failures (see {!repair_checked} for
       the total variant) *)
-let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
-    ?(strategy = `Batch) ?(max_iterations = default_max_iterations) ?fuel
-    ?(budgets = Guard.unlimited) ?(static_prune = false)
-    ?(static_verify = false) ?validate_par ?shadow_chunk ?spill
+let repair ?options:(o = Options.default) ?validate_par
     (prog : Mhj.Ast.program) : report =
-  let layout = Option.map (fun n -> Tdrutil.Islab.Chunked n) shadow_chunk in
-  let spill = Option.map Espbags.Spill.config spill in
-  let guard = Guard.make budgets in
-  let fuel = Guard.effective_fuel guard fuel in
+  let guard = Guard.make o.budgets in
+  let fuel = Guard.effective_fuel o.budgets in
   let metrics = Obs.Metrics.create () in
   declare_metrics metrics;
   let backend =
-    let pick, reason = Vclock.Select.resolve backend prog in
-    if backend = `Auto then
+    let pick, reason = Vclock.Select.resolve o.backend prog in
+    if o.backend = `Auto then
       Log.info (fun m ->
           m "backend auto-selection: %a (%s)" Vclock.Select.pp_choice pick
             reason);
     pick
   in
+  (* every iteration detects under the resolved pick *)
+  let detect_options = { o with backend = (backend :> backend) } in
   Obs.Metrics.set metrics "detector.backend"
     (match backend with `Espbags -> 0 | `Vclock -> 1);
   let finish program iterations ~converged ~final_races =
     let verified_static, static_residual =
-      if static_verify && converged then
+      if o.static_verify && converged then
         let summary, _mhp, cs =
           Guard.at_stage Diag.Lint (fun () ->
               Obs.Trace.with_span "static-verify" (fun () ->
@@ -564,7 +595,7 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
       (List.length (Guard.degradations guard));
     {
       program;
-      mode;
+      mode = o.mode;
       iterations = List.rev iterations;
       converged;
       final_races;
@@ -587,31 +618,15 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
       Faultinject.fire_slow ();
       (* the pre-pass is recomputed per iteration: inserted finishes shrink
          the MHP relation, so later runs may skip more *)
-      let keep =
-        if static_prune then begin
-          let pr =
-            Guard.at_stage Diag.Lint (fun () ->
-                Obs.Trace.with_span "static-prune" (fun () ->
-                    Static.Prune.make program))
-          in
-          (* gauges: the latest pre-pass describes the current program *)
+      let d = detect detect_options program in
+      (* gauges: the latest pre-pass describes the current program *)
+      Option.iter
+        (fun pr ->
           List.iter
             (fun (k, v) -> Obs.Metrics.set metrics k v)
-            (Static.Prune.stats pr);
-          Some (Static.Prune.keep_fn pr)
-        end
-        else None
-      in
-      (* Both backends share the detection contract: run the program
-         depth-first, return the same Race.t records over the same
-         S-DPST (the differential suite holds them report-identical). *)
-      let d =
-        Guard.at_stage Diag.Detect (fun () ->
-            Obs.Trace.with_span "detect" (fun () ->
-                Vclock.Select.detect ~backend ?fuel ?keep ?layout ?spill mode
-                  program))
-      in
-      let res = d.result and stats = Lazy.force d.stats in
+            (Static.Prune.stats pr))
+        d.prune;
+      let res = d.run.result and stats = Lazy.force d.run.stats in
       let detect_time = Unix.gettimeofday () -. t0 in
       (* shadow sizes and RSS are gauges (the latest run's footprint),
          unlike the rest of the detector schema, which accumulates
@@ -626,10 +641,7 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
           if shadow_gauge kv then Obs.Metrics.set metrics k v)
         stats;
       Obs.Metrics.set metrics "detector.peak_rss_kb" (Obs.Rusage.peak_rss_kb ());
-      (* Races whose both endpoints sit inside [isolated] sections are
-         discharged by mutual exclusion — the detectors run the body as a
-         plain scope and cannot see the serialization. *)
-      let pairs = Isolate.suppress_pairs program (Lazy.force d.pairs) in
+      let pairs = Lazy.force d.pairs in
       if Pairs.length pairs = 0 then `Converged
       else if remaining = 0 then `Exhausted (Pairs.n_races pairs)
       else begin
@@ -637,7 +649,7 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
         enforce_sdpst_budget ~guard res.Rt.Interp.tree pairs;
         let groups, merged =
           Guard.at_stage ~passthrough:is_unrepairable Diag.Place (fun () ->
-              match strategy with
+              match o.placement with
               | `Batch -> place_pairs ~guard ~program pairs
               | `Incremental ->
                   place_pairs_incremental ~guard ~program res.Rt.Interp.tree
@@ -660,8 +672,8 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
             detect_time;
             place_time;
             sdpst_nodes = res.tree.Sdpst.Node.n_nodes;
-            n_accesses = d.n_accesses;
-            n_skipped = d.n_skipped;
+            n_accesses = d.run.n_accesses;
+            n_skipped = d.run.n_skipped;
           }
         in
         Obs.Metrics.add metrics "driver.races" iter.n_races;
@@ -683,7 +695,7 @@ let repair ?(mode = Espbags.Detector.Mrw) ?(backend = `Espbags)
     | `Next (program', iter) ->
         loop program' (iter :: iterations) (remaining - 1)
   in
-  loop prog [] max_iterations
+  loop prog [] default_max_iterations
 
 let classify_unrepairable = function
   | Unrepairable m -> Some (Diag.make ~stage:Diag.Place m)
@@ -693,12 +705,9 @@ let classify_unrepairable = function
     the analyzed program, fuel exhaustion, placement infeasibility,
     injected faults, internal invariant violations — comes back as a typed
     diagnostic instead of an exception. *)
-let repair_checked ?mode ?backend ?strategy ?max_iterations ?fuel ?budgets
-    ?static_prune ?static_verify ?validate_par ?shadow_chunk ?spill prog :
-    (report, Diag.t) result =
+let repair_checked ?options ?validate_par prog : (report, Diag.t) result =
   Guard.capture ~classify:classify_unrepairable (fun () ->
-      repair ?mode ?backend ?strategy ?max_iterations ?fuel ?budgets
-        ?static_prune ?static_verify ?validate_par ?shadow_chunk ?spill prog)
+      repair ?options ?validate_par prog)
 
 (** Total placements inserted across all iterations. *)
 let total_placements (r : report) : Mhj.Transform.placement list =
@@ -728,27 +737,17 @@ type multi_report = {
     budget exhaustion, unrepairable race) is recorded in [failures] and
     does not stop the others.  Also reports the combined statement/async
     coverage of the input set — the paper's §9 test-suitability metric. *)
-let repair_multi ?(mode = Espbags.Detector.Mrw) ?backend
-    ?(strategy = `Batch) ?(max_rounds = 10) ?fuel
-    ?(budgets = Guard.unlimited)
+let repair_multi ?(options = Options.default)
     ~(inputs : (string * (string * int) list) list)
     (prog : Mhj.Ast.program) : multi_report =
-  let apply_input program overrides =
-    List.fold_left
-      (fun p (g, v) ->
-        try Mhj.Transform.set_global_int p g v
-        with Invalid_argument m ->
-          raise (Diag.Fail (Diag.make ~stage:Diag.Typecheck m)))
-      program overrides
-  in
+  let max_rounds = 10 in
   let rec loop program round =
     let outcomes =
       List.map
         (fun (label, overrides) ->
           ( label,
             Guard.capture ~classify:classify_unrepairable (fun () ->
-                repair ~mode ?backend ~strategy ?fuel ~budgets
-                  (apply_input program overrides)) ))
+                repair ~options (Options.apply_sets overrides program)) ))
         inputs
     in
     let reports =
@@ -783,14 +782,14 @@ let repair_multi ?(mode = Espbags.Detector.Mrw) ?backend
     let merged = Static_place.merge ~scopes demands in
     let placements = merged.Static_place.placements in
     if placements = [] || round >= max_rounds then begin
-      let cov_fuel = Guard.effective_fuel (Guard.make budgets) fuel in
+      let cov_fuel = Guard.effective_fuel options.budgets in
       let trees =
         List.filter_map
           (fun (_, overrides) ->
             match
               Guard.capture (fun () ->
                   (Rt.Interp.run ?fuel:cov_fuel
-                     (apply_input program overrides))
+                     (Options.apply_sets overrides program))
                     .tree)
             with
             | Ok tree -> Some tree

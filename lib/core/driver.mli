@@ -76,7 +76,29 @@ exception Unrepairable of string
     or a per-workload automatic pick ({!Vclock.Select.resolve}).  The
     resolved choice lands in [report.metrics] as [detector.backend]
     (0 = espbags, 1 = vclock). *)
-type backend = [ `Espbags | `Vclock | `Auto ]
+type backend = Options.backend
+
+(** One sequential detection run under a job's options: the static
+    pre-pass when [static_prune] is set, the resolved backend over the
+    shadow layout, spill file and fuel budget the options ask for, and
+    isolated-section discharge of the reported races.  The CLI's
+    [detect], the daemon's detect jobs, every repair iteration and every
+    tournament verify run go through it. *)
+type detection = {
+  backend : Vclock.Select.choice;  (** the resolved backend *)
+  prune : Static.Prune.t option;  (** the pre-pass, when [static_prune] *)
+  run : Vclock.Select.detection;  (** the detector's own result *)
+  races : (Espbags.Race.t list * Espbags.Race.t list) Lazy.t;
+      (** {!Isolate.split}: the surviving races and those discharged by
+          isolated sections *)
+  pairs : Espbags.Race.Pairs.t Lazy.t;
+      (** the distinct step pairs of the surviving races *)
+}
+
+(** [options.sets] is not read: overrides are applied where the program
+    is loaded ({!Options.apply_sets}).
+    @raise Diag.Fail on typed failures of the pre-pass or the run *)
+val detect : Options.t -> Mhj.Ast.program -> detection
 
 (** One placement pass: the dynamic placement + location mapping for the
     races of a single detector run, without touching the program.
@@ -102,47 +124,24 @@ val place_incremental :
 
 val default_max_iterations : int
 
-(** Repair [prog]: iterate detection and placement until race-free.
+(** Repair [prog]: iterate detection and placement until race-free, at
+    most {!default_max_iterations} times.
 
-    @param mode detector flavour (default {!Espbags.Detector.Mrw})
-    @param backend which detector implementation executes the program
-      (default [`Espbags]; [`Auto] resolves per workload)
-    @param strategy [`Batch] (default) solves every NS-LCA group of a
-      detection run at once; [`Incremental] is the paper's §6.1 live-tree
-      loop.  Both converge; [`Batch] does less work on large race sets.
-    @param max_iterations safety bound (default 10)
-    @param fuel interpreter fuel per run
-    @param budgets resource budgets (default {!Guard.unlimited}); on
-      exhaustion the repair degrades gracefully and records how in the
-      report's [degradations]
-    @param static_prune run the static MHP pre-pass ({!Static.Prune})
-      before each detection run and skip instrumenting accesses it proves
-      sequential; with MRW the reported race set is unchanged
-    @param static_verify after convergence, run the static race checker
-      on the repaired program and record the verdict in [verified_static]
-      (with unproven pairs in [static_residual])
+    @param options the job options (default {!Options.default}).  The
+      backend ([`Auto] resolves per workload), the placement search, the
+      static pre-pass and verifier, the budgets (on exhaustion the repair
+      degrades gracefully and records how in the report's
+      [degradations]), the shadow chunk size and the spill file all apply
+      to every iteration.  [strategy] and [sets] are not read here: see
+      {!Strategy.run} and {!Options.apply_sets}.
     @param validate_par after convergence, re-run the repaired program
       under fuzzed parallel schedules and record the differential outcome
       in [validated_par] (see {!Par.Validate})
-    @param shadow_chunk grow the detector's shadow tables in slab chunks
-      of this many slots (default {!Tdrutil.Islab.default_chunk}); the
-      reported races are unchanged (DESIGN.md §15)
-    @param spill bound in-memory race records by draining overflow to
-      this file in {!Espbags.Trace} format; reported races unchanged
     @raise Unrepairable if some race admits no scope-valid fix
     @raise Diag.Fail on typed pipeline failures *)
 val repair :
-  ?mode:Espbags.Detector.mode ->
-  ?backend:backend ->
-  ?strategy:[ `Batch | `Incremental ] ->
-  ?max_iterations:int ->
-  ?fuel:int ->
-  ?budgets:Guard.budgets ->
-  ?static_prune:bool ->
-  ?static_verify:bool ->
+  ?options:Options.t ->
   ?validate_par:Par.Validate.request ->
-  ?shadow_chunk:int ->
-  ?spill:string ->
   Mhj.Ast.program ->
   report
 
@@ -151,17 +150,8 @@ val repair :
     infeasibility, injected faults, internal invariant violations — comes
     back as a typed diagnostic instead of an exception. *)
 val repair_checked :
-  ?mode:Espbags.Detector.mode ->
-  ?backend:backend ->
-  ?strategy:[ `Batch | `Incremental ] ->
-  ?max_iterations:int ->
-  ?fuel:int ->
-  ?budgets:Guard.budgets ->
-  ?static_prune:bool ->
-  ?static_verify:bool ->
+  ?options:Options.t ->
   ?validate_par:Par.Validate.request ->
-  ?shadow_chunk:int ->
-  ?spill:string ->
   Mhj.Ast.program ->
   (report, Diag.t) result
 
@@ -183,18 +173,15 @@ type multi_report = {
 (** Repair one program under several test inputs, each a labelled set of
     int-global overrides ({!Mhj.Transform.set_global_int}).  Placements
     demanded under any input are merged into the shared base program;
-    rounds continue until every input's execution is race-free (or
-    [max_rounds]).  An input that fails — malformed override, runtime
-    fault, budget exhaustion, unrepairable race — lands in [failures]
+    rounds continue until every input's execution is race-free (at most
+    10 rounds).  Each input's overrides are applied on top of the base
+    program; [options] is passed to every {!repair}.  An input that fails
+    — malformed override, runtime fault, budget exhaustion, unrepairable
+    race — lands in [failures]
     without stopping the other inputs.  The result includes the combined
     coverage of the input set — the paper's §9 test-suitability metric. *)
 val repair_multi :
-  ?mode:Espbags.Detector.mode ->
-  ?backend:backend ->
-  ?strategy:[ `Batch | `Incremental ] ->
-  ?max_rounds:int ->
-  ?fuel:int ->
-  ?budgets:Guard.budgets ->
+  ?options:Options.t ->
   inputs:(string * (string * int) list) list ->
   Mhj.Ast.program ->
   multi_report

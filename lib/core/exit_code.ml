@@ -14,6 +14,8 @@ let unrepairable = 5
 
 let lint_findings = 6
 
+let unavailable = 7
+
 let grade_racy = 3
 
 let grade_oversync = 4

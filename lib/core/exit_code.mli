@@ -11,6 +11,7 @@
     5  unrepairable: some race admits no scope-valid finish placement
     6  lint findings: [tdrepair lint] found at least one issue (the
        program was analyzable; the findings themselves are the result)
+    7  unavailable: [tdrepair call] found no daemon to connect to
     v}
 
     The [grade-file] command keeps its own documented verdict codes
@@ -30,6 +31,8 @@ val degraded : int
 val unrepairable : int
 
 val lint_findings : int
+
+val unavailable : int
 
 (** Verdict codes of the [grade-file] command (paper §7.4). *)
 val grade_racy : int

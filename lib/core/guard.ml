@@ -63,13 +63,10 @@ let dp_affordable t w =
 
 let dp_charge t w = t.dp_spent <- t.dp_spent + w
 
-let effective_fuel t explicit =
-  let min_opt a b =
-    match (a, b) with
-    | None, x | x, None -> x
-    | Some a, Some b -> Some (min a b)
-  in
-  min_opt (min_opt explicit t.budgets.fuel) (Faultinject.fuel_cap ())
+let effective_fuel budgets =
+  match (budgets.fuel, Faultinject.fuel_cap ()) with
+  | None, x | x, None -> x
+  | Some a, Some b -> Some (min a b)
 
 let diag_of_injected fault msg =
   Diag.make ~stage:(Faultinject.stage_of fault) msg

@@ -67,10 +67,9 @@ val dp_affordable : t -> int -> bool
 
 val dp_charge : t -> int -> unit
 
-(** Effective interpreter fuel: the minimum of the explicit [?fuel]
-    argument, the guard's fuel budget, and any active
-    {!Faultinject.Interp_trap} cap. *)
-val effective_fuel : t -> int option -> int option
+(** Effective interpreter fuel: the minimum of the fuel budget and any
+    active {!Faultinject.Interp_trap} cap. *)
+val effective_fuel : budgets -> int option
 
 (** [at_stage stage f] runs [f], converting any escaping exception that is
     neither an already-typed diagnostic ({!Diag.of_exn}), an injected

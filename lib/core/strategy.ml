@@ -56,22 +56,9 @@ type candidate = {
   note : string;  (** why the strategy produced nothing (diagnostic) *)
 }
 
-type choice = [ `Finish | `Isolated | `Elide | `Chunk | `Tournament ]
+type choice = Options.strategy
 
-let pp_choice ppf = function
-  | `Finish -> Fmt.string ppf "finish"
-  | `Isolated -> Fmt.string ppf "isolated"
-  | `Elide -> Fmt.string ppf "elide"
-  | `Chunk -> Fmt.string ppf "chunk"
-  | `Tournament -> Fmt.string ppf "tournament"
-
-let choice_of_string = function
-  | "finish" -> Some `Finish
-  | "isolated" -> Some `Isolated
-  | "elide" -> Some `Elide
-  | "chunk" -> Some `Chunk
-  | "tournament" -> Some `Tournament
-  | _ -> None
+let pp_choice = Options.pp_strategy
 
 type outcome = {
   winner : candidate;
@@ -82,17 +69,21 @@ type outcome = {
   metrics : (string * int) list;  (** the [strategy.*] metric family *)
 }
 
+(* A strategy that produced no program, and why. *)
+let unproduced ?(rounds = 0) kind note =
+  { kind; program = None; verified = false; score = None; rounds; note }
+
 (* ------------------------------------------------------------------ *)
 (* Detection plumbing                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One detection run under the resolved backend: all reported races
-   plus the execution's S-DPST (for scoring) and its output (for the
+(* One verify run of a candidate ({!Driver.detect}): its surviving and
+   discharged races, its S-DPST (for scoring) and its output (for the
    test-driven semantic check). *)
-let detect ~backend ?fuel ~mode prog :
-    Espbags.Race.t list * Sdpst.Node.tree * string =
-  let d = Vclock.Select.detect ~backend ?fuel mode prog in
-  (Lazy.force d.races, d.result.tree, d.result.output)
+let detect options prog =
+  let d = Driver.detect options prog in
+  let surviving, discharged = Lazy.force d.races in
+  (surviving, discharged, d.run.result.tree, d.run.result.output)
 
 (* Serialization edges for scoring: each discharged race pins its two
    step instances into a depth-first mutual-exclusion order. *)
@@ -104,29 +95,24 @@ let serialize_pairs (discharged : Espbags.Race.t list) : (int * int) list =
 
 (** Does a fresh detection run under [backend] come back race-free
     (after mutual-exclusion discharge of [isolated] pairs)? *)
-let race_free ?(mode = Espbags.Detector.Mrw) ~backend ?fuel prog : bool =
-  let races, _, _ = detect ~backend ?fuel ~mode prog in
-  Isolate.suppress prog races = []
+let race_free ~(backend : [< Options.backend ]) prog : bool =
+  let surviving, _, _, _ =
+    detect { Options.default with backend = (backend :> Options.backend) } prog
+  in
+  surviving = []
 
 (* ------------------------------------------------------------------ *)
 (* Strategy: finish insertion (the paper's repair)                     *)
 (* ------------------------------------------------------------------ *)
 
-let finish_candidate ~mode ~backend ~expected ?fuel ?procs ?max_iterations
-    prog : candidate * Driver.report option =
-  match
-    Driver.repair ~mode
-      ~backend:(backend :> Driver.backend)
-      ?fuel ?max_iterations prog
-  with
+let finish_candidate ~options ~verify ~expected prog :
+    candidate * Driver.report option =
+  match Driver.repair ~options prog with
   | report ->
-      let races, tree, output =
-        detect ~backend ?fuel ~mode report.Driver.program
+      let surviving, discharged, tree, output =
+        detect verify report.Driver.program
       in
-      let surviving, discharged = Isolate.split report.program races in
-      let score =
-        Score.of_tree ?procs ~serialize:(serialize_pairs discharged) tree
-      in
+      let score = Score.of_tree ~serialize:(serialize_pairs discharged) tree in
       ( {
           kind = Finish;
           program = Some report.program;
@@ -136,16 +122,7 @@ let finish_candidate ~mode ~backend ~expected ?fuel ?procs ?max_iterations
           note = (if output = expected then "" else "output differs");
         },
         Some report )
-  | exception Driver.Unrepairable msg ->
-      ( {
-          kind = Finish;
-          program = None;
-          verified = false;
-          score = None;
-          rounds = 0;
-          note = msg;
-        },
-        None )
+  | exception Driver.Unrepairable msg -> (unproduced Finish msg, None)
 
 (* ------------------------------------------------------------------ *)
 (* Strategy: isolated sections                                         *)
@@ -231,52 +208,41 @@ let isolated_placements (p : Mhj.Ast.program) (races : Espbags.Race.t list) :
 
 let isolated_max_rounds = 5
 
-(* One refinement round shared by the iterative strategies: detect,
+(* The refinement loop shared by the iterative strategies: detect,
    discharge isolated pairs, and when clean check the candidate still
-   prints the test's expected output. *)
-let round_result ~kind ~backend ?fuel ?procs ~mode ~expected p round :
-    [ `Verified of candidate | `Fail of string | `Races of Espbags.Race.t list ]
-    =
-  let races, tree, output = detect ~backend ?fuel ~mode p in
-  let surviving, discharged = Isolate.split p races in
-  if surviving = [] then
-    if output = expected then
-      `Verified
+   prints the test's expected output; otherwise [step] rewrites the
+   program against the surviving races, at most [max_rounds] times. *)
+let iterate kind ~max_rounds ~verify ~expected step prog : candidate =
+  let rec go p round =
+    let surviving, discharged, tree, output = detect verify p in
+    let fail note = unproduced ~rounds:round kind note in
+    if surviving = [] then
+      if output = expected then
         {
           kind;
           program = Some p;
           verified = true;
           score =
-            Some
-              (Score.of_tree ?procs ~serialize:(serialize_pairs discharged)
-                 tree);
+            Some (Score.of_tree ~serialize:(serialize_pairs discharged) tree);
           rounds = round;
           note = "";
         }
-    else `Fail "output differs from the test's expected output"
-  else `Races surviving
-
-let isolated_candidate ~mode ~backend ~expected ?fuel ?procs prog : candidate =
-  let fail round note =
-    { kind = Isolated; program = None; verified = false; score = None;
-      rounds = round; note }
-  in
-  let rec go p round =
-    match
-      round_result ~kind:Isolated ~backend ?fuel ?procs ~mode ~expected p
-        round
-    with
-    | `Verified c -> c
-    | `Fail note -> fail round note
-    | `Races surviving -> (
-        if round >= isolated_max_rounds then
-          fail round "round budget exhausted"
-        else
-          match isolated_placements p surviving with
-          | Error note -> fail round note
-          | Ok pls -> go (Mhj.Transform.insert_isolated p pls) (round + 1))
+      else fail "output differs from the test's expected output"
+    else if round >= max_rounds then fail "round budget exhausted"
+    else
+      match step p surviving with
+      | Error note -> fail note
+      | Ok p' -> go p' (round + 1)
   in
   go prog 0
+
+let isolated_candidate ~verify ~expected prog : candidate =
+  iterate Isolated ~max_rounds:isolated_max_rounds ~verify ~expected
+    (fun p races ->
+      Result.map
+        (Mhj.Transform.insert_isolated p)
+        (isolated_placements p races))
+    prog
 
 (* ------------------------------------------------------------------ *)
 (* Strategy: async elision                                             *)
@@ -288,41 +254,24 @@ let rec async_sid (n : Sdpst.Node.t) : int option =
   | Sdpst.Node.Async -> Some n.sid
   | _ -> Option.bind n.parent async_sid
 
-let elide_candidate ~mode ~backend ~expected ?fuel ?procs prog : candidate =
-  let fail round note =
-    { kind = Elide; program = None; verified = false; score = None;
-      rounds = round; note }
-  in
-  let max_rounds = Mhj.Ast.count_asyncs prog + 1 in
-  let rec go p round =
-    match
-      round_result ~kind:Elide ~backend ?fuel ?procs ~mode ~expected p round
-    with
-    | `Verified c -> c
-    | `Fail note -> fail round note
-    | `Races surviving ->
-        if round >= max_rounds then fail round "round budget exhausted"
-        else begin
-          let sids =
-            List.fold_left
-              (fun acc (r : Espbags.Race.t) ->
-                let add acc n =
-                  match async_sid n with
-                  | Some sid -> Isolate.IntSet.add sid acc
-                  | None -> acc
-                in
-                add (add acc r.src) r.sink)
-              Isolate.IntSet.empty surviving
-          in
-          if Isolate.IntSet.is_empty sids then
-            fail round "racing tasks have no async ancestor"
-          else
-            go
-              (Mhj.Transform.elide_asyncs p (Isolate.IntSet.elements sids))
-              (round + 1)
-        end
-  in
-  go prog 0
+let elide_candidate ~verify ~expected prog : candidate =
+  iterate Elide ~max_rounds:(Mhj.Ast.count_asyncs prog + 1) ~verify ~expected
+    (fun p races ->
+      let sids =
+        List.fold_left
+          (fun acc (r : Espbags.Race.t) ->
+            let add acc n =
+              match async_sid n with
+              | Some sid -> Isolate.IntSet.add sid acc
+              | None -> acc
+            in
+            add (add acc r.src) r.sink)
+          Isolate.IntSet.empty races
+      in
+      if Isolate.IntSet.is_empty sids then
+        Error "racing tasks have no async ancestor"
+      else Ok (Mhj.Transform.elide_asyncs p (Isolate.IntSet.elements sids)))
+    prog
 
 (* ------------------------------------------------------------------ *)
 (* Strategy: loop chunking                                             *)
@@ -398,20 +347,9 @@ let race_loop (tbl : (int, loop_info) Hashtbl.t) (a : Sdpst.Node.t)
 
 let chunk_max_rounds = 4
 
-let chunk_candidate ~mode ~backend ~expected ?fuel ?procs prog : candidate =
-  let fail round note =
-    { kind = Chunk; program = None; verified = false; score = None;
-      rounds = round; note }
-  in
-  let rec go p round =
-    match
-      round_result ~kind:Chunk ~backend ?fuel ?procs ~mode ~expected p round
-    with
-    | `Verified c -> c
-    | `Fail note -> fail round note
-    | `Races surviving ->
-      if round >= chunk_max_rounds then fail round "round budget exhausted"
-      else begin
+let chunk_candidate ~verify ~expected prog : candidate =
+  iterate Chunk ~max_rounds:chunk_max_rounds ~verify ~expected
+    (fun p races ->
       let tbl = loop_table p in
       (* minimum racing iteration distance per loop *)
       let dmin : (int, int) Hashtbl.t = Hashtbl.create 4 in
@@ -422,24 +360,20 @@ let chunk_candidate ~mode ~backend ~expected ?fuel ?procs prog : candidate =
             match race_loop tbl r.src r.sink with
             | Some (for_sid, d) when d >= 1 ->
                 let cur =
-                  Option.value ~default:max_int
-                    (Hashtbl.find_opt dmin for_sid)
+                  Option.value ~default:max_int (Hashtbl.find_opt dmin for_sid)
                 in
                 Hashtbl.replace dmin for_sid (min cur d)
             | _ -> err := Some "race is not carried by a chunkable loop")
-        surviving;
+        races;
       match !err with
-      | Some note -> fail round note
+      | Some note -> Error note
       | None ->
-          let p' =
-            Hashtbl.fold
-              (fun for_sid d p -> Mhj.Transform.chunk_loop p ~sid:for_sid ~chunk:d)
-              dmin p
-          in
-          go p' (round + 1)
-    end
-  in
-  go prog 0
+          Ok
+            (Hashtbl.fold
+               (fun for_sid d p ->
+                 Mhj.Transform.chunk_loop p ~sid:for_sid ~chunk:d)
+               dmin p))
+    prog
 
 (* ------------------------------------------------------------------ *)
 (* Tournament                                                          *)
@@ -467,35 +401,40 @@ let metrics_of (candidates : candidate list) (winner : candidate) :
          | None -> [ (k "cpl", 0); (k "work", 0); (k "makespan", 0) ])
        candidates
 
+(* Budget exhaustion (fuel, watchdog) ends the whole run, as it does for
+   finish insertion alone; no candidate may report it as its own
+   failure. *)
+let is_budget e =
+  match Diag.of_exn e with Some d -> d.Diag.stage = Diag.Budget | None -> false
+
 (* Shield the tournament from one strategy's internal failure (e.g. a
    rewrite producing a program the interpreter rejects): the candidate
    is marked unproduced, the others still compete. *)
 let guarded kind (f : unit -> candidate) : candidate =
-  try f ()
-  with
-  | Driver.Unrepairable msg ->
-      { kind; program = None; verified = false; score = None; rounds = 0;
-        note = msg }
-  | exn ->
-      { kind; program = None; verified = false; score = None; rounds = 0;
-        note = Printexc.to_string exn }
+  try f () with
+  | Driver.Unrepairable msg -> unproduced kind msg
+  | e when not (is_budget e) -> unproduced kind (Printexc.to_string e)
 
 (** Run the chosen repair strategy (or the full tournament) on a racy
     program.  The winner is the minimum-CPL verified-race-free
-    candidate; ties break toward finish insertion.
+    candidate; ties break toward finish insertion.  The finish candidate
+    is {!Driver.repair} under the whole [options] (default
+    {!Options.default} with backend [`Auto]); every candidate's verify
+    run honours its mode, backend, fuel budget, pre-pass and shadow chunk.
+    [options.strategy] is not read: [choice] picks.
     @raise Driver.Unrepairable
-      if no strategy produces a verified race-free candidate. *)
-let run ?(mode = Espbags.Detector.Mrw) ?(backend = `Auto) ?fuel ?procs
-    ?max_iterations (choice : choice) (prog : Mhj.Ast.program) : outcome =
-  let backend = fst (Vclock.Select.resolve backend prog) in
+      if no strategy produces a verified race-free candidate.
+    @raise Diag.Fail when a budget is exhausted. *)
+let run ?(options = { Options.default with backend = `Auto }) (choice : choice)
+    (prog : Mhj.Ast.program) : outcome =
+  let backend = fst (Vclock.Select.resolve options.Options.backend prog) in
+  let options = { options with backend = (backend :> Options.backend) } in
+  let verify = { options with spill = None } in
   (* The test's expected output: the racy program's canonical depth-first
      execution (which realizes the serial-projection order).  Every
      candidate must reproduce it — race freedom alone is not a repair. *)
   let expected = (Rt.Interp.run prog).Rt.Interp.output in
-  let fin () =
-    finish_candidate ~mode ~backend ~expected ?fuel ?procs ?max_iterations
-      prog
-  in
+  let fin () = finish_candidate ~options ~verify ~expected prog in
   let single kind gen =
     let cand, report =
       match (kind : kind) with
@@ -521,29 +460,22 @@ let run ?(mode = Espbags.Detector.Mrw) ?(backend = `Auto) ?fuel ?procs
   match choice with
   | `Finish -> single Finish (fun () -> fst (fin ()))
   | `Isolated ->
-      single Isolated (fun () ->
-          isolated_candidate ~mode ~backend ~expected ?fuel ?procs prog)
-  | `Elide ->
-      single Elide (fun () -> elide_candidate ~mode ~backend ~expected ?fuel ?procs prog)
-  | `Chunk ->
-      single Chunk (fun () -> chunk_candidate ~mode ~backend ~expected ?fuel ?procs prog)
+      single Isolated (fun () -> isolated_candidate ~verify ~expected prog)
+  | `Elide -> single Elide (fun () -> elide_candidate ~verify ~expected prog)
+  | `Chunk -> single Chunk (fun () -> chunk_candidate ~verify ~expected prog)
   | `Tournament ->
       let fin_cand, report =
         try fin ()
-        with exn ->
-          ( { kind = Finish; program = None; verified = false; score = None;
-              rounds = 0; note = Printexc.to_string exn },
-            None )
+        with e when not (is_budget e) ->
+          (unproduced Finish (Printexc.to_string e), None)
       in
       let candidates =
         [
           fin_cand;
           guarded Isolated (fun () ->
-              isolated_candidate ~mode ~backend ~expected ?fuel ?procs prog);
-          guarded Elide (fun () ->
-              elide_candidate ~mode ~backend ~expected ?fuel ?procs prog);
-          guarded Chunk (fun () ->
-              chunk_candidate ~mode ~backend ~expected ?fuel ?procs prog);
+              isolated_candidate ~verify ~expected prog);
+          guarded Elide (fun () -> elide_candidate ~verify ~expected prog);
+          guarded Chunk (fun () -> chunk_candidate ~verify ~expected prog);
         ]
       in
       let viable =

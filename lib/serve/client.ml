@@ -14,7 +14,10 @@ let of_fd fd = { fd; buf = Buffer.create 256; scan = 0; eof = false }
 
 let connect path =
   let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-  Unix.connect fd (ADDR_UNIX path);
+  (try Unix.connect fd (ADDR_UNIX path)
+   with e ->
+     Unix.close fd;
+     raise e);
   of_fd fd
 
 let send t line =

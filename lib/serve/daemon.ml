@@ -147,21 +147,24 @@ let handle_line st conn line =
                  (P.Bad_request
                     (Fmt.str "no queued job with id %S (running jobs cannot \
                               be cancelled)" id))))
-    | Ok (P.Job spec) ->
-        if st.draining then
-          send_frame st conn
-            (P.job_reply ~id:spec.P.id ~status:P.Soverloaded
-               ~error:"daemon is draining" ())
-        else begin
-          match Supervisor.submit st.sup spec with
-          | `Overloaded ->
-              Obs.Metrics.incr st.metrics "serve.jobs_shed";
-              send_frame st conn
-                (P.job_reply ~id:spec.P.id ~status:P.Soverloaded ())
-          | `Accepted seq ->
-              Obs.Metrics.incr st.metrics "serve.jobs_admitted";
-              Hashtbl.replace st.pending seq (conn, spec.P.id)
-        end
+    | Ok (P.Job spec) -> (
+        match P.validate spec with
+        | Error e ->
+            Obs.Metrics.incr st.metrics "serve.proto_errors";
+            send_frame st conn (P.error_reply e)
+        | Ok () when st.draining ->
+            send_frame st conn
+              (P.job_reply ~id:spec.P.id ~status:P.Soverloaded
+                 ~error:"daemon is draining" ())
+        | Ok () -> (
+            match Supervisor.submit st.sup spec with
+            | `Overloaded ->
+                Obs.Metrics.incr st.metrics "serve.jobs_shed";
+                send_frame st conn
+                  (P.job_reply ~id:spec.P.id ~status:P.Soverloaded ())
+            | `Accepted seq ->
+                Obs.Metrics.incr st.metrics "serve.jobs_admitted";
+                Hashtbl.replace st.pending seq (conn, spec.P.id)))
 
 let oversized st conn =
   Obs.Metrics.incr st.metrics "serve.proto_errors";

@@ -11,36 +11,20 @@ let op_to_string = function
   | Lint -> "lint"
 
 type flags = {
-  mode : Espbags.Detector.mode;
-  backend : [ `Espbags | `Vclock | `Auto ];
-  static_prune : bool;
-  static_verify : bool;
-  budgets : Repair.Guard.budgets;
+  options : Repair.Options.t;
   timeout_ms : int option;
   retries : int option;
-  sets : (string * int) list;
   faults : FI.fault list;
   trace : bool;
-  shadow_chunk : int option;
-  spill : string option;
-  strategy : Repair.Strategy.choice;
 }
 
 let default_flags =
   {
-    mode = Espbags.Detector.Mrw;
-    backend = `Espbags;
-    static_prune = false;
-    static_verify = false;
-    budgets = Repair.Guard.unlimited;
+    options = Repair.Options.default;
     timeout_ms = None;
     retries = None;
-    sets = [];
     faults = [];
     trace = false;
-    shadow_chunk = None;
-    spill = None;
-    strategy = `Finish;
   }
 
 type job_spec = { id : string; op : op; src : string; flags : flags }
@@ -104,77 +88,28 @@ let fault_to_string = function
   | FI.Insert_fail -> "insert_fail"
   | FI.Worker_crash -> "worker_crash"
 
-let parse_flags j =
-  let get k = J.member k j in
-  let opt_int k = Option.map (as_int k) (get k) in
-  let opt_bool ~default k =
-    match get k with Some v -> as_bool k v | None -> default
-  in
-  let mode =
-    match get "mode" with
-    | None -> default_flags.mode
-    | Some (J.Str "mrw") -> Espbags.Detector.Mrw
-    | Some (J.Str "srw") -> Espbags.Detector.Srw
-    | Some _ -> bad "flags.mode must be \"mrw\" or \"srw\""
-  in
-  let backend =
-    match get "backend" with
-    | None -> default_flags.backend
-    | Some (J.Str "espbags") -> `Espbags
-    | Some (J.Str "vclock") -> `Vclock
-    | Some (J.Str "auto") -> `Auto
-    | Some _ -> bad "flags.backend must be \"espbags\", \"vclock\" or \"auto\""
-  in
-  let strategy =
-    match get "strategy" with
-    | None -> default_flags.strategy
-    | Some (J.Str s) -> (
-        match Repair.Strategy.choice_of_string s with
-        | Some c -> c
-        | None ->
-            bad
-              "flags.strategy must be \"finish\", \"isolated\", \"elide\", \
-               \"chunk\" or \"tournament\"")
-    | Some _ -> bad "flags.strategy must be a string"
-  in
-  let spill =
-    match get "spill" with
-    | None -> None
-    | Some v -> Some (as_string "spill" v)
-  in
-  let sets =
-    match get "set" with
-    | None -> []
-    | Some (J.Obj kvs) ->
-        List.map (fun (k, v) -> (k, as_int ("set." ^ k) v)) kvs
-    | Some _ -> bad "flags.set must be an object of int overrides"
-  in
-  let faults =
-    match get "faults" with
-    | None -> []
-    | Some (J.List fs) ->
-        List.map (fun f -> fault_of_string (as_string "fault" f)) fs
-    | Some _ -> bad "flags.faults must be a list of fault specs"
+(* The job-level keys; every other key of "flags" is a job option. *)
+let job_keys = [ "timeout_ms"; "retries"; "faults"; "trace" ]
+
+let parse_flags kvs =
+  let own, rest = List.partition (fun (k, _) -> List.mem k job_keys) kvs in
+  let get k = List.assoc_opt k own in
+  let options =
+    match Repair.Options.of_json (J.Obj rest) with
+    | Ok o -> o
+    | Error m -> bad "%s" m
   in
   {
-    mode;
-    backend;
-    static_prune = opt_bool ~default:false "static_prune";
-    static_verify = opt_bool ~default:false "static_verify";
-    budgets =
-      {
-        Repair.Guard.fuel = opt_int "budget_fuel";
-        sdpst_nodes = opt_int "budget_sdpst";
-        dp_work = opt_int "budget_dp";
-      };
-    timeout_ms = opt_int "timeout_ms";
-    retries = opt_int "retries";
-    sets;
-    faults;
-    trace = opt_bool ~default:false "trace";
-    shadow_chunk = opt_int "shadow_chunk";
-    spill;
-    strategy;
+    options;
+    timeout_ms = Option.map (as_int "timeout_ms") (get "timeout_ms");
+    retries = Option.map (as_int "retries") (get "retries");
+    faults =
+      (match get "faults" with
+      | None -> []
+      | Some (J.List fs) ->
+          List.map (fun f -> fault_of_string (as_string "fault" f)) fs
+      | Some _ -> bad "flags.faults must be a list of fault specs");
+    trace = Option.fold ~none:false ~some:(as_bool "trace") (get "trace");
   }
 
 let parse_obj j =
@@ -204,7 +139,7 @@ let parse_obj j =
       let flags =
         match member "flags" with
         | None -> default_flags
-        | Some (J.Obj _ as f) -> parse_flags f
+        | Some (J.Obj kvs) -> parse_flags kvs
         | Some _ -> bad "\"flags\" must be an object"
       in
       Job { id; op; src; flags }
@@ -217,6 +152,16 @@ let parse line =
   | J.Obj _ as j -> (
       try Ok (parse_obj j) with Bad m -> Error (Bad_request m))
   | _ -> Error (Malformed "frame is not a JSON object")
+
+let validate (spec : job_spec) =
+  let command =
+    match spec.op with
+    | Repair -> Repair.Options.Repair
+    | Detect | Lint -> Repair.Options.Detect
+  in
+  Result.map_error
+    (fun m -> Bad_request m)
+    (Repair.Options.validate command spec.flags.options)
 
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)
@@ -258,34 +203,15 @@ let frame j = J.to_string j ^ "\n"
 (* Cache keying                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Every job option that can change the result is in Options.key, by
+   construction of its codec table; trace, timeout and retries are not
+   options. *)
 let cache_key (spec : job_spec) =
-  let f = spec.flags in
-  let b = f.budgets in
-  let ios = function None -> "_" | Some n -> string_of_int n in
-  (* Every flag that can change a job's observable result participates
-     here; forgetting one silently serves stale replies across flag
-     changes (the test suite pins each field's sensitivity). *)
-  let sig_ =
-    String.concat ";"
-      [
-        op_to_string spec.op;
-        (match f.mode with Espbags.Detector.Mrw -> "mrw" | Srw -> "srw");
-        (match f.backend with
-        | `Espbags -> "espbags"
-        | `Vclock -> "vclock"
-        | `Auto -> "auto");
-        Fmt.str "%a" Repair.Strategy.pp_choice f.strategy;
-        string_of_bool f.static_prune;
-        string_of_bool f.static_verify;
-        ios b.Repair.Guard.fuel;
-        ios b.Repair.Guard.sdpst_nodes;
-        ios b.Repair.Guard.dp_work;
-        ios f.shadow_chunk;
-        (match f.spill with None -> "_" | Some p -> p);
-        String.concat ","
-          (List.map
-             (fun (k, v) -> k ^ "=" ^ string_of_int v)
-             (List.sort compare f.sets));
-      ]
-  in
-  Digest.to_hex (Digest.string (sig_ ^ "\x00" ^ spec.src))
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          [
+            op_to_string spec.op;
+            Repair.Options.key spec.flags.options;
+            spec.src;
+          ]))

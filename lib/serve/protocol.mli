@@ -17,22 +17,17 @@ type op = Detect | Repair | Lint
 
 val op_to_string : op -> string
 
+(** A job's ["flags"] object: the job options ({!Repair.Options}, decoded
+    by {!Repair.Options.of_json}, so a flag is the CLI flag with [-]
+    turned into [_]) plus four keys of the job itself. *)
 type flags = {
-  mode : Espbags.Detector.mode;
-  backend : [ `Espbags | `Vclock | `Auto ];  (** detection backend *)
-  static_prune : bool;
-  static_verify : bool;
-  budgets : Repair.Guard.budgets;
+  options : Repair.Options.t;
   timeout_ms : int option;  (** per-job watchdog; [None] = daemon default *)
   retries : int option;  (** transient-fault retries; [None] = default *)
-  sets : (string * int) list;  (** int-global test-input overrides *)
   faults : Repair.Faultinject.fault list;
       (** per-job injected faults (applied to the first attempt only);
           jobs with faults are never cached *)
   trace : bool;  (** return the job's {!Obs.Trace} span names *)
-  shadow_chunk : int option;  (** chunked shadow-table slab size *)
-  spill : string option;  (** race-record spill file *)
-  strategy : Repair.Strategy.choice;  (** repair strategy for [repair] *)
 }
 
 val default_flags : flags
@@ -50,8 +45,15 @@ type proto_error =
   | Oversized of int  (** frame exceeded the read limit (the payload) *)
   | Bad_request of string  (** well-formed JSON, invalid request *)
 
-(** Parse one frame (without its newline). *)
+(** Parse one frame (without its newline).  Flags get the value checks
+    the CLI applies: an unknown key or an ill-typed or out-of-range value
+    is a [Bad_request] naming the key. *)
 val parse : string -> (request, proto_error) result
+
+(** The option combinations {!Repair.Options.validate} rejects for the
+    job's op, as a [Bad_request]; the daemon checks every job before it
+    admits it, as the CLI does before it runs one. *)
+val validate : job_spec -> (unit, proto_error) result
 
 (** Round-trippable compact fault specs ("interp_trap:50",
     "worker_crash", ...) used in the ["flags.faults"] list. *)
@@ -81,8 +83,9 @@ val error_reply : proto_error -> Obs.Json.t
 (** Serialize one reply frame, newline included. *)
 val frame : Obs.Json.t -> string
 
-(** Deterministic cache-key material for a job: collapses the flags
-    that affect the result (mode, prune/verify, budgets, sets) and
-    ignores the ones that do not (trace, timeout, retries).  Jobs with
+(** Deterministic cache-key material for a job: the digest of its op,
+    {!Repair.Options.key} (every semantic job option, by construction of
+    the codec table) and its source.  [trace], [timeout_ms] and
+    [retries] do not change the answer and are left out.  Jobs with
     faults must not be cached at all. *)
 val cache_key : job_spec -> string

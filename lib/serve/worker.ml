@@ -17,48 +17,22 @@ type outcome = {
 (* One pipeline run                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let apply_sets prog sets =
-  List.fold_left
-    (fun p (name, v) ->
-      try Mhj.Transform.set_global_int p name v
-      with Invalid_argument m ->
-        raise
-          (Repair.Diag.Fail
-             (Repair.Diag.make ~stage:Repair.Diag.Typecheck m)))
-    prog sets
-
-let run_detect (flags : P.flags) prog =
-  let keep =
-    if flags.static_prune then
-      Some (Static.Prune.keep_fn (Static.Prune.make prog))
-    else None
-  in
-  let layout =
-    Option.map (fun n -> Tdrutil.Islab.Chunked n) flags.shadow_chunk
-  in
-  let spill = Option.map Espbags.Spill.config flags.spill in
-  let backend = fst (Vclock.Select.resolve flags.backend prog) in
-  let d =
-    Vclock.Select.detect ~backend ?keep ?layout ?spill flags.mode prog
-  in
-  (* Races with both endpoints inside [isolated] sections are discharged
-     by mutual exclusion, mirroring Driver.detect and the CLI. *)
-  let races = Repair.Isolate.suppress prog (Lazy.force d.races) in
-  let pairs = Repair.Isolate.suppress_pairs prog (Lazy.force d.pairs) in
+let run_detect (o : Repair.Options.t) prog =
+  let d = Repair.Driver.detect o prog in
+  let races = fst (Lazy.force d.races) in
   let report =
     J.Obj
       [
         ("op", J.Str "detect");
         ( "mode",
           J.Str
-            (match flags.mode with Espbags.Detector.Mrw -> "mrw" | Srw -> "srw")
-        );
-        ("backend", J.Str (Fmt.str "%a" Vclock.Select.pp_choice backend));
+            (match o.mode with Espbags.Detector.Mrw -> "mrw" | Srw -> "srw") );
+        ("backend", J.Str (Fmt.str "%a" Vclock.Select.pp_choice d.backend));
         ("races", J.Int (List.length races));
-        ("race_pairs", J.Int (Espbags.Race.Pairs.length pairs));
-        ("accesses", J.Int d.n_accesses);
-        ("locations", J.Int d.n_locations);
-        ("skipped", J.Int d.n_skipped);
+        ("race_pairs", J.Int (Espbags.Race.Pairs.length (Lazy.force d.pairs)));
+        ("accesses", J.Int d.run.n_accesses);
+        ("locations", J.Int d.run.n_locations);
+        ("skipped", J.Int d.run.n_skipped);
         ( "race_list",
           J.List
             (List.map
@@ -70,17 +44,14 @@ let run_detect (flags : P.flags) prog =
 
 (* Non-finish repair strategies route through the tournament layer; the
    reply carries the per-strategy outcomes alongside the winner. *)
-let run_repair_strategy (flags : P.flags) prog =
-  let outcome =
-    Repair.Strategy.run ~mode:flags.mode ~backend:flags.backend
-      flags.strategy prog
-  in
+let run_repair_strategy (o : Repair.Options.t) prog =
+  let outcome = Repair.Strategy.run ~options:o o.strategy prog in
   let open Repair.Strategy in
   let json =
     J.Obj
       [
         ("op", J.Str "repair");
-        ("strategy", J.Str (Fmt.str "%a" pp_choice flags.strategy));
+        ("strategy", J.Str (Fmt.str "%a" pp_choice o.strategy));
         ("winner", J.Str (kind_name outcome.winner.kind));
         ("converged", J.Bool true);
         ( "candidates",
@@ -106,15 +77,10 @@ let run_repair_strategy (flags : P.flags) prog =
   in
   (P.Sok, Some json, None)
 
-let run_repair (flags : P.flags) prog =
-  if flags.strategy <> `Finish then run_repair_strategy flags prog
+let run_repair (o : Repair.Options.t) prog =
+  if o.strategy <> `Finish then run_repair_strategy o prog
   else
-  let report =
-    Repair.Driver.repair ~mode:flags.mode ~backend:flags.backend
-      ~budgets:flags.budgets ~static_prune:flags.static_prune
-      ~static_verify:flags.static_verify ?shadow_chunk:flags.shadow_chunk
-      ?spill:flags.spill prog
-  in
+  let report = Repair.Driver.repair ~options:o prog in
   let open Repair.Driver in
   let degraded =
     report.degradations <> [] || report.verified_static = Some false
@@ -145,7 +111,7 @@ let run_repair (flags : P.flags) prog =
   else if degraded then (P.Sdegraded, Some json, None)
   else (P.Sok, Some json, None)
 
-let run_lint (_flags : P.flags) prog =
+let run_lint prog =
   let findings = Static.Lint.run prog in
   let report =
     J.Obj
@@ -170,12 +136,13 @@ let run_once ~timeout_ms ~faults (spec : P.job_spec) =
           FI.fire_slow ();
           let prog =
             Obs.Trace.with_span "compile" (fun () ->
-                apply_sets (Mhj.Front.compile spec.src) spec.flags.sets)
+                Repair.Options.apply_sets spec.flags.options.sets
+                  (Mhj.Front.compile spec.src))
           in
           match spec.op with
-          | P.Detect -> run_detect spec.flags prog
-          | P.Repair -> run_repair spec.flags prog
-          | P.Lint -> run_lint spec.flags prog))
+          | P.Detect -> run_detect spec.flags.options prog
+          | P.Repair -> run_repair spec.flags.options prog
+          | P.Lint -> run_lint prog))
 
 (* ------------------------------------------------------------------ *)
 (* Attempt classification + retry loop                                 *)

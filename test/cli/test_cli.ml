@@ -879,6 +879,131 @@ let test_serve_help () =
   List.iter (check_contains "call help lists flag" out2)
     [ "--health"; "--shutdown"; "--op"; "--id" ]
 
+(* Options a non-finish strategy cannot drop: the fuel budget reaches
+   every tournament candidate (exit 4, as for finish), and a static
+   verdict or a spill count, which no candidate reports, is an input
+   error. *)
+let test_strategy_options () =
+  with_tmp_program racy_src (fun f ->
+      List.iter
+        (fun strategy ->
+          let code, out =
+            run_cli
+              [ "repair"; f; "-q"; "--strategy"; strategy; "--budget-fuel";
+                "1" ]
+          in
+          Alcotest.(check int) (strategy ^ " fuel-exhausted exit") 4 code;
+          check_contains "budget diagnostic" out "error[budget]")
+        [ "finish"; "tournament" ];
+      let code, out =
+        run_cli
+          [ "repair"; f; "-q"; "--strategy"; "tournament"; "--static-verify" ]
+      in
+      Alcotest.(check int) "tournament --static-verify rejected" 3 code;
+      check_contains "names the option" out "static_verify";
+      let spill = Filename.temp_file "tdrepair_cli" ".spill" in
+      let code2, out2 =
+        run_cli
+          [ "repair"; f; "-q"; "--strategy"; "isolated"; "--spill"; spill ]
+      in
+      Sys.remove spill;
+      Alcotest.(check int) "isolated --spill rejected" 3 code2;
+      check_contains "names the option" out2 "spill")
+
+(* call parses --set as detect does, and a missing daemon is a one-line
+   diagnostic with its own exit code. *)
+let test_call_errors () =
+  let missing = "/nonexistent-tdrepair-dir/tdrepair.sock" in
+  let code_d, _ =
+    run_cli [ "detect"; sample "fib_buggy.mhj"; "--set"; "n=oops" ]
+  in
+  let code_c, out_c =
+    run_cli
+      [ "call"; sample "fib_buggy.mhj"; "--set"; "n=oops"; "--socket"; missing ]
+  in
+  Alcotest.(check int) "detect --set n=oops" 3 code_d;
+  Alcotest.(check int) "call --set n=oops as detect" code_d code_c;
+  check_contains "bad override named" out_c "is not an integer";
+  let code, out =
+    run_cli [ "call"; sample "fib_buggy.mhj"; "--socket"; missing ]
+  in
+  Alcotest.(check int) "no daemon exit" 7 code;
+  Alcotest.(check int) "one line" 1
+    (List.length (String.split_on_char '\n' (String.trim out)));
+  check_contains "names the socket" out missing
+
+(* Doc-drift guard: every job-option row is a flag of the commands it
+   names and a key documented in DESIGN.md §12, and detect and repair
+   expose exactly their flag sets. *)
+let test_job_flags_documented () =
+  let flags_of cmd =
+    let code, out = run_cli [ cmd; "--help=plain" ] in
+    Alcotest.(check int) (cmd ^ " help exit 0") 0 code;
+    String.split_on_char '\n' out
+    |> List.filter (fun l ->
+           String.length l > 8 && String.sub l 0 8 = "       -")
+    |> List.concat_map (fun l ->
+           String.split_on_char ',' (String.trim l)
+           |> List.filter_map (fun tok ->
+                  let tok = String.trim tok in
+                  if String.length tok > 2 && String.sub tok 0 2 = "--" then
+                    let stop =
+                      List.fold_left
+                        (fun acc c ->
+                          match String.index_opt tok c with
+                          | Some i -> min acc i
+                          | None -> acc)
+                        (String.length tok) [ '='; ' '; '[' ]
+                    in
+                    Some (String.sub tok 0 stop)
+                  else None))
+    |> List.sort_uniq compare
+  in
+  let detect = flags_of "detect" and repair = flags_of "repair" in
+  let design =
+    let ic = open_in_bin (Filename.concat here "../../DESIGN.md") in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    let find affix =
+      let n = String.length affix in
+      let rec go i =
+        if String.sub s i n = affix then i else go (i + 1)
+      in
+      go 0
+    in
+    let a = find "## 12." in
+    String.sub s a (find "## 13." - a)
+  in
+  List.iter
+    (fun (Repair.Options.Field (r, _)) ->
+      let flag = "--" ^ Repair.Options.flag_name r in
+      List.iter
+        (fun cmd ->
+          let name, flags =
+            match cmd with
+            | Repair.Options.Detect -> ("detect", detect)
+            | Repair.Options.Repair -> ("repair", repair)
+          in
+          if not (List.mem flag flags) then
+            Alcotest.failf "%s --help lacks %s" name flag)
+        r.commands;
+      check_contains "DESIGN.md §12 lists the key" design
+        ("`" ^ r.key ^ "`"))
+    (Repair.Options.fields Repair.Options.default);
+  Alcotest.(check (list string)) "detect flags"
+    [ "--backend"; "--dump-sdpst"; "--dump-tree"; "--help"; "--mode"; "--set";
+      "--shadow-chunk"; "--spill"; "--static-prune"; "--strategy";
+      "--timeout-ms"; "--trace"; "--version" ]
+    detect;
+  Alcotest.(check (list string)) "repair flags"
+    [ "--backend"; "--budget-dp"; "--budget-fuel"; "--budget-sdpst";
+      "--budget-validate"; "--help"; "--metrics"; "--mode"; "--output";
+      "--placement"; "--quiet"; "--report"; "--set"; "--shadow-chunk";
+      "--spill"; "--static-prune"; "--static-verify"; "--strategy";
+      "--timeout-ms"; "--trace"; "--validate-par"; "--validate-seed";
+      "--version" ]
+    repair
+
 let test_timeout_flag () =
   (* a 1 ms wall-clock budget cannot fit a real repair: the cooperative
      watchdog must fire and the CLI must exit 4 (degraded), same as a
@@ -953,5 +1078,9 @@ let () =
             test_bench_detector_quick_json;
           Alcotest.test_case "serve/call --help" `Quick test_serve_help;
           Alcotest.test_case "--timeout-ms" `Quick test_timeout_flag;
+          Alcotest.test_case "strategy options" `Quick test_strategy_options;
+          Alcotest.test_case "call errors" `Quick test_call_errors;
+          Alcotest.test_case "job flags documented" `Quick
+            test_job_flags_documented;
         ] );
     ]

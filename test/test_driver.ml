@@ -1,7 +1,9 @@
 (* End-to-end tests of the repair driver on the paper's examples
    (Figures 1/2/8/15) and on targeted synchronization patterns. *)
 
-let repair ?mode src = Repair.Driver.repair ?mode (Mhj.Front.compile src)
+let repair ?(mode = Espbags.Detector.Mrw) src =
+  Repair.Driver.repair ~options:{ Repair.Options.default with mode }
+    (Mhj.Front.compile src)
 
 let race_free prog =
   Espbags.Detector.race_count
@@ -224,8 +226,11 @@ let test_incremental_strategy () =
   List.iter
     (fun src ->
       let prog = Mhj.Front.compile src in
-      let batch = Repair.Driver.repair ~strategy:`Batch prog in
-      let incr = Repair.Driver.repair ~strategy:`Incremental prog in
+      let batch = Repair.Driver.repair
+          ~options:{ Repair.Options.default with placement = `Batch } prog in
+      let incr = Repair.Driver.repair
+          ~options:{ Repair.Options.default with placement = `Incremental }
+          prog in
       Alcotest.(check bool) "both converge" true
         (batch.converged && incr.converged);
       Alcotest.(check bool) "both race-free" true
@@ -255,8 +260,11 @@ let incremental_matches_batch =
     (fun seed ->
       let src = Benchsuite.Progen.generate ~seed () in
       let prog = Mhj.Front.compile src in
-      let batch = Repair.Driver.repair ~strategy:`Batch prog in
-      let incr = Repair.Driver.repair ~strategy:`Incremental prog in
+      let batch = Repair.Driver.repair
+          ~options:{ Repair.Options.default with placement = `Batch } prog in
+      let incr = Repair.Driver.repair
+          ~options:{ Repair.Options.default with placement = `Incremental }
+          prog in
       batch.converged && incr.converged
       && race_free batch.program
       && race_free incr.program

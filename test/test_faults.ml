@@ -53,7 +53,7 @@ let check_semantics label original repaired =
 let test_interval_cover_fallback () =
   let prog = compile racy_src in
   let budgets = { Guard.unlimited with Guard.dp_work = Some 0 } in
-  let r = D.repair ~budgets prog in
+  let r = D.repair ~options:{ Repair.Options.default with budgets } prog in
   Alcotest.(check bool) "converged" true r.converged;
   Alcotest.(check bool) "reported degraded" true
     (List.exists
@@ -66,7 +66,7 @@ let test_dp_budget_affordable_not_degraded () =
   (* a generous budget must not degrade anything *)
   let prog = compile racy_src in
   let budgets = { Guard.unlimited with Guard.dp_work = Some 1_000_000 } in
-  let r = D.repair ~budgets prog in
+  let r = D.repair ~options:{ Repair.Options.default with budgets } prog in
   Alcotest.(check bool) "converged" true r.converged;
   Alcotest.(check (list string)) "no degradations" []
     (List.map (Fmt.str "%a" Guard.pp_degradation) r.degradations);
@@ -83,7 +83,7 @@ let test_sdpst_budget_mergesort () =
   in
   let prog = Benchsuite.Bench.stripped_program bench in
   let budgets = { Guard.unlimited with Guard.sdpst_nodes = Some 200 } in
-  let r = D.repair ~budgets prog in
+  let r = D.repair ~options:{ Repair.Options.default with budgets } prog in
   Alcotest.(check bool) "converged" true r.converged;
   Alcotest.(check bool) "pruned" true
     (List.exists
@@ -96,7 +96,7 @@ let test_sdpst_budget_mergesort () =
 let test_fuel_budget () =
   let prog = compile racy_src in
   let budgets = { Guard.unlimited with Guard.fuel = Some 3 } in
-  match D.repair_checked ~budgets prog with
+  match D.repair_checked ~options:{ Repair.Options.default with budgets } prog with
   | Error d -> Alcotest.(check bool) "budget stage" true (d.Diag.stage = Diag.Budget)
   | Ok _ -> Alcotest.fail "a 3-unit fuel budget cannot complete a run"
 
@@ -289,7 +289,7 @@ let driver_total =
       let prog = compile src in
       let faults, budgets = scenario_of_seed seed in
       match
-        FI.with_faults faults (fun () -> D.repair_checked ~budgets prog)
+        FI.with_faults faults (fun () -> D.repair_checked ~options:{ Repair.Options.default with budgets } prog)
       with
       | exception e ->
           QCheck.Test.fail_reportf "uncaught exception: %s"

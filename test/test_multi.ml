@@ -162,7 +162,7 @@ let test_multi_budget_exhaustion () =
     { Repair.Guard.unlimited with Repair.Guard.fuel = Some ((f_cheap + f_heavy) / 2) }
   in
   let m =
-    Repair.Driver.repair_multi ~budgets
+    Repair.Driver.repair_multi ~options:{ Repair.Options.default with budgets }
       ~inputs:[ ("cheap", cheap); ("heavy", heavy) ]
       prog
   in

@@ -1,0 +1,204 @@
+(* Properties of the job-options codec (Repair.Options): the cache key
+   covers every semantic row and nothing else, the JSON encoding and the
+   CLI spelling both round-trip, and the protocol decode never raises on
+   fuzzed job frames. *)
+
+module O = Repair.Options
+module P = Serve.Protocol
+module J = Obs.Json
+module G = QCheck.Gen
+
+(* A value of the row's kind other than [v]. *)
+let other : type a. a O.kind -> a -> a =
+ fun kind v ->
+  match kind with
+  | O.Flag -> not v
+  | O.Enum names -> snd (List.find (fun (_, x) -> x <> v) names)
+  | O.Int _ -> Some (Option.fold ~none:7 ~some:succ v)
+  | O.Path -> Some (Option.fold ~none:"f.trace" ~some:(fun p -> p ^ "x") v)
+  | O.Sets -> ("n", 1) :: v
+
+let test_key_covers_semantic_rows () =
+  let base = O.key O.default in
+  List.iter
+    (fun (O.Field (r, v)) ->
+      Alcotest.(check bool)
+        (r.O.key ^ " changes the key")
+        r.O.semantic
+        (O.key (r.O.set (other r.O.kind v) O.default) <> base))
+    (O.fields O.default);
+  let spec flags =
+    { P.id = "t"; op = P.Repair; src = "def main() {}"; flags }
+  in
+  let key = P.cache_key (spec P.default_flags) in
+  List.iter
+    (fun (label, flags) ->
+      Alcotest.(check string) (label ^ " leaves the key") key
+        (P.cache_key (spec flags)))
+    [
+      ("trace", { P.default_flags with trace = true });
+      ("timeout_ms", { P.default_flags with timeout_ms = Some 9 });
+      ("retries", { P.default_flags with retries = Some 0 });
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Generators                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let word = G.(string_size ~gen:(char_range 'a' 'z') (1 -- 6))
+
+let gen_value : type a. a O.kind -> a G.t = function
+  | O.Flag -> G.bool
+  | O.Enum names -> G.oneofl (List.map snd names)
+  | O.Int check ->
+      G.(
+        opt (int_range (-5) 100_000)
+        |> map (Option.map (fun n -> if check n = None then n else 1 - n)))
+  | O.Path -> G.(opt (map (fun w -> "/tmp/" ^ w ^ ".trace") word))
+  | O.Sets -> G.(list_size (0 -- 3) (pair word (int_range (-50) 50)))
+
+let gen_options : O.t G.t =
+  List.fold_left
+    (fun acc (O.Field (r, _)) ->
+      G.(acc >>= fun o -> map (fun v -> r.O.set v o) (gen_value r.O.kind)))
+    (G.return O.default) (O.fields O.default)
+
+let print_options o = J.to_string (O.to_json o)
+let arb_options = QCheck.make ~print:print_options gen_options
+
+(* ------------------------------------------------------------------ *)
+(* Round trips                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let json_roundtrip =
+  QCheck.Test.make ~name:"of_json (to_json o) = Ok o" ~count:500 arb_options
+    (fun o -> O.of_json (O.to_json o) = Ok o)
+
+(* The CLI spelling of [o]'s rows that [cmd] takes. *)
+let argv_of cmd o =
+  List.concat_map
+    (fun (O.Field (r, v)) ->
+      let flag = "--" ^ O.flag_name r in
+      let valued s = [ flag ^ "=" ^ s ] in
+      if not (List.mem cmd r.O.commands) then []
+      else
+        match (r.O.kind, v) with
+        | O.Flag, b -> if b then [ flag ] else []
+        | O.Enum names, x ->
+            valued (fst (List.find (fun (_, y) -> y = x) names))
+        | O.Int _, n ->
+            Option.fold ~none:[] ~some:(fun n -> valued (string_of_int n)) n
+        | O.Path, p -> Option.fold ~none:[] ~some:valued p
+        | O.Sets, l ->
+            List.concat_map (fun (k, n) -> valued (Fmt.str "%s=%d" k n)) l)
+    (O.fields o)
+
+(* [o] with the rows [cmd] does not take back at their defaults. *)
+let restrict cmd o =
+  List.fold_left
+    (fun acc (O.Field (r, v)) ->
+      if List.mem cmd r.O.commands then r.O.set v acc else acc)
+    O.default (O.fields o)
+
+let cli_roundtrip cmd name =
+  QCheck.Test.make ~name ~count:300 arb_options (fun o ->
+      let o = restrict cmd o in
+      QCheck.assume (O.validate cmd o = Ok ());
+      let argv = Array.of_list ("tdrepair" :: argv_of cmd o) in
+      let cmd_ =
+        Cmdliner.Cmd.v (Cmdliner.Cmd.info "tdrepair") (Options_cli.term cmd)
+      in
+      match Cmdliner.Cmd.eval_value ~argv cmd_ with
+      | Ok (`Ok o') -> o' = o
+      | _ ->
+          QCheck.Test.fail_reportf "argv %s rejected"
+            (String.concat " " (Array.to_list argv)))
+
+(* ------------------------------------------------------------------ *)
+(* NDJSON fuzz                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let gen_json : J.t G.t =
+  G.oneof
+    [
+      G.return J.Null;
+      G.map (fun b -> J.Bool b) G.bool;
+      G.map (fun n -> J.Int n) G.(int_range (-10) 10);
+      G.map (fun f -> J.Float f) G.float;
+      G.map (fun s -> J.Str s) G.(string_size ~gen:printable (0 -- 8));
+      G.return (J.List [ J.Str "worker_crash"; J.Int 3 ]);
+      G.map (fun k -> J.Obj [ (k, J.Str "x") ]) word;
+    ]
+
+(* Job frames built from well-typed flags, some values replaced by
+   ill-typed or out-of-range ones, plus the job keys and unknown keys;
+   some frames are cut short. *)
+let gen_frame : string G.t =
+  let open G in
+  let mutate (k, v) =
+    frequency
+      [
+        (4, return (k, v));
+        (2, map (fun j -> (k, j)) gen_json);
+        (1, return (k, J.Int (-1)));
+        (1, return (k, J.Int 0));
+      ]
+  in
+  gen_options >>= fun o ->
+  let kvs = match O.to_json o with J.Obj kvs -> kvs | _ -> [] in
+  flatten_l (List.map mutate kvs) >>= fun kvs ->
+  list_size (0 -- 3)
+    (pair
+       (oneofl [ "timeout_ms"; "retries"; "faults"; "trace"; "static_prun" ])
+       gen_json)
+  >>= fun extra ->
+  oneofl [ "detect"; "repair"; "lint"; "cancel"; "health"; "bogus" ]
+  >>= fun op ->
+  frequency [ (6, return (J.Obj (kvs @ extra))); (1, gen_json) ]
+  >>= fun flags ->
+  let frame =
+    J.to_string
+      (J.Obj
+         [
+           ("op", J.Str op);
+           ("id", J.Str "f");
+           ("src", J.Str "def main() {}");
+           ("flags", flags);
+         ])
+  in
+  frequency
+    [
+      (8, return frame);
+      (1, map (fun n -> String.sub frame 0 (n mod String.length frame)) nat);
+    ]
+
+let parse_total =
+  QCheck.Test.make ~name:"Protocol.parse never raises on fuzzed job frames"
+    ~count:2000
+    (QCheck.make ~print:Fun.id gen_frame)
+    (fun line ->
+      match P.parse line with
+      | Ok (P.Job spec) -> (
+          match P.validate spec with
+          | Ok () | Error (P.Bad_request _) -> true
+          | Error _ -> false)
+      | Ok _ | Error (P.Malformed _ | P.Bad_request _) -> true
+      | Error (P.Oversized _) -> false
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let () =
+  Alcotest.run "options"
+    [
+      ( "codec",
+        [
+          Alcotest.test_case "key covers semantic rows" `Quick
+            test_key_covers_semantic_rows;
+          QCheck_alcotest.to_alcotest json_roundtrip;
+          QCheck_alcotest.to_alcotest
+            (cli_roundtrip O.Detect "detect argv round-trips");
+          QCheck_alcotest.to_alcotest
+            (cli_roundtrip O.Repair "repair argv round-trips");
+        ] );
+      ("protocol", [ QCheck_alcotest.to_alcotest parse_total ]);
+    ]

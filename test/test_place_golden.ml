@@ -49,7 +49,9 @@ let line name prog strategy =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   let summary =
-    match D.repair_checked ~strategy prog with
+    match D.repair_checked
+            ~options:{ Repair.Options.default with placement = strategy }
+            prog with
     | Error d ->
         add "error %s" (Repair.Diag.to_string d);
         "error"

@@ -200,7 +200,9 @@ let srw_also_converges =
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let prog = compile (generate seed) in
-      let report = Repair.Driver.repair ~mode:Espbags.Detector.Srw prog in
+      let report = Repair.Driver.repair
+          ~options:{ Repair.Options.default with mode = Espbags.Detector.Srw }
+          prog in
       report.converged)
 
 let () =

@@ -114,20 +114,21 @@ let test_protocol_parse_job () =
       Alcotest.(check string) "id" "j1" s.P.id;
       Alcotest.(check bool) "op" true (s.P.op = P.Repair);
       Alcotest.(check bool) "mode" true
-        (s.P.flags.P.mode = Espbags.Detector.Srw);
-      Alcotest.(check bool) "backend" true (s.P.flags.P.backend = `Vclock);
+        (s.P.flags.P.options.mode = Espbags.Detector.Srw);
+      Alcotest.(check bool) "backend" true
+        (s.P.flags.P.options.backend = `Vclock);
       Alcotest.(check bool) "strategy" true
-        (s.P.flags.P.strategy = `Tournament);
+        (s.P.flags.P.options.strategy = `Tournament);
       Alcotest.(check (option int)) "shadow_chunk" (Some 512)
-        s.P.flags.P.shadow_chunk;
+        s.P.flags.P.options.shadow_chunk;
       Alcotest.(check (option string)) "spill" (Some "/tmp/sp")
-        s.P.flags.P.spill;
+        s.P.flags.P.options.spill;
       Alcotest.(check (option int)) "timeout" (Some 50)
         s.P.flags.P.timeout_ms;
       Alcotest.(check (option int)) "retries" (Some 1) s.P.flags.P.retries;
       Alcotest.(check bool) "trace" true s.P.flags.P.trace;
       Alcotest.(check (list (pair string int))) "sets" [ ("n", 3) ]
-        s.P.flags.P.sets;
+        s.P.flags.P.options.sets;
       Alcotest.(check (list string)) "faults"
         [ "detector_abort"; "interp_trap:99"; "slow_stage:20" ]
         (List.map P.fault_to_string s.P.flags.P.faults)
@@ -167,6 +168,61 @@ let test_protocol_errors_typed () =
     (contains ~affix:{|"error": "bad-request"|}
        (err {|{"op":"repair","id":"x","src":"","flags":{"faults":["nope"]}}|}))
 
+(* Served flags get the checks the CLI applies: a non-positive shadow
+   chunk and an unknown key are bad requests naming the problem, not
+   internal failures or silently ignored keys. *)
+let test_protocol_flag_checks () =
+  let detail flags =
+    let line =
+      Fmt.str {|{"op":"detect","id":"x","src":"def main() {}","flags":%s}|}
+        flags
+    in
+    match P.parse line with
+    | Error (P.Bad_request m) -> m
+    | Error e -> Alcotest.failf "expected bad-request, got %s"
+                   (P.frame (P.error_reply e))
+    | Ok _ -> Alcotest.failf "expected bad-request for %s" flags
+  in
+  List.iter
+    (fun flags ->
+      Alcotest.(check bool) (flags ^ " rejected") true
+        (contains ~affix:"chunk size must be positive" (detail flags)))
+    [ {|{"shadow_chunk":0}|}; {|{"shadow_chunk":-4}|} ];
+  Alcotest.(check bool) "unknown key named" true
+    (contains ~affix:"static_prun" (detail {|{"static_prun":true}|}));
+  Alcotest.(check bool) "ill-typed value named" true
+    (contains ~affix:"budget_fuel" (detail {|{"budget_fuel":"lots"}|}))
+
+(* A non-finish strategy cannot report a static verdict or a spill
+   count: the daemon refuses such jobs before admitting them, as the CLI
+   refuses them before running. *)
+let test_protocol_strategy_only_options () =
+  let job flags =
+    match
+      P.parse
+        (Fmt.str {|{"op":"repair","id":"x","src":"def main() {}","flags":%s}|}
+           flags)
+    with
+    | Ok (P.Job s) -> s
+    | _ -> Alcotest.failf "expected a job for %s" flags
+  in
+  let refused flags =
+    match P.validate (job flags) with
+    | Error (P.Bad_request _) -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "tournament + static_verify refused" true
+    (refused {|{"strategy":"tournament","static_verify":true}|});
+  Alcotest.(check bool) "elide + spill refused" true
+    (refused {|{"strategy":"elide","spill":"/tmp/sp"}|});
+  Alcotest.(check bool) "finish + static_verify admitted" false
+    (refused {|{"static_verify":true,"spill":"/tmp/sp"}|});
+  Alcotest.(check bool) "detect ignores the repair strategy" false
+    (P.validate
+       { (job {|{"strategy":"tournament","spill":"/tmp/sp"}|}) with
+         P.op = P.Detect }
+     <> Ok ())
+
 let test_protocol_reply_golden () =
   Alcotest.(check string) "terminal reply frame"
     "{\"attempts\": 1, \"id\": \"j1\", \"status\": \"ok\"}\n"
@@ -187,7 +243,12 @@ let test_cache_key_sensitivity () =
   ne "mode matters"
     {
       base with
-      P.flags = { base.P.flags with P.mode = Espbags.Detector.Srw };
+      P.flags =
+        {
+          base.P.flags with
+          P.options =
+            { base.P.flags.P.options with mode = Espbags.Detector.Srw };
+        };
     };
   ne "budgets matter"
     {
@@ -195,30 +256,91 @@ let test_cache_key_sensitivity () =
       P.flags =
         {
           base.P.flags with
-          P.budgets = { Repair.Guard.unlimited with fuel = Some 5 };
+          P.options =
+            {
+              base.P.flags.P.options with
+              budgets = { Repair.Guard.unlimited with fuel = Some 5 };
+            };
         };
     };
   ne "sets matter"
-    { base with P.flags = { base.P.flags with P.sets = [ ("n", 1) ] } };
+    {
+      base with
+      P.flags =
+        {
+          base.P.flags with
+          P.options = { base.P.flags.P.options with sets = [ ("n", 1) ] };
+        };
+    };
   (* every detector-affecting flag added since the daemon landed must
      key the cache too: serving an espbags reply to a vclock request (or
      a finish repair to a tournament request) is a stale-result bug *)
   ne "backend matters"
-    { base with P.flags = { base.P.flags with P.backend = `Vclock } };
+    {
+      base with
+      P.flags =
+        {
+          base.P.flags with
+          P.options = { base.P.flags.P.options with backend = `Vclock };
+        };
+    };
   ne "auto backend distinct from explicit"
-    { base with P.flags = { base.P.flags with P.backend = `Auto } };
+    {
+      base with
+      P.flags =
+        {
+          base.P.flags with
+          P.options = { base.P.flags.P.options with backend = `Auto };
+        };
+    };
   ne "shadow_chunk matters"
-    { base with P.flags = { base.P.flags with P.shadow_chunk = Some 256 } };
+    {
+      base with
+      P.flags =
+        {
+          base.P.flags with
+          P.options = { base.P.flags.P.options with shadow_chunk = Some 256 };
+        };
+    };
   ne "spill matters"
-    { base with P.flags = { base.P.flags with P.spill = Some "/tmp/sp" } };
+    {
+      base with
+      P.flags =
+        {
+          base.P.flags with
+          P.options = { base.P.flags.P.options with spill = Some "/tmp/sp" };
+        };
+    };
   ne "strategy matters"
-    { base with P.flags = { base.P.flags with P.strategy = `Tournament } };
+    {
+      base with
+      P.flags =
+        {
+          base.P.flags with
+          P.options = { base.P.flags.P.options with strategy = `Tournament };
+        };
+    };
   Alcotest.(check bool) "isolated and elide keys differ" false
     (String.equal
        (P.cache_key
-          { base with P.flags = { base.P.flags with P.strategy = `Isolated } })
+          {
+            base with
+            P.flags =
+              {
+                base.P.flags with
+                P.options =
+                  { base.P.flags.P.options with strategy = `Isolated };
+              };
+          })
        (P.cache_key
-          { base with P.flags = { base.P.flags with P.strategy = `Elide } }));
+          {
+            base with
+            P.flags =
+              {
+                base.P.flags with
+                P.options = { base.P.flags.P.options with strategy = `Elide };
+              };
+          }));
   (* result-neutral flags must NOT change the key *)
   Alcotest.(check string) "trace ignored" key
     (P.cache_key
@@ -246,7 +368,12 @@ let test_worker_repair_ok () =
 let test_worker_repair_strategy () =
   (* tournament repairs route through the strategy layer and report the
      winner plus every candidate's outcome *)
-  let flags = { P.default_flags with P.strategy = `Tournament } in
+  let flags =
+    {
+      P.default_flags with
+      P.options = { Repair.Options.default with strategy = `Tournament };
+    }
+  in
   let o = Serve.Worker.execute (spec ~flags racy_src) in
   Alcotest.(check bool) "ok" true (o.Serve.Worker.status = P.Sok);
   match o.Serve.Worker.report with
@@ -267,9 +394,37 @@ let test_worker_repair_strategy () =
       | _ -> Alcotest.fail "expected metrics")
   | None -> Alcotest.fail "expected a report"
 
+(* The fuel budget reaches every tournament candidate: a budget no
+   repair fits in must not come back ok, as it does not for finish. *)
+let test_worker_strategy_honours_fuel () =
+  List.iter
+    (fun strategy ->
+      let flags =
+        {
+          P.default_flags with
+          P.options =
+            {
+              Repair.Options.default with
+              strategy;
+              budgets = { Repair.Guard.unlimited with fuel = Some 1 };
+            };
+        }
+      in
+      let o = Serve.Worker.execute ~backoff_ms:1 (spec ~flags racy_src) in
+      Alcotest.(check bool)
+        (Fmt.str "%a not ok" Repair.Strategy.pp_choice strategy)
+        true
+        (o.Serve.Worker.status <> P.Sok))
+    [ `Finish; `Tournament; `Isolated ]
+
 let test_worker_detect_vclock_backend () =
   (* the backend flag must reach the worker's detect path *)
-  let flags = { P.default_flags with P.backend = `Vclock } in
+  let flags =
+    {
+      P.default_flags with
+      P.options = { Repair.Options.default with backend = `Vclock };
+    }
+  in
   let o = Serve.Worker.execute (spec ~op:P.Detect ~flags racy_src) in
   Alcotest.(check bool) "ok" true (o.Serve.Worker.status = P.Sok);
   match o.Serve.Worker.report with
@@ -616,6 +771,9 @@ let () =
           Alcotest.test_case "parse control" `Quick
             test_protocol_parse_control;
           Alcotest.test_case "typed errors" `Quick test_protocol_errors_typed;
+          Alcotest.test_case "flag checks" `Quick test_protocol_flag_checks;
+          Alcotest.test_case "finish-only options" `Quick
+            test_protocol_strategy_only_options;
           Alcotest.test_case "reply goldens" `Quick
             test_protocol_reply_golden;
           Alcotest.test_case "cache key sensitivity" `Quick
@@ -628,6 +786,8 @@ let () =
           Alcotest.test_case "repair ok" `Quick test_worker_repair_ok;
           Alcotest.test_case "repair via strategy tournament" `Quick
             test_worker_repair_strategy;
+          Alcotest.test_case "strategy honours fuel budget" `Quick
+            test_worker_strategy_honours_fuel;
           Alcotest.test_case "detect honours vclock backend" `Quick
             test_worker_detect_vclock_backend;
           Alcotest.test_case "detect discharges isolated" `Quick

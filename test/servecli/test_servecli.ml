@@ -177,6 +177,14 @@ let test_malformed_frame_conn_survives () =
   let r = Option.get (C.request c {|{"op":"frobnicate"}|}) in
   Alcotest.(check string) "bad request typed" "bad-request"
     (str_field "error" r);
+  (* a job whose options no run can honour is refused, not admitted *)
+  let r =
+    Option.get
+      (C.request c
+         {|{"op":"repair","id":"v","src":"def main() {}","flags":{"strategy":"tournament","static_verify":true}}|})
+  in
+  Alcotest.(check string) "unhonourable options refused" "bad-request"
+    (str_field "error" r);
   (* the SAME connection still serves well-formed requests *)
   let h = Option.get (C.request c {|{"op":"health"}|}) in
   Alcotest.(check string) "conn survived" "ok" (str_field "status" h)

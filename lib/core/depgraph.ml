@@ -62,13 +62,9 @@ let nonscope_children (l : Sdpst.Node.t) : Sdpst.Node.t list =
     (0-based here): does some edge go from a vertex in [i..k] to a vertex
     in [k+1..j]?  O(1) via 2-D prefix sums. *)
 let are_crossing g ~i ~k ~j =
-  let count lo_src hi_src lo_snk hi_snk =
-    g.cum.(hi_src + 1).(hi_snk + 1)
-    - g.cum.(lo_src).(hi_snk + 1)
-    - g.cum.(hi_src + 1).(lo_snk)
-    + g.cum.(lo_src).(lo_snk)
-  in
-  count i k (k + 1) j > 0
+  let cum = g.cum in
+  cum.(k + 1).(j + 1) - cum.(i).(j + 1) - cum.(k + 1).(k + 1) + cum.(i).(k + 1)
+  > 0
 
 let build_cum n edges =
   let cum = Array.make_matrix (n + 1) (n + 1) 0 in
@@ -81,70 +77,79 @@ let build_cum n edges =
   done;
   cum
 
-(* Node-id keyed tables: ids are small non-negative ints, their own hash. *)
-module Id_tbl = Hashtbl.Make (struct
-  type t = int
+type lifted = {
+  nslca : Sdpst.Node.t;
+  pairs : Tdrutil.Ivec.t;
+  src_child : Tdrutil.Ivec.t;
+  sink_child : Tdrutil.Ivec.t;
+}
 
-  let equal = Int.equal
-  let hash id = id
-end)
+(** Build the dependence graph of one NS-LCA group from its lifted step
+    pairs, in report order.  Vertex weights come from [span]: the subtree
+    completion time of each child under the current synchronization.
 
-(** Build the dependence graph for NS-LCA [lca] from the distinct step
-    pairs whose NS-LCA is [lca], in report order.  Vertex weights come
-    from [span]: the subtree completion time of each child under the
-    current synchronization.
-
-    Each distinct step is mapped to its raw vertex once: sinks arrive in
-    runs (report order), sources through a memo.  Node ids are
+    Lifted children map to raw vertices by a binary search over the
+    children's ids, once per run of equal children.  Node ids are
     depth-first preorder among steps ({!Sdpst.Node}), so a sink's raw
     vertex never decreases along the pairs and raw edges dedupe with a
     per-source stamp; the order is checked on every edge.
     @param coalesce merge signature-identical non-async runs (default
       [true]; the unit tests use [false] to exercise the paper's exact
       construction)
-    @raise Invalid_argument if some endpoint is not a descendant of a
-    non-scope child of [lca], an edge is not left-to-right, or the sinks
-    are out of report order. *)
-let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int)
-    (lca : Sdpst.Node.t) (pairs : Espbags.Race.Pairs.t) : t =
-  let module P = Espbags.Race.Pairs in
+    @raise Invalid_argument if some lifted child is not a non-scope child
+    of the NS-LCA, an edge is not left-to-right, or the sinks are out of
+    report order. *)
+let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
+    =
+  let lca = l.nslca in
   let children = Array.of_list (nonscope_children lca) in
   let n_raw = Array.length children in
-  let index = Id_tbl.create (2 * n_raw) in
-  Array.iteri (fun i c -> Id_tbl.replace index c.Sdpst.Node.id i) children;
-  let raw_vertex_of step =
-    let child = Sdpst.Lca.nonscope_child_ancestor ~anc:lca step in
-    match Id_tbl.find_opt index child.Sdpst.Node.id with
-    | Some i -> i
-    | None ->
+  (* raw vertices in ascending child id; spliced finishes carry fresh
+     ids, so the left-to-right order need not be sorted *)
+  let by_id = Array.init n_raw Fun.id in
+  let id_at v = children.(v).Sdpst.Node.id in
+  let sorted = ref true in
+  for v = 1 to n_raw - 1 do
+    if id_at (v - 1) > id_at v then sorted := false
+  done;
+  if not !sorted then
+    Array.sort (fun a b -> Int.compare (id_at a) (id_at b)) by_id;
+  let raw_vertex_of id =
+    let rec search lo hi =
+      if lo >= hi then
         invalid_arg
-          (Fmt.str "Depgraph.build: %a is not a non-scope child of %a"
-             Sdpst.Node.pp child Sdpst.Node.pp lca)
+          (Fmt.str "Depgraph.build: node %d is not a non-scope child of %a" id
+             Sdpst.Node.pp lca)
+      else
+        let mid = (lo + hi) / 2 in
+        let c = id_at by_id.(mid) in
+        if c = id then by_id.(mid)
+        else if c < id then search (mid + 1) hi
+        else search lo mid
+    in
+    search 0 n_raw
   in
-  let src_vertex = Id_tbl.create 64 in
   let last_sink = ref (-1) and j = ref (-1) in
+  let last_src = ref (-1) and i = ref (-1) in
   (* [stamp.(i) = j]: edge (i, j) already recorded for the current j *)
   let stamp = Array.make n_raw (-1) in
   let raw_edges = ref [] in
-  for k = 0 to P.length pairs - 1 do
-    let sink = P.sink_id pairs k in
+  for q = 0 to Tdrutil.Ivec.length l.pairs - 1 do
+    let k = Tdrutil.Ivec.get l.pairs q in
+    let sink = Tdrutil.Ivec.get l.sink_child k in
     if sink <> !last_sink then begin
       last_sink := sink;
-      let j' = raw_vertex_of (P.sink pairs k) in
+      let j' = raw_vertex_of sink in
       if j' < !j then
         invalid_arg "Depgraph.build: sink vertices out of report order";
       j := j'
     end;
-    let src = P.src_id pairs k in
-    let i =
-      match Id_tbl.find src_vertex src with
-      | i -> i
-      | exception Not_found ->
-          let i = raw_vertex_of (P.src pairs k) in
-          Id_tbl.add src_vertex src i;
-          i
-    in
-    let j = !j in
+    let src = Tdrutil.Ivec.get l.src_child k in
+    if src <> !last_src then begin
+      last_src := src;
+      i := raw_vertex_of src
+    end;
+    let i = !i and j = !j in
     if i >= j then
       invalid_arg
         (Fmt.str "Depgraph.build: race edge (%d, %d) is not left-to-right" i j);
@@ -262,13 +267,26 @@ let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int)
   }
 
 (** {!of_pairs} on the distinct pairs of [races], taken in order of sink
-    id (stable, so report-order input is kept as it is). *)
+    id (stable, so report-order input is kept as it is), each endpoint
+    lifted to the non-scope child of [lca] that contains it. *)
 let build ?coalesce ~span lca (races : Espbags.Race.t list) : t =
   let by_sink (a : Espbags.Race.t) (b : Espbags.Race.t) =
     Int.compare a.sink.Sdpst.Node.id b.sink.Sdpst.Node.id
   in
-  of_pairs ?coalesce ~span lca
-    (Espbags.Race.Pairs.of_list (List.stable_sort by_sink races))
+  let module P = Espbags.Race.Pairs in
+  let pairs = P.of_list (List.stable_sort by_sink races) in
+  let child n = (Sdpst.Lca.nonscope_child_ancestor ~anc:lca n).Sdpst.Node.id in
+  let lifted pick =
+    Tdrutil.Ivec.of_list
+      (List.init (P.length pairs) (fun k -> child (pick pairs k)))
+  in
+  of_pairs ?coalesce ~span
+    {
+      nslca = lca;
+      pairs = Tdrutil.Ivec.of_list (List.init (P.length pairs) Fun.id);
+      src_child = lifted P.src;
+      sink_child = lifted P.sink;
+    }
 
 let pp ppf g =
   Fmt.pf ppf "depgraph@@%a: %d vertices (%d raw), %d edges@\n" Sdpst.Node.pp

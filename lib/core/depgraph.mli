@@ -35,30 +35,39 @@ val nonscope_children : Sdpst.Node.t -> Sdpst.Node.t list
     O(1). *)
 val are_crossing : t -> i:int -> k:int -> j:int -> bool
 
-(** Build the dependence graph for [lca] from the distinct step pairs
-    whose NS-LCA is [lca], in report order.  [span] supplies subtree
-    completion times (usually {!Sdpst.Analysis.span_memo}).
+(** The distinct step pairs of one NS-LCA group, lifted onto it: the
+    group's pair indices [pairs], in report order, and for each index
+    [k] the ids [src_child.(k)] and [sink_child.(k)] of the non-scope
+    children of [nslca] that contain its source and its sink (see
+    {!Sdpst.Lca.lift}).  The two columns are indexed by pair, so the
+    groups of one pair set can share them. *)
+type lifted = {
+  nslca : Sdpst.Node.t;
+  pairs : Tdrutil.Ivec.t;
+  src_child : Tdrutil.Ivec.t;
+  sink_child : Tdrutil.Ivec.t;
+}
 
-    Each distinct step is mapped to its raw vertex once.  Sink ids never
-    decrease in report order and node ids are depth-first preorder among
-    steps, so sink vertices never decrease either and raw edges dedupe
-    with a per-source stamp; that order is checked on every edge.
+(** Build the dependence graph of one lifted NS-LCA group.  [span]
+    supplies subtree completion times (usually
+    {!Sdpst.Analysis.span_memo}).
+
+    Sink ids never decrease in report order and node ids are depth-first
+    preorder among steps, so sink vertices never decrease either and raw
+    edges dedupe with a per-source stamp; that order is checked on every
+    edge.
 
     @param coalesce merge signature-identical and pure-sink runs of
       non-async children (default [true]; [false] gives the paper's exact
       one-vertex-per-child construction).
-    @raise Invalid_argument if a pair endpoint is not a descendant of a
-      non-scope child of [lca], an edge is not left-to-right, or sink
-      vertices decrease. *)
-val of_pairs :
-  ?coalesce:bool ->
-  span:(Sdpst.Node.t -> int) ->
-  Sdpst.Node.t ->
-  Espbags.Race.Pairs.t ->
-  t
+    @raise Invalid_argument if a lifted child is not a non-scope child of
+      [nslca], an edge is not left-to-right, or sink vertices decrease. *)
+val of_pairs : ?coalesce:bool -> span:(Sdpst.Node.t -> int) -> lifted -> t
 
 (** {!of_pairs} on the distinct step pairs of [races], taken in order of
-    sink id (a stable sort: races in report order are kept as they are).
+    sink id (a stable sort: races in report order are kept as they are),
+    each endpoint lifted to the non-scope child of [lca] containing it
+    ({!Sdpst.Lca.nonscope_child_ancestor}).
     @raise Invalid_argument as {!of_pairs} *)
 val build :
   ?coalesce:bool ->

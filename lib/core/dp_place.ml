@@ -55,47 +55,47 @@ let solve ?(valid = fun ~i:_ ~j:_ -> true) (g : Depgraph.t) : outcome =
       est_after.(i).(i) <- g.Depgraph.drags.(i)
     done;
     for s = 2 to n do
+      (* one watchdog poll per interval length: O(n^2) cells apart *)
+      Rt.Watchdog.check ();
       for i = 0 to n - s do
         let j = i + s - 1 in
+        let opt_i = opt.(i) and est_i = est_after.(i) in
         let c_min = ref infinity_cost in
         let best_p = ref (-1) in
         let best_finish = ref false in
         let best_est = ref infinity_cost in
+        (* Each k is a candidate partition [i..k] [k+1..j]; the first
+           strictly cheapest one wins. *)
         for k = i to j - 1 do
-          let candidate =
-            if not (Depgraph.are_crossing g ~i ~k ~j) then
+          let left = opt_i.(k) and right = opt.(k + 1).(j) in
+          if left < infinity_cost && right < infinity_cost then begin
+            if not (Depgraph.are_crossing g ~i ~k ~j) then begin
               (* No dependence from [i..k] into [k+1..j]: no finish needed;
                  the second block starts once the first block's drag has
                  elapsed. *)
-              Some
-                ( max opt.(i).(k) (est_after.(i).(k) + opt.(k + 1).(j)),
-                  false,
-                  est_after.(i).(k) + est_after.(k + 1).(j) )
-            else if valid ~i ~j:k then
+              let c = Int.max left (est_i.(k) + right) in
+              if c < !c_min then begin
+                c_min := c;
+                best_p := k;
+                best_finish := false;
+                best_est := est_i.(k) + est_after.(k + 1).(j)
+              end
+            end
+            else if left + right < !c_min && valid ~i ~j:k then begin
               (* Crossing dependences: a finish around [i..k] (if a
                  scope-valid one exists) serializes the blocks. *)
-              Some
-                ( opt.(i).(k) + opt.(k + 1).(j),
-                  true,
-                  opt.(i).(k) + est_after.(k + 1).(j) )
-            else None
-          in
-          match candidate with
-          | Some (c, f, e)
-            when opt.(i).(k) < infinity_cost
-                 && opt.(k + 1).(j) < infinity_cost
-                 && c < !c_min ->
-              c_min := c;
+              c_min := left + right;
               best_p := k;
-              best_finish := f;
-              best_est := e
-          | _ -> ()
+              best_finish := true;
+              best_est := left + est_after.(k + 1).(j)
+            end
+          end
         done;
         if !best_p >= 0 then begin
-          opt.(i).(j) <- !c_min;
+          opt_i.(j) <- !c_min;
           partition.(i).(j) <- !best_p;
           finish.(i).(j) <- !best_finish;
-          est_after.(i).(j) <- !best_est
+          est_i.(j) <- !best_est
         end
       done
     done;

@@ -20,7 +20,9 @@ exception Unsatisfiable of int * int
     @param valid scope-validity of wrapping vertices [i..j] in a finish
       (from {!Valid.make_checker}); defaults to always-valid, the pure
       published Algorithm 1.
-    @raise Unsatisfiable when the dependences cannot be resolved. *)
+    @raise Unsatisfiable when the dependences cannot be resolved.
+    @raise Rt.Watchdog.Timeout when the calling domain's deadline passes
+      (polled once per interval length). *)
 val solve : ?valid:(i:int -> j:int -> bool) -> Depgraph.t -> outcome
 
 (** Completion time of the vertex block under an explicit placement (the

@@ -175,34 +175,55 @@ let detect (o : Options.t) prog =
 
 module Pairs = Espbags.Race.Pairs
 
-(* Group the pairs [iter] yields, by the id of their NS-LCA: the pair
-   indices of each group in [iter]'s order, groups in ascending
-   (depth-first) NS-LCA order.  Consecutive pairs mostly share an
-   NS-LCA, so the last group is checked before the table. *)
-let group_indices (pairs : Pairs.t) iter : (Sdpst.Node.t * Tdrutil.Ivec.t) list
-    =
+(* The pairs [iter] yields, lifted and grouped by their NS-LCA: each
+   pair is lifted with [lifter] (one root-path walk per run of pairs
+   sharing a sink) into the pass's per-pair columns [src_child] and
+   [sink_child], of length [Pairs.length pairs].  The groups hold the
+   pairs in [iter]'s order, in ascending NS-LCA id order.  With
+   [mhp_only], pairs whose steps may no longer run in parallel (Theorem
+   1: the source's child is not an async) are dropped.  Consecutive
+   pairs mostly share an NS-LCA, so the last group is checked before the
+   table. *)
+let group_indices ?(mhp_only = false) lifter ~src_child ~sink_child
+    (pairs : Pairs.t) iter : Depgraph.lifted list =
+  Sdpst.Lca.restart lifter;
   let tbl = Hashtbl.create 64 in
-  let last = ref (-1, Tdrutil.Ivec.create ()) in
-  iter (fun k ->
-      let lca = Sdpst.Lca.ns_lca (Pairs.src pairs k) (Pairs.sink pairs k) in
-      let id = lca.Sdpst.Node.id in
-      let last_id, ks = !last in
-      if id = last_id then Tdrutil.Ivec.push ks k
-      else begin
-        let ks =
-          match Hashtbl.find tbl id with
-          | _, ks -> ks
-          | exception Not_found ->
-              let ks = Tdrutil.Ivec.create () in
-              Hashtbl.add tbl id (lca, ks);
-              ks
+  let fresh nslca =
+    let g =
+      { Depgraph.nslca; pairs = Tdrutil.Ivec.create (); src_child; sink_child }
+    in
+    Hashtbl.add tbl nslca.Sdpst.Node.id g;
+    g
+  in
+  let last = ref None in
+  let group_of lca =
+    match !last with
+    | Some (g : Depgraph.lifted) when g.nslca == lca -> g
+    | _ ->
+        let g =
+          match Hashtbl.find_opt tbl lca.Sdpst.Node.id with
+          | Some g -> g
+          | None -> fresh lca
         in
-        Tdrutil.Ivec.push ks k;
-        last := (id, ks)
+        last := Some g;
+        g
+  in
+  iter (fun k ->
+      let src = Pairs.src pairs k and sink = Pairs.sink pairs k in
+      let lca = Sdpst.Lca.lift lifter ~src ~sink in
+      if (not mhp_only) || Sdpst.Lca.src_child_is_async lifter then begin
+        Tdrutil.Ivec.push (group_of lca).pairs k;
+        Tdrutil.Ivec.set src_child k (Sdpst.Lca.src_child lifter);
+        Tdrutil.Ivec.set sink_child k (Sdpst.Lca.sink_child lifter)
       end);
   Hashtbl.fold (fun _ g acc -> g :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) ->
-         Int.compare a.Sdpst.Node.id b.Sdpst.Node.id)
+  |> List.sort (fun (a : Depgraph.lifted) (b : Depgraph.lifted) ->
+         Int.compare a.nslca.Sdpst.Node.id b.nslca.Sdpst.Node.id)
+
+(* Per-pair columns for {!group_indices}. *)
+let lift_columns pairs =
+  let n = Pairs.length pairs in
+  (Tdrutil.Ivec.make ~len:n (-1), Tdrutil.Ivec.make ~len:n (-1))
 
 let all_pairs pairs f =
   for k = 0 to Pairs.length pairs - 1 do
@@ -210,34 +231,53 @@ let all_pairs pairs f =
   done
 
 (* Fallback when the DP cannot satisfy all edges with one optimal plan:
-   cover each edge by its smallest scope-valid interval. *)
-let per_edge_fallback (g : Depgraph.t)
-    (insertion : i:int -> j:int -> Valid.insertion option) :
-    (int * int) list option =
-  let cover (x, y) =
-    let found = ref None in
-    (try
-       for width = 0 to y - 1 do
-         for s = max 0 (x - width) to x do
-           let e = s + width in
-           if e >= x && e < y && !found = None then
-             match insertion ~i:s ~j:e with
-             | Some _ -> found := Some (s, e)
-             | None -> ()
-         done;
-         if !found <> None then raise Exit
-       done
-     with Exit -> ());
-    !found
-  in
-  let rec all = function
-    | [] -> Some []
-    | e :: rest -> (
-        match (cover e, all rest) with
-        | Some iv, Some ivs -> Some (iv :: ivs)
-        | _ -> None)
-  in
-  all g.edges
+   cover each edge (x, y) by its smallest scope-valid interval [s..e]
+   with s <= x <= e < y, the leftmost of the narrowest.  The edges of
+   one source x are covered together, in ascending y, by one walk over
+   the candidates in that order: every candidate is probed once per
+   source, and an edge's cover is the first valid candidate walked so
+   far that ends before y, else the next one the walk meets.  Only the
+   valid candidates walked are kept: nothing quadratic in the vertex
+   count is allocated. *)
+let per_edge_fallback ~wrap_ok (g : Depgraph.t) : (int * int) list option =
+  let valid s e = Option.is_some (Valid.insertion_for ~wrap_ok g ~i:s ~j:e) in
+  let edges = Array.of_list g.edges in
+  let order = Array.init (Array.length edges) Fun.id in
+  Array.stable_sort (fun a b -> compare edges.(a) edges.(b)) order;
+  let covers = Array.make (Array.length edges) None in
+  let x0 = ref (-1) in
+  (* the walk of the current source: next candidate (width, start), and
+     the valid candidates walked so far, in walk order *)
+  let width = ref 0 and start = ref 0 and found = ref [] in
+  Array.iter
+    (fun ei ->
+      let x, y = edges.(ei) in
+      if x <> !x0 then begin
+        x0 := x;
+        width := 0;
+        start := x;
+        found := []
+      end;
+      let cover =
+        ref (List.find_opt (fun (_, e) -> e < y) (List.rev !found))
+      in
+      while !cover = None && !width < y do
+        let s = !start and e = !start + !width in
+        if !start = x then begin
+          incr width;
+          start := max 0 (x - !width)
+        end
+        else incr start;
+        if valid s e then begin
+          found := (s, e) :: !found;
+          if e < y then cover := Some (s, e)
+        end
+      done;
+      covers.(ei) <- !cover)
+    order;
+  if Array.for_all Option.is_some covers then
+    Some (Array.to_list (Array.map Option.get covers))
+  else None
 
 (* DP work estimate for an n-vertex dependence graph: the interval DP does
    O(n^3) cell updates.  Saturating, so budgets compare safely. *)
@@ -257,35 +297,38 @@ let no_placement lca =
      covers (recorded as a degradation);
    - a DP that proves Unsatisfiable falls back to per-edge covers at any
      tier (also recorded). *)
-let solve_group ~guard ~wrap_ok ~span (lca : Sdpst.Node.t) (group : Pairs.t)
-    : group_result =
+let solve_group ~guard ~wrap_ok ~span (group : Depgraph.lifted) :
+    group_result =
+  let lca = group.nslca in
+  (* placement runs under the job's deadline too: one poll per group *)
+  Rt.Watchdog.check ();
   if Faultinject.enabled Faultinject.Place_unsat then
     raise
       (Unrepairable
          (Fmt.str "injected fault: unsatisfiable placement at NS-LCA %a"
             Sdpst.Node.pp lca));
   let g =
-    Obs.Trace.with_span "depgraph" (fun () -> Depgraph.of_pairs ~span lca group)
+    Obs.Trace.with_span "depgraph" (fun () ->
+        Depgraph.of_pairs ~span group)
   in
-  let valid, insertion = Valid.make_checker ~wrap_ok g in
-  let cover_with g' insertion' =
-    match per_edge_fallback g' insertion' with
-    | Some ivs -> (g', insertion', ivs, -1, true)
+  let cover_with g' =
+    match per_edge_fallback ~wrap_ok g' with
+    | Some ivs -> (g', ivs, -1, true)
     | None -> raise (no_placement lca)
   in
-  let solve_on g' valid' insertion' =
-    match Dp_place.solve ~valid:valid' g' with
-    | { cost; finishes } -> (g', insertion', finishes, cost, false)
+  let solve_on g' =
+    match Dp_place.solve ~valid:(Valid.make_checker ~wrap_ok g') g' with
+    | { cost; finishes } -> (g', finishes, cost, false)
     | exception Dp_place.Unsatisfiable _ ->
         Log.warn (fun m ->
             m "DP unsatisfiable at NS-LCA %a; falling back to per-edge covers"
               Sdpst.Node.pp lca);
         Guard.note guard
           (Guard.Dp_unsat_fallback { lca_id = lca.Sdpst.Node.id });
-        cover_with g' insertion'
+        cover_with g'
   in
   let n = Depgraph.n_vertices g in
-  let g_used, insertion_used, finishes, dp_cost, fell_back =
+  let g_used, finishes, dp_cost, fell_back =
     Obs.Trace.with_span "dp-place"
       ~args:[ ("lca", lca.Sdpst.Node.id); ("vertices", n) ]
     @@ fun () ->
@@ -298,7 +341,7 @@ let solve_group ~guard ~wrap_ok ~span (lca : Sdpst.Node.t) (group : Pairs.t)
             Sdpst.Node.pp lca);
       Guard.note guard
         (Guard.Dp_interval_cover { lca_id = lca.Sdpst.Node.id });
-      cover_with g insertion
+      cover_with g
     end
     else begin
       let budgeted = (Guard.budgets guard).Guard.dp_work <> None in
@@ -310,23 +353,21 @@ let solve_group ~guard ~wrap_ok ~span (lca : Sdpst.Node.t) (group : Pairs.t)
         (* A budget is set and generous enough for the paper's exact
            uncoalesced DP on this group: buy the extra fidelity. *)
         Guard.dp_charge guard full_work;
-        let g_full = Depgraph.of_pairs ~coalesce:false ~span lca group in
-        let valid_full, insertion_full = Valid.make_checker ~wrap_ok g_full in
-        solve_on g_full valid_full insertion_full
+        solve_on (Depgraph.of_pairs ~coalesce:false ~span group)
       end
       else begin
         Guard.dp_charge guard (dp_work_of n);
-        solve_on g valid insertion
+        solve_on g
       end
     end
   in
   let insertions =
     List.map
       (fun (s, e) ->
-        match insertion_used ~i:s ~j:e with
+        match Valid.insertion_for ~wrap_ok g_used ~i:s ~j:e with
         | Some ins -> ins
         | None ->
-            (* solve only returns intervals it validated *)
+            (* solve and the covers only return intervals they validated *)
             assert false)
       finishes
   in
@@ -358,14 +399,11 @@ let place_pairs ~guard ~program (pairs : Pairs.t) =
   let wrap_ok = Mhj.Scopecheck.wrap_ok scopes in
   let groups =
     Obs.Trace.with_span "nslca-group" (fun () ->
-        group_indices pairs (all_pairs pairs))
+        let src_child, sink_child = lift_columns pairs in
+        group_indices (Sdpst.Lca.lifter ()) ~src_child ~sink_child pairs
+          (all_pairs pairs))
   in
-  let results =
-    List.map
-      (fun (lca, ks) ->
-        solve_group ~guard ~wrap_ok ~span lca (Pairs.sub pairs ks))
-      groups
-  in
+  let results = List.map (solve_group ~guard ~wrap_ok ~span) groups in
   (results, merge_demands ~scopes results)
 
 module Int_map = Map.Make (Int)
@@ -389,38 +427,37 @@ let place_pairs_incremental ~guard ~program (tree : Sdpst.Node.tree)
   let scopes = scopes_of program in
   let wrap_ok = Mhj.Scopecheck.wrap_ok scopes in
   let results = ref [] in
-  (* keys are node ids: a regrouped key meets one left standing only
-     when a spliced finish reuses the id of a node an S-DPST budget
-     prune freed; the two index runs then merge in increasing order *)
+  let lifter = Sdpst.Lca.lifter () in
+  let src_child, sink_child = lift_columns pairs in
+  (* keys are node ids, unique per tree ({!Sdpst.Node.tree}): a regrouped
+     pair's NS-LCA is either a stale key, removed before regrouping, or
+     the finish just spliced in *)
   let add_groups groups gs =
     List.fold_left
-      (fun m ((lca : Sdpst.Node.t), ks) ->
-        Int_map.update lca.id
-          (function
-            | None -> Some (lca, ks)
-            | Some (_, ks0) ->
-                Some
-                  ( lca,
-                    Tdrutil.Ivec.of_list
-                      (List.merge Int.compare (Tdrutil.Ivec.to_list ks0)
-                         (Tdrutil.Ivec.to_list ks)) ))
-          m)
+      (fun m (g : Depgraph.lifted) ->
+        let id = g.nslca.Sdpst.Node.id in
+        if Int_map.mem id m then
+          invalid_arg "Driver: a regrouped NS-LCA has a group standing";
+        Int_map.add id g m)
       groups gs
   in
   let groups =
     ref
       (Obs.Trace.with_span "nslca-group" (fun () ->
-           add_groups Int_map.empty (group_indices pairs (all_pairs pairs))))
+           add_groups Int_map.empty
+             (group_indices lifter ~src_child ~sink_child pairs
+                (all_pairs pairs))))
   in
   let rounds = ref 0 in
+  (* one span memo for the pass: each splice forgets its root path *)
+  let memo = Sdpst.Analysis.memo () in
+  let span = Sdpst.Analysis.span memo in
   while not (Int_map.is_empty !groups) do
     incr rounds;
     if !rounds > 100_000 then
       raise (Unrepairable "incremental placement did not converge");
-    (* spans change as finish nodes are spliced in: fresh memo per round *)
-    let span, _ = Sdpst.Analysis.span_memo () in
-    let _, (lca, ks) = Int_map.min_binding !groups in
-    let r = solve_group ~guard ~wrap_ok ~span lca (Pairs.sub pairs ks) in
+    let _, group = Int_map.min_binding !groups in
+    let r = solve_group ~guard ~wrap_ok ~span group in
     let parent =
       match r.insertions with
       | [] ->
@@ -433,6 +470,7 @@ let place_pairs_incremental ~guard ~program (tree : Sdpst.Node.tree)
           ignore
             (Sdpst.Tree.insert_finish tree ~parent:ins.parent
                ~lo:ins.child_lo ~hi:ins.child_hi);
+          Sdpst.Analysis.forget_path memo ins.parent;
           results := { r with insertions = [ ins ] } :: !results;
           ins.parent
     in
@@ -455,20 +493,19 @@ let place_pairs_incremental ~guard ~program (tree : Sdpst.Node.tree)
         in
         let ks = Tdrutil.Ivec.create () in
         List.iter
-          (fun (id, (_, g)) ->
+          (fun (id, (g : Depgraph.lifted)) ->
             groups := Int_map.remove id !groups;
-            Tdrutil.Ivec.iter (Tdrutil.Ivec.push ks) g)
+            Tdrutil.Ivec.iter (Tdrutil.Ivec.push ks) g.pairs)
           stale;
-        let live =
-          List.filter
-            (fun k ->
-              Sdpst.Lca.may_happen_in_parallel (Pairs.src pairs k)
-                (Pairs.sink pairs k))
-            (List.sort_uniq Int.compare (Tdrutil.Ivec.to_list ks))
+        (* each pair sits in one group: back to increasing order *)
+        let ks =
+          Array.sub (Tdrutil.Ivec.unsafe_data ks) 0 (Tdrutil.Ivec.length ks)
         in
+        Array.sort Int.compare ks;
         groups :=
           add_groups !groups
-            (group_indices pairs (fun f -> List.iter f live)))
+            (group_indices ~mhp_only:true lifter ~src_child ~sink_child pairs
+               (fun f -> Array.iter f ks)))
   done;
   let results = List.rev !results in
   (results, merge_demands ~scopes results)
@@ -503,9 +540,8 @@ let enforce_sdpst_budget ~guard (tree : Sdpst.Node.tree) (pairs : Pairs.t) :
     unit =
   match (Guard.budgets guard).Guard.sdpst_nodes with
   | Some cap when tree.Sdpst.Node.n_nodes > cap ->
-      (* one flag per node of the fresh detection tree, whose ids are
-         below [n_nodes] *)
-      let endpoint = Bytes.make tree.Sdpst.Node.n_nodes '\000' in
+      (* one flag per node id: every id is below [next_id] *)
+      let endpoint = Bytes.make tree.Sdpst.Node.next_id '\000' in
       for k = 0 to Pairs.length pairs - 1 do
         Bytes.set endpoint (Pairs.src_id pairs k) '\001';
         Bytes.set endpoint (Pairs.sink_id pairs k) '\001'

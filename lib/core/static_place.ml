@@ -67,13 +67,19 @@ let merge ~(scopes : Mhj.Scopecheck.t)
   (* Pairs of distinct placements co-demanded by one context are protected
      from merging (they are deliberate nested structure). *)
   let protected_pairs = Hashtbl.create 16 in
+  let key (p : Mhj.Transform.placement) = (p.bid, p.lo, p.hi) in
+  (* each context's distinct demands: per-edge covers repeat one
+     interval for many edges, and the pairs below are quadratic *)
   let by_ctx = Hashtbl.create 16 in
+  let seen = Hashtbl.create 16 in
   List.iter
     (fun (ctx, p) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_ctx ctx) in
-      Hashtbl.replace by_ctx ctx (p :: cur))
+      if not (Hashtbl.mem seen (ctx, key p)) then begin
+        Hashtbl.add seen (ctx, key p) ();
+        let cur = Option.value ~default:[] (Hashtbl.find_opt by_ctx ctx) in
+        Hashtbl.replace by_ctx ctx (p :: cur)
+      end)
     demands;
-  let key (p : Mhj.Transform.placement) = (p.bid, p.lo, p.hi) in
   Hashtbl.iter
     (fun _ctx ps ->
       List.iter
@@ -100,6 +106,8 @@ let merge ~(scopes : Mhj.Scopecheck.t)
   let n_demanded = List.length initial in
   let n_merged = ref 0 in
   let rec fix ps =
+    (* one watchdog poll per round: the job's deadline bounds the merge *)
+    Rt.Watchdog.check ();
     let ps = dedup ps in
     let crossing (a : Mhj.Transform.placement) (b : Mhj.Transform.placement) =
       overlapping a b

@@ -152,21 +152,22 @@ let valid_by_depths (g : Depgraph.t) ~i ~j : bool =
   in
   not (d1l > d12 || d2r > d12)
 
-(** Memoized validity predicate for the DP: [valid i j] iff a scope-valid
-    insertion exists for vertices [i..j].
+(** Validity predicate for the DP: [valid ~i ~j] iff a scope-valid
+    insertion exists for vertices [i..j].  Each interval is computed once
+    into a dense n×n byte table (unknown / valid / invalid); the DP then
+    recomputes {!insertion_for} for the intervals it finally chooses.
 
     @param wrap_ok declaration-visibility constraint (see
       {!Mhj.Scopecheck.wrap_ok}); defaults to unconstrained. *)
-let make_checker ?wrap_ok (g : Depgraph.t) :
-    (i:int -> j:int -> bool) * (i:int -> j:int -> insertion option) =
-  let memo = Hashtbl.create 64 in
-  let insertion ~i ~j =
-    match Hashtbl.find_opt memo (i, j) with
-    | Some r -> r
-    | None ->
-        let r = insertion_for ?wrap_ok g ~i ~j in
-        Hashtbl.add memo (i, j) r;
-        r
-  in
-  let valid ~i ~j = Option.is_some (insertion ~i ~j) in
-  (valid, insertion)
+let make_checker ?wrap_ok (g : Depgraph.t) : i:int -> j:int -> bool =
+  let n = Depgraph.n_vertices g in
+  let table = Bytes.make (n * n) '\000' in
+  fun ~i ~j ->
+    let k = (i * n) + j in
+    match Bytes.get table k with
+    | '\001' -> true
+    | '\002' -> false
+    | _ ->
+        let v = Option.is_some (insertion_for ?wrap_ok g ~i ~j) in
+        Bytes.set table k (if v then '\001' else '\002');
+        v

@@ -31,9 +31,13 @@ val insertion_for :
     with statement-boundary and declaration-visibility constraints. *)
 val valid_by_depths : Depgraph.t -> i:int -> j:int -> bool
 
-(** Memoized pair of (validity predicate, insertion query) over one
-    dependence graph, as consumed by {!Dp_place.solve}. *)
+(** Validity predicate over one dependence graph, as consumed by
+    {!Dp_place.solve}: [valid ~i ~j] iff {!insertion_for} finds an
+    insertion for vertices [i..j].  Each interval is computed once, into
+    a dense n×n byte table allocated up front. *)
 val make_checker :
   ?wrap_ok:(bid:int -> lo:int -> hi:int -> bool) ->
   Depgraph.t ->
-  (i:int -> j:int -> bool) * (i:int -> j:int -> insertion option)
+  i:int ->
+  j:int ->
+  bool

@@ -122,14 +122,6 @@ module Pairs = struct
           (Tdrutil.Ivec.unsafe_get t.counts k)
     done;
     out
-
-  let sub t ks =
-    let out = empty_like t in
-    Tdrutil.Ivec.iter
-      (fun k ->
-        push out (Tdrutil.Ivec.get t.keys k) (Tdrutil.Ivec.get t.counts k))
-      ks;
-    out
 end
 
 (** Distinct (source step, sink step) pairs, preserving first-seen order:

@@ -96,9 +96,6 @@ module Pairs : sig
 
   (** The pairs [k] with [keep k], in order, multiplicities kept. *)
   val filter : (int -> bool) -> t -> t
-
-  (** The pairs at the given indices, in that order. *)
-  val sub : t -> Tdrutil.Ivec.t -> t
 end
 
 (** Distinct (source step, sink step) pairs, first-seen order: the first

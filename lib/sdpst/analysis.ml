@@ -18,43 +18,69 @@
 
 open Node
 
-(* Sequential composition of a node's children: each child starts when the
-   previous child's drag has elapsed; the whole sequence's span is the max
-   over child start + child span.  [memo] caches (span, drag) per node id —
-   without it the mutual span/drag recursion revisits subtrees
-   exponentially often. *)
-let rec span_drag memo n =
-  match Hashtbl.find_opt memo n.id with
-  | Some r -> r
-  | None ->
-      let r =
-        match (n.collapsed, n.kind) with
-        | Some (span, drag), _ ->
-            (span, if n.kind = Async then 0 else drag)
-        | None, Step -> (n.cost, n.cost)
-        | None, (Root | Async | Finish | Scope _) ->
-            let start = ref 0 in
-            let span = ref 0 in
-            Tdrutil.Vec.iter
-              (fun c ->
-                let c_span, c_drag = span_drag memo c in
-                span := max !span (!start + c_span);
-                start := !start + c_drag)
-              n.children;
-            let drag =
-              match n.kind with
-              | Async -> 0
-              | Root | Finish -> !span
-              | _ -> !start
-            in
-            (!span, drag)
-      in
-      Hashtbl.add memo n.id r;
-      r
+(* Span and drag of every evaluated node, in two columns indexed by node
+   id (-1: not evaluated yet; spans and drags are never negative).  Ids
+   are dense and unique ({!Node.tree}), so the columns grow to at most
+   the tree's [next_id]. *)
+type memo = { spans : Tdrutil.Ivec.t; drags : Tdrutil.Ivec.t }
 
-let span_of n = fst (span_drag (Hashtbl.create 256) n)
+let memo () = { spans = Tdrutil.Ivec.create (); drags = Tdrutil.Ivec.create () }
 
-let drag_of n = snd (span_drag (Hashtbl.create 256) n)
+(* Evaluate [n] into [m]: sequential composition of its children — each
+   child starts when the previous child's drag has elapsed, and the
+   sequence's span is the max over child start + child span.  Memoised,
+   so the mutual span/drag recursion visits each subtree once. *)
+let rec eval m n =
+  let id = n.id in
+  if id >= Tdrutil.Ivec.length m.spans then begin
+    Tdrutil.Ivec.ensure m.spans (id + 1) ~fill:(-1);
+    Tdrutil.Ivec.ensure m.drags (id + 1) ~fill:(-1)
+  end;
+  if Tdrutil.Ivec.unsafe_get m.spans id < 0 then begin
+    let span, drag =
+      match (n.collapsed, n.kind) with
+      | Some (span, drag), _ -> (span, if n.kind = Async then 0 else drag)
+      | None, Step -> (n.cost, n.cost)
+      | None, (Root | Async | Finish | Scope _) ->
+          let start = ref 0 and span = ref 0 in
+          let children = n.children in
+          for i = 0 to Tdrutil.Vec.length children - 1 do
+            let c = Tdrutil.Vec.unsafe_get children i in
+            eval m c;
+            let c_span = Tdrutil.Ivec.unsafe_get m.spans c.id in
+            span := Int.max !span (!start + c_span);
+            start := !start + Tdrutil.Ivec.unsafe_get m.drags c.id
+          done;
+          let drag =
+            match n.kind with
+            | Async -> 0
+            | Root | Finish -> !span
+            | _ -> !start
+          in
+          (!span, drag)
+    in
+    Tdrutil.Ivec.unsafe_set m.spans id span;
+    Tdrutil.Ivec.unsafe_set m.drags id drag
+  end
+
+let span m n =
+  eval m n;
+  Tdrutil.Ivec.unsafe_get m.spans n.id
+
+let drag m n =
+  eval m n;
+  Tdrutil.Ivec.unsafe_get m.drags n.id
+
+(* A splice changes the span and drag of the splice parent and its
+   ancestors only; the new node's fresh id was never evaluated. *)
+let rec forget_path m n =
+  if n.id < Tdrutil.Ivec.length m.spans then
+    Tdrutil.Ivec.unsafe_set m.spans n.id (-1);
+  match n.parent with Some p -> forget_path m p | None -> ()
+
+let span_of n = span (memo ()) n
+
+let drag_of n = drag (memo ()) n
 
 (** Critical path length of the whole execution (Definition 1). *)
 let critical_path_length tree = span_of tree.root
@@ -65,14 +91,12 @@ let work tree =
   iter_tree (fun n -> if is_step n then acc := !acc + n.cost) tree;
   !acc
 
-(** Memoizing span/drag evaluators sharing one cache, for repeated queries
-    against an unchanging tree (the dynamic-placement DP queries spans of
-    many children). *)
+(** Span/drag evaluators sharing one memo, for repeated queries against
+    an unchanging tree (the dynamic-placement DP queries spans of many
+    children). *)
 let span_memo () =
-  let tbl = Hashtbl.create 256 in
-  let span n = fst (span_drag tbl n) in
-  let drag n = snd (span_drag tbl n) in
-  (span, drag)
+  let m = memo () in
+  (span m, drag m)
 
 (* ------------------------------------------------------------------ *)
 (* S-DPST pruning (paper §9 future work)                               *)
@@ -115,13 +139,16 @@ let prune tree ~keep =
   let scope_safe c =
     match c.kind with Scope _ -> not (contains_async c) | _ -> true
   in
+  (* one memo for the whole pass: collapsing a subtree keeps its exact
+     (span, drag), so no evaluated entry goes stale *)
+  let m = memo () in
   let rec go n =
     Tdrutil.Vec.iter
       (fun c ->
         if (not (is_step c)) && (not (contains_kept c)) && scope_safe c
         then begin
           removed := !removed + subtree_size c - 1;
-          let summary = (span_of c, drag_of c) in
+          let summary = (span m c, drag m c) in
           Tdrutil.Vec.clear c.children;
           c.collapsed <- Some summary
         end

@@ -7,6 +7,23 @@
     sequential composition of its children for a scope.  These are the
     [t_i] weights and [EST] base cases of Algorithm 1. *)
 
+(** Span/drag evaluator: two columns indexed by node id, filled on
+    demand.  Ids are unique per tree ({!Node.tree}), so the columns grow
+    to at most its [next_id]. *)
+type memo
+
+val memo : unit -> memo
+
+(** [span m n] evaluates [n]'s subtree into [m] as far as not yet done. *)
+val span : memo -> Node.t -> int
+
+val drag : memo -> Node.t -> int
+
+(** [forget_path m n] drops the entries of [n] and its ancestors: after
+    {!Tree.insert_finish} spliced a finish under [n], every other entry
+    still holds. *)
+val forget_path : memo -> Node.t -> unit
+
 (** Span of a subtree.  O(subtree) per call; use {!span_memo} for repeated
     queries. *)
 val span_of : Node.t -> int
@@ -20,8 +37,8 @@ val critical_path_length : Node.tree -> int
 (** Total work: sum of all step costs (serial-elision execution time). *)
 val work : Node.tree -> int
 
-(** Memoizing (span, drag) evaluators sharing one cache, for repeated
-    queries against an unchanging tree. *)
+(** [span] and [drag] over one fresh {!memo}, for repeated queries
+    against an unchanging tree. *)
 val span_memo : unit -> (Node.t -> int) * (Node.t -> int)
 
 (** [prune tree ~keep] collapses every subtree containing no node for

@@ -24,3 +24,38 @@ val nonscope_child_ancestor : anc:Node.t -> Node.t -> Node.t
     non-scope child of their NS-LCA that is an ancestor of the left one is
     an async node. *)
 val may_happen_in_parallel : Node.t -> Node.t -> bool
+
+(** {1 Lifting race pairs}
+
+    Scratch state for lifting many (source, sink) step pairs onto their
+    NS-LCA and its two non-scope children with one ancestor walk per
+    sink: the sink's root path is recorded in arrays indexed by depth,
+    and each source climbs until it meets that path or a node an earlier
+    source of the same sink climbed through.  The arrays grow on demand
+    to the deepest node lifted. *)
+type lifter
+
+val lifter : unit -> lifter
+
+(** Forget the recorded path and climbs.  Call it after the tree
+    changes (e.g. {!Tree.insert_finish}) before lifting again. *)
+val restart : lifter -> unit
+
+(** [lift l ~src ~sink] is [ns_lca src sink], and sets {!src_child} and
+    {!sink_child} to the ids of [nonscope_child_ancestor ~anc:(ns_lca src
+    sink)] of [src] and of [sink].  Consecutive calls with the same sink
+    share its root-path walk.
+    @raise Invalid_argument if one endpoint is an ancestor of the other
+      or they are not in one tree. *)
+val lift : lifter -> src:Node.t -> sink:Node.t -> Node.t
+
+(** Id of the source's non-scope child of the last {!lift}'s NS-LCA. *)
+val src_child : lifter -> int
+
+(** Is the source's child an async?  When the source precedes the sink,
+    as a race's does, this is Theorem 1's answer: may they run in
+    parallel? *)
+val src_child_is_async : lifter -> bool
+
+(** Id of the sink's non-scope child of the last {!lift}'s NS-LCA. *)
+val sink_child : lifter -> int

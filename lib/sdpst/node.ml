@@ -48,7 +48,11 @@ type t = {
           subtree is garbage-collected; [None] for live nodes *)
 }
 
-type tree = { root : t; mutable n_nodes : int }
+type tree = {
+  root : t;
+  mutable n_nodes : int;  (** live nodes *)
+  mutable next_id : int;  (** the id the next created node gets *)
+}
 
 let is_scope n = match n.kind with Scope _ -> true | _ -> false
 
@@ -91,7 +95,7 @@ let create_tree ~main_bid =
       collapsed = None;
     }
   in
-  { root; n_nodes = 1 }
+  { root; n_nodes = 1; next_id = 1 }
 
 (* The children of every step {!add_child} creates: steps are leaves. *)
 let leaf : t Tdrutil.Vec.t = Tdrutil.Vec.frozen ()
@@ -106,7 +110,7 @@ let add_child tree ~(parent : t option) ~kind ~sid ~origin_bid ~origin_idx
   let p = match parent with Some p -> p | None -> invalid_arg "Node.add_child" in
   let n =
     {
-      id = tree.n_nodes;
+      id = tree.next_id;
       kind;
       parent;
       depth = p.depth + 1;
@@ -121,6 +125,7 @@ let add_child tree ~(parent : t option) ~kind ~sid ~origin_bid ~origin_idx
     }
   in
   tree.n_nodes <- tree.n_nodes + 1;
+  tree.next_id <- tree.next_id + 1;
   Tdrutil.Vec.push p.children n;
   n
 
@@ -132,7 +137,7 @@ let new_child tree ~parent ~kind ?(sid = -1) ?(origin_bid = -1)
     ?(origin_idx = -1) ?(body_bid = -1) () =
   let n =
     {
-      id = tree.n_nodes;
+      id = tree.next_id;
       kind;
       parent = Some parent;
       depth = parent.depth + 1;
@@ -147,6 +152,7 @@ let new_child tree ~parent ~kind ?(sid = -1) ?(origin_bid = -1)
     }
   in
   tree.n_nodes <- tree.n_nodes + 1;
+  tree.next_id <- tree.next_id + 1;
   Tdrutil.Vec.push parent.children n;
   n
 

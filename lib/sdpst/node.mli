@@ -40,7 +40,16 @@ type t = {
       (** [(span, drag)] summary left by {!Analysis.prune}; [None] live *)
 }
 
-type tree = { root : t; mutable n_nodes : int }
+(** [n_nodes] counts the live nodes: {!Analysis.prune} lowers it.  Ids
+    come from a separate allocator, [next_id], which only grows, so every
+    node ever created — {!Tree.insert_finish} splices included — has an id
+    no other node of the tree had, and every id is below [next_id]:
+    id-indexed tables sized by [next_id] cover the whole tree. *)
+type tree = {
+  root : t;
+  mutable n_nodes : int;  (** live nodes *)
+  mutable next_id : int;  (** the id the next created node gets *)
+}
 
 val is_scope : t -> bool
 

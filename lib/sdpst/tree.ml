@@ -21,9 +21,11 @@ let rec renumber_depths n =
     to the program point where the static pass inserts the [finish]
     statement.  Returns the new finish node.
 
-    Note: the new node's [id] is allocated past the current maximum, so
-    after insertion node ids still give a valid left-to-right order within
-    any sibling list, but are no longer depth-first preorder numbers. *)
+    Note: the new node's [id] comes from the tree's allocator
+    ([next_id]), past every id the tree ever handed out — also after
+    {!Analysis.prune} lowered the live count — so it is unique.  Ids
+    are then no longer depth-first preorder numbers, nor a left-to-right
+    order within a sibling list; steps keep their preorder ids. *)
 let insert_finish tree ~parent ~lo ~hi =
   let n_children = Tdrutil.Vec.length parent.children in
   if lo < 0 || hi >= n_children || lo > hi then
@@ -34,7 +36,7 @@ let insert_finish tree ~parent ~lo ~hi =
   let last = Tdrutil.Vec.get parent.children hi in
   let fin =
     {
-      id = tree.n_nodes;
+      id = tree.next_id;
       kind = Finish;
       parent = Some parent;
       depth = parent.depth + 1;
@@ -49,6 +51,7 @@ let insert_finish tree ~parent ~lo ~hi =
     }
   in
   tree.n_nodes <- tree.n_nodes + 1;
+  tree.next_id <- tree.next_id + 1;
   for i = lo to hi do
     let c = Tdrutil.Vec.get parent.children i in
     c.parent <- Some fin;

@@ -356,6 +356,25 @@ let test_budget_flags () =
       in
       Alcotest.(check int) "affordable budgets exit 0" 0 code3)
 
+(* A budget prune lowers the live node count; the finishes incremental
+   placement splices in afterwards must still get ids no live node has
+   (stripped LUFact: the splice once reused a pruned id and placement
+   failed with an internal error, exit 5). *)
+let test_incremental_after_prune () =
+  let f = Filename.temp_file "tdrepair_cli" ".mhj" in
+  let code, _ = run_cli [ "emit"; "LUFact"; "--size"; "stripped"; "-o"; f ] in
+  Alcotest.(check int) "emit exit 0" 0 code;
+  let code2, out =
+    run_cli
+      [ "repair"; f; "-q"; "--placement"; "incremental"; "--budget-sdpst";
+        "10" ]
+  in
+  Sys.remove f;
+  (* pruning is a recorded degradation: exit 4, not 5 *)
+  Alcotest.(check int) "degraded, not unrepairable" 4 code2;
+  check_contains "prune reported" out "degraded:";
+  check_contains "repaired" out "race-free"
+
 (* The static analysis layer: lint findings, the lint exit-code contract,
    and the --static-prune / --static-verify integration flags. *)
 let test_lint () =
@@ -1055,6 +1074,8 @@ let () =
           Alcotest.test_case "located interp diagnostics" `Quick
             test_located_interp_diagnostics;
           Alcotest.test_case "budget flags" `Quick test_budget_flags;
+          Alcotest.test_case "incremental after prune" `Quick
+            test_incremental_after_prune;
           Alcotest.test_case "lint" `Quick test_lint;
           Alcotest.test_case "lint stencil" `Quick test_lint_stencil;
           Alcotest.test_case "stencil --static-verify" `Quick

@@ -178,11 +178,58 @@ def main() {
        (Repair.Depgraph.n_vertices g))
     true
     (Repair.Depgraph.n_vertices g <= 8);
-  let valid, _ = Repair.Valid.make_checker g in
+  let valid = Repair.Valid.make_checker g in
   let out = Repair.Dp_place.solve ~valid g in
   Alcotest.(check bool) "resolves" true
     (Repair.Dp_place.resolves_all g out.finishes);
   Alcotest.(check int) "one finish interval" 1 (List.length out.finishes)
+
+(* ------------------------------------------------------------------ *)
+(* One-walk lifting vs the per-pair ancestor queries                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Progen seeds checked: 1-50, or TDR_QCHECK_COUNT (1-300 under @ci). *)
+let progen_count =
+  match Option.bind (Sys.getenv_opt "TDR_QCHECK_COUNT") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | _ -> 50
+
+(* Every pair's lift — (NS-LCA, source child, sink child) — equals
+   [Lca.ns_lca] plus [Lca.nonscope_child_ancestor] of both endpoints. *)
+let check_lifts label prog =
+  let d = Repair.Driver.detect Repair.Options.default prog in
+  let pairs = Lazy.force d.Repair.Driver.pairs in
+  let module P = Espbags.Race.Pairs in
+  let lifter = Sdpst.Lca.lifter () in
+  for k = 0 to P.length pairs - 1 do
+    let src = P.src pairs k and sink = P.sink pairs k in
+    let l = Sdpst.Lca.lift lifter ~src ~sink in
+    let l' = Sdpst.Lca.ns_lca src sink in
+    let child n = (Sdpst.Lca.nonscope_child_ancestor ~anc:l' n).Sdpst.Node.id in
+    if
+      l != l'
+      || Sdpst.Lca.src_child lifter <> child src
+      || Sdpst.Lca.sink_child lifter <> child sink
+    then
+      Alcotest.failf "%s: pair %d (%a, %a): lifted (%a, %d, %d), expected \
+                      (%a, %d, %d)"
+        label k Sdpst.Node.pp src Sdpst.Node.pp sink Sdpst.Node.pp l
+        (Sdpst.Lca.src_child lifter) (Sdpst.Lca.sink_child lifter)
+        Sdpst.Node.pp l' (child src) (child sink)
+  done
+
+let test_lift_table1 () =
+  List.iter
+    (fun (b : Benchsuite.Bench.t) ->
+      check_lifts b.name (Benchsuite.Bench.stripped_program b))
+    Benchsuite.Suite.all
+
+let test_lift_progen () =
+  for seed = 1 to progen_count do
+    check_lifts
+      (Fmt.str "progen %d" seed)
+      (Mhj.Front.compile (Benchsuite.Progen.generate ~seed ()))
+  done
 
 let () =
   Alcotest.run "depgraph"
@@ -198,5 +245,10 @@ let () =
           Alcotest.test_case "times composed" `Quick test_times_are_composed;
           Alcotest.test_case "pure sinks collapse" `Quick
             test_pure_sink_coalescing;
+        ] );
+      ( "lifting",
+        [
+          Alcotest.test_case "Table 1 lifts" `Slow test_lift_table1;
+          Alcotest.test_case "Progen lifts" `Slow test_lift_progen;
         ] );
     ]

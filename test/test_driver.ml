@@ -316,6 +316,34 @@ let test_report_rendering () =
   Alcotest.(check bool) "mentions insert finish" true
     (contains ~affix:"insert finish" text)
 
+(* perfbench turns every span under [place_for_tree] into a per-layer
+   metric, and its schema check rejects an undeclared one: the names
+   placement emits are exactly these four. *)
+let test_placement_span_names () =
+  let names = Hashtbl.create 8 in
+  Obs.Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.disable ();
+      Obs.Trace.reset ())
+    (fun () ->
+      List.iter
+        (fun (b : Benchsuite.Bench.t) ->
+          let program = Benchsuite.Bench.stripped_program b in
+          let det, _ = Espbags.Detector.detect Espbags.Detector.Mrw program in
+          Obs.Trace.reset ();
+          ignore
+            (Repair.Driver.place_for_tree ~program
+               (Repair.Isolate.suppress program (Espbags.Detector.races det)));
+          List.iter
+            (fun (e : Obs.Trace.event) -> Hashtbl.replace names e.name ())
+            (Obs.Trace.events ()))
+        Benchsuite.Suite.all);
+  Alcotest.(check (list string))
+    "span names"
+    [ "depgraph"; "dp-place"; "nslca-group"; "scopecheck" ]
+    (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) names []))
+
 let () =
   Alcotest.run "driver"
     [
@@ -345,6 +373,8 @@ let () =
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
           Alcotest.test_case "isolated pairs discharged" `Quick
             test_isolated_pairs_discharged;
+          Alcotest.test_case "placement span names" `Slow
+            test_placement_span_names;
         ] );
       ( "strategies",
         [

@@ -184,6 +184,26 @@ let test_slow_stage_trips_watchdog () =
         (d.Diag.stage = Diag.Budget)
   | Ok _ -> Alcotest.fail "a 30ms watchdog must fire inside a 500ms stall"
 
+(* Placement polls the job's watchdog too (per NS-LCA group, per DP
+   interval length, per static-merge round): with races detected
+   beforehand, a 1 ms deadline must stop the placement of stripped
+   Mergesort's ~430k race pairs. *)
+let test_placement_trips_watchdog () =
+  let bench =
+    match Benchsuite.Suite.find "mergesort" with
+    | Some b -> b
+    | None -> Alcotest.fail "mergesort benchmark missing"
+  in
+  let program = Benchsuite.Bench.stripped_program bench in
+  let det, _ = Espbags.Detector.detect Espbags.Detector.Mrw program in
+  let races = Espbags.Detector.races det in
+  match
+    Rt.Watchdog.with_timeout ~ms:(Some 1) (fun () ->
+        D.place_for_tree ~program races)
+  with
+  | exception Rt.Watchdog.Timeout _ -> ()
+  | _ -> Alcotest.fail "placement ran past a 1 ms watchdog"
+
 (* ------------------------------------------------------------------ *)
 (* The never-crash property                                            *)
 (* ------------------------------------------------------------------ *)
@@ -226,14 +246,47 @@ let two_fault_pool = lazy
   (Serve.Supervisor.create ~workers:2 ~queue_capacity:64 ~cache_capacity:0
      ~backoff_ms:1 ~notify:(fun () -> ()) ())
 
+(* Submit Progen program [seed] as a repair job under [faults] and the
+   property's 2 s per-job watchdog; wait up to 30 s for its terminal
+   status.  [Error] says what went wrong. *)
+let worker_terminal ~seed faults =
+  let module SP = Serve.Protocol in
+  let sup = Lazy.force two_fault_pool in
+  let src = Benchsuite.Progen.generate ~seed () in
+  let flags = { SP.default_flags with SP.faults; timeout_ms = Some 2_000 } in
+  let spec = { SP.id = string_of_int seed; op = SP.Repair; src; flags } in
+  let under = Fmt.(str "%a" (list ~sep:comma FI.pp_fault)) faults in
+  match Serve.Supervisor.submit sup spec with
+  | `Overloaded -> Error "bounded queue unexpectedly full"
+  | `Accepted seq -> (
+      let deadline = Int64.add (Obs.Clock.now_ns ()) 30_000_000_000L in
+      let rec wait () =
+        Serve.Supervisor.reap sup;
+        match
+          List.find_opt
+            (fun (c : Serve.Supervisor.completion) -> c.seq = seq)
+            (Serve.Supervisor.completions sup)
+        with
+        | Some c -> Some c
+        | None when Int64.compare (Obs.Clock.now_ns ()) deadline > 0 -> None
+        | None ->
+            Unix.sleepf 0.005;
+            wait ()
+      in
+      match wait () with
+      | None -> Error ("no terminal status within 30s under " ^ under)
+      | Some c -> (
+          match c.outcome.Serve.Worker.status with
+          | SP.Sok | SP.Sdegraded | SP.Sfailed -> Ok ()
+          | SP.Soverloaded | SP.Scancelled ->
+              Error ("non-worker terminal status under " ^ under)))
+
 let worker_two_fault_total =
   QCheck.Test.make
     ~name:"daemon worker: any two-fault combo reaches one terminal status"
     ~count:qcheck_count
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      let module SP = Serve.Protocol in
-      let sup = Lazy.force two_fault_pool in
       let faults_menu =
         [| FI.Interp_trap (50 + (seed mod 5000)); FI.Detector_abort;
            FI.Dp_timeout; FI.Place_unsat; FI.Insert_fail; FI.Worker_crash;
@@ -243,41 +296,18 @@ let worker_two_fault_total =
       let f1 = faults_menu.(seed mod n)
       and f2 = faults_menu.((seed / 11) mod n) in
       let faults = if f1 = f2 then [ f1 ] else [ f1; f2 ] in
-      let src = Benchsuite.Progen.generate ~seed () in
-      let flags =
-        { SP.default_flags with SP.faults; timeout_ms = Some 2_000 }
-      in
-      let spec =
-        { SP.id = string_of_int seed; op = SP.Repair; src; flags }
-      in
-      match Serve.Supervisor.submit sup spec with
-      | `Overloaded -> QCheck.Test.fail_report "bounded queue unexpectedly full"
-      | `Accepted seq ->
-          let deadline = Int64.add (Obs.Clock.now_ns ()) 30_000_000_000L in
-          let rec wait () =
-            Serve.Supervisor.reap sup;
-            match
-              List.find_opt
-                (fun (c : Serve.Supervisor.completion) -> c.seq = seq)
-                (Serve.Supervisor.completions sup)
-            with
-            | Some c -> c
-            | None when Int64.compare (Obs.Clock.now_ns ()) deadline > 0 ->
-                QCheck.Test.fail_reportf
-                  "no terminal status within 30s under %a"
-                  Fmt.(list ~sep:comma FI.pp_fault)
-                  faults
-            | None ->
-                Unix.sleepf 0.005;
-                wait ()
-          in
-          let c = wait () in
-          (match c.outcome.Serve.Worker.status with
-          | SP.Sok | SP.Sdegraded | SP.Sfailed -> true
-          | SP.Soverloaded | SP.Scancelled ->
-              QCheck.Test.fail_reportf "non-worker terminal status under %a"
-                Fmt.(list ~sep:comma FI.pp_fault)
-                faults))
+      match worker_terminal ~seed faults with
+      | Ok () -> true
+      | Error m -> QCheck.Test.fail_report m)
+
+(* The property once drew Progen seed 364697 under these two faults:
+   forced per-edge covers demand 21,459 placements, only 451 of them
+   distinct, and the static merge built its protected pairs from every
+   pair of one context's demands — minutes outside any watchdog poll. *)
+let test_worker_covers_terminal () =
+  match worker_terminal ~seed:364697 [ FI.Insert_fail; FI.Dp_timeout ] with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m
 
 let driver_total =
   QCheck.Test.make
@@ -328,10 +358,14 @@ let () =
             test_slow_stage_stalls_not_fails;
           Alcotest.test_case "slow stage trips watchdog" `Quick
             test_slow_stage_trips_watchdog;
+          Alcotest.test_case "placement trips watchdog" `Slow
+            test_placement_trips_watchdog;
         ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest driver_total;
           QCheck_alcotest.to_alcotest worker_two_fault_total;
+          Alcotest.test_case "daemon worker: progen 364697 covers" `Slow
+            test_worker_covers_terminal;
         ] );
     ]

@@ -238,6 +238,108 @@ let test_prune_keeps_marked () =
     tree;
   Alcotest.(check bool) "kept subtree intact" true !kept_intact
 
+(* A budget prune lowers the live node count; the ids of finishes
+   spliced in afterwards must still be fresh (they once came from the
+   live count and reused a live node's id). *)
+let test_ids_unique_after_prune () =
+  let res =
+    run
+      "def main() { async { async { work(1); } async { work(2); } } \
+       async { work(50); } print(1); print(2); }"
+  in
+  let tree = res.tree in
+  let next = tree.Sdpst.Node.next_id in
+  let removed =
+    Sdpst.Analysis.prune tree ~keep:(fun n -> n.Sdpst.Node.cost >= 50)
+  in
+  Alcotest.(check bool) "pruned an early subtree" true (removed > 0);
+  let root = tree.Sdpst.Node.root in
+  let fins =
+    List.init 2 (fun _ ->
+        Sdpst.Tree.insert_finish tree ~parent:root ~lo:0 ~hi:0)
+  in
+  List.iteri
+    (fun i (f : Sdpst.Node.t) ->
+      Alcotest.(check int) (Fmt.str "splice %d: fresh id" i) (next + i) f.id)
+    fins;
+  let ids = ref [] in
+  Sdpst.Node.iter_tree (fun n -> ids := n.Sdpst.Node.id :: !ids) tree;
+  Alcotest.(check int) "ids unique"
+    (List.length !ids)
+    (List.length (List.sort_uniq Int.compare !ids));
+  Alcotest.(check int) "live count" (List.length !ids) tree.Sdpst.Node.n_nodes;
+  Alcotest.(check bool) "ids below next_id" true
+    (List.for_all (fun id -> id < tree.Sdpst.Node.next_id) !ids)
+
+(* The span/drag columns against a test-local oracle: one plain
+   recursion returning (span, drag), no memo. *)
+let rec oracle (n : Sdpst.Node.t) =
+  match (n.collapsed, n.kind) with
+  | Some (span, drag), _ ->
+      (span, if n.kind = Sdpst.Node.Async then 0 else drag)
+  | None, Sdpst.Node.Step -> (n.cost, n.cost)
+  | None, kind ->
+      let start, span =
+        Tdrutil.Vec.fold
+          (fun (start, span) c ->
+            let cs, cd = oracle c in
+            (start + cd, max span (start + cs)))
+          (0, 0) n.children
+      in
+      ( span,
+        match kind with
+        | Sdpst.Node.Async -> 0
+        | Root | Finish -> span
+        | _ -> start )
+
+let check_columns label (tree : Sdpst.Node.tree) =
+  let span, drag = Sdpst.Analysis.span_memo () in
+  Sdpst.Node.iter_tree
+    (fun n ->
+      let s, d = oracle n in
+      if span n <> s || drag n <> d then
+        Alcotest.failf "%s: %a: columns (%d, %d), oracle (%d, %d)" label
+          Sdpst.Node.pp n (span n) (drag n) s d)
+    tree;
+  Alcotest.(check int) (label ^ ": cpl")
+    (fst (oracle tree.root))
+    (Sdpst.Analysis.critical_path_length tree)
+
+(* Every node's (span, drag), on each Table 1 program and Progen 1-50,
+   also after a prune and after finish splices. *)
+let test_span_columns () =
+  let programs =
+    List.map
+      (fun (b : Benchsuite.Bench.t) ->
+        (b.name, Benchsuite.Bench.stripped_program b))
+      Benchsuite.Suite.all
+    @ List.init 50 (fun i ->
+          ( Fmt.str "progen %d" (i + 1),
+            Mhj.Front.compile (Benchsuite.Progen.generate ~seed:(i + 1) ()) ))
+  in
+  List.iter
+    (fun (label, prog) ->
+      let tree = (Rt.Interp.run prog).tree in
+      check_columns label tree;
+      (* splice a finish over the first two children of every third
+         interior node, then prune all but the costliest steps *)
+      let parents = ref [] in
+      Sdpst.Node.iter_tree
+        (fun n ->
+          if Tdrutil.Vec.length n.Sdpst.Node.children >= 2 then
+            parents := n :: !parents)
+        tree;
+      List.iteri
+        (fun i p ->
+          if i mod 3 = 0 then
+            ignore (Sdpst.Tree.insert_finish tree ~parent:p ~lo:0 ~hi:1))
+        !parents;
+      check_columns (label ^ " spliced") tree;
+      ignore
+        (Sdpst.Analysis.prune tree ~keep:(fun n -> n.Sdpst.Node.cost > 20));
+      check_columns (label ^ " pruned") tree)
+    programs
+
 (* ------------------------------------------------------------------ *)
 (* Tree serialization                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -346,6 +448,9 @@ let () =
           Alcotest.test_case "prune" `Quick test_prune;
           Alcotest.test_case "prune keeps marked" `Quick
             test_prune_keeps_marked;
+          Alcotest.test_case "ids unique after prune" `Quick
+            test_ids_unique_after_prune;
+          Alcotest.test_case "span/drag columns" `Slow test_span_columns;
         ] );
       ( "serialization",
         [

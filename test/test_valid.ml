@@ -124,6 +124,66 @@ def main() {
       let r = Rt.Interp.run reparsed in
       Alcotest.(check string) "runs" "1" (String.trim r.output)
 
+(* The DP's dense validity table against {!Repair.Valid.insertion_for}
+   on every interval of every NS-LCA group of small graphs (Figure 5 and
+   Progen 1-50), probed in a scrambled order. *)
+let test_checker_table () =
+  let checked = ref 0 in
+  let check label src =
+    let prog = Mhj.Front.compile src in
+    let wrap_ok = Mhj.Scopecheck.wrap_ok (Mhj.Scopecheck.build prog) in
+    let det, _ = Espbags.Detector.detect Espbags.Detector.Mrw prog in
+    let races = Espbags.Race.dedupe_by_steps (Espbags.Detector.races det) in
+    let span, _ = Sdpst.Analysis.span_memo () in
+    let groups = Hashtbl.create 8 in
+    List.iter
+      (fun (r : Espbags.Race.t) ->
+        let l = Sdpst.Lca.ns_lca r.src r.sink in
+        let rs =
+          match Hashtbl.find_opt groups l.Sdpst.Node.id with
+          | Some (_, rs) -> rs
+          | None -> []
+        in
+        Hashtbl.replace groups l.Sdpst.Node.id (l, r :: rs))
+      races;
+    Hashtbl.iter
+      (fun _ (lca, rs) ->
+        let g = Repair.Depgraph.build ~span lca (List.rev rs) in
+        let n = Repair.Depgraph.n_vertices g in
+        if n <= 40 then begin
+          let valid = Repair.Valid.make_checker ~wrap_ok g in
+          let cells = List.init (n * n) Fun.id in
+          let scrambled =
+            List.sort
+              (fun a b ->
+                compare ((a * 7919) mod 1009, a) ((b * 7919) mod 1009, b))
+              cells
+          in
+          (* twice: the second pass reads the table *)
+          List.iter
+            (fun c ->
+              let i = c / n and j = c mod n in
+              if i <= j then begin
+                incr checked;
+                let expected =
+                  Option.is_some (Repair.Valid.insertion_for ~wrap_ok g ~i ~j)
+                in
+                if valid ~i ~j <> expected || valid ~i ~j <> expected then
+                  Alcotest.failf "%s: NS-LCA %a, interval (%d, %d)" label
+                    Sdpst.Node.pp lca i j
+              end)
+            scrambled
+        end)
+      groups
+  in
+  check "figure 5" figure5;
+  for seed = 1 to 50 do
+    check (Fmt.str "progen %d" seed) (Benchsuite.Progen.generate ~seed ())
+  done;
+  Alcotest.(check bool)
+    (Fmt.str "intervals checked (%d)" !checked)
+    true (!checked > 1000)
+
 let () =
   Alcotest.run "valid"
     [
@@ -135,6 +195,8 @@ let () =
           Alcotest.test_case "insertion points" `Quick test_figure5_placements;
           Alcotest.test_case "end-to-end repair" `Quick test_end_to_end_figure5;
         ] );
+      ( "checker",
+        [ Alcotest.test_case "dense table" `Quick test_checker_table ] );
       ( "declarations",
         [ Alcotest.test_case "visibility preserved" `Quick test_decl_visibility ] );
     ]

@@ -37,7 +37,9 @@ type iteration = {
   n_groups : int;  (** distinct NS-LCAs *)
   groups : group_result list;
   merged : Static_place.merged;
-  detect_time : float;  (** seconds spent executing + detecting *)
+  detect_time : float;
+      (** seconds spent executing + detecting; next to none when the
+          caller supplied the detection ({!repair_detected}) *)
   place_time : float;  (** seconds spent in placement (dynamic + static) *)
   sdpst_nodes : int;
   n_accesses : int;  (** accesses the detector checked this run *)
@@ -563,22 +565,13 @@ let enforce_sdpst_budget ~guard (tree : Sdpst.Node.tree) (pairs : Pairs.t) :
       end
   | _ -> ()
 
-(** Repair [prog]: iterate detection and placement until race-free.
-
-    @param options the job options (default {!Options.default}).  Its
-      [placement] decides how one iteration maps races to placements:
-      [`Batch] solves every NS-LCA group against the one S-DPST of the
-      detection run and merges the demands; [`Incremental] is the paper's
-      §6.1 loop, splicing each finish into a live S-DPST and re-deriving
-      the remaining races' NS-LCAs before the next placement.  Both
-      converge to race-free programs; [`Batch] does less work per
-      iteration on large race sets.  On budget exhaustion the repair
-      degrades gracefully and records how in [degradations].
-    @raise Unrepairable if some race admits no scope-valid fix
-    @raise Diag.Fail on typed pipeline failures (see {!repair_checked} for
-      the total variant) *)
-let repair ?options:(o = Options.default) ?validate_par
-    (prog : Mhj.Ast.program) : report =
+(* The repair loop behind {!repair} and {!repair_detected}.  The first
+   iteration takes its detection from [first] when given; [last] is
+   applied to the detection of the last iteration before the
+   convergence checks run, so a caller that keeps nothing of it does not
+   hold its S-DPST through them. *)
+let run_repair (o : Options.t) ~validate_par ~first ~last
+    (prog : Mhj.Ast.program) =
   let guard = Guard.make o.budgets in
   let fuel = Guard.effective_fuel o.budgets in
   let metrics = Obs.Metrics.create () in
@@ -643,8 +636,10 @@ let repair ?options:(o = Options.default) ?validate_par
     }
   in
   (* One detection(+placement) round, wrapped in an "iteration" span; the
-     recursion and the final report assembly stay outside the span. *)
-  let rec loop program iterations remaining =
+     recursion and the final report assembly stay outside the span.
+     [first] is passed to the first round only, so the S-DPST of a
+     supplied detection is garbage once that round has placed on it. *)
+  let rec loop ?first program iterations remaining =
     let outcome =
       Obs.Trace.with_span "iteration"
         ~args:[ ("n", List.length iterations) ]
@@ -654,7 +649,11 @@ let repair ?options:(o = Options.default) ?validate_par
       Faultinject.fire_slow ();
       (* the pre-pass is recomputed per iteration: inserted finishes shrink
          the MHP relation, so later runs may skip more *)
-      let d = detect detect_options program in
+      let d =
+        match first with
+        | Some d -> d
+        | None -> detect detect_options program
+      in
       (* gauges: the latest pre-pass describes the current program *)
       Option.iter
         (fun pr ->
@@ -678,8 +677,8 @@ let repair ?options:(o = Options.default) ?validate_par
         stats;
       Obs.Metrics.set metrics "detector.peak_rss_kb" (Obs.Rusage.peak_rss_kb ());
       let pairs = Lazy.force d.pairs in
-      if Pairs.length pairs = 0 then `Converged
-      else if remaining = 0 then `Exhausted (Pairs.n_races pairs)
+      if Pairs.length pairs = 0 then `Converged d
+      else if remaining = 0 then `Exhausted (Pairs.n_races pairs, d)
       else begin
         let t1 = Unix.gettimeofday () in
         enforce_sdpst_budget ~guard res.Rt.Interp.tree pairs;
@@ -725,13 +724,39 @@ let repair ?options:(o = Options.default) ?validate_par
       end
     in
     match outcome with
-    | `Converged -> finish program iterations ~converged:true ~final_races:0
-    | `Exhausted n ->
-        finish program iterations ~converged:false ~final_races:n
+    | `Converged d ->
+        let kept = last d in
+        (finish program iterations ~converged:true ~final_races:0, kept)
+    | `Exhausted (n, d) ->
+        let kept = last d in
+        (finish program iterations ~converged:false ~final_races:n, kept)
     | `Next (program', iter) ->
         loop program' (iter :: iterations) (remaining - 1)
   in
-  loop prog [] default_max_iterations
+  loop ?first prog [] default_max_iterations
+
+(** Repair [prog]: iterate detection and placement until race-free.
+
+    @param options the job options (default {!Options.default}).  Its
+      [placement] decides how one iteration maps races to placements:
+      [`Batch] solves every NS-LCA group against the one S-DPST of the
+      detection run and merges the demands; [`Incremental] is the paper's
+      §6.1 loop, splicing each finish into a live S-DPST and re-deriving
+      the remaining races' NS-LCAs before the next placement.  Both
+      converge to race-free programs; [`Batch] does less work per
+      iteration on large race sets.  On budget exhaustion the repair
+      degrades gracefully and records how in [degradations].
+    @raise Unrepairable if some race admits no scope-valid fix
+    @raise Diag.Fail on typed pipeline failures (see {!repair_checked} for
+      the total variant) *)
+let repair ?options:(o = Options.default) ?validate_par prog : report =
+  fst (run_repair o ~validate_par ~first:None ~last:ignore prog)
+
+(** {!repair} sharing its first and last detection runs with the caller
+    (see driver.mli). *)
+let repair_detected ?options:(o = Options.default) ?first prog :
+    report * detection =
+  run_repair o ~validate_par:None ~first ~last:Fun.id prog
 
 let classify_unrepairable = function
   | Unrepairable m -> Some (Diag.make ~stage:Diag.Place m)

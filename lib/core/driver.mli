@@ -27,7 +27,9 @@ type iteration = {
   n_groups : int;  (** distinct NS-LCAs *)
   groups : group_result list;
   merged : Static_place.merged;
-  detect_time : float;  (** seconds spent executing + detecting *)
+  detect_time : float;
+      (** seconds spent executing + detecting; next to none when the
+          caller supplied the detection ({!repair_detected}) *)
   place_time : float;  (** seconds spent in placement (dynamic + static) *)
   sdpst_nodes : int;
   n_accesses : int;  (** accesses the detector checked this run *)
@@ -144,6 +146,20 @@ val repair :
   ?validate_par:Par.Validate.request ->
   Mhj.Ast.program ->
   report
+
+(** {!repair}, without parallel validation, sharing detection runs with
+    its caller, so that no program is run twice.  [first], when given, is
+    the first iteration's detection: {!detect} of the input under
+    [options] with its backend resolved.  The repair may mutate it:
+    incremental placement splices finishes into its S-DPST and the node
+    budget prunes it.  The detection of the last iteration comes back
+    beside the report, which itself holds no S-DPST; when the report has
+    converged, it is the race-free run of [report.program]. *)
+val repair_detected :
+  ?options:Options.t ->
+  ?first:detection ->
+  Mhj.Ast.program ->
+  report * detection
 
 (** Total variant of {!repair}: every failure mode — malformed input,
     runtime faults of the analyzed program, fuel exhaustion, placement

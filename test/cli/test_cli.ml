@@ -898,6 +898,110 @@ let test_serve_help () =
   List.iter (check_contains "call help lists flag" out2)
     [ "--health"; "--shutdown"; "--op"; "--id" ]
 
+(* A tournament runs each distinct program once: on fib the input (shared
+   by every candidate), finish's repaired program (its converged
+   iteration is its verdict), and the one rewrite each of isolated and
+   elide verifies.  A runtime error of the input is the same located
+   diagnostic as under finish insertion. *)
+let test_tournament_detections () =
+  let trace = Filename.temp_file "tdrepair_cli" ".trace.json" in
+  let code, _ =
+    run_cli
+      [ "repair"; sample "fib_buggy.mhj"; "-q"; "--strategy"; "tournament";
+        "--trace"; trace ]
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  let events =
+    match Obs.Json.member "traceEvents" (Obs.Json.of_string (read_file trace))
+    with
+    | Some (Obs.Json.List evs) -> evs
+    | _ -> Alcotest.fail "traceEvents missing"
+  in
+  Sys.remove trace;
+  let count name =
+    List.length
+      (List.filter
+         (fun ev -> Obs.Json.member "name" ev = Some (Obs.Json.Str name))
+         events)
+  in
+  Alcotest.(check int) "detect spans" 4 (count "detect");
+  Alcotest.(check int) "sdpst-build spans" 4 (count "sdpst-build");
+  (* finish runs last: its repair may change the input's S-DPST, which
+     the others read *)
+  let kinds =
+    List.filter_map
+      (fun ev ->
+        match (Obs.Json.member "name" ev, Obs.Json.member "args" ev) with
+        | Some (Obs.Json.Str "candidate"), Some args -> (
+            match Obs.Json.member "kind" args with
+            | Some (Obs.Json.Int k) -> Some k
+            | _ -> Alcotest.fail "candidate span without a kind")
+        | _ -> None)
+      events
+  in
+  Alcotest.(check (list int))
+    "candidates in run order: isolated, elide, chunk, finish" [ 1; 2; 3; 0 ]
+    kinds;
+  with_tmp_program
+    "def main() {\n\
+    \  val a: int[] = new int[1];\n\
+    \  async { a[0] = 1; }\n\
+    \  a[0] = 2;\n\
+    \  print(1 / 0);\n\
+     }"
+    (fun f ->
+      let code, out = run_cli [ "repair"; f; "-q"; "--strategy"; "tournament" ] in
+      Alcotest.(check int) "runtime error exit" 3 code;
+      check_contains "located diagnostic" out
+        "error[interp] at 5:11: division by zero")
+
+(* One --trace of a tournament explains its wall time: on stripped
+   Series, the spans cover at least 95% of the trace's extent. *)
+let test_tournament_trace_coverage () =
+  let src = Filename.temp_file "tdrepair_cli" ".mhj" in
+  let stripped = Filename.temp_file "tdrepair_cli" ".mhj" in
+  let trace = Filename.temp_file "tdrepair_cli" ".trace.json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ src; stripped; trace ])
+    (fun () ->
+      let run args =
+        let code, out = run_cli args in
+        if code <> 0 then
+          Alcotest.failf "%s: exit %d\n%s" (String.concat " " args) code out
+      in
+      run [ "emit"; "series"; "-o"; src ];
+      run [ "strip"; src; "-o"; stripped ];
+      run
+        [ "repair"; stripped; "-q"; "--strategy"; "tournament"; "--trace";
+          trace ];
+      let num ev k =
+        match Obs.Json.member k ev with
+        | Some (Obs.Json.Float f) -> f
+        | Some (Obs.Json.Int i) -> float_of_int i
+        | _ -> Alcotest.failf "event missing %s" k
+      in
+      let spans =
+        match
+          Obs.Json.member "traceEvents" (Obs.Json.of_string (read_file trace))
+        with
+        | Some (Obs.Json.List evs) ->
+            List.map (fun ev -> (num ev "ts", num ev "ts" +. num ev "dur")) evs
+        | _ -> Alcotest.fail "traceEvents missing"
+      in
+      (* events are sorted by start: sweep their union *)
+      let covered, _ =
+        List.fold_left
+          (fun (cov, reach) (a, b) ->
+            if b <= reach then (cov, reach)
+            else (cov +. b -. Float.max a reach, b))
+          (0., neg_infinity) spans
+      in
+      let lo = List.fold_left (fun m (a, _) -> Float.min m a) infinity spans in
+      let hi = List.fold_left (fun m (_, b) -> Float.max m b) 0. spans in
+      let share = covered /. (hi -. lo) in
+      if share < 0.95 then
+        Alcotest.failf "spans cover %.1f%% of the trace extent" (100. *. share))
+
 (* Options a non-finish strategy cannot drop: the fuel budget reaches
    every tournament candidate (exit 4, as for finish), and a static
    verdict or a spill count, which no candidate reports, is an input
@@ -1055,6 +1159,10 @@ let () =
           Alcotest.test_case "repair report" `Quick test_repair_report;
           Alcotest.test_case "repair --strategy tournament" `Quick
             test_repair_tournament;
+          Alcotest.test_case "tournament detections" `Quick
+            test_tournament_detections;
+          Alcotest.test_case "tournament trace coverage" `Quick
+            test_tournament_trace_coverage;
           Alcotest.test_case "detect --strategy preview" `Quick
             test_detect_strategy_preview;
           Alcotest.test_case "detect after isolated repair" `Quick

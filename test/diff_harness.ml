@@ -306,3 +306,13 @@ let pairs_tests ?(count = qcheck_count) () =
       ("espbags", (module Espbags.Detector : Espbags.Shadow.S));
       ("vclock", (module Vclock.Seq : Espbags.Shadow.S));
     ]
+
+(* Does a fresh repair-pipeline detection run under [backend] come back
+   race-free, after isolated sections discharge their pairs?  The
+   tournament tests re-verify candidates with it. *)
+let race_free ~(backend : [< Repair.Options.backend ]) prog =
+  let backend = (backend :> Repair.Options.backend) in
+  let d =
+    Repair.Driver.detect { Repair.Options.default with backend } prog
+  in
+  fst (Lazy.force d.Repair.Driver.races) = []

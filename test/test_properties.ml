@@ -172,10 +172,10 @@ let tournament_sound =
             (fun (c : candidate) ->
               if c.verified then begin
                 let p = Option.get c.program in
-                if not (race_free ~backend:`Espbags p) then
+                if not (Diff_harness.race_free ~backend:`Espbags p) then
                   QCheck.Test.fail_reportf
                     "%s candidate races under espbags" (kind_name c.kind);
-                if not (race_free ~backend:`Vclock p) then
+                if not (Diff_harness.race_free ~backend:`Vclock p) then
                   QCheck.Test.fail_reportf
                     "%s candidate races under vclock" (kind_name c.kind)
               end)

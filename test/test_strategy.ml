@@ -95,6 +95,21 @@ def main() {
 }
 |}
 
+(* A long serial prefix before one racy async: 2*10^7 loop iterations,
+   far beyond a 1000-unit fuel budget. *)
+let long_prefix_src =
+  {|
+def main() {
+  var s: int = 0;
+  for (i = 0 to 19999999) { s = s + 1; }
+  val a: int[] = new int[1];
+  val t: int = s;
+  async { a[0] = t; }
+  a[0] = 1;
+  print(a[0]);
+}
+|}
+
 (* ------------------------------------------------------------------ *)
 (* Tests                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -203,8 +218,34 @@ let test_both_backends_verify () =
         (Fmt.str "winner race-free under %s"
            (match backend with `Espbags -> "espbags" | `Vclock -> "vclock"))
         true
-        (Strategy.race_free ~backend outcome.Strategy.program))
+        (Diff_harness.race_free ~backend outcome.Strategy.program))
     [ `Espbags; `Vclock ]
+
+(* Every run of the input honours the fuel budget, the expected-output
+   run included: the tournament stops on the fuel diagnostic long before
+   a 5 s watchdog would. *)
+let test_tournament_fuel_budget () =
+  let prog = compile long_prefix_src in
+  let options =
+    {
+      Repair.Options.default with
+      budgets = { Repair.Guard.unlimited with fuel = Some 1000 };
+    }
+  in
+  match
+    Rt.Watchdog.with_timeout ~ms:(Some 5000) (fun () ->
+        Strategy.run ~options `Tournament prog)
+  with
+  | _ -> Alcotest.fail "the tournament finished under a 1000-unit fuel budget"
+  | exception e -> (
+      match Repair.Diag.of_exn e with
+      | Some d ->
+          Alcotest.(check string)
+            "fuel diagnostic"
+            "error[budget]: execution exceeded its fuel budget (raise \
+             --budget-fuel, or check the program for non-termination)"
+            (Repair.Diag.to_string d)
+      | None -> raise e)
 
 let () =
   Alcotest.run "strategy"
@@ -219,6 +260,8 @@ let () =
             test_stencil_chunk_wins;
           Alcotest.test_case "winner verifies under both backends" `Quick
             test_both_backends_verify;
+          Alcotest.test_case "fuel budget bounds every run" `Quick
+            test_tournament_fuel_budget;
         ] );
       ( "single strategy",
         [

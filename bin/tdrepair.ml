@@ -308,10 +308,9 @@ let detect_cmd =
             Fmt.pr "strategy %a: program already race-free@."
               Repair.Strategy.pp_choice choice
         | choice -> (
-            (* the preview's candidates must not write the spill file *)
-            match
-              Repair.Strategy.run ~options:{ o with spill = None } choice prog
-            with
+            (* no strategy run spills, so the preview leaves the spill
+               file of the detection above alone *)
+            match Repair.Strategy.run ~options:o choice prog with
             | outcome ->
                 Fmt.pr "strategy %a: %a would win@." Repair.Strategy.pp_choice
                   choice Repair.Strategy.pp_kind

@@ -7,7 +7,7 @@
    deterministic execution: uninstrumented (nop), ESP-bags SRW and MRW,
    MRW with the static prune pre-pass (`--static-prune`,
    Static.Prune.keep_fn), the seed MRW implementation kept in
-   Espbags.Reference — hashtable bags, boxed-address shadow, per-access
+   Oracles.Reference — hashtable bags, boxed-address shadow, per-access
    allocation — as the "before" side, vector-clock SRW and MRW
    (Vclock.Seq, same packed shadow, concurrency decided by clock
    coverage instead of bags), and one parallel row: the program executed
@@ -158,8 +158,8 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
          ~keep:(Static.Prune.keep_fn pr)
          Espbags.Detector.Mrw prog)
   in
-  let ref_srw_f () = fst (Espbags.Reference.detect Espbags.Detector.Srw prog) in
-  let ref_mrw_f () = fst (Espbags.Reference.detect Espbags.Detector.Mrw prog) in
+  let ref_srw_f () = fst (Oracles.Reference.detect Espbags.Detector.Srw prog) in
+  let ref_mrw_f () = fst (Oracles.Reference.detect Espbags.Detector.Mrw prog) in
   let vc_srw_f () = fst (Vclock.Seq.detect Vclock.Seq.Srw prog) in
   let vc_mrw_f () = fst (Vclock.Seq.detect Vclock.Seq.Mrw prog) in
   let par_f () =
@@ -225,16 +225,16 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
   and par_df = par_df_f () in
   identical b.name "ESP-bags SRW vs seed"
     (Espbags.Race.exact_sigs (Espbags.Detector.races srw))
-    (Espbags.Race.exact_sigs (Espbags.Reference.races ref_srw));
+    (Espbags.Race.exact_sigs (Oracles.Reference.races ref_srw));
   identical b.name "ESP-bags MRW vs seed"
     (Espbags.Race.exact_sigs (Espbags.Detector.races mrw))
-    (Espbags.Race.exact_sigs (Espbags.Reference.races ref_mrw));
+    (Espbags.Race.exact_sigs (Oracles.Reference.races ref_mrw));
   identical b.name "vclock SRW vs seed"
     (Espbags.Race.exact_sigs (Vclock.Seq.races vc_srw))
-    (Espbags.Race.exact_sigs (Espbags.Reference.races ref_srw));
+    (Espbags.Race.exact_sigs (Oracles.Reference.races ref_srw));
   identical b.name "vclock MRW vs seed"
     (Espbags.Race.exact_sigs (Vclock.Seq.races vc_mrw))
-    (Espbags.Race.exact_sigs (Espbags.Reference.races ref_mrw));
+    (Espbags.Race.exact_sigs (Oracles.Reference.races ref_mrw));
   identical b.name "MRW vs pruned MRW"
     (List.sort compare (Espbags.Race.exact_sigs (Espbags.Detector.races mrw)))
     (List.sort compare

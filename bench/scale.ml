@@ -6,30 +6,27 @@
 
    For every workload x backend (ESP-bags, vector clocks; MRW — the
    flavour whose shadow actually grows), the sweep times the same
-   deterministic execution twice: with the default slab-chunked shadow
-   layout and with the Monolithic doubling-array layout (the pre-scale
-   baseline).  Per row it records detection throughput (accesses per
-   second of detection time = run minus uninstrumented baseline; null,
-   per layout column, when that difference is below the noise floor —
-   see Clock), the
-   GC-heap high-water mark of each layout's run (Obs.Rusage.watermark —
-   per-run, unlike process RSS, which is monotone), allocated shadow
-   slabs/words, entries retired by epoch GC, and clocks freed (vclock).
-   The process-wide peak RSS (getrusage) is reported once in the
-   summary.
+   deterministic execution with the default slab-chunked shadow.  Per
+   row it records detection throughput (accesses per second of
+   detection time = run minus uninstrumented baseline; null when that
+   difference is below the noise floor — see Clock), the GC-heap
+   high-water mark of the run (Obs.Rusage.watermark — per-run, unlike
+   process RSS, which is monotone), allocated shadow slabs/words,
+   entries retired by epoch GC, and clocks freed (vclock).  The
+   process-wide peak RSS (getrusage) is reported once in the summary.
 
    Report invariance is asserted, not assumed: per workload the race
-   records of {chunked, monolithic} x {ESP-bags, vclock} and of a
-   chunked ESP-bags run with a deliberately tiny spill cap (forcing the
-   disk-overflow path) must all be byte-identical to the unbounded seed
-   oracle (Espbags.Reference).  Any mismatch aborts rather than print a
+   records of the chunked ESP-bags and vclock runs, and of each backend
+   with a deliberately tiny spill cap (forcing the disk-overflow path),
+   must all be byte-identical to the unbounded seed oracle
+   (Oracles.Reference).  Any mismatch aborts rather than print a
    corrupt table.
 
-   The sparse workload is the layout comparison row: its interned id
-   space is ~17x larger than its touched set, so the monolithic shadow's
-   words scale with the id span while the chunked shadow's scale with
-   the touched chunks — the sweep asserts chunked shadow words strictly
-   below monolithic's there (sublinear growth in the untouched span).
+   The sparse workload's interned id span is ~17x larger than its
+   touched set: a dense per-id shadow table would scale with the span,
+   the chunked one scales with the touched chunks.  The sweep asserts
+   chunked shadow words strictly below what a dense table of the same
+   backend would need there (sublinear growth in the untouched span).
 
    Environment knobs (mirroring `bench detector`): TDR_BENCH_REPEAT
    (default 2), TDR_BENCH_SCALE_SUITE (comma-separated workload names),
@@ -39,8 +36,8 @@
    ceiling; default 0 = disabled).  The quick variant (`bench
    scale-quick`, @ci) shrinks every workload ~16x (~10^5 accesses),
    does a single run per configuration and writes JSON only when
-   TDR_BENCH_SCALE_JSON is set explicitly, keeping all assertions
-   including the layout-comparison row and the spill path. *)
+   TDR_BENCH_SCALE_JSON is set explicitly, keeping all assertions, the
+   sparse row's and the spill path's included. *)
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -112,19 +109,19 @@ type row = {
   backend : string;  (** "espbags" | "vclock" *)
   accesses : int;
   races : int;
+  id_span : int;  (** address ids the run interned *)
   nop_t : Clock.sample;  (** uninstrumented baseline *)
   chunked_t : Clock.sample;
-  mono_t : Clock.sample;
   chunked : mem;
-  mono : mem;
   spilled : int;  (** records through the forced-spill identity run *)
 }
 
-(* Detection throughput of each layout's column; [None] below the noise
-   floor (Clock). *)
-let aps r = Clock.rate r.accesses r.chunked_t r.nop_t
+(* Slab size in slots of the measured runs (a power of two); the sparse
+   row's gate bounds the chunked table's words with it. *)
+let chunk = Tdrutil.Islab.default_chunk
 
-let mono_aps r = Clock.rate r.accesses r.mono_t r.nop_t
+(* Detection throughput; [None] below the noise floor (Clock). *)
+let aps r = Clock.rate r.accesses r.chunked_t r.nop_t
 
 let row_measurable r = Clock.measurable r.chunked_t r.nop_t
 
@@ -169,13 +166,9 @@ let measure ~repeat ~spill_dir (name, cfg) : row list =
      shadow — no slabs, no GC, no spill *)
   let oracle =
     Espbags.Race.exact_sigs
-      (Espbags.Reference.races
-         (fst (Espbags.Reference.detect Espbags.Detector.Mrw prog)))
+      (Oracles.Reference.races
+         (fst (Oracles.Reference.detect Espbags.Detector.Mrw prog)))
   in
-  let eb layout () =
-    fst (Espbags.Detector.detect ~layout Espbags.Detector.Mrw prog)
-  in
-  let vc layout () = fst (Vclock.Seq.detect ~layout Vclock.Seq.Mrw prog) in
   let time_runs f =
     let t = Clock.sample () and last = ref None and hw = ref 0 in
     for _ = 1 to repeat do
@@ -186,17 +179,10 @@ let measure ~repeat ~spill_dir (name, cfg) : row list =
     done;
     (Option.get !last, t, !hw)
   in
-  let backend bname ~detect ~races ~stats ~spill_races : row =
-    let chunked_det, chunked_t, chunked_hw =
-      time_runs (detect (Tdrutil.Islab.Chunked Tdrutil.Islab.default_chunk))
-    in
-    let mono_det, mono_t, mono_hw = time_runs (detect Tdrutil.Islab.Monolithic) in
+  let backend bname ~detect ~races ~stats ~intern ~spill_races : row =
+    let chunked_det, chunked_t, chunked_hw = time_runs detect in
     let csigs = Espbags.Race.exact_sigs (races chunked_det) in
     identical name (bname ^ " chunked vs seed oracle") csigs oracle;
-    identical name
-      (bname ^ " monolithic vs seed oracle")
-      (Espbags.Race.exact_sigs (races mono_det))
-      oracle;
     (* force the spill path: a cap far below the race count drains
        r_buf to disk mid-run; the report must survive the round-trip *)
     let spill_path = Filename.concat spill_dir (name ^ "-" ^ bname ^ ".spill") in
@@ -220,17 +206,19 @@ let measure ~repeat ~spill_dir (name, cfg) : row list =
       backend = bname;
       accesses = stat (stats chunked_det) "detector.accesses";
       races = List.length csigs;
+      id_span = Rt.Addr.Intern.n_ids (intern chunked_det);
       nop_t;
       chunked_t;
-      mono_t;
       chunked = mem chunked_det chunked_hw;
-      mono = mem mono_det mono_hw;
       spilled = n_spilled;
     }
   in
   let eb_row =
-    backend "espbags" ~detect:(fun l -> eb l) ~races:Espbags.Detector.races
-      ~stats:Espbags.Detector.stats ~spill_races:(fun path ->
+    backend "espbags"
+      ~detect:(fun () ->
+        fst (Espbags.Detector.detect ~chunk Espbags.Detector.Mrw prog))
+      ~races:Espbags.Detector.races ~stats:Espbags.Detector.stats
+      ~intern:(fun det -> det.Espbags.Detector.intern) ~spill_races:(fun path ->
         let det, _ =
           Espbags.Detector.detect
             ~spill:(Espbags.Spill.config ~cap:2 path)
@@ -240,8 +228,10 @@ let measure ~repeat ~spill_dir (name, cfg) : row list =
           Espbags.Race.exact_sigs (Espbags.Detector.races det) ))
   in
   let vc_row =
-    backend "vclock" ~detect:(fun l -> vc l) ~races:Vclock.Seq.races
-      ~stats:Vclock.Seq.stats ~spill_races:(fun path ->
+    backend "vclock"
+      ~detect:(fun () -> fst (Vclock.Seq.detect ~chunk Vclock.Seq.Mrw prog))
+      ~races:Vclock.Seq.races ~stats:Vclock.Seq.stats
+      ~intern:(fun det -> det.Vclock.Seq.intern) ~spill_races:(fun path ->
         let det, _ =
           Vclock.Seq.detect
             ~spill:(Espbags.Spill.config ~cap:2 path)
@@ -256,21 +246,15 @@ let json_of_rows ~repeat ~quick rows =
   let row_json r =
     Fmt.str
       "    {\"workload\": %S, \"backend\": %S, \"accesses\": %d, \"races\": \
-       %d, \"nop_s\": %.6f, \"chunked_s\": %.6f, \"mono_s\": %.6f, \
-       \"det_accesses_per_s\": %s, \"mono_det_accesses_per_s\": %s, \
-       \"chunked_hw_words\": %d, \"mono_hw_words\": %d, \
+       %d, \"nop_s\": %.6f, \"chunked_s\": %.6f, \
+       \"det_accesses_per_s\": %s, \"chunked_hw_words\": %d, \
        \"chunked_shadow_slabs\": %d, \"chunked_shadow_words\": %d, \
-       \"mono_shadow_words\": %d, \"gc_retired\": %d, \"clocks_freed\": %d, \
-       \"spilled_races\": %d, \"measurable\": %b, \"mono_measurable\": \
-       %b}"
+       \"gc_retired\": %d, \"clocks_freed\": %d, \"spilled_races\": %d, \
+       \"measurable\": %b}"
       r.workload r.backend r.accesses r.races r.nop_t.best r.chunked_t.best
-      r.mono_t.best
       (Clock.json_opt "%.0f" (aps r))
-      (Clock.json_opt "%.0f" (mono_aps r))
-      r.chunked.hw_words r.mono.hw_words r.chunked.shadow_slabs
-      r.chunked.shadow_words r.mono.shadow_words r.chunked.gc_retired
-      r.chunked.clocks_freed r.spilled (row_measurable r)
-      (Clock.measurable r.mono_t r.nop_t)
+      r.chunked.hw_words r.chunked.shadow_slabs r.chunked.shadow_words
+      r.chunked.gc_retired r.chunked.clocks_freed r.spilled (row_measurable r)
   in
   let mrows = List.filter row_measurable rows in
   let total_over rs f = List.fold_left (fun acc r -> acc +. f r) 0. rs in
@@ -308,24 +292,20 @@ let sweep ~quick () =
         (if quick then 5 else 6);
       Fmt.pr
         "(aps = accesses/sec of detection time; hw = GC-heap high-water \
-         Mwords of the run, chunked vs monolithic shadow layout)@.";
-      Fmt.pr "%-11s %-8s %10s %6s %9s %9s %9s %8s %8s %9s %9s@." "workload"
-        "backend" "accesses" "races" "nop(ms)" "chk(ms)" "mono(ms)" "chk-hw"
-        "mono-hw" "retired" "aps";
+         Mwords of the run)@.";
+      Fmt.pr "%-11s %-8s %10s %6s %9s %9s %8s %9s %9s@." "workload"
+        "backend" "accesses" "races" "nop(ms)" "chk(ms)" "chk-hw" "retired"
+        "aps";
       let rows =
         List.concat_map
           (fun w ->
             let rs = measure ~repeat ~spill_dir w in
             List.iter
               (fun r ->
-                Fmt.pr
-                  "%-11s %-8s %10d %6d %9.1f %9.1f %9.1f %7.1fM %7.1fM %9d \
-                   %9s@."
+                Fmt.pr "%-11s %-8s %10d %6d %9.1f %9.1f %7.1fM %9d %9s@."
                   r.workload r.backend r.accesses r.races
                   (1e3 *. r.nop_t.best) (1e3 *. r.chunked_t.best)
-                  (1e3 *. r.mono_t.best)
                   (float_of_int r.chunked.hw_words /. 1e6)
-                  (float_of_int r.mono.hw_words /. 1e6)
                   r.chunked.gc_retired
                   (match aps r with
                   | Some v -> Fmt.str "%.0f" v
@@ -334,32 +314,37 @@ let sweep ~quick () =
             rs)
           (workloads ~quick ())
       in
-      (* the sparse workload is the layout-comparison row: its id span is
-         ~17x its touched set, so the chunked table must undercut the
-         monolithic doubling array.  Strict-less, not a fixed ratio: both
-         layouts carry identical per-location access-list words (they
-         scale with the touched set), so the assertable difference is
+      (* the sparse workload's id span is ~17x its touched set, so the
+         chunked table must undercut a dense per-id table.  A dense table
+         needs one slot per interned id plus the per-location access lists
+         the chunked words also count; [table] bounds the chunked slabs
+         and directory (at most two words per chunk index of the span)
+         from above, so [dense] bounds the dense table's words from below.
+         Strict-less, not a fixed ratio: the assertable difference is
          exactly the table part — touched chunks vs the whole span. *)
       List.iter
         (fun r ->
+          let table =
+            (r.chunked.shadow_slabs * chunk) + (2 * ((r.id_span / chunk) + 1))
+          in
+          let dense = r.id_span + r.chunked.shadow_words - table in
           if
             String.length r.workload >= 6
             && String.sub r.workload 0 6 = "sparse"
-            && r.chunked.shadow_words >= r.mono.shadow_words
+            && r.chunked.shadow_words >= dense
           then
             failwith
               (Fmt.str
                  "scale bench: %s/%s: chunked shadow (%d words) is not \
-                  sublinear vs monolithic (%d words)"
-                 r.workload r.backend r.chunked.shadow_words
-                 r.mono.shadow_words))
+                  sublinear vs a dense table over %d ids (>= %d words)"
+                 r.workload r.backend r.chunked.shadow_words r.id_span dense))
         rows;
       let mrows = List.filter row_measurable rows in
       let agg_aps = aggregate_aps mrows in
       let rss_kb = Obs.Rusage.peak_rss_kb () in
       Fmt.pr
         "reports byte-identical to the unbounded oracle on all %d rows \
-         (both layouts + forced spill); aggregate %s accesses/s over %d \
+         (chunked + forced spill); aggregate %s accesses/s over %d \
          measurable rows; process peak RSS %d MB@."
         (List.length rows)
         (match agg_aps with Some v -> Fmt.str "%.0f" v | None -> "n/a")

@@ -253,10 +253,10 @@ let ablation_sched () =
       let g = Compgraph.Graph.of_sdpst res.tree in
       let greedy = Compgraph.Sched.makespan ~procs:12 g in
       let wf =
-        Compgraph.Steal.simulate ~procs:12 ~policy:Compgraph.Steal.Work_first g
+        Oracles.Steal.simulate ~procs:12 ~policy:Oracles.Steal.Work_first g
       in
       let hf =
-        Compgraph.Steal.simulate ~procs:12 ~policy:Compgraph.Steal.Help_first g
+        Oracles.Steal.simulate ~procs:12 ~policy:Oracles.Steal.Help_first g
       in
       Fmt.pr "%-14s %12d %14d %14d %10d@." b.name greedy wf.makespan
         hf.makespan wf.steals)

@@ -64,11 +64,6 @@ let () =
   Fmt.pr "  %-28s CPL = %d@."
     (Fmt.str "%a" pp_placement out.finishes)
     out.cost;
-  (match Repair.Brute.solve g with
-  | Some (best, _) ->
-      Fmt.pr "@.brute-force oracle over every valid placement agrees: %d@."
-        best
-  | None -> assert false);
   Fmt.pr
     "@.(The DP beats all four hand-picked placements of Figure 4 — it \
      overlaps E@.with the finish that joins A..D before F starts.)@."

@@ -397,8 +397,8 @@ let generate_scaled { shape; racy_pairs } : string =
       check_pos "reps" reps;
       (* the pad arrays are declared (so their cells occupy the interned
          id space) but never accessed; all traffic lands in the last
-         declared array, i.e. the top of the id range — a monolithic
-         shadow must span every pad id, a chunked one only the touched
+         declared array, i.e. the top of the id range — a dense per-id
+         shadow would span every pad id, a chunked one only the touched
          tail *)
       let pads =
         List.init pad_arrays (fun k -> (Fmt.str "p%d" k, pad_len))

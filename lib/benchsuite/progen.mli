@@ -52,8 +52,8 @@ type scale_shape =
   | Sparse of { pad_arrays : int; pad_len : int; tasks : int; reps : int }
       (** large interned id space ([pad_arrays * pad_len] never-accessed
           pad cells) with all traffic in the last-declared array — the
-          slab-layout workload: a monolithic shadow spans every pad id,
-          a chunked one only the touched tail *)
+          slab-chunking workload: a dense per-id shadow would span
+          every pad id, a chunked one only the touched tail *)
 
 type scale_config = { shape : scale_shape; racy_pairs : int }
 

@@ -62,9 +62,3 @@ let scale : Bench.t list =
         }
       ~big:(List.assoc "hot-1m" Progen.scale_presets);
   ]
-
-let find_scale name =
-  List.find_opt
-    (fun (b : Bench.t) ->
-      String.lowercase_ascii b.name = String.lowercase_ascii name)
-    scale

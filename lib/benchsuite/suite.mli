@@ -12,6 +12,3 @@ val names : string list
     these drive [bench scale].  Repair-mode sources are small and
     repairable; perf-mode sources are ~10^6-access presets. *)
 val scale : Bench.t list
-
-(** Case-insensitive lookup in {!scale}. *)
-val find_scale : string -> Bench.t option

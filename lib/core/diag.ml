@@ -76,11 +76,6 @@ let of_exn = function
               i j))
   | _ -> None
 
-let is_input_error d =
-  match d.stage with
-  | Parse | Typecheck | Interp -> true
-  | Detect | Place | Insert | Budget | Lint -> false
-
 (* Adapt a static-analysis finding into the pipeline's diagnostic type.
    The rule name is folded into the message; the [lint] stage marks the
    origin. *)

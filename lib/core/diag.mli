@@ -50,10 +50,6 @@ val to_string : t -> string
     exhaustion, DP unsatisfiability).  [None] for unrecognized exceptions. *)
 val of_exn : exn -> t option
 
-(** Did the analyzed program (not the tool) cause this?  True for
-    [Parse]/[Typecheck]/[Interp] diagnostics. *)
-val is_input_error : t -> bool
-
 (** Adapt a static-analysis finding ({!Static.Finding.t}) into a [Lint]
     diagnostic, folding the rule name into the message. *)
 val of_finding : Static.Finding.t -> t

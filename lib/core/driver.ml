@@ -155,8 +155,7 @@ let detect (o : Options.t) prog =
             Vclock.Select.detect ~backend
               ?fuel:(Guard.effective_fuel o.budgets)
               ?keep:(Option.map Static.Prune.keep_fn prune)
-              ?layout:
-                (Option.map (fun n -> Tdrutil.Islab.Chunked n) o.shadow_chunk)
+              ?chunk:o.shadow_chunk
               ?spill:(Option.map Espbags.Spill.config o.spill)
               o.mode prog))
   in
@@ -518,12 +517,6 @@ let place_pairs_incremental ~guard ~program (tree : Sdpst.Node.tree)
     trace-file workflows drive it directly. *)
 let place_for_tree ?(guard = Guard.make Guard.unlimited) ~program races =
   place_pairs ~guard ~program (Pairs.of_list races)
-
-(** Paper §6.1's incremental strategy on the races of one detector run
-    (see [place_pairs_incremental]).  Mutates [tree]. *)
-let place_incremental ?(guard = Guard.make Guard.unlimited) ~program tree
-    races =
-  place_pairs_incremental ~guard ~program tree (Pairs.of_list races)
 
 (* ------------------------------------------------------------------ *)
 (* Full iterative repair                                               *)

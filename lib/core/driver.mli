@@ -82,7 +82,7 @@ type backend = Options.backend
 
 (** One sequential detection run under a job's options: the static
     pre-pass when [static_prune] is set, the resolved backend over the
-    shadow layout, spill file and fuel budget the options ask for, and
+    shadow chunk size, spill file and fuel budget the options ask for, and
     isolated-section discharge of the reported races.  The CLI's
     [detect], the daemon's detect jobs, every repair iteration and every
     tournament verify run go through it. *)
@@ -109,18 +109,6 @@ val detect : Options.t -> Mhj.Ast.program -> detection
 val place_for_tree :
   ?guard:Guard.t ->
   program:Mhj.Ast.program ->
-  Espbags.Race.t list ->
-  group_result list * Static_place.merged
-
-(** Paper §6.1's incremental strategy: solve NS-LCA groups one finish at a
-    time against a {e live} S-DPST — splice the finish node in (step d),
-    drop the races it resolves, re-checked with Theorem 1 (step e), and
-    regroup the remainder, whose NS-LCAs may have changed (step f).
-    Mutates the tree. *)
-val place_incremental :
-  ?guard:Guard.t ->
-  program:Mhj.Ast.program ->
-  Sdpst.Node.tree ->
   Espbags.Race.t list ->
   group_result list * Static_place.merged
 

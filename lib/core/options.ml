@@ -150,12 +150,20 @@ module Row = struct
   let shadow_chunk =
     row "shadow_chunk" ~docv:"N"
       (Int
-         (fun n -> if n > 0 then None else Some "chunk size must be positive"))
+         (fun n ->
+           if n <= 0 then Some "chunk size must be positive"
+           else if n > Tdrutil.Islab.max_chunk then
+             Some
+               (Printf.sprintf "chunk size must be at most %d"
+                  Tdrutil.Islab.max_chunk)
+           else None))
       (fun shadow_chunk o -> { o with shadow_chunk })
-      "Grow the detector's shadow tables in slab chunks of $(docv) \
-       slots (default 8192; rounded up to a power of two).  Reported \
-       races are unchanged; smaller chunks track sparse address \
-       spaces more tightly."
+      (Printf.sprintf
+         "Grow the detector's shadow tables in slab chunks of $(docv) \
+          slots (default %d, at most %d; rounded up to a power of two). \
+          \ Reported races are unchanged; smaller chunks track sparse \
+          address spaces more tightly."
+         Tdrutil.Islab.default_chunk Tdrutil.Islab.max_chunk)
 
   let spill =
     row "spill" ~docv:"FILE" Path

@@ -22,11 +22,6 @@ type insertion = {
   placement : Mhj.Transform.placement;  (** static program location *)
 }
 
-let pp_insertion ppf ins =
-  Fmt.pf ppf "insert finish under %a children [%d..%d] -> %a" Sdpst.Node.pp
-    ins.parent ins.child_lo ins.child_hi Mhj.Transform.pp_placement
-    ins.placement
-
 (* The child of [p] on the path from [n] to [p] ([n] itself if its parent
    is [p]). *)
 let child_ancestor ~p n =

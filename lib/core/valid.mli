@@ -9,8 +9,6 @@ type insertion = {
   placement : Mhj.Transform.placement;  (** static program location *)
 }
 
-val pp_insertion : insertion Fmt.t
-
 (** The S-DPST insertion realizing a finish over dependence-graph vertices
     [i..j] (0-based, inclusive), or [None] if no scope-valid insertion
     exists.  Returns the {e highest} valid level (the paper's §5.2 rule):

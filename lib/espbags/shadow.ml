@@ -21,8 +21,8 @@
    so the shadow holds no pointers.  Per-location step epochs (the last
    recorded reader / writer step) dedup a list in one compare: the
    depth-first run never resumes a step, so a step's accesses to a location
-   are contiguous.  {!Reference} keeps the seed representation, and the
-   differential suite holds the two to identical races.  At scale
+   are contiguous.  The differential suite holds both instances to the
+   races of the seed detector, a test-only oracle.  At scale
    (DESIGN.md §15) slab chunks, lazy epoch GC and race spill bound memory
    without changing a report. *)
 
@@ -147,10 +147,12 @@ module type S = sig
   (** No race reported? *)
   val clean : t -> bool
 
-  (** Fresh detector.  [layout] picks the shadow growth policy (default:
-      slab-chunked); [spill] bounds in-memory race records.  Neither
-      changes the reported races. *)
-  val make : ?layout:Tdrutil.Islab.layout -> ?spill:Spill.config -> mode -> t
+  (** Fresh detector.  [chunk] is the shadow tables' slab size in slots
+      (default {!Tdrutil.Islab.default_chunk}); [spill] bounds in-memory
+      race records.  Neither changes the reported races.
+      @raise Invalid_argument for a chunk size {!Tdrutil.Islab.create}
+      refuses *)
+  val make : ?chunk:int -> ?spill:Spill.config -> mode -> t
 
   (** Run a program under a fresh detector; returns the detector (with
       its recorded races) and the execution result.  The spill file is
@@ -159,12 +161,12 @@ module type S = sig
       [keep] is a per-statement monitoring predicate (typically a static
       MHP pre-pass); accesses of statements it rejects are skipped and
       counted in [n_skipped].  With MRW, skipping statements proven
-      race-free leaves the reported race set unchanged.  [layout] and
+      race-free leaves the reported race set unchanged.  [chunk] and
       [spill] as in {!make}. *)
   val detect :
     ?fuel:int ->
     ?keep:(bid:int -> idx:int -> bool) ->
-    ?layout:Tdrutil.Islab.layout ->
+    ?chunk:int ->
     ?spill:Spill.config ->
     mode ->
     Mhj.Ast.program ->
@@ -298,16 +300,16 @@ module Make (O : ORDER) : S with type order = O.t = struct
     O.srw_store o row i;
     Array.unsafe_set row (i + 1) sid
 
-  let srw_access ?layout det =
+  let srw_access ?chunk det =
     let o = det.order in
     let stride = O.srw_stride in
     let half = stride / 2 in
-    let tbl = Tdrutil.Islab.create ?layout ~fill:(-1) () in
+    let tbl = Tdrutil.Islab.create ?chunk ~fill:(-1) () in
     det.shadow_info <-
       (fun () -> (Tdrutil.Islab.n_chunks tbl, Tdrutil.Islab.words tbl));
     fun ~step ~bid:_ ~idx:_ addr kind ->
       det.n_accesses <- det.n_accesses + 1;
-      let row, w = Tdrutil.Islab.slot tbl (addr * stride) ~stride in
+      let row, w = Tdrutil.Islab.slot tbl (addr * stride) in
       let r = w + half in
       let sid = step.Sdpst.Node.id in
       register_step det step sid;
@@ -375,12 +377,12 @@ module Make (O : ORDER) : S with type order = O.t = struct
     end;
     n
 
-  let mrw_access ?layout det version =
+  let mrw_access ?chunk det version =
     let o = det.order in
     (* shared physical sentinel for untouched slots: location state is
        created lazily on first access (and counted), without an option *)
     let null_loc = fresh_loc () in
-    let shadow = Tdrutil.Slab.create ?layout ~fill:null_loc () in
+    let shadow = Tdrutil.Slab.create ?chunk ~fill:null_loc () in
     det.shadow_info <-
       (fun () ->
         (* table words plus the lists' backing capacity: the lists are
@@ -455,7 +457,7 @@ module Make (O : ORDER) : S with type order = O.t = struct
           end);
       maybe_spill det
 
-  let make ?layout ?spill mode =
+  let make ?chunk ?spill mode =
     let det =
       { mode; order = O.create (); monitor = Rt.Monitor.nop;
         steps = Tdrutil.Vec.create (); r_buf = Tdrutil.Ivec.create ();
@@ -474,8 +476,8 @@ module Make (O : ORDER) : S with type order = O.t = struct
     in
     let on_access =
       match mode with
-      | Srw -> srw_access ?layout det
-      | Mrw -> mrw_access ?layout det version
+      | Srw -> srw_access ?chunk det
+      | Mrw -> mrw_access ?chunk det version
     in
     det.monitor <-
       {
@@ -488,8 +490,8 @@ module Make (O : ORDER) : S with type order = O.t = struct
       };
     det
 
-  let detect ?fuel ?keep ?layout ?spill mode prog =
-    let det = make ?layout ?spill mode in
+  let detect ?fuel ?keep ?chunk ?spill mode prog =
+    let det = make ?chunk ?spill mode in
     let monitor =
       match keep with
       | None -> det.monitor

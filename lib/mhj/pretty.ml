@@ -122,4 +122,3 @@ let program_to_string (p : program) : string = Fmt.str "%a" pp_program p
 
 let expr_to_string (e : expr) : string = Fmt.str "%a" pp_expr e
 
-let stmt_to_string (st : stmt) : string = Fmt.str "%a" (pp_stmt 0) st

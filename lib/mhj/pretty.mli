@@ -10,4 +10,3 @@ val program_to_string : Ast.program -> string
 
 val expr_to_string : Ast.expr -> string
 
-val stmt_to_string : Ast.stmt -> string

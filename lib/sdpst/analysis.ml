@@ -80,8 +80,6 @@ let rec forget_path m n =
 
 let span_of n = span (memo ()) n
 
-let drag_of n = drag (memo ()) n
-
 (** Critical path length of the whole execution (Definition 1). *)
 let critical_path_length tree = span_of tree.root
 

@@ -28,9 +28,6 @@ val forget_path : memo -> Node.t -> unit
     queries. *)
 val span_of : Node.t -> int
 
-(** Drag of a subtree. *)
-val drag_of : Node.t -> int
-
 (** Critical path length of the whole execution (Definition 1). *)
 val critical_path_length : Node.tree -> int
 

@@ -66,9 +66,3 @@ let steps tree =
   let acc = ref [] in
   iter_tree (fun n -> if is_step n then acc := n :: !acc) tree;
   List.rev !acc
-
-(** Find a node by id (linear scan; testing helper). *)
-let find_node tree id =
-  let found = ref None in
-  iter_tree (fun n -> if n.id = id then found := Some n) tree;
-  !found

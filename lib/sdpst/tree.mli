@@ -8,6 +8,3 @@ val insert_finish : Node.tree -> parent:Node.t -> lo:int -> hi:int -> Node.t
 
 (** All steps, in depth-first (program) order. *)
 val steps : Node.tree -> Node.t list
-
-(** Find a node by id (linear scan; testing helper). *)
-val find_node : Node.tree -> int -> Node.t option

@@ -16,20 +16,6 @@ type config = {
   verbose : bool;
 }
 
-let default_config ~socket =
-  {
-    socket;
-    workers = 2;
-    queue_capacity = 16;
-    max_frame = 1 lsl 20;
-    cache_capacity = 64;
-    retries = 2;
-    backoff_ms = 10;
-    default_timeout_ms = None;
-    hard_watchdog_ms = 5_000;
-    verbose = false;
-  }
-
 type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;

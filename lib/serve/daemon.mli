@@ -32,8 +32,6 @@ type config = {
   verbose : bool;
 }
 
-val default_config : socket:string -> config
-
 (** Run the daemon until shutdown.  Prints one ["listening on ..."]
     line when ready (tests wait for it). *)
 val run : config -> unit

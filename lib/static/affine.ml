@@ -277,33 +277,3 @@ let disjoint loops (ctx : ctx) fa fb =
             (merge_diff ~shared:ctx.shared
                (match fa with Aff (t, k) -> (t, k) | _ -> ([], 0))
                (match fb with Aff (t, k) -> (t, k) | _ -> ([], 0))))
-
-(* ------------------------------------------------------------------ *)
-(* Pretty-printing                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let counter_name (loops : loops) v =
-  match Hashtbl.find_opt loops v with
-  | Some b -> b.counter
-  | None -> Fmt.str "v%d" v
-
-let pp_form loops ppf = function
-  | Bot | Top -> Fmt.string ppf "?"
-  | Aff ([], k) -> Fmt.int ppf k
-  | Aff (ts, k) ->
-      let piece (v, c) =
-        let n = counter_name loops v in
-        if c = 1 then n
-        else if c = -1 then "-" ^ n
-        else Fmt.str "%d*%s" c n
-      in
-      let pieces =
-        List.map piece ts @ (if k = 0 then [] else [ string_of_int k ])
-      in
-      List.iteri
-        (fun i p ->
-          if i = 0 then Fmt.string ppf p
-          else if String.length p > 0 && p.[0] = '-' then
-            Fmt.pf ppf " - %s" (String.sub p 1 (String.length p - 1))
-          else Fmt.pf ppf " + %s" p)
-        pieces

@@ -114,7 +114,3 @@ type reason =
 val describe : reason -> string
 
 val disjoint : loops -> ctx -> form -> form -> (unit, reason) result
-
-(** Render a form using the counter names from [loops] (e.g. ["2*i + 1"],
-    ["?"] for [Top]/[Bot]). *)
-val pp_form : loops -> form Fmt.t

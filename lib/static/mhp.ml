@@ -206,8 +206,6 @@ let contexts t a b =
 let pairs t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.pairs [] |> List.sort compare
 
-let n_pairs t = Hashtbl.length t.pairs
-
 let redundant_finishes t = t.redundant_finishes
 
 let l_of_func t f = get t.l_of_func f

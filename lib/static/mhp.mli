@@ -55,8 +55,6 @@ val pairs : t -> (int * int) list
     non-pairs).  Deduplicated, in no particular order. *)
 val contexts : t -> int -> int -> Affine.ctx list
 
-val n_pairs : t -> int
-
 (** Finish statements whose body cannot spawn an escaping async — the
     join is a no-op (lint: redundant-finish). *)
 val redundant_finishes : t -> (int * Mhj.Loc.t) list

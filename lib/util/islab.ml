@@ -3,107 +3,71 @@
    [1 lsl bits] slots), so presence is one [Array.length] test and absent
    reads touch no per-chunk storage at all. *)
 
-type layout = Chunked of int | Monolithic
-
 let default_chunk = 8192
-
-type chunked = {
-  bits : int;  (** log2 slots per chunk *)
-  mask : int;  (** [(1 lsl bits) - 1] *)
-  c_fill : int;
-  mutable dir : int array array;  (** chunk index -> chunk; [||] absent *)
-  mutable chunks : int;
-}
-
-type mono = {
-  m_fill : int;
-  mutable data : int array;  (** grown by doubling, [fill]-padded *)
-}
-
-type t = Chunks of chunked | Mono of mono
-
-let no_chunk : int array = [||]
+let max_chunk = 1 lsl 20
 
 (* Smallest power of two >= max 8 n, as its exponent.  The floor of 8
-   keeps small strided groups (see [slot]) inside one chunk. *)
+   keeps small strided groups (see [slot]) inside one chunk; the ceiling
+   keeps the loop finite and a chunk allocatable. *)
 let bits_for n =
+  if n <= 0 then invalid_arg "Islab.create: chunk size must be positive";
+  if n > max_chunk then
+    invalid_arg
+      (Printf.sprintf "Islab.create: chunk size exceeds %d slots" max_chunk);
   let b = ref 3 in
   while 1 lsl !b < n do
     incr b
   done;
   !b
 
-let create ?(layout = Chunked default_chunk) ~fill () =
-  match layout with
-  | Chunked n ->
-      if n <= 0 then invalid_arg "Islab.create: chunk size must be positive";
-      let bits = bits_for n in
-      Chunks { bits; mask = (1 lsl bits) - 1; c_fill = fill; dir = [||]; chunks = 0 }
-  | Monolithic -> Mono { m_fill = fill; data = [||] }
+type t = {
+  bits : int;  (** log2 slots per chunk *)
+  mask : int;  (** [(1 lsl bits) - 1] *)
+  fill : int;
+  mutable dir : int array array;  (** chunk index -> chunk; [||] absent *)
+  mutable chunks : int;
+}
 
-let chunk_slots = function Chunks c -> 1 lsl c.bits | Mono _ -> 0
+let no_chunk : int array = [||]
 
-let n_chunks = function
-  | Chunks c -> c.chunks
-  | Mono m -> if Array.length m.data = 0 then 0 else 1
+let create ?(chunk = default_chunk) ~fill () =
+  let bits = bits_for chunk in
+  { bits; mask = (1 lsl bits) - 1; fill; dir = [||]; chunks = 0 }
 
-let words = function
-  | Chunks c -> Array.length c.dir + (c.chunks lsl c.bits)
-  | Mono m -> Array.length m.data
+let chunk_slots t = 1 lsl t.bits
+let n_chunks t = t.chunks
+let words t = Array.length t.dir + (t.chunks lsl t.bits)
 
 let get t i =
   if i < 0 then invalid_arg "Islab.get: negative index";
-  match t with
-  | Chunks c ->
-      let ci = i lsr c.bits in
-      if ci >= Array.length c.dir then c.c_fill
-      else
-        let ch = Array.unsafe_get c.dir ci in
-        if Array.length ch = 0 then c.c_fill
-        else Array.unsafe_get ch (i land c.mask)
-  | Mono m ->
-      if i < Array.length m.data then Array.unsafe_get m.data i else m.m_fill
+  let ci = i lsr t.bits in
+  if ci >= Array.length t.dir then t.fill
+  else
+    let ch = Array.unsafe_get t.dir ci in
+    if Array.length ch = 0 then t.fill else Array.unsafe_get ch (i land t.mask)
 
 (* Materialize chunk [ci] (directory grown by doubling — the directory is
    one word per chunk, so its own overshoot is negligible). *)
-let chunk_of c ci =
-  if ci >= Array.length c.dir then begin
-    let len = max (ci + 1) (2 * Array.length c.dir) in
+let chunk_of t ci =
+  if ci >= Array.length t.dir then begin
+    let len = max (ci + 1) (2 * Array.length t.dir) in
     let nd = Array.make len no_chunk in
-    Array.blit c.dir 0 nd 0 (Array.length c.dir);
-    c.dir <- nd
+    Array.blit t.dir 0 nd 0 (Array.length t.dir);
+    t.dir <- nd
   end;
-  let ch = Array.unsafe_get c.dir ci in
+  let ch = Array.unsafe_get t.dir ci in
   if Array.length ch <> 0 then ch
   else begin
-    let ch = Array.make (1 lsl c.bits) c.c_fill in
-    Array.unsafe_set c.dir ci ch;
-    c.chunks <- c.chunks + 1;
+    let ch = Array.make (1 lsl t.bits) t.fill in
+    Array.unsafe_set t.dir ci ch;
+    t.chunks <- t.chunks + 1;
     ch
   end
 
 let set t i v =
   if i < 0 then invalid_arg "Islab.set: negative index";
-  match t with
-  | Chunks c -> Array.unsafe_set (chunk_of c (i lsr c.bits)) (i land c.mask) v
-  | Mono m ->
-      if i >= Array.length m.data then begin
-        let len = max (i + 1) (2 * Array.length m.data) in
-        let nd = Array.make len m.m_fill in
-        Array.blit m.data 0 nd 0 (Array.length m.data);
-        m.data <- nd
-      end;
-      Array.unsafe_set m.data i v
+  Array.unsafe_set (chunk_of t (i lsr t.bits)) (i land t.mask) v
 
-let slot t i ~stride =
+let slot t i =
   if i < 0 then invalid_arg "Islab.slot: negative index";
-  match t with
-  | Chunks c -> (chunk_of c (i lsr c.bits), i land c.mask)
-  | Mono m ->
-      if i + stride > Array.length m.data then begin
-        let len = max (i + stride) (2 * Array.length m.data) in
-        let nd = Array.make len m.m_fill in
-        Array.blit m.data 0 nd 0 (Array.length m.data);
-        m.data <- nd
-      end;
-      (m.data, i)
+  (chunk_of t (i lsr t.bits), i land t.mask)

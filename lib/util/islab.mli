@@ -2,38 +2,37 @@
 
     The detectors' shadow memory is indexed by dense interned address
     ids, but at scale the id space is large (one id per array cell) and
-    access is skewed, so a monolithic doubling array ({!Ivec.ensure})
-    pays for every id below the highest one touched — plus a transient
-    2x copy at each doubling.  A slab table allocates fixed-size
+    access is skewed, so a dense doubling array ({!Ivec.ensure}) would
+    pay for every id below the highest one touched — plus a transient 2x
+    copy at each doubling.  A slab table allocates fixed-size
     power-of-two chunks on first write, so footprint tracks the set of
     {e touched} chunks, never the id-space bound, and growth never
     copies.  Reads of untouched slots return the table's [fill] without
-    allocating.
-
-    The [Monolithic] layout keeps the old ensure-and-double behaviour
-    behind the same interface — the memory baseline [bench scale]
-    compares slab growth against. *)
-
-type layout =
-  | Chunked of int
-      (** slots per slab, rounded up to a power of two (min 8) *)
-  | Monolithic  (** one doubling array, [fill]-padded (the baseline) *)
+    allocating. *)
 
 (** Default slab size in slots (power of two): 64 KiB of [int]s. *)
 val default_chunk : int
 
+(** Largest accepted slab size in slots, [2^20] (8 MiB of [int]s). *)
+val max_chunk : int
+
+(** [bits_for n] is log2 of the slots per chunk for a requested size of
+    [n]: [n] rounded up to a power of two, at least 8.
+    @raise Invalid_argument unless [0 < n <= max_chunk] *)
+val bits_for : int -> int
+
 type t
 
-(** [create ?layout ~fill ()] is an empty table; every slot reads as
-    [fill] until written.
-    @raise Invalid_argument for a non-positive chunk size *)
-val create : ?layout:layout -> fill:int -> unit -> t
+(** [create ?chunk ~fill ()] is an empty table of [chunk]-slot slabs
+    (default {!default_chunk}, rounded as by {!bits_for}); every slot
+    reads as [fill] until written.
+    @raise Invalid_argument unless [0 < chunk <= max_chunk] *)
+val create : ?chunk:int -> fill:int -> unit -> t
 
-(** Slots per chunk ([0] for [Monolithic]). *)
+(** Slots per chunk. *)
 val chunk_slots : t -> int
 
-(** Chunks allocated so far ([Monolithic]: 1 once anything was written) —
-    the [detector.shadow_slabs] gauge. *)
+(** Chunks allocated so far — the [detector.shadow_slabs] gauge. *)
 val n_chunks : t -> int
 
 (** Allocated backing words (chunks plus directory), for footprint
@@ -46,12 +45,10 @@ val get : t -> int -> int
 (** @raise Invalid_argument on a negative index *)
 val set : t -> int -> int -> unit
 
-(** [slot t i ~stride] returns the backing array and offset of the
-    [stride] consecutive slots starting at [i], materializing their chunk
-    (so the caller can read {e and} write them in place).  For
-    struct-of-arrays shadow rows packed at a fixed stride: one directory
-    probe serves the whole row.  Requires [i] to be [stride]-aligned with
-    [stride] a power of two no larger than the chunk size; the returned
-    array is invalidated by any later growth of a [Monolithic] table.
+(** [slot t i] returns the backing chunk and offset of slot [i],
+    materializing its chunk (so the caller can read {e and} write it in
+    place).  For struct-of-arrays shadow rows packed at a fixed stride: a
+    row of a power-of-two stride no larger than 8, aligned to it, never
+    straddles a chunk, so one directory probe serves the whole row.
     @raise Invalid_argument on a negative index *)
-val slot : t -> int -> stride:int -> int array * int
+val slot : t -> int -> int array * int

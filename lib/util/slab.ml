@@ -2,90 +2,51 @@
    tables whose slots are records (one [mrw_loc] per touched location).
    Absent chunks are zero-length arrays, as in Islab. *)
 
-type 'a t =
-  | Chunks of {
-      bits : int;
-      mask : int;
-      fill : 'a;
-      mutable dir : 'a array array;
-      mutable n_chunks : int;
-    }
-  | Mono of { fill : 'a; mutable data : 'a array }
+type 'a t = {
+  bits : int;
+  mask : int;
+  fill : 'a;
+  mutable dir : 'a array array;
+  mutable n_chunks : int;
+}
 
-let create ?(layout = Islab.Chunked Islab.default_chunk) ~fill () =
-  match layout with
-  | Islab.Chunked n ->
-      if n <= 0 then invalid_arg "Slab.create: chunk size must be positive";
-      let bits = ref 3 in
-      while 1 lsl !bits < n do
-        incr bits
-      done;
-      Chunks
-        {
-          bits = !bits;
-          mask = (1 lsl !bits) - 1;
-          fill;
-          dir = [||];
-          n_chunks = 0;
-        }
-  | Islab.Monolithic -> Mono { fill; data = [||] }
+let create ?(chunk = Islab.default_chunk) ~fill () =
+  let bits = Islab.bits_for chunk in
+  { bits; mask = (1 lsl bits) - 1; fill; dir = [||]; n_chunks = 0 }
 
-let n_chunks = function
-  | Chunks c -> c.n_chunks
-  | Mono m -> if Array.length m.data = 0 then 0 else 1
-
-let words = function
-  | Chunks c -> Array.length c.dir + (c.n_chunks lsl c.bits)
-  | Mono m -> Array.length m.data
+let n_chunks t = t.n_chunks
+let words t = Array.length t.dir + (t.n_chunks lsl t.bits)
 
 let get t i =
   if i < 0 then invalid_arg "Slab.get: negative index";
-  match t with
-  | Chunks c ->
-      let ci = i lsr c.bits in
-      if ci >= Array.length c.dir then c.fill
-      else
-        let ch = Array.unsafe_get c.dir ci in
-        if Array.length ch = 0 then c.fill
-        else Array.unsafe_get ch (i land c.mask)
-  | Mono m -> if i < Array.length m.data then Array.unsafe_get m.data i else m.fill
+  let ci = i lsr t.bits in
+  if ci >= Array.length t.dir then t.fill
+  else
+    let ch = Array.unsafe_get t.dir ci in
+    if Array.length ch = 0 then t.fill else Array.unsafe_get ch (i land t.mask)
 
 let set t i v =
   if i < 0 then invalid_arg "Slab.set: negative index";
-  match t with
-  | Chunks c ->
-      let ci = i lsr c.bits in
-      if ci >= Array.length c.dir then begin
-        let len = max (ci + 1) (2 * Array.length c.dir) in
-        let nd = Array.make len [||] in
-        Array.blit c.dir 0 nd 0 (Array.length c.dir);
-        c.dir <- nd
-      end;
-      let ch = Array.unsafe_get c.dir ci in
-      let ch =
-        if Array.length ch <> 0 then ch
-        else begin
-          let ch = Array.make (1 lsl c.bits) c.fill in
-          Array.unsafe_set c.dir ci ch;
-          c.n_chunks <- c.n_chunks + 1;
-          ch
-        end
-      in
-      Array.unsafe_set ch (i land c.mask) v
-  | Mono m ->
-      if i >= Array.length m.data then begin
-        let len = max (i + 1) (2 * Array.length m.data) in
-        let nd = Array.make len m.fill in
-        Array.blit m.data 0 nd 0 (Array.length m.data);
-        m.data <- nd
-      end;
-      Array.unsafe_set m.data i v
+  let ci = i lsr t.bits in
+  if ci >= Array.length t.dir then begin
+    let len = max (ci + 1) (2 * Array.length t.dir) in
+    let nd = Array.make len [||] in
+    Array.blit t.dir 0 nd 0 (Array.length t.dir);
+    t.dir <- nd
+  end;
+  let ch = Array.unsafe_get t.dir ci in
+  let ch =
+    if Array.length ch <> 0 then ch
+    else begin
+      let ch = Array.make (1 lsl t.bits) t.fill in
+      Array.unsafe_set t.dir ci ch;
+      t.n_chunks <- t.n_chunks + 1;
+      ch
+    end
+  in
+  Array.unsafe_set ch (i land t.mask) v
 
 (* Iterate over every slot ever materialized (in index order), absent
    chunks skipped — for end-of-run sweeps over touched locations. *)
-let iter_present f = function
-  | Chunks c ->
-      Array.iter
-        (fun ch -> if Array.length ch <> 0 then Array.iter f ch)
-        c.dir
-  | Mono m -> Array.iter f m.data
+let iter_present f t =
+  Array.iter (fun ch -> if Array.length ch <> 0 then Array.iter f ch) t.dir

@@ -1,17 +1,16 @@
 (** Sparse slab-allocated tables of boxed elements — {!Islab} for ['a]
-    slots, sharing its {!Islab.layout} choice (chunked growth vs the
-    monolithic doubling baseline).  Used for the MRW detectors' shadow:
-    one location record per touched address id, where chunked growth
-    keeps footprint proportional to touched chunks and avoids the
-    doubling copy (which for a boxed table also re-runs the GC write
+    slots, with the same chunk sizes.  Used for the MRW detectors'
+    shadow: one location record per touched address id, where chunked
+    growth keeps footprint proportional to touched chunks and avoids a
+    doubling copy (which for a boxed table would also re-run the GC write
     barrier per moved slot). *)
 
 type 'a t
 
-(** [create ?layout ~fill ()] is an empty table; every slot reads as
+(** [create ?chunk ~fill ()] is an empty table; every slot reads as
     [fill] until written (use a shared sentinel value).
-    @raise Invalid_argument for a non-positive chunk size *)
-val create : ?layout:Islab.layout -> fill:'a -> unit -> 'a t
+    @raise Invalid_argument as {!Islab.create} *)
+val create : ?chunk:int -> fill:'a -> unit -> 'a t
 
 (** Chunks allocated so far. *)
 val n_chunks : 'a t -> int

@@ -114,8 +114,8 @@ type detection = {
   result : Rt.Interp.result;
 }
 
-let run (module D : Espbags.Shadow.S) ?fuel ?keep ?layout ?spill mode prog =
-  let det, result = D.detect ?fuel ?keep ?layout ?spill mode prog in
+let run (module D : Espbags.Shadow.S) ?fuel ?keep ?chunk ?spill mode prog =
+  let det, result = D.detect ?fuel ?keep ?chunk ?spill mode prog in
   {
     races = lazy (D.races det);
     pairs = lazy (D.pairs det);

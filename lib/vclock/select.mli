@@ -46,7 +46,7 @@ val detect :
   backend:choice ->
   ?fuel:int ->
   ?keep:(bid:int -> idx:int -> bool) ->
-  ?layout:Tdrutil.Islab.layout ->
+  ?chunk:int ->
   ?spill:Espbags.Spill.config ->
   Espbags.Trace.mode ->
   Mhj.Ast.program ->

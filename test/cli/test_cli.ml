@@ -712,6 +712,17 @@ let test_shadow_spill_flags () =
   in
   Alcotest.(check int) "non-int chunk rejected" 124 code7;
   check_contains "non-int chunk diagnostic" out7 "not an integer";
+  (* past the slab tables' maximum: a usage error up front, as for 0, not
+     a hang rounding 2^62 up nor an out-of-memory 2^30-slot chunk *)
+  List.iter
+    (fun n ->
+      let code, out =
+        run_cli [ "detect"; sample "fib_buggy.mhj"; "--shadow-chunk"; n ]
+      in
+      Alcotest.(check int) ("chunk " ^ n ^ " rejected") 124 code;
+      check_contains ("chunk " ^ n ^ " diagnostic") out
+        "chunk size must be at most 1048576")
+    [ "1048577"; "1073741824"; "4611686018427387903" ];
   (* an unwritable spill path fails fast with the input-error exit code *)
   let code8, out8 =
     run_cli

@@ -45,11 +45,11 @@ let reference =
     bname = "reference";
     run =
       (fun ?keep mode prog ->
-        let det, _ = Espbags.Reference.detect ?keep mode prog in
+        let det, _ = Oracles.Reference.detect ?keep mode prog in
         {
-          sigs = Espbags.Race.exact_sigs (Espbags.Reference.races det);
-          n_accesses = det.Espbags.Reference.n_accesses;
-          n_skipped = det.Espbags.Reference.n_skipped;
+          sigs = Espbags.Race.exact_sigs (Oracles.Reference.races det);
+          n_accesses = det.Oracles.Reference.n_accesses;
+          n_skipped = det.Oracles.Reference.n_skipped;
         });
   }
 
@@ -84,7 +84,7 @@ let vclock =
    forces race records through the on-disk Trace round-trip.  Epoch GC
    is always on.  All of it must leave the reported races byte-identical
    to the unbounded oracle. *)
-let tiny_chunk = Tdrutil.Islab.Chunked 16
+let tiny_chunk = 16
 
 let with_tiny_spill f =
   let path = Filename.temp_file "tdr_diff" ".spill" in
@@ -98,7 +98,7 @@ let espbags_chunked =
     run =
       (fun ?keep mode prog ->
         let det, _ =
-          Espbags.Detector.detect ?keep ~layout:tiny_chunk mode prog
+          Espbags.Detector.detect ?keep ~chunk:tiny_chunk mode prog
         in
         {
           sigs = Espbags.Race.exact_sigs (Espbags.Detector.races det);
@@ -114,7 +114,7 @@ let espbags_spilled =
       (fun ?keep mode prog ->
         with_tiny_spill (fun spill ->
             let det, _ =
-              Espbags.Detector.detect ?keep ~layout:tiny_chunk ~spill mode
+              Espbags.Detector.detect ?keep ~chunk:tiny_chunk ~spill mode
                 prog
             in
             {
@@ -129,7 +129,7 @@ let vclock_chunked =
     bname = "vclock[chunk=16]";
     run =
       (fun ?keep mode prog ->
-        let det, _ = Vclock.Seq.detect ?keep ~layout:tiny_chunk mode prog in
+        let det, _ = Vclock.Seq.detect ?keep ~chunk:tiny_chunk mode prog in
         {
           sigs = Espbags.Race.exact_sigs (Vclock.Seq.races det);
           n_accesses = det.Vclock.Seq.n_accesses;
@@ -144,7 +144,7 @@ let vclock_spilled =
       (fun ?keep mode prog ->
         with_tiny_spill (fun spill ->
             let det, _ =
-              Vclock.Seq.detect ?keep ~layout:tiny_chunk ~spill mode prog
+              Vclock.Seq.detect ?keep ~chunk:tiny_chunk ~spill mode prog
             in
             {
               sigs = Espbags.Race.exact_sigs (Vclock.Seq.races det);
@@ -234,7 +234,7 @@ let pairs_one (module D : Espbags.Shadow.S) ~mode ~spilled ~prune seed =
     else None
   in
   let check spill =
-    let det, _ = D.detect ?keep ?layout:None ?spill mode prog in
+    let det, _ = D.detect ?keep ?spill mode prog in
     let pairs = D.pairs det and races = D.races det in
     let ids (r : Espbags.Race.t) = (r.src.Sdpst.Node.id, r.sink.Sdpst.Node.id) in
     let want = List.map ids (Espbags.Race.dedupe_by_steps races) in

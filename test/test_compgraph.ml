@@ -142,7 +142,7 @@ let test_pruned_tree_graph () =
 let test_steal_single_proc_is_serial () =
   let res = run "def main() { for (i = 0 to 9) { async { work(10); } } }" in
   let g = Compgraph.Graph.of_sdpst res.tree in
-  let s = Compgraph.Steal.simulate ~procs:1 g in
+  let s = Oracles.Steal.simulate ~procs:1 g in
   Alcotest.(check int) "T_1 = work" (Compgraph.Metrics.work g) s.makespan;
   Alcotest.(check int) "no steals on one processor" 0 s.steals
 
@@ -164,19 +164,19 @@ def main() { f(5); }
   let work = Compgraph.Metrics.work g in
   List.iter
     (fun policy ->
-      let s = Compgraph.Steal.simulate ~procs:4 ~policy g in
+      let s = Oracles.Steal.simulate ~procs:4 ~policy g in
       if s.makespan < span then Alcotest.fail "below span";
       if s.makespan < (work + 3) / 4 then Alcotest.fail "below work/p";
       (* stealing costs overhead, but a greedy-ish schedule should stay
          within work/p + c*span for a small constant *)
       if s.makespan > (work / 4) + (4 * span) then
         Alcotest.failf "makespan %d too far above bound" s.makespan)
-    [ Compgraph.Steal.Work_first; Compgraph.Steal.Help_first ]
+    [ Oracles.Steal.Work_first; Oracles.Steal.Help_first ]
 
 let test_steal_parallel_graph_steals () =
   let res = run "def main() { for (i = 0 to 19) { async { work(50); } } }" in
   let g = Compgraph.Graph.of_sdpst res.tree in
-  let s = Compgraph.Steal.simulate ~procs:4 g in
+  let s = Oracles.Steal.simulate ~procs:4 g in
   Alcotest.(check bool) "steals happen" true (s.steals > 0);
   (* 20 x 50 work over 4 procs: makespan close to 250 + overheads *)
   Alcotest.(check bool)
@@ -191,8 +191,8 @@ let steal_deterministic =
       let src = Benchsuite.Progen.generate ~seed () in
       let res = run src in
       let g = Compgraph.Graph.of_sdpst res.tree in
-      Compgraph.Steal.makespan ~procs:3 ~seed:7 g
-      = Compgraph.Steal.makespan ~procs:3 ~seed:7 g)
+      Oracles.Steal.makespan ~procs:3 ~seed:7 g
+      = Oracles.Steal.makespan ~procs:3 ~seed:7 g)
 
 let steal_respects_span =
   QCheck.Test.make ~name:"steal makespan >= span, >= work/p" ~count:25
@@ -201,7 +201,7 @@ let steal_respects_span =
       let src = Benchsuite.Progen.generate ~seed () in
       let res = run src in
       let g = Compgraph.Graph.of_sdpst res.tree in
-      let m = Compgraph.Steal.makespan ~procs g in
+      let m = Oracles.Steal.makespan ~procs g in
       m >= Compgraph.Metrics.span g
       && m >= Compgraph.Metrics.work g / procs)
 

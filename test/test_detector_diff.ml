@@ -1,6 +1,6 @@
 (* Differential suite for the dense-shadow detector rewrite.
 
-   Espbags.Reference is the seed implementation, kept verbatim as the
+   Oracles.Reference is the seed implementation, kept verbatim as the
    golden oracle; Espbags.Detector is the optimized hot path (interned
    addresses, flat shadow tables, array union-find, epoch-deduped MRW,
    packed race records).  The rewrite claims representation changes only

@@ -83,7 +83,7 @@ let test_figure3_dp_optimum () =
   Alcotest.(check int) "eval matches cost" out.cost
     (Repair.Dp_place.eval_placement g out.finishes);
   (* and the brute-force oracle agrees *)
-  match Repair.Brute.solve g with
+  match Oracles.Brute.solve g with
   | Some (best, _) -> Alcotest.(check int) "oracle agrees" best out.cost
   | None -> Alcotest.fail "oracle found no placement"
 
@@ -194,7 +194,7 @@ let dp_matches_oracle =
     ~count:300 arbitrary_graph (fun (asyncs, times, edges) ->
       let g = mk_graph ~asyncs ~times ~edges in
       let dp = Repair.Dp_place.solve g in
-      match Repair.Brute.solve g with
+      match Oracles.Brute.solve g with
       | None -> false
       | Some (best, _witness) ->
           Repair.Dp_place.resolves_all g dp.finishes

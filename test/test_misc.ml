@@ -51,7 +51,7 @@ let test_aux_printers () =
   Alcotest.(check string) "addr cell" "arr3[7]"
     (Fmt.str "%a" Rt.Addr.pp (Rt.Addr.Cell (3, 7)));
   Alcotest.(check string) "steal policy" "help-first"
-    (Fmt.str "%a" Compgraph.Steal.pp_policy Compgraph.Steal.Help_first);
+    (Fmt.str "%a" Oracles.Steal.pp_policy Oracles.Steal.Help_first);
   Alcotest.(check string) "detector mode" "SRW"
     (Fmt.str "%a" Espbags.Detector.pp_mode Espbags.Detector.Srw)
 

@@ -114,6 +114,24 @@ let cli_roundtrip cmd name =
           QCheck.Test.fail_reportf "argv %s rejected"
             (String.concat " " (Array.to_list argv)))
 
+(* A shadow chunk past the slab tables' maximum is refused where the
+   row is decoded, naming the row: a served job must not reach
+   Islab.create with it (2^62 slots never finishes rounding up, 2^30
+   asks for an 8 GB chunk). *)
+let test_shadow_chunk_bound () =
+  let decode n = O.of_json (J.Obj [ ("shadow_chunk", J.Int n) ]) in
+  let max = Tdrutil.Islab.max_chunk in
+  Alcotest.(check bool) "maximum accepted" true
+    (decode max = Ok { O.default with shadow_chunk = Some max });
+  List.iter
+    (fun n ->
+      match decode n with
+      | Error m ->
+          Alcotest.(check bool) (Fmt.str "%d names the row" n) true
+            (String.starts_with ~prefix:"flags.shadow_chunk:" m)
+      | Ok _ -> Alcotest.failf "shadow_chunk %d accepted" n)
+    [ max + 1; 1 lsl 30; max_int ]
+
 (* ------------------------------------------------------------------ *)
 (* NDJSON fuzz                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -199,6 +217,8 @@ let () =
             (cli_roundtrip O.Detect "detect argv round-trips");
           QCheck_alcotest.to_alcotest
             (cli_roundtrip O.Repair "repair argv round-trips");
+          Alcotest.test_case "shadow_chunk bounded" `Quick
+            test_shadow_chunk_bound;
         ] );
       ("protocol", [ QCheck_alcotest.to_alcotest parse_total ]);
     ]

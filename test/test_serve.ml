@@ -168,8 +168,8 @@ let test_protocol_errors_typed () =
     (contains ~affix:{|"error": "bad-request"|}
        (err {|{"op":"repair","id":"x","src":"","flags":{"faults":["nope"]}}|}))
 
-(* Served flags get the checks the CLI applies: a non-positive shadow
-   chunk and an unknown key are bad requests naming the problem, not
+(* Served flags get the checks the CLI applies: a shadow chunk out of
+   range and an unknown key are bad requests naming the problem, not
    internal failures or silently ignored keys. *)
 let test_protocol_flag_checks () =
   let detail flags =
@@ -188,6 +188,9 @@ let test_protocol_flag_checks () =
       Alcotest.(check bool) (flags ^ " rejected") true
         (contains ~affix:"chunk size must be positive" (detail flags)))
     [ {|{"shadow_chunk":0}|}; {|{"shadow_chunk":-4}|} ];
+  Alcotest.(check bool) "oversized chunk rejected" true
+    (contains ~affix:"shadow_chunk: chunk size must be at most"
+       (detail {|{"shadow_chunk":1073741824}|}));
   Alcotest.(check bool) "unknown key named" true
     (contains ~affix:"static_prun" (detail {|{"static_prun":true}|}));
   Alcotest.(check bool) "ill-typed value named" true

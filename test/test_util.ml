@@ -127,7 +127,7 @@ let test_prng_rejection_in_range () =
 (* ------------------- slab-chunked shadow tables --------------------- *)
 
 let test_islab_basic () =
-  let t = Tdrutil.Islab.create ~layout:(Tdrutil.Islab.Chunked 16) ~fill:(-1) () in
+  let t = Tdrutil.Islab.create ~chunk:16 ~fill:(-1) () in
   Alcotest.(check int) "fresh has no chunks" 0 (Tdrutil.Islab.n_chunks t);
   Alcotest.(check int) "untouched reads fill" (-1) (Tdrutil.Islab.get t 12345);
   Alcotest.(check int) "read allocates nothing" 0 (Tdrutil.Islab.n_chunks t);
@@ -148,9 +148,9 @@ let test_islab_basic () =
 let test_islab_slot_stride () =
   (* chunk size below the minimum is rounded up so a stride-8 row never
      straddles chunks *)
-  let t = Tdrutil.Islab.create ~layout:(Tdrutil.Islab.Chunked 1) ~fill:0 () in
+  let t = Tdrutil.Islab.create ~chunk:1 ~fill:0 () in
   Alcotest.(check bool) "chunk floor >= 8" true (Tdrutil.Islab.chunk_slots t >= 8);
-  let arr, off = Tdrutil.Islab.slot t 16 ~stride:8 in
+  let arr, off = Tdrutil.Islab.slot t 16 in
   for k = 0 to 7 do
     arr.(off + k) <- 100 + k
   done;
@@ -160,29 +160,137 @@ let test_islab_slot_stride () =
   done;
   Alcotest.check_raises "non-positive chunk size"
     (Invalid_argument "Islab.create: chunk size must be positive") (fun () ->
-      ignore (Tdrutil.Islab.create ~layout:(Tdrutil.Islab.Chunked 0) ~fill:0 ()))
+      ignore (Tdrutil.Islab.create ~chunk:0 ~fill:0 ()));
+  (* past the maximum, rounding up would not terminate (2^62) or the
+     first chunk would not fit in memory (2^30) *)
+  let max = Tdrutil.Islab.max_chunk in
+  Alcotest.(check int) "maximum accepted" max
+    (Tdrutil.Islab.chunk_slots (Tdrutil.Islab.create ~chunk:max ~fill:0 ()));
+  let too_big = Fmt.str "Islab.create: chunk size exceeds %d slots" max in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Fmt.str "islab chunk %d" n)
+        (Invalid_argument too_big) (fun () ->
+          ignore (Tdrutil.Islab.create ~chunk:n ~fill:0 ()));
+      Alcotest.check_raises (Fmt.str "slab chunk %d" n)
+        (Invalid_argument too_big) (fun () ->
+          ignore (Tdrutil.Slab.create ~chunk:n ~fill:0 ())))
+    [ max + 1; 1 lsl 30; max_int ]
 
-(* Chunked and Monolithic must be observationally identical (only the
-   words/chunks accounting differs). *)
-let islab_model =
-  QCheck.Test.make ~count:200 ~name:"Islab: Chunked == Monolithic"
-    QCheck.(list (pair (int_bound 5000) (int_bound 1000)))
-    (fun writes ->
-      let c = Tdrutil.Islab.create ~layout:(Tdrutil.Islab.Chunked 32) ~fill:(-7) () in
-      let m = Tdrutil.Islab.create ~layout:Tdrutil.Islab.Monolithic ~fill:(-7) () in
+(* Model-based check of both slab tables against a plain array: random
+   get/set/slot/iter_present sequences, with chunk sizes around the
+   8-slot floor so a run crosses many chunk boundaries, and after every
+   step the chunk count and backing words the detectors' gauges report
+   (chunks plus a directory of one word per chunk index, grown by at
+   most doubling). *)
+type slab_op =
+  | Get of int
+  | Set of int * int
+  | Row of int * int  (** stride, aligned first slot: {!Tdrutil.Islab.slot} *)
+  | Iter  (** {!Tdrutil.Slab.iter_present} *)
+
+let pp_slab_op ppf = function
+  | Get i -> Fmt.pf ppf "get %d" i
+  | Set (i, v) -> Fmt.pf ppf "set %d %d" i v
+  | Row (s, i) -> Fmt.pf ppf "row %d/%d" i s
+  | Iter -> Fmt.string ppf "iter"
+
+(* indices and rows end below 4104, chunks have at most 64 slots *)
+let model_span = 4096 + 128
+
+let arb_slab_case =
+  let open QCheck.Gen in
+  let idx = frequency [ (4, int_bound 127); (1, int_bound 4095) ] in
+  let op =
+    frequency
+      [
+        (3, map (fun i -> Get i) idx);
+        (4, map2 (fun i v -> Set (i, v)) idx (int_bound 1000));
+        (2, map2 (fun s i -> Row (s, i / s * s)) (oneofl [ 1; 2; 4; 8 ]) idx);
+        (1, return Iter);
+      ]
+  in
+  QCheck.make
+    ~print:
+      Fmt.(
+        str "chunk %a"
+          (pair ~sep:(any ": ") int (list ~sep:(any "; ") pp_slab_op)))
+    (pair (int_range 1 40) (list_size (0 -- 60) op))
+
+let slabs_match_model =
+  QCheck.Test.make ~count:300 ~name:"Islab and Slab match a plain-array model"
+    arb_slab_case (fun (chunk, ops) ->
+      let fill = -7 in
+      let rec pow2 p = if p >= max 8 chunk then p else pow2 (2 * p) in
+      let slots = pow2 1 in
+      let model = Array.make model_span fill in
+      let touched = Hashtbl.create 16 in
+      let touch i = Hashtbl.replace touched (i / slots) () in
+      let it = Tdrutil.Islab.create ~chunk ~fill () in
+      let bt = Tdrutil.Slab.create ~chunk ~fill () in
+      let accounting what ~n_chunks ~words =
+        let chunks = Hashtbl.length touched in
+        let top = Hashtbl.fold (fun ci () m -> max m (ci + 1)) touched 0 in
+        if n_chunks <> chunks then
+          QCheck.Test.fail_reportf "%s: %d chunks, model %d" what n_chunks
+            chunks;
+        let slab_words = chunks * slots in
+        if words < slab_words + top || words > slab_words + (2 * top) then
+          QCheck.Test.fail_reportf
+            "%s: %d words, model %d chunks of %d + dir %d..%d" what words
+            chunks slots top (2 * top)
+      in
+      let expect what got want =
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: got %d, model %d" what got want
+      in
+      if Tdrutil.Islab.chunk_slots it <> slots then
+        QCheck.Test.fail_reportf "chunk_slots %d, model %d"
+          (Tdrutil.Islab.chunk_slots it) slots;
       List.iter
-        (fun (i, v) ->
-          Tdrutil.Islab.set c i v;
-          Tdrutil.Islab.set m i v)
-        writes;
-      List.for_all
-        (fun i ->
-          Tdrutil.Islab.get c i = Tdrutil.Islab.get m i
-          && Tdrutil.Islab.words c > 0 = (Tdrutil.Islab.words m > 0))
-        (List.init 60 (fun k -> k * 100)))
+        (fun op ->
+          (match op with
+          | Get i ->
+              expect (Fmt.str "islab get %d" i) (Tdrutil.Islab.get it i)
+                model.(i);
+              expect (Fmt.str "slab get %d" i) (Tdrutil.Slab.get bt i)
+                model.(i)
+          | Set (i, v) ->
+              Tdrutil.Islab.set it i v;
+              Tdrutil.Slab.set bt i v;
+              model.(i) <- v;
+              touch i
+          | Row (stride, i) ->
+              let row, off = Tdrutil.Islab.slot it i in
+              for k = 0 to stride - 1 do
+                expect (Fmt.str "islab row %d+%d" i k) row.(off + k)
+                  model.(i + k);
+                row.(off + k) <- i + k;
+                model.(i + k) <- i + k;
+                Tdrutil.Slab.set bt (i + k) (i + k)
+              done;
+              touch i
+          | Iter ->
+              let got = ref [] in
+              Tdrutil.Slab.iter_present (fun v -> got := v :: !got) bt;
+              let want =
+                List.concat_map
+                  (fun ci -> Array.to_list (Array.sub model (ci * slots) slots))
+                  (List.sort compare
+                     (Hashtbl.fold (fun ci () l -> ci :: l) touched []))
+              in
+              if List.rev !got <> want then
+                QCheck.Test.fail_reportf "iter_present: %d slots, model %d"
+                  (List.length !got) (List.length want));
+          accounting "islab" ~n_chunks:(Tdrutil.Islab.n_chunks it)
+            ~words:(Tdrutil.Islab.words it);
+          accounting "slab" ~n_chunks:(Tdrutil.Slab.n_chunks bt)
+            ~words:(Tdrutil.Slab.words bt))
+        ops;
+      true)
 
 let test_slab_basic () =
-  let t = Tdrutil.Slab.create ~layout:(Tdrutil.Islab.Chunked 16) ~fill:None () in
+  let t = Tdrutil.Slab.create ~chunk:16 ~fill:None () in
   Alcotest.(check int) "fresh has no chunks" 0 (Tdrutil.Slab.n_chunks t);
   Alcotest.(check bool) "untouched reads fill" true
     (Tdrutil.Slab.get t 999 = None);
@@ -223,7 +331,7 @@ let () =
         [
           Alcotest.test_case "islab basics" `Quick test_islab_basic;
           Alcotest.test_case "islab slot/stride" `Quick test_islab_slot_stride;
-          QCheck_alcotest.to_alcotest islab_model;
+          QCheck_alcotest.to_alcotest slabs_match_model;
           Alcotest.test_case "slab basics" `Quick test_slab_basic;
         ] );
     ]

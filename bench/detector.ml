@@ -3,17 +3,14 @@
    shootout between the seed implementation, the ESP-bags hot path and
    the vector-clock backend.
 
-   For each benchmark the sweep times eight configurations of the same
+   For each benchmark the sweep times the configurations of the same
    deterministic execution: uninstrumented (nop), ESP-bags SRW and MRW,
    MRW with the static prune pre-pass (`--static-prune`,
    Static.Prune.keep_fn), the seed MRW implementation kept in
    Oracles.Reference — hashtable bags, boxed-address shadow, per-access
-   allocation — as the "before" side, vector-clock SRW and MRW
+   allocation — as the "before" side, and vector-clock SRW and MRW
    (Vclock.Seq, same packed shadow, concurrency decided by clock
-   coverage instead of bags), and one parallel row: the program executed
-   for real under Par.Engine with the sharded vector-clock monitor
-   (Vclock.Pardet) attached, detection overlapped with execution on
-   TDR_BENCH_PAR_DOMAINS domains.
+   coverage instead of bags).
 
    The headline metric is detection throughput: monitored accesses per
    second of detector work, where detector work is the run's time minus
@@ -21,26 +18,21 @@
    cost the detector itself adds.  (Total-run times are also recorded; on
    interpreter-bound programs they dilute any detector change with
    constant interpretation cost.)  The speedup columns are the ratios of
-   ESP-bags and vector-clock detection throughput to the seed's.  The
-   parallel row is wall-clock only: its schedule is nondeterministic, so
-   it is excluded from both the byte-identity assertions and the speedup
-   floor.
+   ESP-bags and vector-clock detection throughput to the seed's.
 
    The interpreter is deterministic, so S-DPST node ids are stable across
    runs; the sweep asserts the sequential detectors' race reports
    byte-identical (same order, same (src, sink, addr, kind) records —
-   Espbags.Race.exact_sigs) to the seed's for both SRW and MRW, the
-   pruned run's race multiset identical to the unpruned one, and the
-   parallel detector's static race set (sorted static keys) equal to the
-   sequential MRW oracle's.  Any mismatch aborts rather than print a
-   corrupt table.
+   Espbags.Race.exact_sigs) to the seed's for both SRW and MRW, and the
+   pruned run's race multiset identical to the unpruned one.  Any
+   mismatch aborts rather than print a corrupt table.
 
    Timing discipline: minimum of TDR_BENCH_REPEAT timed runs (default 5,
    plus a warmup), with a [Gc.full_major] before every configuration so
    one configuration's garbage is not collected on another's clock.
 
-   Environment knobs: TDR_BENCH_REPEAT, TDR_BENCH_PAR_DOMAINS (default
-   2), TDR_BENCH_SUITE (comma-separated benchmark names; default all),
+   Environment knobs: TDR_BENCH_REPEAT, TDR_BENCH_SUITE
+   (comma-separated benchmark names; default all),
    TDR_BENCH_DETECTOR_JSON (default BENCH_detector.json; "-" disables).
    The quick variant (`bench detector-quick`, @ci) times the same way but
    writes the JSON only when TDR_BENCH_DETECTOR_JSON is set explicitly,
@@ -56,8 +48,6 @@ let env_float name default =
   | Some s -> (
       match float_of_string_opt s with Some f -> f | None -> default)
   | None -> default
-
-let par_domains () = max 1 (env_int "TDR_BENCH_PAR_DOMAINS" 2)
 
 let suite () =
   match Sys.getenv_opt "TDR_BENCH_SUITE" with
@@ -91,10 +81,6 @@ type row = {
   ref_mrw : Clock.sample;
   vc_srw : Clock.sample;
   vc_mrw : Clock.sample;
-  par_mrw_s : float;
-      (** wall-clock of the parallel run with the sharded monitor
-          attached; execution and detection overlap, so there is no
-          meaningful nop baseline to subtract *)
 }
 
 (* Detection time: run minus uninstrumented baseline, [None] below the
@@ -162,25 +148,6 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
   let ref_mrw_f () = fst (Oracles.Reference.detect Espbags.Detector.Mrw prog) in
   let vc_srw_f () = fst (Vclock.Seq.detect Vclock.Seq.Srw prog) in
   let vc_mrw_f () = fst (Vclock.Seq.detect Vclock.Seq.Mrw prog) in
-  let par_f () =
-    fst
-      (Vclock.Pardet.detect
-         ~mode:(Par.Engine.Domains { n = par_domains (); seed = 1 })
-         prog)
-  in
-  (* A 100%-inline fuzz schedule IS depth-first execution: same access
-     set, same allocation order, even for benchmarks whose control flow
-     reads racy data.  The sharded parallel detector is asserted against
-     the sequential oracle on this schedule; the [Domains] row above is
-     timing-only, since a racy program may genuinely execute a different
-     access set under a different interleaving. *)
-  let par_df_f () =
-    fst
-      (Vclock.Pardet.detect
-         ~policy:{ Par.Engine.inline_pct = 100; yield_pct = 0 }
-         ~mode:(Par.Engine.Fuzz { seed = 1 })
-         prog)
-  in
   for _ = 1 to warmup do
     nop ();
     ignore (srw_f ());
@@ -189,8 +156,7 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
     ignore (ref_srw_f ());
     ignore (ref_mrw_f ());
     ignore (vc_srw_f ());
-    ignore (vc_mrw_f ());
-    ignore (par_f ())
+    ignore (vc_mrw_f ())
   done;
   let nop_t = Clock.sample ()
   and srw_t = Clock.sample ()
@@ -200,8 +166,7 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
   and ref_srw_t = Clock.sample ()
   and ref_mrw_t = Clock.sample ()
   and vc_srw_t = Clock.sample ()
-  and vc_mrw_t = Clock.sample ()
-  and par_t = Clock.sample () in
+  and vc_mrw_t = Clock.sample () in
   let time t f = Clock.record t (once f) in
   for _ = 1 to max 1 repeat do
     time nop_t nop;
@@ -212,8 +177,7 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
     time ref_srw_t (fun () -> ignore (ref_srw_f ()));
     time ref_mrw_t (fun () -> ignore (ref_mrw_f ()));
     time vc_srw_t (fun () -> ignore (vc_srw_f ()));
-    time vc_mrw_t (fun () -> ignore (vc_mrw_f ()));
-    time par_t (fun () -> ignore (par_f ()))
+    time vc_mrw_t (fun () -> ignore (vc_mrw_f ()))
   done;
   let srw = srw_f ()
   and mrw = mrw_f ()
@@ -221,8 +185,7 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
   and ref_srw = ref_srw_f ()
   and ref_mrw = ref_mrw_f ()
   and vc_srw = vc_srw_f ()
-  and vc_mrw = vc_mrw_f ()
-  and par_df = par_df_f () in
+  and vc_mrw = vc_mrw_f () in
   identical b.name "ESP-bags SRW vs seed"
     (Espbags.Race.exact_sigs (Espbags.Detector.races srw))
     (Espbags.Race.exact_sigs (Oracles.Reference.races ref_srw));
@@ -239,13 +202,6 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
     (List.sort compare (Espbags.Race.exact_sigs (Espbags.Detector.races mrw)))
     (List.sort compare
        (Espbags.Race.exact_sigs (Espbags.Detector.races pruned)));
-  (* The engine reorders and re-duplicates reports even on a
-     deterministic schedule, so the parallel detector is held to static
-     race-set equality (sorted distinct keys), not byte identity. *)
-  identical b.name "parallel vclock static race set vs sequential MRW"
-    (Vclock.Pardet.races par_df)
-    (List.sort_uniq compare
-       (List.map Espbags.Race.static_key_of_race (Espbags.Detector.races mrw)));
   {
     name = b.name;
     accesses = mrw.Espbags.Detector.n_accesses;
@@ -260,7 +216,6 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
     ref_mrw = ref_mrw_t;
     vc_srw = vc_srw_t;
     vc_mrw = vc_mrw_t;
-    par_mrw_s = par_t.best;
   }
 
 (* Summaries over the rows where every column involved is a measurement;
@@ -290,7 +245,7 @@ let json_of_rows ~repeat rows =
        \"srw_s\": %.6f, \"mrw_s\": %.6f, \"prune_analysis_s\": %.6f, \
        \"mrw_pruned_s\": %.6f, \"skipped_accesses\": %d, \"ref_srw_s\": \
        %.6f, \"ref_mrw_s\": %.6f, \"vc_srw_s\": %.6f, \"vc_mrw_s\": %.6f, \
-       \"par_mrw_wall_s\": %.6f, \"mrw_det_accesses_per_s\": %s, \
+       \"mrw_det_accesses_per_s\": %s, \
        \"vc_mrw_det_accesses_per_s\": %s, \
        \"ref_mrw_det_accesses_per_s\": %s, \"mrw_speedup_vs_seed\": %s, \
        \"vc_mrw_speedup_vs_seed\": %s, \"mrw_overhead\": %.3f, \
@@ -298,7 +253,7 @@ let json_of_rows ~repeat rows =
        %b}"
       r.name r.accesses r.races r.nop.best r.srw.best r.mrw.best r.analysis_s
       r.mrw_pruned_s r.skipped r.ref_srw.best r.ref_mrw.best r.vc_srw.best
-      r.vc_mrw.best r.par_mrw_s
+      r.vc_mrw.best
       (opt0 (mrw_aps r)) (opt0 (vc_mrw_aps r)) (opt0 (ref_mrw_aps r))
       (opt3 (mrw_speedup r)) (opt3 (vc_mrw_speedup r))
       (r.mrw.best /. r.nop.best) (r.ref_mrw.best /. r.nop.best)
@@ -311,7 +266,6 @@ let json_of_rows ~repeat rows =
   let field name fmt v = Buffer.add_string buf (Fmt.str "  \"%s\": %s,\n" name (fmt v)) in
   Buffer.add_string buf "{\n";
   field "repeat" string_of_int repeat;
-  field "par_domains" string_of_int (par_domains ());
   field "measured_rows" string_of_int (List.length mrows);
   field "vc_measured_rows" string_of_int (List.length vrows);
   field "aggregate_mrw_speedup_vs_seed" opt3
@@ -340,25 +294,20 @@ let sweep ~quick () =
      detection time anywhere above the noise floor. *)
   let repeat = max 1 (env_int "TDR_BENCH_REPEAT" 5) in
   let warmup = 1 in
-  Fmt.pr
-    "== detector shootout: seed / ESP-bags / vector clocks (%d-domain \
-     parallel row) ==@."
-    (par_domains ());
+  Fmt.pr "== detector shootout: seed / ESP-bags / vector clocks ==@.";
   Fmt.pr
     "(speedups in accesses/sec of detection time = run minus \
-     uninstrumented baseline; par(ms) is wall-clock of detection \
-     overlapped with parallel execution)@.";
-  Fmt.pr "%-14s %10s %6s %9s %9s %9s %9s %9s %8s %8s@." "benchmark"
-    "accesses" "races" "nop(ms)" "seed(ms)" "mrw(ms)" "vc(ms)" "par(ms)"
-    "mrw-spd" "vc-spd";
+     uninstrumented baseline)@.";
+  Fmt.pr "%-14s %10s %6s %9s %9s %9s %9s %8s %8s@." "benchmark" "accesses"
+    "races" "nop(ms)" "seed(ms)" "mrw(ms)" "vc(ms)" "mrw-spd" "vc-spd";
   let rows =
     List.map
       (fun b ->
         let r = measure ~warmup ~repeat b in
         let spd = function Some v -> Fmt.str "%7.2fx" v | None -> "    n/a" in
-        Fmt.pr "%-14s %10d %6d %9.2f %9.2f %9.2f %9.2f %9.2f %s %s@." r.name
+        Fmt.pr "%-14s %10d %6d %9.2f %9.2f %9.2f %9.2f %s %s@." r.name
           r.accesses r.races (1e3 *. r.nop.best) (1e3 *. r.ref_mrw.best)
-          (1e3 *. r.mrw.best) (1e3 *. r.vc_mrw.best) (1e3 *. r.par_mrw_s)
+          (1e3 *. r.mrw.best) (1e3 *. r.vc_mrw.best)
           (spd (mrw_speedup r)) (spd (vc_mrw_speedup r));
         r)
       (suite ())
@@ -371,8 +320,7 @@ let sweep ~quick () =
   in
   let x = function Some v -> Fmt.str "%.2fx" v | None -> "n/a" in
   Fmt.pr
-    "race sets byte-identical to the seed on all %d benchmark(s), \
-     parallel static race sets equal to the sequential MRW oracle; MRW \
+    "race sets byte-identical to the seed on all %d benchmark(s); MRW \
      speedup vs seed over the %d with measurable detection time: %s \
      aggregate, %s geomean; vclock MRW over %d: %s aggregate, %s geomean@."
     (List.length rows) (List.length mrows) (x agg)
@@ -385,9 +333,7 @@ let sweep ~quick () =
      (1.0x by default, i.e. "at least as fast as the seed", far below the
      steady-state speedup) because CI machines are noisy and quick mode
      times only five rounds; TDR_BENCH_MIN_SPEEDUP overrides it.  Skipped
-     entirely when no row's detection time is above the noise floor.  The
-     parallel row never participates: its clock is wall time of a
-     nondeterministic schedule. *)
+     entirely when no row's detection time is above the noise floor. *)
   (match agg with
   | Some agg ->
       let floor = env_float "TDR_BENCH_MIN_SPEEDUP" 1.0 in
@@ -418,7 +364,6 @@ let sweep ~quick () =
 let run () = sweep ~quick:false ()
 
 (* CI variant: JSON only when TDR_BENCH_DETECTOR_JSON is set; the
-   race-set identity assertions
-   (ESP-bags and vclock vs seed, pruned vs unpruned, parallel static set
-   vs sequential oracle) still run on the whole suite. *)
+   race-set identity assertions (ESP-bags and vclock vs seed, pruned vs
+   unpruned) still run on the whole suite. *)
 let run_quick () = sweep ~quick:true ()

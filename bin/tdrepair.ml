@@ -178,15 +178,25 @@ let run_cmd =
           ~doc:"Processors for the scheduling simulation.")
   in
   let par =
+    let domains =
+      Options_cli.int_conv (fun n ->
+          if n > Par.Engine.max_domains then
+            Some
+              (Fmt.str "domain count must be at most %d" Par.Engine.max_domains)
+          else None)
+    in
     Arg.(
       value
-      & opt ~vopt:(Some 0) (some int) None
+      & opt ~vopt:(Some 0) (some domains) None
       & info [ "par" ] ~docv:"N"
           ~doc:
-            "Execute on the parallel backend with $(docv) OCaml domains \
-             instead of depth-first.  $(b,--par=1) is the deterministic \
-             schedule-fuzzing mode (replayable from $(b,--seed)); \
-             $(b,--par) alone uses the recommended domain count.")
+            (Fmt.str
+               "Execute on the parallel backend with $(docv) OCaml domains \
+                (at most %d) instead of depth-first.  $(b,--par=1) is the \
+                deterministic schedule-fuzzing mode (replayable from \
+                $(b,--seed)); $(b,--par) alone uses the recommended domain \
+                count."
+               Par.Engine.max_domains))
   in
   let seed =
     Arg.(

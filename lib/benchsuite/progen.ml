@@ -22,12 +22,6 @@ type config = {
   arr_len : int;
   allow_finish : bool;  (** emit pre-existing finish statements *)
   allow_calls : bool;  (** emit helper-function calls *)
-  det_branches : bool;
-      (** make every [if] condition schedule-independent (no reads of
-          shared state), so a racy program still executes the same
-          access set under every schedule — required by the parallel
-          detection differential, which compares race sets across
-          schedules *)
 }
 
 let default =
@@ -38,7 +32,6 @@ let default =
     arr_len = 8;
     allow_finish = true;
     allow_calls = true;
-    det_branches = false;
   }
 
 let arr_name k = Fmt.str "g%d" k
@@ -130,21 +123,11 @@ let rec gen_stmt cfg rng ~depth ~loop_vars ~locals ~in_helper buf indent =
         (indent + 1);
       Buffer.add_string buf (pad ^ "}\n")
   | 7 ->
-      (* if: the condition reads shared state by default; [det_branches]
-         substitutes a schedule-independent one (the array/index draws
-         still happen, keeping the RNG stream aligned across configs) *)
-      (* right-to-left draw order matches the old inlined Fmt.str call,
-         keeping default-config streams byte-identical *)
+      (* if on shared state; the index is drawn before the array, an
+         order every seeded stream (and the goldens built on them) pins *)
       let idx = gen_index cfg rng ~loop_vars in
       let arr = arr_name (Tdrutil.Prng.int rng cfg.n_arrays) in
-      let cond =
-        if not cfg.det_branches then Fmt.str "%s[%s] %% 2 == 0" arr idx
-        else
-          match loop_vars with
-          | v :: _ -> Fmt.str "%s %% 2 == 0" v
-          | [] -> Fmt.str "%d %% 2 == 0" (Tdrutil.Prng.int rng 10)
-      in
-      Buffer.add_string buf (Fmt.str "%sif (%s) {\n" pad cond);
+      Buffer.add_string buf (Fmt.str "%sif (%s[%s] %% 2 == 0) {\n" pad arr idx);
       gen_block cfg rng ~depth:(depth + 1) ~loop_vars ~in_helper buf
         (indent + 1);
       Buffer.add_string buf (pad ^ "}\n")

@@ -15,10 +15,6 @@ type config = {
   arr_len : int;
   allow_finish : bool;  (** emit pre-existing finish statements *)
   allow_calls : bool;  (** emit helper-function calls *)
-  det_branches : bool;
-      (** make every [if] condition schedule-independent (no shared-state
-          reads), so racy programs execute the same access set under
-          every schedule — for parallel-detection differentials *)
 }
 
 val default : config

@@ -150,33 +150,6 @@ let exact_sigs races = List.map exact_sig races
 let pp_sig ppf (src, sink, addr, kind) =
   Fmt.pf ppf "(%d -> %d) %s %s" src sink addr kind
 
-(** Schedule-independent identity of a race: the unordered pair of static
-    endpoints {(bid, idx, is_write)} plus the address, endpoints sorted
-    lexicographically.  Node ids (and hence src/sink roles) depend on the
-    depth-first traversal order, so parallel detection compares these
-    keys instead of {!exact_sig}s. *)
-let static_key ~a_bid ~a_idx ~a_write ~b_bid ~b_idx ~b_write ~addr =
-  let a = (a_bid, a_idx, a_write) and b = (b_bid, b_idx, b_write) in
-  let lo, hi = if a <= b then (a, b) else (b, a) in
-  (lo, hi, addr)
-
-let static_key_of_race (r : t) =
-  let src_write, sink_write =
-    match r.kind with
-    | Write_read -> (true, false)
-    | Read_write -> (false, true)
-    | Write_write -> (true, true)
-  in
-  static_key ~a_bid:r.src.Sdpst.Node.origin_bid
-    ~a_idx:r.src.Sdpst.Node.origin_idx ~a_write:src_write
-    ~b_bid:r.sink.Sdpst.Node.origin_bid ~b_idx:r.sink.Sdpst.Node.origin_idx
-    ~b_write:sink_write
-    ~addr:(Fmt.str "%a" Rt.Addr.pp r.addr)
-
-let pp_static_key ppf ((abid, aidx, aw), (bbid, bidx, bw), addr) =
-  let rw w = if w then "W" else "R" in
-  Fmt.pf ppf "{%s@%d.%d, %s@%d.%d} %s" (rw aw) abid aidx (rw bw) bbid bidx addr
-
 (** Distinct static (source stmt, sink stmt) pairs — the count a user sees
     as "distinct racy statement pairs". *)
 let count_static (races : t list) : int =

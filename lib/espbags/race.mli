@@ -33,25 +33,6 @@ val exact_sigs : t list -> (int * int * string * string) list
 
 val pp_sig : (int * int * string * string) Fmt.t
 
-(** Schedule-independent race identity: unordered static endpoints
-    [(bid, idx, is_write)] (sorted) plus the address.  Parallel detection
-    compares these, since node ids depend on depth-first order.  [addr]
-    is polymorphic so hot paths can key on the interned id and render
-    the source-level string only when collecting. *)
-val static_key :
-  a_bid:int ->
-  a_idx:int ->
-  a_write:bool ->
-  b_bid:int ->
-  b_idx:int ->
-  b_write:bool ->
-  addr:'a ->
-  (int * int * bool) * (int * int * bool) * 'a
-
-val static_key_of_race : t -> (int * int * bool) * (int * int * bool) * string
-
-val pp_static_key : ((int * int * bool) * (int * int * bool) * string) Fmt.t
-
 type race := t
 
 (** The distinct (source step, sink step) pairs of a run's races, in

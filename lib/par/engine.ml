@@ -70,31 +70,12 @@ type result = {
   stats : stats;
 }
 
-type finish = {
-  pending : int Atomic.t;
-  mutable ftok : int;  (** monitor finish token; -1 when unmonitored *)
-}
-
-(* Monitoring state, present only when an [emon] was passed to [run].
-   The address interner is shared across workers: array registration
-   happens under [intern_mu] (which also serializes aid draws, keeping
-   registration order dense in aid as Addr.Intern requires), and the
-   per-array cell bases are mirrored into a copy-on-write array behind
-   an [Atomic] so the monitored access path can resolve [base + idx]
-   without taking the lock. *)
-type mon = {
-  em : Emon.t;
-  intern : Rt.Addr.Intern.t;
-  intern_mu : Mutex.t;
-  bases : int array Atomic.t;  (** aid -> cell base id; -1 = unknown *)
-}
+type finish = { pending : int Atomic.t }
 
 type task = {
   t_run : tstate -> Rt.Eval.frame -> unit;  (** the body block's code *)
   t_env : Rt.Eval.frame;  (** copy of the spawner's frame *)
-  t_bid : int;  (** the body block *)
   t_fin : finish;
-  t_mtok : int;  (** monitor task token; -1 when unmonitored *)
 }
 
 and worker = {
@@ -113,7 +94,6 @@ and worker = {
 }
 
 and engine = {
-  mon : mon option;
   watchdog : Rt.Watchdog.state;  (** the calling domain's, polled by all *)
   fuel : int Atomic.t;
   aid : int Atomic.t;
@@ -140,24 +120,7 @@ and tstate = {
   mutable fin : finish;  (** innermost enclosing finish *)
   mutable quiet : bool;  (** global-initializer mode: fuel but no work *)
   mutable atomic : int;  (** [isolated] nesting depth: no yields inside *)
-  monitored : bool;  (** [eng.mon <> None], checked on hot paths *)
-  mutable mtok : int;  (** this task's monitor token *)
-  (* Step-origin tracking (monitored runs only).  The sequential
-     interpreter's step nodes originate at the (bid, idx) of the first
-     charge after a structural transition; the engine mirrors that with
-     a cursor [(sbid, sidx)] and a latch [(obid, oidx)] captured by the
-     first charge after each [mclose], so monitored access events
-     report the same static origin the depth-first run would. *)
-  mutable sbid : int;  (** block whose statements are executing *)
-  mutable sidx : int;  (** index of the current statement in [sbid] *)
-  mutable obid : int;  (** latched step origin; -1 = not latched *)
-  mutable oidx : int;
 }
-
-(* Close the current step: the next charge re-latches the origin.  The
-   engine calls this exactly where the sequential interpreter closes
-   steps (structural statements, calls, loop iterations). *)
-let mclose st = if st.monitored then st.obid <- -1
 
 (* ------------------------------------------------------------------ *)
 (* Cost, fuel, pacing, poison                                          *)
@@ -190,62 +153,6 @@ let slow_path st =
     let slept_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
     w.pace_debt_ns <- w.pace_debt_ns -. slept_ns
   end
-
-(* Deliver a monitored access at the latched step origin. *)
-let maccess st addr kind =
-  match st.eng.mon with
-  | None -> ()
-  | Some m ->
-      if not st.quiet then begin
-        if st.obid < 0 then begin
-          st.obid <- st.sbid;
-          st.oidx <- st.sidx
-        end;
-        m.em.Emon.on_access ~task:st.mtok ~bid:st.obid ~idx:st.oidx addr kind
-      end
-
-(* Interned id of cell [idx] of array [aid] on the monitored path: a
-   lock-free read of the copy-on-write base table, falling back to the
-   interner under the lock for an array whose registration this worker
-   has not yet observed (the lock acquisition synchronizes with the
-   registering unlock). *)
-let cell_addr m aid idx =
-  let b = Atomic.get m.bases in
-  if aid < Array.length b && Array.unsafe_get b aid >= 0 then
-    Array.unsafe_get b aid + idx
-  else begin
-    Mutex.lock m.intern_mu;
-    let r = Rt.Addr.Intern.cell_id m.intern ~aid ~idx in
-    Mutex.unlock m.intern_mu;
-    r
-  end
-
-(* Draw an array id; monitored runs also register the cell block with
-   the shared interner.  Drawing the id under the same lock keeps
-   registration order dense in aid (Addr.Intern's invariant) even when
-   workers allocate concurrently, and the base is published to the
-   copy-on-write mirror before the VArr can escape. *)
-let fresh_aid st len =
-  match st.eng.mon with
-  | None -> 1 + Atomic.fetch_and_add st.eng.aid 1
-  | Some m ->
-      Mutex.lock m.intern_mu;
-      let aid = 1 + Atomic.fetch_and_add st.eng.aid 1 in
-      Rt.Addr.Intern.register_array m.intern ~aid ~len;
-      let base = Rt.Addr.Intern.cell_id m.intern ~aid ~idx:0 in
-      let b = Atomic.get m.bases in
-      let b =
-        if aid < Array.length b then b
-        else begin
-          let bigger = Array.make (max (aid + 1) (2 * Array.length b)) (-1) in
-          Array.blit b 0 bigger 0 (Array.length b);
-          Atomic.set m.bases bigger;
-          bigger
-        end
-      in
-      b.(aid) <- base;
-      Mutex.unlock m.intern_mu;
-      aid
 
 let locked mu f =
   Mutex.lock mu;
@@ -287,22 +194,13 @@ let backoff_sleep failures =
    the engine; the pending count is always decremented so joins cannot
    hang. *)
 let run_task eng (w : worker) (t : task) : unit =
-  let st =
-    { eng; w; fin = t.t_fin; quiet = false; atomic = 0;
-      monitored = eng.mon <> None; mtok = t.t_mtok;
-      sbid = t.t_bid; sidx = 0; obid = -1; oidx = 0 }
-  in
+  let st = { eng; w; fin = t.t_fin; quiet = false; atomic = 0 } in
   (try t.t_run st t.t_env with
   | Abort -> ()
   | Rt.Eval.Return_v _ ->
       (* the typechecker rejects [return] crossing an async boundary *)
       ()
   | e -> poison_with eng e);
-  (* End the task before releasing the join: the finish's pending-count
-     atomic then orders this event before the joiner's on_finish_end. *)
-  (match eng.mon with
-  | Some m -> m.em.Emon.on_task_end ~task:t.t_mtok ~fin:t.t_fin.ftok
-  | None -> ());
   ignore (Atomic.fetch_and_add t.t_fin.pending (-1))
 
 let run_pooled st =
@@ -340,19 +238,6 @@ let wait_fin st (fin : finish) : unit =
 (* Evaluator hooks                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [f] with the cursor in block [bid], mirroring Rt.Interp's scope
-   entry for the step origin: the current step closes, and the step
-   resumes (re-latching lazily) at the saved cursor afterwards, also
-   when a [return] unwinds through. *)
-let in_scope st ~bid f =
-  mclose st;
-  let saved_bid = st.sbid and saved_idx = st.sidx in
-  st.sbid <- bid;
-  Fun.protect f ~finally:(fun () ->
-      mclose st;
-      st.sbid <- saved_bid;
-      st.sidx <- saved_idx)
-
 module Runtime = struct
   type st = tstate
 
@@ -363,12 +248,6 @@ module Runtime = struct
     w.batch <- w.batch + n;
     if not st.quiet then begin
       w.work <- w.work + n;
-      if st.monitored && st.obid < 0 then begin
-        (* first charge since the last structural transition: this is
-           where Rt.Interp would create the step node *)
-        st.obid <- st.sbid;
-        st.oidx <- st.sidx
-      end;
       if st.eng.pace_ns > 0 then
         w.pace_debt_ns <- w.pace_debt_ns +. float_of_int (n * st.eng.pace_ns)
     end;
@@ -378,8 +257,7 @@ module Runtime = struct
      now.  This lets a deferred sibling interleave between the parent's
      statements instead of only before-all (inline) or after-all (finish
      join). *)
-  let stmt st k =
-    st.sidx <- k;
+  let stmt st _ =
     let eng = st.eng in
     if
       eng.is_fuzz && (not st.quiet) && st.atomic = 0
@@ -390,14 +268,11 @@ module Runtime = struct
       run_pooled st
     end
 
-  let global = maccess
+  let global _ _ _ = ()
 
-  let cell st aid i kind =
-    match st.eng.mon with
-    | Some m -> maccess st (cell_addr m aid i) kind
-    | None -> ()
+  let cell _ _ _ _ = ()
 
-  let alloc = fresh_aid
+  let alloc st _ = 1 + Atomic.fetch_and_add st.eng.aid 1
 
   let print st line =
     locked st.eng.buf_mu (fun () ->
@@ -407,32 +282,19 @@ module Runtime = struct
   (* Atomic here for real: concurrent claimants must serialize. *)
   let exclusive st f = locked st.eng.cas_mu f
 
-  let enter st _kind ~sid:_ ~bid =
-    mclose st;
-    st.sbid <- bid
+  let enter _ _ ~sid:_ ~bid:_ = ()
 
-  let leave st () ~bid ~idx =
-    mclose st;
-    st.sbid <- bid;
-    st.sidx <- idx
+  let leave _ () ~bid:_ ~idx:_ = ()
 
   (* The spawn snapshot: the typechecker only lets an async body read
      immutable ([val]) outer locals, so running the child on a copy of
      the spawner's frame is observationally identical to sharing it —
      and keeps every frame single-writer. *)
-  let async st ~sid:_ ~bid body fr =
+  let async st ~sid:_ ~bid:_ body fr =
     let eng = st.eng in
-    mclose st;
     Atomic.incr eng.n_tasks;
     Atomic.incr st.fin.pending;
-    let t_mtok =
-      match eng.mon with
-      | Some m -> m.em.Emon.on_task_begin ~parent:st.mtok
-      | None -> -1
-    in
-    let t =
-      { t_run = body; t_env = Array.copy fr; t_bid = bid; t_fin = st.fin; t_mtok }
-    in
+    let t = { t_run = body; t_env = Array.copy fr; t_fin = st.fin } in
     (if not eng.is_fuzz then Deque.push st.w.deque t
      else if Tdrutil.Prng.int st.w.rng 100 < eng.policy.inline_pct then begin
        st.w.n_inlined <- st.w.n_inlined + 1;
@@ -441,29 +303,21 @@ module Runtime = struct
      else begin
        st.w.n_pooled <- st.w.n_pooled + 1;
        Tdrutil.Vec.push eng.pool t
-     end);
-    mclose st
+     end)
 
-  let finish st ~sid:_ ~bid body fr =
-    let fin = { pending = Atomic.make 0; ftok = -1 } in
-    (match st.eng.mon with
-    | Some m -> fin.ftok <- m.em.Emon.on_finish_begin ~task:st.mtok
-    | None -> ());
-    in_scope st ~bid (fun () ->
-        let saved = st.fin in
-        st.fin <- fin;
-        Fun.protect ~finally:(fun () -> st.fin <- saved) (fun () -> body st fr));
-    wait_fin st fin;
-    match st.eng.mon with
-    | Some m -> m.em.Emon.on_finish_end ~task:st.mtok ~fin:fin.ftok
-    | None -> ()
+  let finish st ~sid:_ ~bid:_ body fr =
+    let fin = { pending = Atomic.make 0 } in
+    let saved = st.fin in
+    st.fin <- fin;
+    Fun.protect ~finally:(fun () -> st.fin <- saved) (fun () -> body st fr);
+    wait_fin st fin
 
   (* Global mutual exclusion.  In Fuzz mode all tasks share one worker,
      so instead of a (self-deadlocking) lock we pin the scheduler:
      [atomic > 0] disables the statement-boundary yields, making the
      section atomic by construction. *)
-  let isolated st ~sid:_ ~bid body fr =
-    let run () = in_scope st ~bid (fun () -> body st fr) in
+  let isolated st ~sid:_ ~bid:_ body fr =
+    let run () = body st fr in
     st.atomic <- st.atomic + 1;
     Fun.protect
       ~finally:(fun () -> st.atomic <- st.atomic - 1)
@@ -490,14 +344,20 @@ let worker_loop eng (w : worker) =
           backoff_sleep !failures
   done
 
-let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
+let max_domains = 128
+
+let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ~mode
     (prog : Ast.program) : result =
-  let code = E.compile prog in
   let is_fuzz, n_domains, seed =
     match mode with
     | Fuzz { seed } -> (true, 1, seed)
+    | Domains { n; _ } when n > max_domains ->
+        invalid_arg
+          (Fmt.str "Par.Engine.run: %d domains exceeds max_domains (%d)" n
+             max_domains)
     | Domains { n; seed } -> (false, max 1 n, seed)
   in
+  let code = E.compile prog in
   let policy =
     match policy with
     | Some p -> p
@@ -519,21 +379,8 @@ let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
           n_yields = 0;
         })
   in
-  let mon =
-    match emon with
-    | None -> None
-    | Some em ->
-        Some
-          {
-            em;
-            intern = Rt.Addr.Intern.create ();
-            intern_mu = Mutex.create ();
-            bases = Atomic.make [||];
-          }
-  in
   let eng =
     {
-      mon;
       watchdog = Rt.Watchdog.current ();
       fuel = Atomic.make fuel;
       aid = Atomic.make 0;
@@ -554,29 +401,13 @@ let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
       n_steals = Atomic.make 0;
     }
   in
-  let root = { pending = Atomic.make 0; ftok = -1 } in
-  let st0 =
-    { eng; w = workers.(0); fin = root;
-      quiet = false; atomic = 0; monitored = mon <> None; mtok = -1;
-      sbid = code.main_bid; sidx = 0; obid = -1; oidx = 0 }
-  in
-  (* Globals are interned up front (ids 0.. in declaration order, before
-     any array registration), as in Rt.Interp. *)
-  (match mon with
-  | Some m ->
-      Array.iter (fun g -> ignore (Rt.Addr.Intern.add_global m.intern g)) code.names;
-      m.em.Emon.on_init m.intern
-  | None -> ());
+  let root = { pending = Atomic.make 0 } in
+  let st0 = { eng; w = workers.(0); fin = root; quiet = false; atomic = 0 } in
   (* Global initializers are sequenced before every task: run them before
      any other domain exists. *)
   st0.quiet <- true;
   code.init st0;
   st0.quiet <- false;
-  (match mon with
-  | Some m ->
-      st0.mtok <- m.em.Emon.on_task_begin ~parent:(-1);
-      root.ftok <- m.em.Emon.on_finish_begin ~task:st0.mtok
-  | None -> ());
   let t_start = Unix.gettimeofday () in
   let doms =
     Array.init (n_domains - 1) (fun i ->
@@ -584,12 +415,7 @@ let run ?(fuel = Rt.Interp.default_fuel) ?(pace_ns = 0) ?policy ?emon ~mode
   in
   (try
      code.main st0;
-     wait_fin st0 root;
-     match mon with
-     | Some m ->
-         m.em.Emon.on_finish_end ~task:st0.mtok ~fin:root.ftok;
-         m.em.Emon.on_task_end ~task:st0.mtok ~fin:(-1)
-     | None -> ()
+     wait_fin st0 root
    with
   | Abort -> ()
   | e -> poison_with eng e);

@@ -89,6 +89,11 @@ type result = {
   stats : stats;  (** scheduler counters, tagged by [mode] *)
 }
 
+(** The most workers a {!Domains} run may ask for: the OCaml 5.1
+    runtime caps a process at 128 domains ([Max_domains]), and a spawn
+    beyond it fails with every earlier worker already running. *)
+val max_domains : int
+
 (** Execute [prog] from [main].
 
     @param fuel shared across workers; {!Rt.Interp.Out_of_fuel} when spent
@@ -99,21 +104,14 @@ type result = {
       reflect schedule overlap rather than host core count.
     @param policy scheduling probabilities; defaults to {!fuzz_policy} or
       {!domains_policy} according to [mode]
-    @param emon an execution monitor ({!Emon}) receiving task/finish
-      structure and shared-memory accesses from all workers — the
-      parallel analogue of {!Rt.Monitor}.  Attaching one makes the
-      engine maintain a shared {!Rt.Addr.Intern} (globals in declaration
-      order, then array blocks in allocation order) and deliver each
-      access with the step origin the depth-first interpreter would
-      assign, so parallel race reports are comparable to sequential
-      ones.
     @raise Rt.Interp.Runtime_error as {!Rt.Interp.run} (first failing
-      task wins; the run is cancelled and joined before re-raising) *)
+      task wins; the run is cancelled and joined before re-raising)
+    @raise Invalid_argument for [Domains { n }] with [n > max_domains],
+      before any domain is spawned *)
 val run :
   ?fuel:int ->
   ?pace_ns:int ->
   ?policy:policy ->
-  ?emon:Emon.t ->
   mode:mode ->
   Mhj.Ast.program ->
   result

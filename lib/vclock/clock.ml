@@ -19,9 +19,7 @@
 
     Arrays grow lazily (doubling), so a clock's cost is proportional to
     the highest task index it has actually learned about, not the total
-    task count.  Clocks are not thread-safe; callers serialize per-clock
-    access (in practice each clock is owned by one task, and finish
-    accumulators are mutex-protected). *)
+    task count.  Clocks are not thread-safe; each is owned by one task. *)
 
 type t = { mutable v : int array }
 

@@ -1,7 +1,6 @@
 (** Dense, lazily-grown vector clocks over task indices (DESIGN.md §14).
 
-    Not thread-safe: each clock is owned by a single task (or protected
-    by its finish accumulator's mutex). *)
+    Not thread-safe: each clock is owned by a single task. *)
 
 type t
 

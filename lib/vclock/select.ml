@@ -6,8 +6,7 @@
     - {b task fan-out}: asyncs spawned directly from loop bodies
       (forasync-style) build wide, shallow task trees.  Vector clocks
       stay short there (a clock's length tracks fork depth plus joined
-      siblings) and the vclock backend is the one that can also run
-      under the parallel engine — prefer it.
+      siblings) — prefer vector clocks.
     - {b deep nesting}: recursive divide-and-conquer programs fork
       along long chains, making each fork's clock copy O(depth) while
       ESP-bags pays near-constant union-find work — prefer ESP-bags.

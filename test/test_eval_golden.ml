@@ -10,9 +10,9 @@
      and kind), the output, the work, the final globals and a pre-order
      dump of the S-DPST (id, kind, sid, origin block/index, last index,
      cost);
-   - under Par.Engine.run ~mode:(Fuzz {seed}) for seeds 1-5, with and
-     without an execution monitor: the Emon event stream, the output,
-     the globals digest, the work and the Fuzz scheduler counters.
+   - under Par.Engine.run ~mode:(Fuzz {seed}) for seeds 1-5: the
+     output, the globals digest, the work and the Fuzz scheduler
+     counters.
 
    Any change to decision-point order, step boundaries, cost charging or
    access reporting changes a digest.  Block and statement ids come from
@@ -102,51 +102,20 @@ let interp_digest p =
   | exception e -> Hasher.addf h "raised %s" (Printexc.to_string e));
   Hasher.hex h
 
-let recording_emon h bid =
-  let next = ref 0 in
-  let mint () =
-    incr next;
-    !next
-  in
-  {
-    Par.Emon.on_init =
-      (fun i -> Hasher.addf h "init %d" (Rt.Addr.Intern.n_globals i));
-    on_task_begin =
-      (fun ~parent ->
-        let t = mint () in
-        Hasher.addf h "tb %d %d" parent t;
-        t);
-    on_task_end = (fun ~task ~fin -> Hasher.addf h "te %d %d" task fin);
-    on_finish_begin =
-      (fun ~task ->
-        let f = mint () in
-        Hasher.addf h "fb %d %d" task f;
-        f);
-    on_finish_end = (fun ~task ~fin -> Hasher.addf h "fe %d %d" task fin);
-    on_access =
-      (fun ~task ~bid:b ~idx a k ->
-        Hasher.addf h "a %d %d %d %d %c" task (bid b) idx a (kind_code k));
-  }
-
 let fuzz_digest p =
-  let _, bid = id_ranks p in
   let h = Hasher.create () in
   for seed = 1 to 5 do
-    List.iter
-      (fun monitored ->
-        Hasher.addf h "seed %d monitored %b" seed monitored;
-        let emon = if monitored then Some (recording_emon h bid) else None in
-        match Par.Engine.run ?emon ~mode:(Par.Engine.Fuzz { seed }) p with
-        | r -> (
-            Hasher.addf h "output %S" r.output;
-            Hasher.addf h "digest %S" r.digest;
-            Hasher.addf h "work %d" r.work;
-            match r.stats.sched with
-            | Par.Engine.Fuzz_stats { n_inlined; n_pooled; n_yields } ->
-                Hasher.addf h "fuzz %d %d %d" n_inlined n_pooled n_yields
-            | Par.Engine.Domains_stats _ -> Hasher.add h "domains")
-        | exception e -> Hasher.addf h "raised %s" (Printexc.to_string e))
-      [ true; false ]
+    Hasher.addf h "seed %d" seed;
+    match Par.Engine.run ~mode:(Par.Engine.Fuzz { seed }) p with
+    | r -> (
+        Hasher.addf h "output %S" r.output;
+        Hasher.addf h "digest %S" r.digest;
+        Hasher.addf h "work %d" r.work;
+        match r.stats.sched with
+        | Par.Engine.Fuzz_stats { n_inlined; n_pooled; n_yields } ->
+            Hasher.addf h "fuzz %d %d %d" n_inlined n_pooled n_yields
+        | Par.Engine.Domains_stats _ -> Hasher.add h "domains")
+    | exception e -> Hasher.addf h "raised %s" (Printexc.to_string e)
   done;
   Hasher.hex h
 

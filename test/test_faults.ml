@@ -330,6 +330,63 @@ let driver_total =
              it degraded *)
           (not r.converged) || race_count r.program = 0)
 
+(* Mini-HJ source from outside must never crash the tool: a mutant of a
+   Table 1 or Progen program either fails to compile with a classified
+   diagnostic, or compiles and repairs to a report or a non-internal
+   diagnostic.  Mutations truncate, delete a span, or insert a keyword,
+   bracket, operator or out-of-range integer literal. *)
+let mutation_tokens =
+  [| "async"; "finish"; "isolated"; "forasync"; "def"; "var"; "val"; "if";
+     "else"; "while"; "for"; "to"; "return"; "new"; "{"; "}"; "("; ")"; "[";
+     "]"; ";"; ","; "="; "=="; "+"; "/"; "%"; "&&"; "!";
+     "12345678901234567890" |]
+
+let mutant seed =
+  let rng = Tdrutil.Prng.create ~seed in
+  let src =
+    let table1 = Array.of_list Benchsuite.Suite.all in
+    let k = Tdrutil.Prng.int rng (Array.length table1 + 30) in
+    if k < Array.length table1 then table1.(k).repair_src
+    else Benchsuite.Progen.generate ~seed:(k - Array.length table1 + 1) ()
+  in
+  let n = String.length src in
+  let at = Tdrutil.Prng.int rng (n + 1) in
+  match Tdrutil.Prng.int rng 3 with
+  | 0 -> String.sub src 0 at
+  | 1 ->
+      let len = min (n - at) (1 + Tdrutil.Prng.int rng 40) in
+      String.sub src 0 at ^ String.sub src (at + len) (n - at - len)
+  | _ ->
+      let tok =
+        mutation_tokens.(Tdrutil.Prng.int rng (Array.length mutation_tokens))
+      in
+      String.sub src 0 at ^ " " ^ tok ^ " " ^ String.sub src at (n - at)
+
+let internal_prefix = (Diag.internal ~stage:Diag.Parse "").message
+
+let source_fuzz_total =
+  QCheck.Test.make ~name:"mutated source: classified diagnostic or repair"
+    ~count:(10 * qcheck_count)
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      match compile (mutant seed) with
+      | exception e -> (
+          match Diag.of_exn e with
+          | Some _ -> true
+          | None ->
+              QCheck.Test.fail_reportf "compile raised unclassified %s"
+                (Printexc.to_string e))
+      | prog -> (
+          let budgets = { Guard.unlimited with fuel = Some 200_000 } in
+          let options = { Repair.Options.default with budgets } in
+          match D.repair_checked ~options prog with
+          | exception e ->
+              QCheck.Test.fail_reportf "repair raised %s" (Printexc.to_string e)
+          | Ok _ -> true
+          | Error d when String.starts_with ~prefix:internal_prefix d.message ->
+              QCheck.Test.fail_reportf "internal diagnostic: %a" Diag.pp d
+          | Error _ -> true))
+
 let () =
   Alcotest.run "faults"
     [
@@ -367,5 +424,6 @@ let () =
           QCheck_alcotest.to_alcotest worker_two_fault_total;
           Alcotest.test_case "daemon worker: progen 364697 covers" `Slow
             test_worker_covers_terminal;
+          QCheck_alcotest.to_alcotest source_fuzz_total;
         ] );
     ]

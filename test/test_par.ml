@@ -193,6 +193,17 @@ let test_watchdog_bounds_engine () =
               ignore (Par.Engine.run ~fuel:20_000_000 ~mode prog))))
     [ Par.Engine.Fuzz { seed = 1 }; Par.Engine.Domains { n = 2; seed = 1 } ]
 
+(* The OCaml 5.1 runtime caps a process at 128 domains.  A larger
+   Domains run must be refused before any worker exists, not fail in
+   the 128th Domain.spawn with the earlier workers never joined. *)
+let test_domain_cap () =
+  let prog = compile "def main() { print(1); }" in
+  Alcotest.check_raises "refused up front"
+    (Invalid_argument "Par.Engine.run: 129 domains exceeds max_domains (128)")
+    (fun () ->
+      let mode = Par.Engine.Domains { n = 129; seed = 1 } in
+      ignore (Par.Engine.run ~mode prog))
+
 (* ------------------------------------------------------------------ *)
 (* Differential schedule fuzzing over generated programs               *)
 (* ------------------------------------------------------------------ *)
@@ -310,53 +321,6 @@ let test_driver_validate_par () =
            (Fmt.list Repair.Guard.pp_degradation)
            ds)
 
-(* Parallel race detection: the vector-clock detector attached to the
-   engine must report the same static race set as the sequential MRW
-   oracle on EVERY schedule — the clock relation encodes the program's
-   async-finish structure, not the observed interleaving.  Programs are
-   generated with deterministic branches ([det_branches]) so a racy
-   program still executes the same access set under every schedule;
-   addresses and control flow are schedule-independent by construction,
-   only values race. *)
-let test_parallel_detection () =
-  let cfg = { Benchsuite.Progen.default with det_branches = true } in
-  for seed = 1 to count do
-    let prog = compile (Benchsuite.Progen.generate ~cfg ~seed ()) in
-    let oracle_det, _ = Espbags.Detector.detect Espbags.Detector.Mrw prog in
-    let oracle =
-      List.sort_uniq compare
-        (List.map Espbags.Race.static_key_of_race
-           (Espbags.Detector.races oracle_det))
-    in
-    let check what det =
-      let got = Vclock.Pardet.races det in
-      if got <> oracle then
-        Alcotest.fail
-          (Fmt.str
-             "program %d, %s: parallel race set differs@.par (%d): \
-              @[%a@]@.seq (%d): @[%a@]"
-             seed what (List.length got)
-             Fmt.(list ~sep:comma Espbags.Race.pp_static_key)
-             got (List.length oracle)
-             Fmt.(list ~sep:comma Espbags.Race.pp_static_key)
-             oracle)
-    in
-    for k = 0 to schedules_per_program - 1 do
-      let det, _ =
-        Vclock.Pardet.detect
-          ~mode:(Par.Engine.Fuzz { seed = (1000 * seed) + k })
-          prog
-      in
-      check (Fmt.str "fuzz schedule %d" k) det
-    done;
-    let det, _ =
-      Vclock.Pardet.detect
-        ~mode:(Par.Engine.Domains { n = par_domains; seed })
-        prog
-    in
-    check (Fmt.str "%d domains" par_domains) det
-  done
-
 (* qcheck variant with uniformly random program seeds, for coverage the
    fixed 1..count sweep cannot give. *)
 let qcheck_differential =
@@ -387,6 +351,7 @@ let () =
           Alcotest.test_case "out of fuel" `Quick test_out_of_fuel;
           Alcotest.test_case "watchdog bounds the engine" `Quick
             test_watchdog_bounds_engine;
+          Alcotest.test_case "domain count is capped" `Quick test_domain_cap;
         ] );
       ( "differential",
         [
@@ -394,8 +359,6 @@ let () =
             test_differential_racefree;
           Alcotest.test_case "adversarial racy programs" `Slow
             test_adversarial_racy;
-          Alcotest.test_case "parallel detection matches oracle" `Slow
-            test_parallel_detection;
           QCheck_alcotest.to_alcotest qcheck_differential;
         ] );
       ( "validate",

@@ -1,9 +1,8 @@
 (* Vector-clock detection backend (lib/vclock): Clock unit tests, the
    sequential detector's differential against the ESP-bags seed oracle
    (via Diff_harness — both SRW and MRW, with and without static
-   pruning), backend auto-selection, and smoke tests for the parallel
-   sharded detector on hand-written programs (the deep cross-schedule
-   parallel property lives in test_par.ml).
+   pruning), backend auto-selection, and the stats keys both sequential
+   detectors report.
 
    `dune runtest` bounds the program count; the @ci alias runs the
    300-program deep pass (TDR_QCHECK_COUNT=300). *)
@@ -158,7 +157,7 @@ let test_resolve () =
   check "auto is choose" (show (Vclock.Select.choose prog)) (resolve `Auto)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel detector smoke tests                                       *)
+(* Stats contract                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let racy_src =
@@ -172,64 +171,6 @@ let racy_src =
   \  }\n\
   \  print(sum);\n\
    }"
-
-let racefree_src =
-  "var g: int[] = new int[8];\n\
-   def main() {\n\
-  \  finish {\n\
-  \    for (i = 0 to 7) {\n\
-  \      async { g[i] = i * 2; }\n\
-  \    }\n\
-  \  }\n\
-  \  print(g[3]);\n\
-   }"
-
-(* Block ids are assigned per Front.compile call, so the oracle and the
-   parallel runs must share one compiled program for keys to line up. *)
-let seq_oracle_keys prog =
-  let det, _ = Espbags.Detector.detect Espbags.Detector.Mrw prog in
-  List.sort_uniq compare
-    (List.map Espbags.Race.static_key_of_race (Espbags.Detector.races det))
-
-let test_pardet_racy () =
-  let prog = compile racy_src in
-  let expected = seq_oracle_keys prog in
-  Alcotest.(check bool) "oracle finds the sum race" true (expected <> []);
-  List.iter
-    (fun mode ->
-      let det, _ = Vclock.Pardet.detect ~mode prog in
-      Alcotest.(check bool) "not clean" false (Vclock.Pardet.clean det);
-      Alcotest.(check int)
-        "race_count agrees with races"
-        (List.length (Vclock.Pardet.races det))
-        (Vclock.Pardet.race_count det);
-      if Vclock.Pardet.races det <> expected then
-        Alcotest.fail
-          (Fmt.str "parallel race set differs@.par: @[%a@]@.seq: @[%a@]"
-             Fmt.(list ~sep:comma Espbags.Race.pp_static_key)
-             (Vclock.Pardet.races det)
-             Fmt.(list ~sep:comma Espbags.Race.pp_static_key)
-             expected))
-    [
-      Par.Engine.Fuzz { seed = 1 };
-      Par.Engine.Fuzz { seed = 42 };
-      Par.Engine.Domains { n = 2; seed = 1 };
-    ]
-
-let test_pardet_racefree () =
-  List.iter
-    (fun mode ->
-      let det, res = Vclock.Pardet.detect ~mode (compile racefree_src) in
-      Alcotest.(check bool) "clean" true (Vclock.Pardet.clean det);
-      Alcotest.(check string) "output intact" "6\n" res.Par.Engine.output;
-      let stats = Vclock.Pardet.stats det in
-      Alcotest.(check bool)
-        "accesses counted" true
-        (List.assoc "detector.accesses" stats > 0);
-      Alcotest.(check bool)
-        "tasks counted" true
-        (List.assoc "detector.tasks" stats >= 9))
-    [ Par.Engine.Fuzz { seed = 3 }; Par.Engine.Domains { n = 2; seed = 1 } ]
 
 (* Both sequential backends through the driver-facing stats contract:
    each emits exactly this ordered key list, in both flavours.  The
@@ -285,12 +226,9 @@ let () =
           Alcotest.test_case "heuristic" `Quick test_select;
           Alcotest.test_case "resolve" `Quick test_resolve;
         ] );
-      ( "parallel",
+      ( "stats",
         [
-          Alcotest.test_case "racy program matches oracle" `Quick
-            test_pardet_racy;
-          Alcotest.test_case "race-free program is clean" `Quick
-            test_pardet_racefree;
-          Alcotest.test_case "seq stats keys" `Quick test_seq_stats_keys;
+          Alcotest.test_case "sequential detector keys" `Quick
+            test_seq_stats_keys;
         ] );
     ]

@@ -6,7 +6,7 @@
 let figure3 () : Repair.Depgraph.t =
   let times = [| 500; 10; 10; 400; 600; 500 |] in
   let tree = Sdpst.Node.create_tree ~main_bid:0 in
-  let root = tree.Sdpst.Node.root in
+  let root = Sdpst.Node.root in
   let steps =
     Array.mapi
       (fun i t ->
@@ -18,25 +18,25 @@ let figure3 () : Repair.Depgraph.t =
           Sdpst.Node.new_child tree ~parent:a ~kind:Sdpst.Node.Step
             ~origin_bid:(100 + i) ~origin_idx:0 ()
         in
-        s.Sdpst.Node.cost <- t;
+        Sdpst.Node.charge tree s t ~idx:(-1);
         s)
       times
   in
   let races =
     List.map
       (fun (i, j) ->
-        Espbags.Race.make ~src:steps.(i) ~sink:steps.(j)
+        Espbags.Race.make ~tree ~src:steps.(i) ~sink:steps.(j)
           ~addr:(Rt.Addr.Global "dep") ~kind:Espbags.Race.Write_read)
       [ (1, 3); (0, 5); (3, 5) ]
   in
-  let span, _ = Sdpst.Analysis.span_memo () in
-  Repair.Depgraph.build ~coalesce:false ~span root races
+  let span, _ = Sdpst.Analysis.span_memo tree in
+  Repair.Depgraph.build ~coalesce:false ~span tree root races
 
 (* A larger random placement problem, for timing the O(n^3 d) DP. *)
 let random_graph ~seed ~n : Repair.Depgraph.t =
   let rng = Tdrutil.Prng.create ~seed in
   let tree = Sdpst.Node.create_tree ~main_bid:0 in
-  let root = tree.Sdpst.Node.root in
+  let root = Sdpst.Node.root in
   let steps =
     Array.init n (fun i ->
         let is_async = Tdrutil.Prng.int rng 3 < 2 in
@@ -50,11 +50,11 @@ let random_graph ~seed ~n : Repair.Depgraph.t =
             Sdpst.Node.new_child tree ~parent:c ~kind:Sdpst.Node.Step
               ~origin_bid:(1000 + i) ~origin_idx:0 ()
           in
-          s.Sdpst.Node.cost <- 1 + Tdrutil.Prng.int rng 100;
+          Sdpst.Node.charge tree s (1 + Tdrutil.Prng.int rng 100) ~idx:(-1);
           s
         end
         else begin
-          c.Sdpst.Node.cost <- 1 + Tdrutil.Prng.int rng 100;
+          Sdpst.Node.charge tree c (1 + Tdrutil.Prng.int rng 100) ~idx:(-1);
           c
         end)
   in
@@ -63,9 +63,9 @@ let random_graph ~seed ~n : Repair.Depgraph.t =
     let i = Tdrutil.Prng.int rng (n - 1) in
     let j = i + 1 + Tdrutil.Prng.int rng (n - i - 1) in
     races :=
-      Espbags.Race.make ~src:steps.(i) ~sink:steps.(j)
+      Espbags.Race.make ~tree ~src:steps.(i) ~sink:steps.(j)
         ~addr:(Rt.Addr.Global "dep") ~kind:Espbags.Race.Write_read
       :: !races
   done;
-  let span, _ = Sdpst.Analysis.span_memo () in
-  Repair.Depgraph.build ~coalesce:false ~span root !races
+  let span, _ = Sdpst.Analysis.span_memo tree in
+  Repair.Depgraph.build ~coalesce:false ~span tree root !races

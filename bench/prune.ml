@@ -39,10 +39,11 @@ let env_int name default =
 
 (* Stable across runs: node ids differ, static coordinates do not. *)
 let race_signature (r : Espbags.Race.t) =
-  ( r.src.Sdpst.Node.origin_bid,
-    r.src.Sdpst.Node.origin_idx,
-    r.sink.Sdpst.Node.origin_bid,
-    r.sink.Sdpst.Node.origin_idx,
+  let module N = Sdpst.Node in
+  ( N.origin_bid r.tree r.src,
+    N.origin_idx r.tree r.src,
+    N.origin_bid r.tree r.sink,
+    N.origin_idx r.tree r.sink,
     Fmt.str "%a" Rt.Addr.pp r.addr,
     Fmt.str "%a" Espbags.Race.pp_kind r.kind )
 

@@ -275,19 +275,20 @@ let ablation_coalesce () =
     Mhj.Transform.strip_finishes
       (Mhj.Front.compile (Benchsuite.Mergesort.source ~n:192 ~seed:3))
   in
-  let det, _res = Espbags.Detector.detect Espbags.Detector.Mrw stripped in
+  let det, res = Espbags.Detector.detect Espbags.Detector.Mrw stripped in
+  let tree = res.Rt.Interp.tree in
   let races = Espbags.Race.dedupe_by_steps (Espbags.Detector.races det) in
-  let span, _ = Sdpst.Analysis.span_memo () in
+  let span, _ = Sdpst.Analysis.span_memo tree in
   let groups = Hashtbl.create 64 in
   List.iter
     (fun (r : Espbags.Race.t) ->
-      let lca = Sdpst.Lca.ns_lca r.src r.sink in
+      let lca = Sdpst.Lca.ns_lca tree r.src r.sink in
       let cur =
-        match Hashtbl.find_opt groups lca.Sdpst.Node.id with
+        match Hashtbl.find_opt groups lca with
         | Some (n, rs) -> (n, r :: rs)
         | None -> (lca, [ r ])
       in
-      Hashtbl.replace groups lca.Sdpst.Node.id cur)
+      Hashtbl.replace groups lca cur)
     races;
   List.iter
     (fun coalesce ->
@@ -296,7 +297,9 @@ let ablation_coalesce () =
       let total_cost = ref 0 in
       Hashtbl.iter
         (fun _ (lca, rs) ->
-          let g = Repair.Depgraph.build ~coalesce ~span lca (List.rev rs) in
+          let g =
+            Repair.Depgraph.build ~coalesce ~span tree lca (List.rev rs)
+          in
           max_n := max !max_n (Repair.Depgraph.n_vertices g);
           let out = Repair.Dp_place.solve g in
           total_cost := !total_cost + out.cost)

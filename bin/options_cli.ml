@@ -21,6 +21,12 @@ let int_conv check =
   in
   Arg.conv (parse, Fmt.int)
 
+(* A count ([lo] = 1) or budget ([lo] = 0): a usage error below [lo]. *)
+let at_least lo =
+  int_conv (fun n ->
+      if n >= lo then None
+      else Some (if lo = 0 then "must be non-negative" else "must be positive"))
+
 (* One row's flag, absent meaning [default].  Out-of-range values are
    usage errors (exit 124); a malformed NAME=INT is an input error (exit
    3), like an override naming no int global. *)

@@ -101,7 +101,7 @@ let output_arg =
 let timeout_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (Options_cli.at_least 0)) None
     & info [ "timeout-ms" ] ~docv:"MS"
         ~doc:
           "Wall-clock watchdog for the whole job: abort once $(docv) \
@@ -173,7 +173,7 @@ let run_cmd =
   in
   let procs =
     Arg.(
-      value & opt int 12
+      value & opt (Options_cli.at_least 1) 12
       & info [ "p"; "procs" ] ~docv:"P"
           ~doc:"Processors for the scheduling simulation.")
   in
@@ -496,7 +496,7 @@ let repair_cmd =
   let validate_par =
     Arg.(
       value
-      & opt ~vopt:(Some 10) (some int) None
+      & opt ~vopt:(Some 10) (some (Options_cli.at_least 0)) None
       & info [ "validate-par" ] ~docv:"K"
           ~doc:
             "After convergence, re-run the repaired program under $(docv) \
@@ -516,7 +516,7 @@ let repair_cmd =
   let budget_validate =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (Options_cli.at_least 0)) None
       & info [ "budget-validate" ] ~docv:"MS"
           ~doc:
             "Wall-clock budget for $(b,--validate-par) in milliseconds; \
@@ -667,11 +667,14 @@ let grade_file_cmd =
     Term.(const run $ file_arg)
 
 let explain_cmd =
-  let run file sets =
+  let run file (o : O.t) =
     or_die (fun () ->
-        let prog = O.apply_sets sets (compile file) in
-        let det, res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
-        let races = Espbags.Detector.races det in
+        let prog = load file o in
+        check_spill_writable o.spill;
+        let d = Repair.Driver.detect o prog in
+        let res = d.run.result in
+        cleanup_spill o.spill ~n_spilled:d.run.n_spilled;
+        let races, discharged = Lazy.force d.races in
         let a, f, s, st = Sdpst.Node.count_by_kind res.tree in
         Fmt.pr
           "S-DPST: %d nodes (%d asyncs, %d finishes, %d scopes, %d steps), \
@@ -686,6 +689,10 @@ let explain_cmd =
           (float_of_int res.work
           /. float_of_int
                (max 1 (Sdpst.Analysis.critical_path_length res.tree)));
+        if discharged <> [] then
+          Fmt.pr
+            "discharged %d race report(s) serialized by isolated section(s)@."
+            (List.length discharged);
         if races = [] then Fmt.pr "no data races for this input@."
         else begin
           (* group by contended variable *)
@@ -706,7 +713,9 @@ let explain_cmd =
             (fun i (n, v) -> if i < 10 then Fmt.pr "  %6d  %s@." n v)
             sorted;
           (* per NS-LCA dependence graphs *)
-          let groups, merged = Repair.Driver.place_for_tree ~program:prog races in
+          let groups, merged =
+            Repair.Driver.place_pairs ~program:prog (Lazy.force d.pairs)
+          in
           Fmt.pr "NS-LCA groups: %d@." (List.length groups);
           List.iteri
             (fun i (g : Repair.Driver.group_result) ->
@@ -727,8 +736,12 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:
-         "Explain a program's parallel structure: S-DPST shape, work and           critical path, contended locations, per-NS-LCA dependence graphs           and the suggested repair — the teaching view behind the paper's           course use-case.")
-    Term.(const run $ file_arg $ sets_arg)
+         "Explain a program's parallel structure: S-DPST shape, work and \
+          critical path, contended locations, per-NS-LCA dependence graphs \
+          and the suggested repair — the teaching view behind the paper's \
+          course use-case.  It detects as $(b,detect) does, under the same \
+          options.")
+    Term.(const run $ file_arg $ Options_cli.term O.Detect)
 
 let bench_list_cmd =
   let run () =

@@ -9,7 +9,7 @@
 let mk_graph () =
   let times = [| 500; 10; 10; 400; 600; 500 |] in
   let tree = Sdpst.Node.create_tree ~main_bid:0 in
-  let root = tree.Sdpst.Node.root in
+  let root = Sdpst.Node.root in
   let steps =
     Array.mapi
       (fun i t ->
@@ -21,17 +21,17 @@ let mk_graph () =
           Sdpst.Node.new_child tree ~parent:a ~kind:Sdpst.Node.Step
             ~origin_bid:(100 + i) ~origin_idx:0 ()
         in
-        s.Sdpst.Node.cost <- t;
+        Sdpst.Node.charge tree s t ~idx:(-1);
         s)
       times
   in
   let edge (i, j) =
-    Espbags.Race.make ~src:steps.(i) ~sink:steps.(j)
+    Espbags.Race.make ~tree ~src:steps.(i) ~sink:steps.(j)
       ~addr:(Rt.Addr.Global "dep") ~kind:Espbags.Race.Write_read
   in
   let races = List.map edge [ (1, 3); (0, 5); (3, 5) ] in
-  let span, _ = Sdpst.Analysis.span_memo () in
-  Repair.Depgraph.build ~coalesce:false ~span root races
+  let span, _ = Sdpst.Analysis.span_memo tree in
+  Repair.Depgraph.build ~coalesce:false ~span tree root races
 
 let name_of i = String.make 1 (Char.chr (Char.code 'A' + i))
 

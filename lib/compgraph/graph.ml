@@ -21,7 +21,7 @@ type t = {
   succs : int list Tdrutil.Vec.t;  (** successor ids per node *)
   preds : int Tdrutil.Vec.t;  (** in-degree per node *)
   mutable n_edges : int;
-  step_node : (int, int) Hashtbl.t;  (** S-DPST step id -> graph node id *)
+  step_node : Tdrutil.Ivec.t;  (** S-DPST step id -> graph node id, or -1 *)
 }
 
 let n_nodes g = Tdrutil.Vec.length g.weights
@@ -40,7 +40,7 @@ let create () =
     succs = Tdrutil.Vec.create ();
     preds = Tdrutil.Vec.create ();
     n_edges = 0;
-    step_node = Hashtbl.create 256;
+    step_node = Tdrutil.Ivec.create ();
   }
 
 let add_node g w =
@@ -57,21 +57,23 @@ let add_edge g a b =
 
 (** Build the computation graph of an execution's S-DPST. *)
 let of_sdpst (tree : Sdpst.Node.tree) : t =
+  let module N = Sdpst.Node in
   let g = create () in
+  Tdrutil.Ivec.ensure g.step_node tree.N.next_id ~fill:(-1);
   let source = add_node g 0 in
   (* [go n pred] wires the subgraph of S-DPST node [n], whose execution
      starts after graph node [pred].  Returns [(cont, spawned)]: the node
      after which control continues past [n], and the exit nodes of asyncs
      spawned in [n] that are not yet joined by a nested finish. *)
-  let rec go (n : Sdpst.Node.t) (pred : int) : int * int list =
-    match n.collapsed with
+  let rec go (n : N.t) (pred : int) : int * int list =
+    match N.collapsed tree n with
     | Some (span, drag) ->
         (* Pruned summary (Analysis.prune): a drag chain carries control,
            and when work outlives the drag a parallel chain carries the
            span. *)
         let d = add_node g drag in
         add_edge g pred d;
-        let drag = match n.kind with Sdpst.Node.Async -> 0 | _ -> drag in
+        let drag = if N.is_async tree n then 0 else drag in
         let cont = if drag = 0 then pred else d in
         if span > drag then begin
           let s = add_node g span in
@@ -80,19 +82,19 @@ let of_sdpst (tree : Sdpst.Node.tree) : t =
         end
         else (cont, if cont = d then [] else [ d ])
     | None -> go_live n pred
-  and go_live (n : Sdpst.Node.t) (pred : int) : int * int list =
-    match n.kind with
-    | Sdpst.Node.Step ->
-        let v = add_node g n.cost in
-        Hashtbl.replace g.step_node n.id v;
+  and go_live (n : N.t) (pred : int) : int * int list =
+    match N.kind tree n with
+    | N.Step ->
+        let v = add_node g (N.cost tree n) in
+        Tdrutil.Ivec.set g.step_node n v;
         add_edge g pred v;
         (v, [])
-    | Sdpst.Node.Scope _ -> seq n pred
-    | Sdpst.Node.Async ->
+    | N.Scope _ -> seq n pred
+    | N.Async ->
         let exit, spawned = seq n pred in
         (* Control in the parent continues from [pred] immediately. *)
         (pred, exit :: spawned)
-    | Sdpst.Node.Finish | Sdpst.Node.Root ->
+    | N.Finish | N.Root ->
         let exit, spawned = seq n pred in
         if spawned = [] then (exit, [])
         else begin
@@ -101,17 +103,17 @@ let of_sdpst (tree : Sdpst.Node.tree) : t =
           List.iter (fun s -> if s <> exit then add_edge g s j) spawned;
           (j, [])
         end
-  and seq (n : Sdpst.Node.t) (pred : int) : int * int list =
+  and seq (n : N.t) (pred : int) : int * int list =
     let cur = ref pred in
     let spawned = ref [] in
-    Tdrutil.Vec.iter
+    N.iter_children tree
       (fun c ->
         let cont, sp = go c !cur in
         cur := cont;
         spawned := List.rev_append sp !spawned)
-      n.children;
+      n;
     (!cur, !spawned)
   in
-  let _exit, spawned = go tree.root source in
+  let _exit, spawned = go N.root source in
   assert (spawned = []);
   g

@@ -43,10 +43,13 @@ let of_tree ?procs ?(serialize : (int * int) list = [])
   let seen = Hashtbl.create 16 in
   List.iter
     (fun (a, b) ->
-      match
-        (Hashtbl.find_opt g.Graph.step_node a, Hashtbl.find_opt g.Graph.step_node b)
-      with
-      | Some na, Some nb when na <> nb ->
+      let node s =
+        if s >= 0 && s < Tdrutil.Ivec.length g.Graph.step_node then
+          Tdrutil.Ivec.get g.Graph.step_node s
+        else -1
+      in
+      match (node a, node b) with
+      | na, nb when na >= 0 && nb >= 0 && na <> nb ->
           let lo, hi = if na < nb then (na, nb) else (nb, na) in
           if not (Hashtbl.mem seen (lo, hi)) then begin
             Hashtbl.add seen (lo, hi) ();

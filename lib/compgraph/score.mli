@@ -11,10 +11,6 @@ type t = {
 
 val pp : t Fmt.t
 
-(** Score a computation graph ([procs] defaults to {!Sched.simulate}'s
-    12). *)
-val of_graph : ?procs:int -> Graph.t -> t
-
 (** Score an execution's S-DPST.  [serialize] lists S-DPST step-id pairs
     to join with a mutual-exclusion edge (depth-first order); pairs not
     present in the graph are ignored, duplicates are added once. *)

@@ -40,13 +40,15 @@ let of_runs (prog : Mhj.Ast.program) (trees : Sdpst.Node.tree list) : t =
   in
   List.iter
     (fun tree ->
-      Sdpst.Node.iter_tree
+      let module N = Sdpst.Node in
+      N.iter_tree
         (fun n ->
-          if Sdpst.Node.is_step n then
-            for idx = n.origin_idx to n.last_idx do
-              mark n.origin_bid idx
+          let bid = N.origin_bid tree n in
+          if N.is_step tree n then
+            for idx = N.origin_idx tree n to N.last_idx tree n do
+              mark bid idx
             done
-          else if n.Sdpst.Node.sid >= 0 then mark n.origin_bid n.origin_idx)
+          else if N.sid tree n >= 0 then mark bid (N.origin_idx tree n))
         tree)
     trees;
   let total_stmts = ref 0 in

@@ -20,6 +20,7 @@
     boundary moved to the run's edge.  Async children are never merged. *)
 
 type t = {
+  tree : Sdpst.Node.tree;
   lca : Sdpst.Node.t;
   first : Sdpst.Node.t array;  (** leftmost S-DPST child of each vertex *)
   last : Sdpst.Node.t array;  (** rightmost S-DPST child of each vertex *)
@@ -45,15 +46,17 @@ let n_edges g = List.length g.edges
     has no children left to descend into; it becomes a leaf vertex carrying
     its summarized span/drag (it contains no race endpoint by construction,
     so no finish boundary ever needs to fall inside it). *)
-let nonscope_children (l : Sdpst.Node.t) : Sdpst.Node.t list =
+let nonscope_children tree (l : Sdpst.Node.t) : Sdpst.Node.t list =
   let acc = ref [] in
   let rec go n =
-    Tdrutil.Vec.iter
+    Sdpst.Node.iter_children tree
       (fun c ->
-        if Sdpst.Node.is_nonscope c || c.Sdpst.Node.collapsed <> None then
-          acc := c :: !acc
+        if
+          Sdpst.Node.is_nonscope tree c
+          || Sdpst.Node.collapsed tree c <> None
+        then acc := c :: !acc
         else go c)
-      n.Sdpst.Node.children
+      n
   in
   go l;
   List.rev !acc
@@ -78,6 +81,7 @@ let build_cum n edges =
   cum
 
 type lifted = {
+  tree : Sdpst.Node.tree;
   nslca : Sdpst.Node.t;
   pairs : Tdrutil.Ivec.t;
   src_child : Tdrutil.Ivec.t;
@@ -101,13 +105,13 @@ type lifted = {
     report order. *)
 let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
     =
-  let lca = l.nslca in
-  let children = Array.of_list (nonscope_children lca) in
+  let lca = l.nslca and tree = l.tree in
+  let children = Array.of_list (nonscope_children tree lca) in
   let n_raw = Array.length children in
   (* raw vertices in ascending child id; spliced finishes carry fresh
      ids, so the left-to-right order need not be sorted *)
   let by_id = Array.init n_raw Fun.id in
-  let id_at v = children.(v).Sdpst.Node.id in
+  let id_at v = children.(v) in
   let sorted = ref true in
   for v = 1 to n_raw - 1 do
     if id_at (v - 1) > id_at v then sorted := false
@@ -119,7 +123,7 @@ let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
       if lo >= hi then
         invalid_arg
           (Fmt.str "Depgraph.build: node %d is not a non-scope child of %a" id
-             Sdpst.Node.pp lca)
+             (Sdpst.Node.pp tree) lca)
       else
         let mid = (lo + hi) / 2 in
         let c = id_at by_id.(mid) in
@@ -197,12 +201,11 @@ let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
       Array.iteri
         (fun i c ->
           let cl = class_of i in
-          let mergeable =
-            (not (Sdpst.Node.is_async c)) && !prev_class = Some cl
-          in
+          let async = Sdpst.Node.is_async tree c in
+          let mergeable = (not async) && !prev_class = Some cl in
           if not mergeable then incr g;
           group_of.(i) <- !g;
-          prev_class := (if Sdpst.Node.is_async c then None else Some cl))
+          prev_class := if async then None else Some cl)
         children;
       !g + 1
     end
@@ -219,9 +222,9 @@ let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
      outlive it.  Using the summary keeps the DP's cost model identical
      to the one the unpruned expansion would induce. *)
   let child_drag c =
-    if Sdpst.Node.is_async c then 0
+    if Sdpst.Node.is_async tree c then 0
     else
-      match c.Sdpst.Node.collapsed with
+      match Sdpst.Node.collapsed tree c with
       | Some (_, d) -> d
       | None -> span c
   in
@@ -231,7 +234,7 @@ let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
       if not seen_group.(v) then begin
         seen_group.(v) <- true;
         first.(v) <- c;
-        is_async.(v) <- Sdpst.Node.is_async c
+        is_async.(v) <- Sdpst.Node.is_async tree c
       end;
       last.(v) <- c;
       (* runs compose sequentially: the next member starts after the
@@ -255,6 +258,7 @@ let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
       raw_edges
   in
   {
+    tree;
     lca;
     first;
     last;
@@ -269,32 +273,33 @@ let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
 (** {!of_pairs} on the distinct pairs of [races], taken in order of sink
     id (stable, so report-order input is kept as it is), each endpoint
     lifted to the non-scope child of [lca] that contains it. *)
-let build ?coalesce ~span lca (races : Espbags.Race.t list) : t =
+let build ?coalesce ~span tree lca (races : Espbags.Race.t list) : t =
   let by_sink (a : Espbags.Race.t) (b : Espbags.Race.t) =
-    Int.compare a.sink.Sdpst.Node.id b.sink.Sdpst.Node.id
+    Int.compare a.sink b.sink
   in
   let module P = Espbags.Race.Pairs in
   let pairs = P.of_list (List.stable_sort by_sink races) in
-  let child n = (Sdpst.Lca.nonscope_child_ancestor ~anc:lca n).Sdpst.Node.id in
+  let child n = Sdpst.Lca.nonscope_child_ancestor tree ~anc:lca n in
   let lifted pick =
     Tdrutil.Ivec.of_list
       (List.init (P.length pairs) (fun k -> child (pick pairs k)))
   in
   of_pairs ?coalesce ~span
     {
+      tree;
       nslca = lca;
       pairs = Tdrutil.Ivec.of_list (List.init (P.length pairs) Fun.id);
-      src_child = lifted P.src;
-      sink_child = lifted P.sink;
+      src_child = lifted P.src_id;
+      sink_child = lifted P.sink_id;
     }
 
-let pp ppf g =
-  Fmt.pf ppf "depgraph@@%a: %d vertices (%d raw), %d edges@\n" Sdpst.Node.pp
-    g.lca (n_vertices g) g.n_raw (n_edges g);
+let pp ppf (g : t) =
+  let node = Sdpst.Node.pp g.tree in
+  Fmt.pf ppf "depgraph@@%a: %d vertices (%d raw), %d edges@\n" node g.lca
+    (n_vertices g) g.n_raw (n_edges g);
   Array.iteri
     (fun i c ->
-      Fmt.pf ppf "  v%d = %a..%a (t=%d%s)@\n" i Sdpst.Node.pp c Sdpst.Node.pp
-        g.last.(i) g.times.(i)
+      Fmt.pf ppf "  v%d = %a..%a (t=%d%s)@\n" i node c node g.last.(i) g.times.(i)
         (if g.is_async.(i) then ", async" else ""))
     g.first;
   List.iter (fun (i, j) -> Fmt.pf ppf "  v%d -> v%d@\n" i j) g.edges

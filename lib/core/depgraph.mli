@@ -8,6 +8,7 @@
     coalesced into super-vertices (see [build]). *)
 
 type t = private {
+  tree : Sdpst.Node.tree;
   lca : Sdpst.Node.t;  (** the NS-LCA this graph was built from *)
   first : Sdpst.Node.t array;  (** leftmost S-DPST child of each vertex *)
   last : Sdpst.Node.t array;  (** rightmost S-DPST child of each vertex *)
@@ -28,7 +29,7 @@ val n_edges : t -> int
 
 (** Non-scope children of a node (paper Definition 3), left to right:
     descendants reached through scope nodes only. *)
-val nonscope_children : Sdpst.Node.t -> Sdpst.Node.t list
+val nonscope_children : Sdpst.Node.tree -> Sdpst.Node.t -> Sdpst.Node.t list
 
 (** [are_crossing g ~i ~k ~j] — the paper's [succ(i..k) ∩ {k+1..j} ≠ ∅]
     test: does some edge go from a vertex in [i..k] to one in [k+1..j]?
@@ -42,6 +43,7 @@ val are_crossing : t -> i:int -> k:int -> j:int -> bool
     {!Sdpst.Lca.lift}).  The two columns are indexed by pair, so the
     groups of one pair set can share them. *)
 type lifted = {
+  tree : Sdpst.Node.tree;
   nslca : Sdpst.Node.t;
   pairs : Tdrutil.Ivec.t;
   src_child : Tdrutil.Ivec.t;
@@ -67,11 +69,13 @@ val of_pairs : ?coalesce:bool -> span:(Sdpst.Node.t -> int) -> lifted -> t
 (** {!of_pairs} on the distinct step pairs of [races], taken in order of
     sink id (a stable sort: races in report order are kept as they are),
     each endpoint lifted to the non-scope child of [lca] containing it
-    ({!Sdpst.Lca.nonscope_child_ancestor}).
+    ({!Sdpst.Lca.nonscope_child_ancestor}); [races] are races of the
+    given tree.
     @raise Invalid_argument as {!of_pairs} *)
 val build :
   ?coalesce:bool ->
   span:(Sdpst.Node.t -> int) ->
+  Sdpst.Node.tree ->
   Sdpst.Node.t ->
   Espbags.Race.t list ->
   t

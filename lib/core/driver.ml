@@ -188,21 +188,23 @@ module Pairs = Espbags.Race.Pairs
 let group_indices ?(mhp_only = false) lifter ~src_child ~sink_child
     (pairs : Pairs.t) iter : Depgraph.lifted list =
   Sdpst.Lca.restart lifter;
+  let tree = Pairs.tree pairs in
   let tbl = Hashtbl.create 64 in
   let fresh nslca =
     let g =
-      { Depgraph.nslca; pairs = Tdrutil.Ivec.create (); src_child; sink_child }
+      { Depgraph.tree; nslca; pairs = Tdrutil.Ivec.create (); src_child;
+        sink_child }
     in
-    Hashtbl.add tbl nslca.Sdpst.Node.id g;
+    Hashtbl.add tbl nslca g;
     g
   in
   let last = ref None in
   let group_of lca =
     match !last with
-    | Some (g : Depgraph.lifted) when g.nslca == lca -> g
+    | Some (g : Depgraph.lifted) when g.nslca = lca -> g
     | _ ->
         let g =
-          match Hashtbl.find_opt tbl lca.Sdpst.Node.id with
+          match Hashtbl.find_opt tbl lca with
           | Some g -> g
           | None -> fresh lca
         in
@@ -210,7 +212,7 @@ let group_indices ?(mhp_only = false) lifter ~src_child ~sink_child
         g
   in
   iter (fun k ->
-      let src = Pairs.src pairs k and sink = Pairs.sink pairs k in
+      let src = Pairs.src_id pairs k and sink = Pairs.sink_id pairs k in
       let lca = Sdpst.Lca.lift lifter ~src ~sink in
       if (not mhp_only) || Sdpst.Lca.src_child_is_async lifter then begin
         Tdrutil.Ivec.push (group_of lca).pairs k;
@@ -219,7 +221,7 @@ let group_indices ?(mhp_only = false) lifter ~src_child ~sink_child
       end);
   Hashtbl.fold (fun _ g acc -> g :: acc) tbl []
   |> List.sort (fun (a : Depgraph.lifted) (b : Depgraph.lifted) ->
-         Int.compare a.nslca.Sdpst.Node.id b.nslca.Sdpst.Node.id)
+         Int.compare a.nslca b.nslca)
 
 (* Per-pair columns for {!group_indices}. *)
 let lift_columns pairs =
@@ -284,11 +286,11 @@ let per_edge_fallback ~wrap_ok (g : Depgraph.t) : (int * int) list option =
    O(n^3) cell updates.  Saturating, so budgets compare safely. *)
 let dp_work_of n = if n >= 100_000 then max_int / 2 else n * n * n
 
-let no_placement lca =
+let no_placement tree lca =
   Unrepairable
     (Fmt.str
        "no scope-valid finish placement can separate the races at NS-LCA %a"
-       Sdpst.Node.pp lca)
+       (Sdpst.Node.pp tree) lca)
 
 (* Solve one NS-LCA group.  Fidelity chain, highest affordable tier first
    (DESIGN.md "Robustness & failure modes"):
@@ -300,14 +302,15 @@ let no_placement lca =
      tier (also recorded). *)
 let solve_group ~guard ~wrap_ok ~span (group : Depgraph.lifted) :
     group_result =
-  let lca = group.nslca in
+  let lca = group.nslca and tree = group.tree in
+  let pp_lca = Sdpst.Node.pp tree in
   (* placement runs under the job's deadline too: one poll per group *)
   Rt.Watchdog.check ();
   if Faultinject.enabled Faultinject.Place_unsat then
     raise
       (Unrepairable
          (Fmt.str "injected fault: unsatisfiable placement at NS-LCA %a"
-            Sdpst.Node.pp lca));
+            pp_lca lca));
   let g =
     Obs.Trace.with_span "depgraph" (fun () ->
         Depgraph.of_pairs ~span group)
@@ -315,7 +318,7 @@ let solve_group ~guard ~wrap_ok ~span (group : Depgraph.lifted) :
   let cover_with g' =
     match per_edge_fallback ~wrap_ok g' with
     | Some ivs -> (g', ivs, -1, true)
-    | None -> raise (no_placement lca)
+    | None -> raise (no_placement tree lca)
   in
   let solve_on g' =
     match Dp_place.solve ~valid:(Valid.make_checker ~wrap_ok g') g' with
@@ -323,15 +326,14 @@ let solve_group ~guard ~wrap_ok ~span (group : Depgraph.lifted) :
     | exception Dp_place.Unsatisfiable _ ->
         Log.warn (fun m ->
             m "DP unsatisfiable at NS-LCA %a; falling back to per-edge covers"
-              Sdpst.Node.pp lca);
-        Guard.note guard
-          (Guard.Dp_unsat_fallback { lca_id = lca.Sdpst.Node.id });
+              pp_lca lca);
+        Guard.note guard (Guard.Dp_unsat_fallback { lca_id = lca });
         cover_with g'
   in
   let n = Depgraph.n_vertices g in
   let g_used, finishes, dp_cost, fell_back =
     Obs.Trace.with_span "dp-place"
-      ~args:[ ("lca", lca.Sdpst.Node.id); ("vertices", n) ]
+      ~args:[ ("lca", lca); ("vertices", n) ]
     @@ fun () ->
     if
       Faultinject.enabled Faultinject.Dp_timeout
@@ -339,9 +341,8 @@ let solve_group ~guard ~wrap_ok ~span (group : Depgraph.lifted) :
     then begin
       Log.warn (fun m ->
           m "DP work budget exhausted at NS-LCA %a; using per-edge covers"
-            Sdpst.Node.pp lca);
-      Guard.note guard
-        (Guard.Dp_interval_cover { lca_id = lca.Sdpst.Node.id });
+            pp_lca lca);
+      Guard.note guard (Guard.Dp_interval_cover { lca_id = lca });
       cover_with g
     end
     else begin
@@ -373,7 +374,7 @@ let solve_group ~guard ~wrap_ok ~span (group : Depgraph.lifted) :
       finishes
   in
   {
-    lca_id = lca.Sdpst.Node.id;
+    lca_id = lca;
     n_vertices = Depgraph.n_vertices g_used;
     n_edges = Depgraph.n_edges g_used;
     dp_cost;
@@ -394,14 +395,16 @@ let scopes_of program =
   Obs.Trace.with_span "scopecheck" (fun () -> Mhj.Scopecheck.build program)
 
 (* Batch placement: every NS-LCA group against the one S-DPST. *)
-let place_pairs ~guard ~program (pairs : Pairs.t) =
-  let span, _drag = Sdpst.Analysis.span_memo () in
+let place_pairs ?(guard = Guard.make Guard.unlimited) ~program (pairs : Pairs.t)
+    =
+  let tree = Pairs.tree pairs in
+  let span, _drag = Sdpst.Analysis.span_memo tree in
   let scopes = scopes_of program in
   let wrap_ok = Mhj.Scopecheck.wrap_ok scopes in
   let groups =
     Obs.Trace.with_span "nslca-group" (fun () ->
         let src_child, sink_child = lift_columns pairs in
-        group_indices (Sdpst.Lca.lifter ()) ~src_child ~sink_child pairs
+        group_indices (Sdpst.Lca.lifter tree) ~src_child ~sink_child pairs
           (all_pairs pairs))
   in
   let results = List.map (solve_group ~guard ~wrap_ok ~span) groups in
@@ -428,7 +431,7 @@ let place_pairs_incremental ~guard ~program (tree : Sdpst.Node.tree)
   let scopes = scopes_of program in
   let wrap_ok = Mhj.Scopecheck.wrap_ok scopes in
   let results = ref [] in
-  let lifter = Sdpst.Lca.lifter () in
+  let lifter = Sdpst.Lca.lifter tree in
   let src_child, sink_child = lift_columns pairs in
   (* keys are node ids, unique per tree ({!Sdpst.Node.tree}): a regrouped
      pair's NS-LCA is either a stale key, removed before regrouping, or
@@ -436,7 +439,7 @@ let place_pairs_incremental ~guard ~program (tree : Sdpst.Node.tree)
   let add_groups groups gs =
     List.fold_left
       (fun m (g : Depgraph.lifted) ->
-        let id = g.nslca.Sdpst.Node.id in
+        let id = g.nslca in
         if Int_map.mem id m then
           invalid_arg "Driver: a regrouped NS-LCA has a group standing";
         Int_map.add id g m)
@@ -451,7 +454,7 @@ let place_pairs_incremental ~guard ~program (tree : Sdpst.Node.tree)
   in
   let rounds = ref 0 in
   (* one span memo for the pass: each splice forgets its root path *)
-  let memo = Sdpst.Analysis.memo () in
+  let memo = Sdpst.Analysis.memo tree in
   let span = Sdpst.Analysis.span memo in
   while not (Int_map.is_empty !groups) do
     incr rounds;
@@ -482,12 +485,14 @@ let place_pairs_incremental ~guard ~program (tree : Sdpst.Node.tree)
           if !rounds = 1 then Int_map.bindings !groups
           else begin
             let rec path (n : Sdpst.Node.t) acc =
-              let acc =
-                match Int_map.find_opt n.id !groups with
-                | Some g -> (n.id, g) :: acc
-                | None -> acc
-              in
-              match n.parent with Some p -> path p acc | None -> acc
+              if n < 0 then acc
+              else
+                let acc =
+                  match Int_map.find_opt n !groups with
+                  | Some g -> (n, g) :: acc
+                  | None -> acc
+                in
+                path (Sdpst.Node.parent tree n) acc
             in
             path parent []
           end
@@ -544,8 +549,7 @@ let enforce_sdpst_budget ~guard (tree : Sdpst.Node.tree) (pairs : Pairs.t) :
       let nodes_before = tree.Sdpst.Node.n_nodes in
       let removed =
         Sdpst.Analysis.prune tree ~keep:(fun n ->
-            let id = n.Sdpst.Node.id in
-            id < Bytes.length endpoint && Bytes.get endpoint id = '\001')
+            n < Bytes.length endpoint && Bytes.get endpoint n = '\001')
       in
       if removed > 0 then begin
         Log.warn (fun m ->
@@ -581,7 +585,7 @@ let run_repair (o : Options.t) ~validate_par ~first ~last
   let detect_options = { o with backend = (backend :> backend) } in
   Obs.Metrics.set metrics "detector.backend"
     (match backend with `Espbags -> 0 | `Vclock -> 1);
-  let finish program iterations ~converged ~final_races =
+  let finish ?reference program iterations ~converged ~final_races =
     let verified_static, static_residual =
       if o.static_verify && converged then
         let summary, _mhp, cs =
@@ -598,7 +602,7 @@ let run_repair (o : Options.t) ~validate_par ~first ~last
           let v =
             Guard.at_stage Diag.Interp (fun () ->
                 Obs.Trace.with_span "validate-par" (fun () ->
-                    Par.Validate.of_request ?fuel req program))
+                    Par.Validate.of_request ?fuel ?reference req program))
           in
           if v.Par.Validate.skipped > 0 then
             Guard.note guard
@@ -718,8 +722,14 @@ let run_repair (o : Options.t) ~validate_par ~first ~last
     in
     match outcome with
     | `Converged d ->
+        (* the converged run is validation's sequential reference: keep
+           its observation, not its S-DPST *)
+        let reference =
+          Option.map (fun _ -> Par.Validate.reference d.run.result) validate_par
+        in
         let kept = last d in
-        (finish program iterations ~converged:true ~final_races:0, kept)
+        ( finish ?reference program iterations ~converged:true ~final_races:0,
+          kept )
     | `Exhausted (n, d) ->
         let kept = last d in
         (finish program iterations ~converged:false ~final_races:n, kept)

@@ -102,10 +102,17 @@ type detection = {
     @raise Diag.Fail on typed failures of the pre-pass or the run *)
 val detect : Options.t -> Mhj.Ast.program -> detection
 
-(** One placement pass: the dynamic placement + location mapping for the
-    races of a single detector run, without touching the program.
-    Trace-file workflows (paper Appendix A) drive this directly.
-    [guard] supplies DP budgets (default unlimited). *)
+(** One placement pass on a detector run's distinct step pairs (a
+    {!detection}'s [pairs]), without touching the program.  [guard]
+    supplies DP budgets (default unlimited). *)
+val place_pairs :
+  ?guard:Guard.t ->
+  program:Mhj.Ast.program ->
+  Espbags.Race.Pairs.t ->
+  group_result list * Static_place.merged
+
+(** {!place_pairs} on a race list, for the trace-file workflows (paper
+    Appendix A). *)
 val place_for_tree :
   ?guard:Guard.t ->
   program:Mhj.Ast.program ->

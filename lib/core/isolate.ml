@@ -36,9 +36,9 @@ let bids (p : Mhj.Ast.program) : IntSet.t =
 (** Are both steps inside [isolated] sections?  A race between them is
     discharged by mutual exclusion; the test reads only the endpoints'
     origin blocks, so it applies to step pairs as well as races. *)
-let covers (iso : IntSet.t) (src : Sdpst.Node.t) (sink : Sdpst.Node.t) =
-  IntSet.mem src.Sdpst.Node.origin_bid iso
-  && IntSet.mem sink.Sdpst.Node.origin_bid iso
+let covers (iso : IntSet.t) tree (src : Sdpst.Node.t) (sink : Sdpst.Node.t) =
+  IntSet.mem (Sdpst.Node.origin_bid tree src) iso
+  && IntSet.mem (Sdpst.Node.origin_bid tree sink) iso
 
 (** Remove the races discharged by the program's [isolated] sections.
     Returns the surviving races and the discharged ones. *)
@@ -48,7 +48,7 @@ let split (p : Mhj.Ast.program) (races : Espbags.Race.t list) :
   else begin
     let iso = bids p in
     List.partition
-      (fun (r : Espbags.Race.t) -> not (covers iso r.src r.sink))
+      (fun (r : Espbags.Race.t) -> not (covers iso r.tree r.src r.sink))
       races
   end
 
@@ -65,7 +65,10 @@ let suppress_pairs (p : Mhj.Ast.program) (pairs : Espbags.Race.Pairs.t) :
   else begin
     let iso = bids p in
     let module P = Espbags.Race.Pairs in
-    P.filter (fun k -> not (covers iso (P.src pairs k) (P.sink pairs k))) pairs
+    let tree = P.tree pairs in
+    P.filter
+      (fun k -> not (covers iso tree (P.src_id pairs k) (P.sink_id pairs k)))
+      pairs
   end
 
 (* ------------------------------------------------------------------ *)

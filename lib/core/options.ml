@@ -61,7 +61,9 @@ let row ?(commands = [ Detect; Repair ]) ?(docv = "") key kind set doc =
 let repair_only = [ Repair ]
 
 let budget key set doc =
-  row key ~docv:"N" ~commands:repair_only (Int (fun _ -> None)) set doc
+  row key ~docv:"N" ~commands:repair_only
+    (Int (fun n -> if n < 0 then Some "must be non-negative" else None))
+    set doc
 
 let strategies =
   [

@@ -59,7 +59,7 @@ let output (d : Driver.detection) = d.run.result.Rt.Interp.output
 let serialize_pairs (discharged : Espbags.Race.t list) : (int * int) list =
   List.map
     (fun (r : Espbags.Race.t) ->
-      (r.src.Sdpst.Node.id, r.sink.Sdpst.Node.id))
+      (r.src, r.sink))
     discharged
 
 (* The score of a candidate's clean run. *)
@@ -108,14 +108,14 @@ let isolated_placements (p : Mhj.Ast.program) (races : Espbags.Race.t list) :
   let ranges : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
   let err = ref None in
   let fail msg = if !err = None then err := Some msg in
-  let add_endpoint (n : Sdpst.Node.t) =
-    let bid = n.Sdpst.Node.origin_bid in
+  let add_endpoint tree (n : Sdpst.Node.t) =
+    let bid = Sdpst.Node.origin_bid tree n in
     if not (Isolate.IntSet.mem bid iso) then
       match Hashtbl.find_opt sc.Mhj.Scopecheck.blocks bid with
       | None -> fail "racing step in unknown block"
       | Some stmts ->
-          let lo = n.origin_idx in
-          let hi = max n.origin_idx n.last_idx in
+          let lo = Sdpst.Node.origin_idx tree n in
+          let hi = max lo (Sdpst.Node.last_idx tree n) in
           if lo < 0 || hi >= Array.length stmts then
             fail "racing step range out of block"
           else begin
@@ -147,8 +147,8 @@ let isolated_placements (p : Mhj.Ast.program) (races : Espbags.Race.t list) :
   in
   List.iter
     (fun (r : Espbags.Race.t) ->
-      add_endpoint r.src;
-      add_endpoint r.sink)
+      add_endpoint r.tree r.src;
+      add_endpoint r.tree r.sink)
     races;
   match !err with
   | Some msg -> Error msg
@@ -218,10 +218,10 @@ let isolated_candidate ~options ~first prog : candidate =
 (* ------------------------------------------------------------------ *)
 
 (* Nearest enclosing async statement of an S-DPST node. *)
-let rec async_sid (n : Sdpst.Node.t) : int option =
-  match n.Sdpst.Node.kind with
-  | Sdpst.Node.Async -> Some n.sid
-  | _ -> Option.bind n.parent async_sid
+let rec async_sid tree (n : Sdpst.Node.t) : int option =
+  if n < 0 then None
+  else if Sdpst.Node.is_async tree n then Some (Sdpst.Node.sid tree n)
+  else async_sid tree (Sdpst.Node.parent tree n)
 
 let elide_candidate ~options ~first prog : candidate =
   iterate Elide ~max_rounds:(Mhj.Ast.count_asyncs prog + 1) ~options ~first
@@ -230,7 +230,7 @@ let elide_candidate ~options ~first prog : candidate =
         List.fold_left
           (fun acc (r : Espbags.Race.t) ->
             let add acc n =
-              match async_sid n with
+              match async_sid r.tree n with
               | Some sid -> Isolate.IntSet.add sid acc
               | None -> acc
             in
@@ -271,48 +271,43 @@ let loop_table (p : Mhj.Ast.program) : (int, loop_info) Hashtbl.t =
     p;
   tbl
 
-let path_to (n : Sdpst.Node.t) : Sdpst.Node.t list =
-  let rec go n acc =
-    match n.Sdpst.Node.parent with
-    | None -> n :: acc
-    | Some p -> go p (n :: acc)
-  in
+let path_to tree (n : Sdpst.Node.t) : Sdpst.Node.t list =
+  let rec go n acc = if n < 0 then acc else go (Sdpst.Node.parent tree n) (n :: acc) in
   go n []
 
 (* If the race is loop-carried — the two endpoints' tree paths diverge
    at two iteration scopes of one chunkable for loop — return the loop's
    statement id and the iteration ordinal distance. *)
-let race_loop (tbl : (int, loop_info) Hashtbl.t) (a : Sdpst.Node.t)
+let race_loop (tbl : (int, loop_info) Hashtbl.t) tree (a : Sdpst.Node.t)
     (b : Sdpst.Node.t) : (int * int) option =
+  let module N = Sdpst.Node in
   let rec go pa pb =
     match (pa, pb) with
-    | x :: (xa :: _ as ra), y :: (yb :: _ as rb)
-      when x.Sdpst.Node.id = y.Sdpst.Node.id ->
-        if xa.Sdpst.Node.id = yb.Sdpst.Node.id then go ra rb
+    | x :: (xa :: _ as ra), y :: (yb :: _ as rb) when x = y ->
+        if xa = yb then go ra rb
         else if
-          xa.Sdpst.Node.sid = yb.Sdpst.Node.sid
-          && Sdpst.Node.is_scope xa && Sdpst.Node.is_scope yb
+          N.sid tree xa = N.sid tree yb
+          && N.is_scope tree xa && N.is_scope tree yb
         then
-          match Hashtbl.find_opt tbl xa.Sdpst.Node.sid with
+          match Hashtbl.find_opt tbl (N.sid tree xa) with
           | Some info when info.chunkable ->
               (* iteration ordinal = position among same-loop siblings *)
-              let ord (c : Sdpst.Node.t) =
-                let k = ref 0 and stop = ref false in
-                Tdrutil.Vec.iter
-                  (fun (ch : Sdpst.Node.t) ->
-                    if not !stop then
-                      if ch.Sdpst.Node.id = c.Sdpst.Node.id then stop := true
-                      else if ch.Sdpst.Node.sid = c.Sdpst.Node.sid then
-                        incr k)
-                  x.Sdpst.Node.children;
-                !k
+              let ord (c : N.t) =
+                let sid = N.sid tree c in
+                let rec count ch k =
+                  if ch = c || ch < 0 then k
+                  else
+                    count (N.next_sibling tree ch)
+                      (if N.sid tree ch = sid then k + 1 else k)
+                in
+                count (N.first_child tree x) 0
               in
               Some (info.for_sid, abs (ord xa - ord yb))
           | _ -> None
         else None
     | _ -> None
   in
-  go (path_to a) (path_to b)
+  go (path_to tree a) (path_to tree b)
 
 let chunk_max_rounds = 4
 
@@ -326,7 +321,7 @@ let chunk_candidate ~options ~first prog : candidate =
       List.iter
         (fun (r : Espbags.Race.t) ->
           if !err = None then
-            match race_loop tbl r.src r.sink with
+            match race_loop tbl r.tree r.src r.sink with
             | Some (for_sid, d) when d >= 1 ->
                 let cur =
                   Option.value ~default:max_int (Hashtbl.find_opt dmin for_sid)

@@ -24,19 +24,19 @@ type insertion = {
 
 (* The child of [p] on the path from [n] to [p] ([n] itself if its parent
    is [p]). *)
-let child_ancestor ~p n =
+let child_ancestor t ~p n =
+  (* above the root: [Invalid_argument] for node -1 *)
   let rec go n =
-    match n.Sdpst.Node.parent with
-    | Some q when q.Sdpst.Node.id = p.Sdpst.Node.id -> n
-    | Some q -> go q
-    | None -> invalid_arg "Valid.child_ancestor: not a descendant"
+    let q = Sdpst.Node.parent t n in
+    if q = p then n else go q
   in
   go n
 
 (* First and last statement index occupied by a child node of [p]. *)
-let stmt_range (n : Sdpst.Node.t) =
-  let last = if Sdpst.Node.is_step n then n.last_idx else n.origin_idx in
-  (n.origin_idx, last)
+let stmt_range t (n : Sdpst.Node.t) =
+  let first = Sdpst.Node.origin_idx t n in
+  let last = if Sdpst.Node.is_step t n then Sdpst.Node.last_idx t n else first in
+  (first, last)
 
 (** Compute the S-DPST insertion realizing a finish over dependence-graph
     vertices [g.nodes.(i) .. g.nodes.(j)] (0-based, inclusive), or [None]
@@ -55,43 +55,40 @@ let stmt_range (n : Sdpst.Node.t) =
     steps). *)
 let insertion_for ?(wrap_ok = fun ~bid:_ ~lo:_ ~hi:_ -> true) (g : Depgraph.t)
     ~i ~j : insertion option =
+  let t = g.tree in
   let ni = g.first.(i) and nj = g.last.(j) in
   let left = if i > 0 then Some g.last.(i - 1) else None in
   let right =
     if j + 1 < Depgraph.n_vertices g then Some g.first.(j + 1) else None
   in
   let candidate_at p : insertion option =
-    let a = child_ancestor ~p ni and b = child_ancestor ~p nj in
-    let lo, _ = stmt_range a in
-    let _, hi = stmt_range b in
+    let a = child_ancestor t ~p ni and b = child_ancestor t ~p nj in
+    let lo, _ = stmt_range t a in
+    let _, hi = stmt_range t b in
     (* Statement-boundary test: left sharing is benign (a preceding step
        that also touches statement [lo] — a condition or argument
        evaluation — merely gets that fragment pulled inside the finish);
        right sharing is not, because the statically wrapped range would
        swallow part of the following vertex, which may be a race sink the
        finish must precede. *)
-    let child_lo = Sdpst.Node.child_index p a in
-    let child_hi = Sdpst.Node.child_index p b in
+    let child_lo = Sdpst.Node.child_index t p a in
+    let child_hi = Sdpst.Node.child_index t p b in
     let left_ok =
-      child_lo = 0
-      ||
-      let prev = Tdrutil.Vec.get p.Sdpst.Node.children (child_lo - 1) in
-      Sdpst.Node.is_step prev || snd (stmt_range prev) < lo
+      let prev = Sdpst.Node.prev_sibling t a in
+      prev < 0 || Sdpst.Node.is_step t prev || snd (stmt_range t prev) < lo
     in
     let right_ok =
-      child_hi = Tdrutil.Vec.length p.Sdpst.Node.children - 1
-      ||
-      let next = Tdrutil.Vec.get p.Sdpst.Node.children (child_hi + 1) in
-      fst (stmt_range next) > hi
+      let next = Sdpst.Node.next_sibling t b in
+      next < 0 || fst (stmt_range t next) > hi
     in
-    if left_ok && right_ok && wrap_ok ~bid:a.Sdpst.Node.origin_bid ~lo ~hi
-    then
+    let bid = Sdpst.Node.origin_bid t a in
+    if left_ok && right_ok && wrap_ok ~bid ~lo ~hi then
       Some
         {
           parent = p;
           child_lo;
           child_hi;
-          placement = { Mhj.Transform.bid = a.Sdpst.Node.origin_bid; lo; hi };
+          placement = { Mhj.Transform.bid; lo; hi };
         }
     else None
   in
@@ -101,29 +98,26 @@ let insertion_for ?(wrap_ok = fun ~bid:_ ~lo:_ ~hi:_ -> true) (g : Depgraph.t)
     match neighbour with
     | None -> true
     | Some nb ->
-        (not (Sdpst.Lca.is_ancestor p nb))
-        || (child_ancestor ~p nb).Sdpst.Node.id <> boundary
+        (not (Sdpst.Lca.is_ancestor t p nb))
+        || child_ancestor t ~p nb <> boundary
   in
   let rec climb p best =
-    let a = child_ancestor ~p ni and b = child_ancestor ~p nj in
-    if
-      not
-        (excluded p left a.Sdpst.Node.id && excluded p right b.Sdpst.Node.id)
-    then best
+    let a = child_ancestor t ~p ni and b = child_ancestor t ~p nj in
+    if not (excluded p left a && excluded p right b) then best
     else
       let best =
         match candidate_at p with Some c -> Some c | None -> best
       in
-      match (Sdpst.Node.is_scope p, p.Sdpst.Node.parent) with
-      | true, Some q -> climb q best
-      | _ -> best
+      let q = Sdpst.Node.parent t p in
+      if Sdpst.Node.is_scope t p && q >= 0 then climb q best else best
   in
   let p0 =
-    if ni.Sdpst.Node.id = nj.Sdpst.Node.id then
-      match ni.Sdpst.Node.parent with
-      | Some p -> p
-      | None -> invalid_arg "Valid.insertion_for: vertex is the root"
-    else Sdpst.Lca.lca ni nj
+    if ni = nj then begin
+      let p = Sdpst.Node.parent t ni in
+      if p < 0 then invalid_arg "Valid.insertion_for: vertex is the root";
+      p
+    end
+    else Sdpst.Lca.lca t ni nj
   in
   climb p0 None
 
@@ -131,19 +125,15 @@ let insertion_for ?(wrap_ok = fun ~bid:_ ~lo:_ ~hi:_ -> true) (g : Depgraph.t)
     boundaries with their outside neighbours.  Retained for
     cross-validation against {!insertion_for} in the test suite. *)
 let valid_by_depths (g : Depgraph.t) ~i ~j : bool =
-  let n = Depgraph.n_vertices g in
+  let n = Depgraph.n_vertices g and t = g.tree in
+  let lca_depth a b = Sdpst.Node.depth t (Sdpst.Lca.lca t a b) in
   let d12 =
-    if i = j && g.first.(i).Sdpst.Node.id = g.last.(i).Sdpst.Node.id then
-      g.first.(i).Sdpst.Node.depth
-    else (Sdpst.Lca.lca g.first.(i) g.last.(j)).Sdpst.Node.depth
+    if i = j && g.first.(i) = g.last.(i) then Sdpst.Node.depth t g.first.(i)
+    else lca_depth g.first.(i) g.last.(j)
   in
-  let d1l =
-    if i = 0 then min_int
-    else (Sdpst.Lca.lca g.last.(i - 1) g.first.(i)).Sdpst.Node.depth
-  in
+  let d1l = if i = 0 then min_int else lca_depth g.last.(i - 1) g.first.(i) in
   let d2r =
-    if j = n - 1 then min_int
-    else (Sdpst.Lca.lca g.last.(j) g.first.(j + 1)).Sdpst.Node.depth
+    if j = n - 1 then min_int else lca_depth g.last.(j) g.first.(j + 1)
   in
   not (d1l > d12 || d2r > d12)
 

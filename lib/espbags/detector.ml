@@ -4,10 +4,10 @@ module Order = struct
   type t = Bags.t
 
   let create = Bags.create
-  let task_begin b (n : Sdpst.Node.t) = Bags.task_begin b ~task:n.id
-  let task_end b (n : Sdpst.Node.t) = Bags.task_end b ~task:n.id
-  let finish_begin b (n : Sdpst.Node.t) = Bags.finish_begin b ~finish:n.id
-  let finish_end b (n : Sdpst.Node.t) = Bags.finish_end b ~finish:n.id
+  let task_begin b task = Bags.task_begin b ~task
+  let task_end b task = Bags.task_end b ~task
+  let finish_begin b finish = Bags.finish_begin b ~finish
+  let finish_end b finish = Bags.finish_end b ~finish
   let srw_stride = 4
   let srw_parallel b row i = Bags.in_pbag b (Array.unsafe_get row i)
   let srw_store b row i = Array.unsafe_set row i (Bags.current_task b)

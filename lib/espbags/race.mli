@@ -14,21 +14,25 @@ type t = private {
   sink : Sdpst.Node.t;  (** sink step *)
   addr : Rt.Addr.t;  (** the contended location *)
   kind : kind;
+  tree : Sdpst.Node.tree;  (** the S-DPST both steps belong to *)
 }
 
 (** @raise Assert_failure if [src] does not precede [sink]. *)
 val make :
-  src:Sdpst.Node.t -> sink:Sdpst.Node.t -> addr:Rt.Addr.t -> kind:kind -> t
+  tree:Sdpst.Node.tree ->
+  src:Sdpst.Node.t ->
+  sink:Sdpst.Node.t ->
+  addr:Rt.Addr.t ->
+  kind:kind ->
+  t
 
 val pp : t Fmt.t
 
-(** Exact per-record signature [(src id, sink id, addr, kind)] — node ids
-    are deterministic under the depth-first interpreter, so two runs
-    report the same races in the same order iff their {!exact_sigs}
-    lists are equal.  This is the single comparator shared by the
-    differential test harness and the bench byte-identity assertions. *)
-val exact_sig : t -> int * int * string * string
-
+(** Exact per-record signatures [(src id, sink id, addr, kind)] — node
+    ids are deterministic under the depth-first interpreter, so two runs
+    report the same races in the same order iff their signature lists
+    are equal.  The comparator shared by the differential test harness
+    and the bench byte-identity assertions. *)
 val exact_sigs : t list -> (int * int * string * string) list
 
 val pp_sig : (int * int * string * string) Fmt.t
@@ -49,13 +53,12 @@ type race := t
 module Pairs : sig
   type t
 
-  (** [build ~steps feed] calls [feed add] once; [add key] records the
-      packed key [(src lsl 31) lor sink] of one race report and says
-      whether its pair is new.  [steps] maps step ids to nodes for
-      {!src} and {!sink}.
+  (** [build ~tree feed] calls [feed add] once; [add key] records the
+      packed key [(src lsl 31) lor sink] of one race report, steps of
+      [tree], and says whether its pair is new.
       @raise Invalid_argument if a sink id decreases or a source does not
         precede its sink *)
-  val build : steps:Sdpst.Node.t Tdrutil.Vec.t -> ((int -> bool) -> unit) -> t
+  val build : tree:Sdpst.Node.tree -> ((int -> bool) -> unit) -> t
 
   (** The pair set of races in report order.
       @raise Invalid_argument as {!build} on a list out of report order *)
@@ -70,10 +73,11 @@ module Pairs : sig
   (** [count t k]: reports of pair [k] (0-based, first-seen order). *)
   val count : t -> int -> int
 
-  val src_id : t -> int -> int
-  val sink_id : t -> int -> int
-  val src : t -> int -> Sdpst.Node.t
-  val sink : t -> int -> Sdpst.Node.t
+  val src_id : t -> int -> Sdpst.Node.t
+  val sink_id : t -> int -> Sdpst.Node.t
+
+  (** The tree of the steps. *)
+  val tree : t -> Sdpst.Node.tree
 
   (** The pairs [k] with [keep k], in order, multiplicities kept. *)
   val filter : (int -> bool) -> t -> t

@@ -121,15 +121,14 @@ let iter_lines t f =
         with End_of_file -> ())
   end
 
-(** Read the spilled records back, in spill order.  [resolve] maps a step
-    id to its node (the detector's step registry: every spilled id was
-    registered when recorded).
+(** Read the spilled records back, in spill order, as races of the
+    steps of [tree].
     @raise Trace.Parse_error on a corrupted file *)
-let records t ~resolve : Race.t list =
+let records t ~tree : Race.t list =
   let races = ref [] in
   iter_lines t (fun ~line kind addr src sink ->
       races :=
-        Race.make ~src:(resolve src) ~sink:(resolve sink)
+        Race.make ~tree ~src ~sink
           ~addr:(Trace.addr_of_string ~line addr)
           ~kind:(Trace.kind_of_string ~line kind)
         :: !races);

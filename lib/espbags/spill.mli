@@ -12,9 +12,6 @@
 
 type config = { path : string; cap : int  (** max in-memory records *) }
 
-(** Default record cap (2^20 records = 16 MiB of packed buffer). *)
-val default_cap : int
-
 (** @raise Invalid_argument for a non-positive cap *)
 val config : ?cap:int -> string -> config
 
@@ -41,11 +38,10 @@ val append : t -> intern:Rt.Addr.Intern.t -> Tdrutil.Ivec.t -> unit
     later [append] reopens it without truncating). *)
 val close : t -> unit
 
-(** Read the spilled records back, in spill order.  [resolve] maps a
-    step id to its node (every spilled id is in the detector's step
-    registry).
+(** Read the spilled records back, in spill order, as races of the
+    steps of [tree].
     @raise Trace.Parse_error on a corrupted file *)
-val records : t -> resolve:(int -> Sdpst.Node.t) -> Race.t list
+val records : t -> tree:Sdpst.Node.tree -> Race.t list
 
 (** The packed [(src lsl 31) lor sink] step-id key of every spilled
     record, in spill order, without building the records.

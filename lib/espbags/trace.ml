@@ -65,25 +65,23 @@ let to_string ~mode (races : Race.t list) : string =
   List.iter
     (fun (r : Race.t) ->
       add_race_line buf ~kind:r.kind ~addr:r.addr
-        ~src:r.src.Sdpst.Node.id ~sink:r.sink.Sdpst.Node.id)
+        ~src:r.src ~sink:r.sink)
     races;
   Buffer.contents buf
 
 (** Parse a trace against the S-DPST of the (re-executed) program run that
-    produced it; node ids are resolved to step nodes.
+    produced it; every node id must be a live step of it.
     @raise Parse_error on malformed input or unresolvable/non-step ids. *)
 let of_string (tree : Sdpst.Node.tree) (s : string) :
     mode * Race.t list =
-  let by_id = Hashtbl.create 1024 in
-  Sdpst.Node.iter_tree
-    (fun n -> Hashtbl.replace by_id n.Sdpst.Node.id n)
-    tree;
+  let live = Bytes.make tree.Sdpst.Node.next_id '\000' in
+  Sdpst.Node.iter_tree (fun n -> Bytes.set live n '\001') tree;
   let resolve ~line id =
-    match Hashtbl.find_opt by_id id with
-    | Some n when Sdpst.Node.is_step n -> n
-    | Some _ ->
-        raise (Parse_error (Fmt.str "node %d is not a step" id, line))
-    | None -> raise (Parse_error (Fmt.str "unknown node id %d" id, line))
+    if id < 0 || id >= Bytes.length live || Bytes.get live id = '\000' then
+      raise (Parse_error (Fmt.str "unknown node id %d" id, line))
+    else if not (Sdpst.Node.is_step tree id) then
+      raise (Parse_error (Fmt.str "node %d is not a step" id, line))
+    else id
   in
   let lines = String.split_on_char '\n' s in
   match lines with
@@ -102,7 +100,7 @@ let of_string (tree : Sdpst.Node.tree) (s : string) :
               match (int_of_string_opt src, int_of_string_opt sink) with
               | Some src, Some sink ->
                   races :=
-                    Race.make ~src:(resolve ~line:lnum src)
+                    Race.make ~tree ~src:(resolve ~line:lnum src)
                       ~sink:(resolve ~line:lnum sink)
                       ~addr:(addr_of_string ~line:lnum addr)
                       ~kind:(kind_of_string ~line:lnum kind)

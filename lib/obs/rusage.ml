@@ -9,10 +9,6 @@ let peak_rss_kb () =
 
 let heap_words () = (Gc.quick_stat ()).Gc.heap_words
 
-let live_words () =
-  Gc.full_major ();
-  (Gc.stat ()).Gc.live_words
-
 type watermark = { mutable high : int; mutable alarm : Gc.alarm option }
 
 let watermark () =

@@ -15,10 +15,6 @@ val peak_rss_kb : unit -> int
 (** Current total heap size in words (cheap: {!Gc.quick_stat}). *)
 val heap_words : unit -> int
 
-(** Live words after a forced full major collection (expensive: walks
-    the heap; for after-the-run footprints). *)
-val live_words : unit -> int
-
 (** Heap high-water tracking between two points, sampled at every major
     GC cycle plus at creation and reads. *)
 type watermark

@@ -33,16 +33,21 @@ let sorted_lines s =
   |> List.filter (fun l -> l <> "")
   |> List.sort String.compare
 
+type reference = { lines : string list; digest : string }
+
+let reference (r : Rt.Interp.result) =
+  { lines = sorted_lines r.output; digest = Rt.Value.digest_globals r.globals }
+
 (* One fuzzed schedule against the reference observation.  Returns the
    divergence (if any) plus the engine's scheduler stats (absent when
    the schedule raised before producing a result). *)
-let check_schedule ?fuel prog ~schedule_seed ~ref_lines ~ref_digest =
+let check_schedule ?fuel prog ~schedule_seed reference =
   match Engine.run ?fuel ~mode:(Engine.Fuzz { seed = schedule_seed }) prog with
   | r ->
       let d =
-        if sorted_lines r.output <> ref_lines then
+        if sorted_lines r.output <> reference.lines then
           Some { schedule_seed; detail = "printed output differs" }
-        else if r.digest <> ref_digest then
+        else if r.digest <> reference.digest then
           Some { schedule_seed; detail = "final global state differs" }
         else None
       in
@@ -55,11 +60,11 @@ let check_schedule ?fuel prog ~schedule_seed ~ref_lines ~ref_digest =
           },
         None )
 
-let check ?fuel ?budget_ms ?(schedules = 10) ?(seed = 1)
+let check ?fuel ?budget_ms ?(schedules = 10) ?(seed = 1) ?reference:known
     (prog : Mhj.Ast.program) : t =
-  let reference = Rt.Interp.run ?fuel prog in
-  let ref_lines = sorted_lines reference.output in
-  let ref_digest = Rt.Value.digest_globals reference.globals in
+  let known =
+    match known with Some r -> r | None -> reference (Rt.Interp.run ?fuel prog)
+  in
   let t0 = Unix.gettimeofday () in
   let over_budget () =
     match budget_ms with
@@ -73,8 +78,7 @@ let check ?fuel ?budget_ms ?(schedules = 10) ?(seed = 1)
      for k = 0 to schedules - 1 do
        if over_budget () then raise Exit;
        let d, stats =
-         check_schedule ?fuel prog ~schedule_seed:(seed + k) ~ref_lines
-           ~ref_digest
+         check_schedule ?fuel prog ~schedule_seed:(seed + k) known
        in
        Option.iter (fun d -> divergences := d :: !divergences) d;
        Option.iter
@@ -96,8 +100,9 @@ let check ?fuel ?budget_ms ?(schedules = 10) ?(seed = 1)
     engine = !engine;
   }
 
-let of_request ?fuel (r : request) prog =
-  check ?fuel ?budget_ms:r.budget_ms ~schedules:r.schedules ~seed:r.seed prog
+let of_request ?fuel ?reference (r : request) prog =
+  check ?fuel ?budget_ms:r.budget_ms ~schedules:r.schedules ~seed:r.seed
+    ?reference prog
 
 let pp ppf t =
   if t.skipped > 0 then

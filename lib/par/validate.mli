@@ -35,7 +35,15 @@ type t = {
 val ok : t -> bool
 (** No divergences and nothing skipped. *)
 
-(** [check prog] runs the sequential reference once, then [schedules]
+(** What every schedule must reproduce: the sequential run's printed
+    lines as a sorted multiset and its final globals digest. *)
+type reference = { lines : string list; digest : string }
+
+(** The reference of a depth-first run of the program. *)
+val reference : Rt.Interp.result -> reference
+
+(** [check prog] runs the sequential reference once, unless the caller
+    already ran the program and passes its [reference], then [schedules]
     fuzzed schedules (seeds [seed], [seed+1], ...).  A schedule that
     raises is reported as a divergence rather than escaping. *)
 val check :
@@ -43,10 +51,12 @@ val check :
   ?budget_ms:int ->
   ?schedules:int ->
   ?seed:int ->
+  ?reference:reference ->
   Mhj.Ast.program ->
   t
 
-val of_request : ?fuel:int -> request -> Mhj.Ast.program -> t
+val of_request :
+  ?fuel:int -> ?reference:reference -> request -> Mhj.Ast.program -> t
 
 val sorted_lines : string -> string list
 (** Output lines as a sorted multiset (order is schedule-dependent). *)

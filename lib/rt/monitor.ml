@@ -4,16 +4,17 @@
     The interpreter owns S-DPST construction (it knows the execution
     structure) and reports every structural transition and monitored memory
     access to an optional monitor.  The ESP-bags race detectors implement
-    this interface; [task] events carry the S-DPST node standing for the
-    task (async or root) or finish region, and accesses carry the current
-    step node so races can be recorded as step pairs.
+    this interface; [task] events carry the id of the S-DPST node standing
+    for the task (async or root) or finish region, and accesses carry the
+    current step's id so races can be recorded as step pairs.
 
     Accesses identify their location by {e interned id} — the dense [int]
     the interpreter resolves every {!Addr.t} to at load/allocation time
     (see {!Addr.Intern}) — so the per-access path never hashes or
     allocates a boxed address.  [on_init] delivers the run's interner
-    before execution starts; a monitor that needs to render an address
-    (e.g. in a race report) keeps it and calls {!Addr.Intern.of_id}.
+    and tree before execution starts; a monitor that needs to render an
+    address (e.g. in a race report) keeps it and calls
+    {!Addr.Intern.of_id}.
 
     Accesses also carry their static position — the block id and statement
     index of the statement whose expression evaluation performs the access —
@@ -27,8 +28,9 @@ let pp_access ppf = function
   | Write -> Fmt.string ppf "write"
 
 type t = {
-  on_init : Addr.Intern.t -> unit;
-      (** the run's address interner, delivered once before execution *)
+  on_init : Addr.Intern.t -> Sdpst.Node.tree -> unit;
+      (** the run's address interner and S-DPST, delivered once before
+          execution *)
   on_task_begin : Sdpst.Node.t -> unit;
       (** an async task (or the root task) starts *)
   on_task_end : Sdpst.Node.t -> unit;
@@ -43,7 +45,7 @@ type t = {
 
 let nop =
   {
-    on_init = ignore;
+    on_init = (fun _ _ -> ());
     on_task_begin = ignore;
     on_task_end = ignore;
     on_finish_begin = ignore;
@@ -55,9 +57,9 @@ let nop =
 let both a b =
   {
     on_init =
-      (fun intern ->
-        a.on_init intern;
-        b.on_init intern);
+      (fun intern tree ->
+        a.on_init intern tree;
+        b.on_init intern tree);
     on_task_begin =
       (fun n ->
         a.on_task_begin n;

@@ -1,6 +1,6 @@
 (** Instrumentation interface between the interpreter and dynamic
     analyses: structural transitions (task and finish begin/end, carrying
-    the S-DPST node) and monitored memory accesses, which identify their
+    the S-DPST node's id) and monitored memory accesses, which identify their
     location by {e interned id} (the dense [int] of {!Addr.Intern}) so the
     per-access path never hashes or allocates a boxed address.  The
     ESP-bags detectors implement this interface. *)
@@ -10,10 +10,11 @@ type access = Read | Write
 val pp_access : access Fmt.t
 
 type t = {
-  on_init : Addr.Intern.t -> unit;
-      (** the run's address interner, delivered once before execution
-          starts; keep it to reconstruct boxed addresses with
-          {!Addr.Intern.of_id} *)
+  on_init : Addr.Intern.t -> Sdpst.Node.tree -> unit;
+      (** the run's address interner and S-DPST, delivered once before
+          execution starts; keep the interner to reconstruct boxed
+          addresses with {!Addr.Intern.of_id}, the tree to read the nodes
+          the other events name *)
   on_task_begin : Sdpst.Node.t -> unit;
       (** an async task (or the root task) starts *)
   on_task_end : Sdpst.Node.t -> unit;

@@ -13,16 +13,10 @@ and t =
 
 val pp : t Fmt.t
 
-(** Structural deep printer: arrays print their cells recursively and omit
-    [aid]s, so renderings are comparable across runs with different
-    allocation orders.  Floats print exactly ([%h]). *)
-val deep_pp : t Fmt.t
-
-val deep_to_string : t -> string
-
 (** [digest_globals gs] — canonical one-line-per-global rendering of a
-    final global state, sorted by name, using {!deep_pp}.  Equal digests
-    mean equal final states (modulo array identity). *)
+    final global state, sorted by name; arrays print their cells
+    recursively, without [aid]s, and floats exactly ([%h]).  Equal
+    digests mean equal final states (modulo array identity). *)
 val digest_globals : (string * t) list -> string
 
 (** Zero value of a scalar type.

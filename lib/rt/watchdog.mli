@@ -20,13 +20,6 @@ exception Timeout of int
 (** Raised (once per arming) when the deadline passes; the payload is
     the originally requested timeout in milliseconds. *)
 
-(** Arm the calling domain's watchdog [ms] milliseconds from now,
-    replacing any previous deadline. *)
-val arm : ms:int -> unit
-
-(** Disarm the calling domain's watchdog. *)
-val disarm : unit -> unit
-
 (** A domain's watchdog state. *)
 type state
 

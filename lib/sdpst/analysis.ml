@@ -22,78 +22,76 @@ open Node
    id (-1: not evaluated yet; spans and drags are never negative).  Ids
    are dense and unique ({!Node.tree}), so the columns grow to at most
    the tree's [next_id]. *)
-type memo = { spans : Tdrutil.Ivec.t; drags : Tdrutil.Ivec.t }
+type memo = { tree : tree; spans : Tdrutil.Ivec.t; drags : Tdrutil.Ivec.t }
 
-let memo () = { spans = Tdrutil.Ivec.create (); drags = Tdrutil.Ivec.create () }
+let memo tree =
+  { tree; spans = Tdrutil.Ivec.create (); drags = Tdrutil.Ivec.create () }
 
 (* Evaluate [n] into [m]: sequential composition of its children — each
    child starts when the previous child's drag has elapsed, and the
    sequence's span is the max over child start + child span.  Memoised,
    so the mutual span/drag recursion visits each subtree once. *)
 let rec eval m n =
-  let id = n.id in
-  if id >= Tdrutil.Ivec.length m.spans then begin
-    Tdrutil.Ivec.ensure m.spans (id + 1) ~fill:(-1);
-    Tdrutil.Ivec.ensure m.drags (id + 1) ~fill:(-1)
+  if n >= Tdrutil.Ivec.length m.spans then begin
+    Tdrutil.Ivec.ensure m.spans (n + 1) ~fill:(-1);
+    Tdrutil.Ivec.ensure m.drags (n + 1) ~fill:(-1)
   end;
-  if Tdrutil.Ivec.unsafe_get m.spans id < 0 then begin
+  if Tdrutil.Ivec.unsafe_get m.spans n < 0 then begin
+    let t = m.tree in
     let span, drag =
-      match (n.collapsed, n.kind) with
-      | Some (span, drag), _ -> (span, if n.kind = Async then 0 else drag)
-      | None, Step -> (n.cost, n.cost)
-      | None, (Root | Async | Finish | Scope _) ->
+      match collapsed t n with
+      | Some (span, drag) -> (span, if is_async t n then 0 else drag)
+      | None when is_step t n -> (cost t n, cost t n)
+      | None ->
           let start = ref 0 and span = ref 0 in
-          let children = n.children in
-          for i = 0 to Tdrutil.Vec.length children - 1 do
-            let c = Tdrutil.Vec.unsafe_get children i in
-            eval m c;
-            let c_span = Tdrutil.Ivec.unsafe_get m.spans c.id in
-            span := Int.max !span (!start + c_span);
-            start := !start + Tdrutil.Ivec.unsafe_get m.drags c.id
+          let c = ref (first_child t n) in
+          while !c >= 0 do
+            let c' = !c in
+            eval m c';
+            span := Int.max !span (!start + Tdrutil.Ivec.unsafe_get m.spans c');
+            start := !start + Tdrutil.Ivec.unsafe_get m.drags c';
+            c := next_sibling t c'
           done;
           let drag =
-            match n.kind with
-            | Async -> 0
-            | Root | Finish -> !span
-            | _ -> !start
+            if is_async t n then 0 else if is_scope t n then !start else !span
           in
           (!span, drag)
     in
-    Tdrutil.Ivec.unsafe_set m.spans id span;
-    Tdrutil.Ivec.unsafe_set m.drags id drag
+    Tdrutil.Ivec.unsafe_set m.spans n span;
+    Tdrutil.Ivec.unsafe_set m.drags n drag
   end
 
 let span m n =
   eval m n;
-  Tdrutil.Ivec.unsafe_get m.spans n.id
+  Tdrutil.Ivec.unsafe_get m.spans n
 
 let drag m n =
   eval m n;
-  Tdrutil.Ivec.unsafe_get m.drags n.id
+  Tdrutil.Ivec.unsafe_get m.drags n
 
 (* A splice changes the span and drag of the splice parent and its
    ancestors only; the new node's fresh id was never evaluated. *)
 let rec forget_path m n =
-  if n.id < Tdrutil.Ivec.length m.spans then
-    Tdrutil.Ivec.unsafe_set m.spans n.id (-1);
-  match n.parent with Some p -> forget_path m p | None -> ()
-
-let span_of n = span (memo ()) n
+  if n >= 0 then begin
+    if n < Tdrutil.Ivec.length m.spans then
+      Tdrutil.Ivec.unsafe_set m.spans n (-1);
+    forget_path m (parent m.tree n)
+  end
 
 (** Critical path length of the whole execution (Definition 1). *)
-let critical_path_length tree = span_of tree.root
+let critical_path_length t = span (memo t) root
 
 (** Total work: sum of all step costs (serial-elision execution time). *)
-let work tree =
+let work t =
   let acc = ref 0 in
-  iter_tree (fun n -> if is_step n then acc := !acc + n.cost) tree;
+  iter_tree (fun n -> if is_step t n then acc := !acc + cost t n) t;
   !acc
 
 (** Span/drag evaluators sharing one memo, for repeated queries against
     an unchanging tree (the dynamic-placement DP queries spans of many
     children). *)
-let span_memo () =
-  let m = memo () in
+let span_memo t =
+  let m = memo t in
   (span m, drag m)
 
 (* ------------------------------------------------------------------ *)
@@ -123,36 +121,26 @@ let span_memo () =
     and otherwise pruning recurses, still collapsing the race-free
     async/finish subtrees below it.  Returns the number of nodes
     removed. *)
-let prune tree ~keep =
+let prune t ~keep =
   let removed = ref 0 in
-  let rec subtree_size n =
-    Tdrutil.Vec.fold (fun acc c -> acc + subtree_size c) 1 n.children
-  in
-  let rec contains_kept n =
-    keep n || Tdrutil.Vec.exists contains_kept n.children
-  in
-  let rec contains_async n =
-    n.kind = Async || Tdrutil.Vec.exists contains_async n.children
-  in
-  let scope_safe c =
-    match c.kind with Scope _ -> not (contains_async c) | _ -> true
-  in
+  let rec subtree_size n = fold_children t (fun acc c -> acc + subtree_size c) 1 n in
+  let rec contains_kept n = keep n || exists_child t contains_kept n in
+  let rec contains_async n = is_async t n || exists_child t contains_async n in
+  let scope_safe c = (not (is_scope t c)) || not (contains_async c) in
   (* one memo for the whole pass: collapsing a subtree keeps its exact
      (span, drag), so no evaluated entry goes stale *)
-  let m = memo () in
+  let m = memo t in
   let rec go n =
-    Tdrutil.Vec.iter
+    iter_children t
       (fun c ->
-        if (not (is_step c)) && (not (contains_kept c)) && scope_safe c
+        if (not (is_step t c)) && (not (contains_kept c)) && scope_safe c
         then begin
           removed := !removed + subtree_size c - 1;
-          let summary = (span m c, drag m c) in
-          Tdrutil.Vec.clear c.children;
-          c.collapsed <- Some summary
+          set_collapsed t c (span m c, drag m c)
         end
         else go c)
-      n.children
+      n
   in
-  go tree.root;
-  tree.n_nodes <- tree.n_nodes - !removed;
+  go root;
+  t.n_nodes <- t.n_nodes - !removed;
   !removed

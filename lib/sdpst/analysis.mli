@@ -7,12 +7,12 @@
     sequential composition of its children for a scope.  These are the
     [t_i] weights and [EST] base cases of Algorithm 1. *)
 
-(** Span/drag evaluator: two columns indexed by node id, filled on
-    demand.  Ids are unique per tree ({!Node.tree}), so the columns grow
+(** Span/drag evaluator over one tree: two columns indexed by node id,
+    filled on demand.  Ids are unique per tree ({!Node.tree}), so the columns grow
     to at most its [next_id]. *)
 type memo
 
-val memo : unit -> memo
+val memo : Node.tree -> memo
 
 (** [span m n] evaluates [n]'s subtree into [m] as far as not yet done. *)
 val span : memo -> Node.t -> int
@@ -24,10 +24,6 @@ val drag : memo -> Node.t -> int
     still holds. *)
 val forget_path : memo -> Node.t -> unit
 
-(** Span of a subtree.  O(subtree) per call; use {!span_memo} for repeated
-    queries. *)
-val span_of : Node.t -> int
-
 (** Critical path length of the whole execution (Definition 1). *)
 val critical_path_length : Node.tree -> int
 
@@ -36,7 +32,7 @@ val work : Node.tree -> int
 
 (** [span] and [drag] over one fresh {!memo}, for repeated queries
     against an unchanging tree. *)
-val span_memo : unit -> (Node.t -> int) * (Node.t -> int)
+val span_memo : Node.tree -> (Node.t -> int) * (Node.t -> int)
 
 (** [prune tree ~keep] collapses every subtree containing no node for
     which [keep] holds into a [(span, drag)] summary — the paper's §9

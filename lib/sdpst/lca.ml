@@ -1,75 +1,59 @@
 (** Ancestor queries on the S-DPST: LCA, NS-LCA (paper Definitions 3-5) and
     the may-happen-in-parallel test (paper Theorem 1). *)
 
+(* A walk above the root asks for node -1: [Invalid_argument]. *)
 open Node
 
-let parent_exn n =
-  match n.parent with
-  | Some p -> p
-  | None -> invalid_arg "Lca: walked above the root"
-
-(** [is_ancestor a n] — is [a] an ancestor of [n] (reflexively)? *)
-let is_ancestor a n =
-  let rec go n =
-    if n.id = a.id then true
-    else match n.parent with None -> false | Some p -> go p
-  in
-  go n
+(** [is_ancestor t a n] — is [a] an ancestor of [n] (reflexively)? *)
+let is_ancestor t a n =
+  let rec go n = n = a || (n >= 0 && go (parent t n)) in
+  n >= 0 && go n
 
 (** Least common ancestor of [a] and [b]. *)
-let lca a b =
-  let rec lift n k = if k = 0 then n else lift (parent_exn n) (k - 1) in
-  let a, b =
-    if a.depth >= b.depth then (lift a (a.depth - b.depth), b)
-    else (a, lift b (b.depth - a.depth))
-  in
-  let rec walk a b = if a.id = b.id then a else walk (parent_exn a) (parent_exn b) in
+let lca t a b =
+  let rec lift n k = if k = 0 then n else lift (parent t n) (k - 1) in
+  let da = depth t a and db = depth t b in
+  let a, b = if da >= db then (lift a (da - db), b) else (a, lift b (db - da)) in
+  let rec walk a b = if a = b then a else walk (parent t a) (parent t b) in
   walk a b
 
 (** First non-scope node on the path from [n] to the root, including [n]
     itself. *)
-let rec first_nonscope n =
-  if is_nonscope n then n else first_nonscope (parent_exn n)
+let rec first_nonscope t n =
+  if is_nonscope t n then n else first_nonscope t (parent t n)
 
 (** Non-scope least common ancestor (Definition 4): the first non-scope
     node on the path from [lca a b] to the root. *)
-let ns_lca a b = first_nonscope (lca a b)
+let ns_lca t a b = first_nonscope t (lca t a b)
 
-(** [nonscope_child_ancestor ~anc n] — the non-scope child of [anc]
+(** [nonscope_child_ancestor t ~anc n] — the non-scope child of [anc]
     (Definition 3) whose subtree contains [n]: the shallowest non-scope
     strict descendant of [anc] on the path from [n] to [anc].
 
     @raise Invalid_argument if [n] is not a strict descendant of [anc] or
-    if a non-scope node interposes between the result and [anc]. *)
-let nonscope_child_ancestor ~anc n =
-  if n.id = anc.id then invalid_arg "nonscope_child_ancestor: n = anc";
+    all nodes between are scopes. *)
+let nonscope_child_ancestor t ~anc n =
+  if n = anc then invalid_arg "nonscope_child_ancestor: n = anc";
   (* Walk up from [n] to [anc], keeping the last non-scope node passed
      ([anc] while there is none): everything above it is a scope. *)
   let rec up n found =
-    if n.id = anc.id then found
-    else
-      let found = if is_nonscope n then n else found in
-      match n.parent with
-      | None -> invalid_arg "nonscope_child_ancestor: not a descendant"
-      | Some p -> up p found
+    if n = anc then found
+    else up (parent t n) (if is_nonscope t n then n else found)
   in
   let c = up n anc in
-  if c == anc then invalid_arg "nonscope_child_ancestor: all-scope path";
+  if c = anc then invalid_arg "nonscope_child_ancestor: all-scope path";
   c
 
 (** Paper Theorem 1: two distinct steps [s1] (left) and [s2] (right) can
     execute in parallel iff the non-scope child of their NS-LCA that is an
     ancestor of [s1] is an async node. *)
-let may_happen_in_parallel s1 s2 =
-  if s1.id = s2.id then false
+let may_happen_in_parallel t s1 s2 =
+  if s1 = s2 then false
   else
-    let left, right = if s1.id < s2.id then (s1, s2) else (s2, s1) in
-    ignore right;
-    let n = ns_lca s1 s2 in
-    if n.id = left.id then false
-    else
-      let a = nonscope_child_ancestor ~anc:n left in
-      is_async a
+    let left = min s1 s2 in
+    let n = ns_lca t s1 s2 in
+    if n = left then false
+    else is_async t (nonscope_child_ancestor t ~anc:n left)
 
 (* ------------------------------------------------------------------ *)
 (* Lifting race pairs: one root-path walk per sink                      *)
@@ -86,8 +70,9 @@ let may_happen_in_parallel s1 s2 =
    others: each stays true until the sink changes.  Plain arrays, not
    {!Tdrutil.Ivec}s: this is the inner loop of placement. *)
 type lifter = {
-  mutable sink : t option;  (** the sink of the current run *)
-  mutable path : t array;  (** depth -> the sink's ancestor there *)
+  tree : tree;
+  mutable sink : t;  (** the sink of the current run, or [none] *)
+  mutable path : int array;  (** depth -> the sink's ancestor there *)
   mutable ns_up : int array;
       (** depth -> depth of the first non-scope node on the path at or
           above it *)
@@ -105,14 +90,12 @@ type lifter = {
 
 (* A climbed node's key: its id, whether it is an async and whether it
    is non-scope, in one int. *)
-let key n =
-  (4 * n.id)
-  + (if n.kind = Async then 2 else 0)
-  + if is_nonscope n then 1 else 0
+let key t n = (4 * n) + shape t n
 
-let lifter () =
+let lifter tree =
   {
-    sink = None;
+    tree;
+    sink = none;
     path = [||];
     ns_up = [||];
     ns_down = [||];
@@ -124,10 +107,10 @@ let lifter () =
     sink_child = -1;
   }
 
-let restart l = l.sink <- None
+let restart l = l.sink <- none
 
 (* Grow every column to cover depth [d]. *)
-let reserve l d (filler : t) =
+let reserve l d =
   let len = Array.length l.memo_key in
   if d >= len then begin
     let cap = max (d + 1) (2 * len) in
@@ -136,7 +119,7 @@ let reserve l d (filler : t) =
       Array.blit a 0 b 0 (Array.length a);
       b
     in
-    l.path <- grow l.path filler;
+    l.path <- grow l.path none;
     l.ns_up <- grow l.ns_up 0;
     l.ns_down <- grow l.ns_down (-1);
     l.memo_key <- grow l.memo_key (-1);
@@ -146,24 +129,27 @@ let reserve l d (filler : t) =
 
 (* Start a run: record [sink]'s root path and forget the climbs. *)
 let walk_sink l sink =
-  l.sink <- Some sink;
-  let d = sink.depth in
-  reserve l d sink;
+  let t = l.tree in
+  l.sink <- sink;
+  let d = depth t sink in
+  reserve l d;
   let path = l.path in
-  let rec walk n =
-    path.(n.depth) <- n;
-    match n.parent with Some p -> walk p | None -> ()
+  let rec walk n k =
+    path.(k) <- n;
+    if k > 0 then walk (parent t n) (k - 1)
   in
-  walk sink;
+  walk sink d;
   let up = ref 0 in
   for k = 0 to d do
-    if is_nonscope path.(k) then up := k;
+    if is_nonscope t path.(k) then up := k;
     l.ns_up.(k) <- !up
   done;
+  (* the root is non-scope, so a depth is its own [ns_up] iff its node
+     is non-scope *)
   let down = ref (-1) in
   for k = d downto 0 do
     l.ns_down.(k) <- !down;
-    if is_nonscope path.(k) then down := path.(k).id
+    if l.ns_up.(k) = k then down := path.(k)
   done;
   if l.memo_hi >= 0 then Array.fill l.memo_key 0 (l.memo_hi + 1) (-1);
   l.memo_hi <- -1
@@ -179,28 +165,28 @@ let walk_sink l sink =
     @raise Invalid_argument if one endpoint is an ancestor of the other,
       or they are not in one tree. *)
 let lift l ~src ~sink =
-  (match l.sink with Some s when s == sink -> () | _ -> walk_sink l sink);
-  let top = src.depth in
-  reserve l top sink;
+  let t = l.tree in
+  if l.sink <> sink then walk_sink l sink;
+  let top = depth t src in
+  reserve l top;
   if top > l.memo_hi then l.memo_hi <- top;
-  let path = l.path and keys = l.memo_key and path_len = sink.depth + 1 in
+  let path = l.path and keys = l.memo_key and path_len = depth t sink + 1 in
   (* climb from [src], recording each node in the memo, until the path
      or a node recorded by this run *)
-  let n = ref src and stop = ref (-1) in
+  let n = ref src and stop = ref (-1) and d = ref top in
   while !stop < 0 do
-    let v = !n in
-    let d = v.depth in
-    let k = key v in
-    if (d < path_len && path.(d) == v) || keys.(d) = k then stop := d
+    let v = !n and dv = !d in
+    let k = key t v in
+    if (dv < path_len && path.(dv) = v) || keys.(dv) = k then stop := dv
     else begin
-      keys.(d) <- k;
-      match v.parent with
-      | Some p -> n := p
-      | None -> invalid_arg "Lca.lift: source and sink in different trees"
+      keys.(dv) <- k;
+      if dv = 0 then invalid_arg "Lca.lift: source and sink in different trees";
+      n := parent t v;
+      d := dv - 1
     end
   done;
   let stop = !stop in
-  let on_path = stop < path_len && path.(stop) == !n in
+  let on_path = stop < path_len && path.(stop) = !n in
   let lca = if on_path then stop else l.memo_lca.(stop) in
   (* fill the climbed depths top-down: a node's shallowest non-scope node
      below the LCA is the one above it, if any, else the first met *)

@@ -2,28 +2,24 @@
     and the may-happen-in-parallel test (paper Theorem 1). *)
 
 (** [is_ancestor a n] — is [a] an ancestor of [n] (reflexively)? *)
-val is_ancestor : Node.t -> Node.t -> bool
+val is_ancestor : Node.tree -> Node.t -> Node.t -> bool
 
 (** Least common ancestor. *)
-val lca : Node.t -> Node.t -> Node.t
-
-(** First non-scope node on the path from a node to the root, including
-    the node itself. *)
-val first_nonscope : Node.t -> Node.t
+val lca : Node.tree -> Node.t -> Node.t -> Node.t
 
 (** Non-scope least common ancestor (Definition 4): the first non-scope
     node on the path from the LCA to the root. *)
-val ns_lca : Node.t -> Node.t -> Node.t
+val ns_lca : Node.tree -> Node.t -> Node.t -> Node.t
 
 (** [nonscope_child_ancestor ~anc n] — the non-scope child of [anc]
     (Definition 3) whose subtree contains [n].
     @raise Invalid_argument if [n] is not a strict descendant of [anc]. *)
-val nonscope_child_ancestor : anc:Node.t -> Node.t -> Node.t
+val nonscope_child_ancestor : Node.tree -> anc:Node.t -> Node.t -> Node.t
 
 (** Paper Theorem 1: two distinct steps can execute in parallel iff the
     non-scope child of their NS-LCA that is an ancestor of the left one is
     an async node. *)
-val may_happen_in_parallel : Node.t -> Node.t -> bool
+val may_happen_in_parallel : Node.tree -> Node.t -> Node.t -> bool
 
 (** {1 Lifting race pairs}
 
@@ -35,7 +31,8 @@ val may_happen_in_parallel : Node.t -> Node.t -> bool
     to the deepest node lifted. *)
 type lifter
 
-val lifter : unit -> lifter
+(** A lifter over one tree. *)
+val lifter : Node.tree -> lifter
 
 (** Forget the recorded path and climbs.  Call it after the tree
     changes (e.g. {!Tree.insert_finish}) before lifting again. *)

@@ -4,42 +4,41 @@
 
 open Node
 
-let rec pp_node ppf n =
-  Fmt.pf ppf "%s%a" (String.make (2 * n.depth) ' ') pp n;
-  (match n.kind with
-  | Step -> Fmt.pf ppf " cost=%d stmts=[%d..%d]@@b%d" n.cost n.origin_idx
-              n.last_idx n.origin_bid
-  | Root | Async | Finish | Scope _ ->
-      if n.body_bid >= 0 then Fmt.pf ppf " body=b%d" n.body_bid);
-  (match n.collapsed with
+let rec pp_node t ppf n =
+  Fmt.pf ppf "%s%a" (String.make (2 * depth t n) ' ') (pp t) n;
+  if is_step t n then
+    Fmt.pf ppf " cost=%d stmts=[%d..%d]@@b%d" (cost t n) (origin_idx t n)
+      (last_idx t n) (origin_bid t n)
+  else if body_bid t n >= 0 then Fmt.pf ppf " body=b%d" (body_bid t n);
+  (match collapsed t n with
   | Some (span, drag) -> Fmt.pf ppf " collapsed(span=%d,drag=%d)" span drag
   | None -> ());
-  Tdrutil.Vec.iter (fun c -> Fmt.pf ppf "@\n%a" pp_node c) n.children
+  iter_children t (fun c -> Fmt.pf ppf "@\n%a" (pp_node t) c) n
 
-let pp_tree ppf tree = pp_node ppf tree.root
+let pp_tree ppf t = pp_node t ppf root
 
 let to_string tree = Fmt.str "%a" pp_tree tree
 
 (** One-line structural summary: kinds in preorder with bracketed children,
     e.g. [finish(step async(step) step)].  Convenient for exact structural
     assertions in tests. *)
-let skeleton tree =
+let skeleton t =
   let buf = Buffer.create 256 in
   let rec go n =
-    Buffer.add_string buf (kind_name n.kind);
-    if not (Tdrutil.Vec.is_empty n.children) then begin
+    Buffer.add_string buf (kind_name (kind t n));
+    if first_child t n >= 0 then begin
       Buffer.add_char buf '(';
       let first = ref true in
-      Tdrutil.Vec.iter
+      iter_children t
         (fun c ->
           if not !first then Buffer.add_char buf ' ';
           first := false;
           go c)
-        n.children;
+        n;
       Buffer.add_char buf ')'
     end
   in
-  go tree.root;
+  go root;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -75,112 +74,85 @@ let kind_of_tag ~line = function
     The output reconstructs an identical tree via {!tree_of_string}, so
     the paper's detector-to-analyzer hand-off can be fully offline (no
     re-execution needed to resolve a race trace). *)
-let tree_to_string (tree : Node.tree) : string =
+let tree_to_string (t : Node.tree) : string =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf tree_magic;
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (Fmt.str "nodes %d\n" tree.n_nodes);
+  Buffer.add_string buf (Fmt.str "nodes %d\n" t.n_nodes);
   iter_tree
     (fun n ->
-      let parent = match n.parent with Some p -> p.id | None -> -1 in
       Buffer.add_string buf
-        (Fmt.str "%d %d %s %d %d %d %d %d %d" n.id parent (kind_tag n.kind)
-           n.sid n.origin_bid n.origin_idx n.body_bid n.cost n.last_idx);
-      (match n.collapsed with
+        (Fmt.str "%d %d %s %d %d %d %d %d %d" n (parent t n)
+           (kind_tag (kind t n)) (sid t n) (origin_bid t n) (origin_idx t n)
+           (body_bid t n) (cost t n) (last_idx t n));
+      (match collapsed t n with
       | Some (span, drag) -> Buffer.add_string buf (Fmt.str " !%d,%d" span drag)
       | None -> ());
       Buffer.add_char buf '\n')
-    tree;
+    t;
   Buffer.contents buf
 
-(** Rebuild a tree serialized by {!tree_to_string}.
+(** Rebuild a tree serialized by {!tree_to_string}.  Nodes keep their
+    ids, which after a splice ({!Tree.insert_finish}) or a prune
+    ({!Analysis.prune}) are not consecutive preorder numbers.
     @raise Parse_error on malformed input. *)
 let tree_of_string (s : string) : Node.tree =
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | m :: rest when String.trim m = tree_magic ->
-      let by_id : (int, Node.t) Hashtbl.t = Hashtbl.create 1024 in
+  match String.split_on_char '\n' s with
+  | m :: rest when String.trim m = tree_magic -> (
+      (* node id -> its last child so far (-1: none), for every node read *)
+      let last : (int, int) Hashtbl.t = Hashtbl.create 1024 in
       let tree = ref None in
       List.iteri
         (fun i line ->
-          let lnum = i + 2 in
-          let line = String.trim line in
-          if line = "" then ()
-          else
-            match String.split_on_char ' ' line with
-            | [ "nodes"; _n ] -> ()
-            | id :: parent :: kind :: rest ->
-                let int ~what v =
-                  match int_of_string_opt v with
-                  | Some n -> n
-                  | None ->
-                      raise
-                        (Parse_error
-                           (Fmt.str "malformed %s field %S" what v, lnum))
-                in
-                let id = int ~what:"id" id in
-                let parent_id = int ~what:"parent" parent in
-                let kind = kind_of_tag ~line:lnum kind in
-                let fields, collapsed =
-                  match List.rev rest with
-                  | last :: rev_rest
-                    when String.length last > 0 && last.[0] = '!' -> (
-                      let body = String.sub last 1 (String.length last - 1) in
-                      match String.split_on_char ',' body with
-                      | [ a; b ] ->
-                          ( List.rev rev_rest,
-                            Some (int ~what:"span" a, int ~what:"drag" b) )
-                      | _ ->
-                          raise
-                            (Parse_error ("malformed collapsed summary", lnum)))
-                  | _ -> (rest, None)
-                in
-                (match fields with
-                | [ sid; obid; oidx; bbid; cost; lidx ] -> (
-                    let sid = int ~what:"sid" sid in
-                    let origin_bid = int ~what:"origin_bid" obid in
-                    let origin_idx = int ~what:"origin_idx" oidx in
-                    let body_bid = int ~what:"body_bid" bbid in
-                    let cost = int ~what:"cost" cost in
-                    let last_idx = int ~what:"last_idx" lidx in
-                    match (kind, parent_id) with
-                    | Root, -1 ->
-                        let t = create_tree ~main_bid:body_bid in
-                        t.root.cost <- cost;
-                        t.root.collapsed <- collapsed;
-                        Hashtbl.replace by_id id t.root;
-                        tree := Some t
-                    | Root, _ ->
-                        raise (Parse_error ("root with a parent", lnum))
-                    | _, _ -> (
-                        match (!tree, Hashtbl.find_opt by_id parent_id) with
-                        | Some t, Some p ->
-                            let n =
-                              new_child t ~parent:p ~kind ~sid ~origin_bid
-                                ~origin_idx ~body_bid ()
-                            in
-                            if n.id <> id then
-                              raise
-                                (Parse_error
-                                   ( Fmt.str
-                                       "node ids must be preorder (%d <> %d)"
-                                       n.id id,
-                                     lnum ));
-                            n.cost <- cost;
-                            n.last_idx <- last_idx;
-                            n.collapsed <- collapsed;
-                            Hashtbl.replace by_id id n
-                        | None, _ ->
-                            raise (Parse_error ("node before root", lnum))
-                        | _, None ->
-                            raise
-                              (Parse_error
-                                 ( Fmt.str "unknown parent id %d" parent_id,
-                                   lnum ))))
-                | _ -> raise (Parse_error ("wrong field count", lnum)))
-            | _ -> raise (Parse_error ("unrecognized line: " ^ line, lnum)))
+          let fail m = raise (Parse_error (m, i + 2)) in
+          let int what v =
+            match int_of_string_opt v with
+            | Some n -> n
+            | None -> fail (Fmt.str "malformed %s field %S" what v)
+          in
+          match String.split_on_char ' ' (String.trim line) with
+          | [ "" ] | [ "nodes"; _ ] -> ()
+          | id :: parent :: kind :: sid :: obid :: oidx :: bbid :: cost :: lidx
+            :: summary -> (
+              let id = int "id" id and parent = int "parent" parent in
+              let kind = kind_of_tag ~line:(i + 2) kind in
+              let body_bid = int "body_bid" bbid and cost = int "cost" cost in
+              let collapsed =
+                match List.map (String.split_on_char ',') summary with
+                | [] -> None
+                | [ [ a; b ] ] when String.length a > 1 && a.[0] = '!' ->
+                    Some
+                      ( int "span" (String.sub a 1 (String.length a - 1)),
+                        int "drag" b )
+                | _ -> fail "malformed collapsed summary"
+              in
+              let t =
+                match (kind, !tree, Hashtbl.find_opt last parent) with
+                | Root, None, _ when parent = -1 && id = root ->
+                    let t = create_tree ~main_bid:body_bid in
+                    charge t root cost ~idx:(-1);
+                    tree := Some t;
+                    t
+                | Root, _, _ -> fail "root with a parent"
+                | _, None, _ -> fail "node before root"
+                | _, _, None -> fail (Fmt.str "unknown parent id %d" parent)
+                | _, Some t, Some prev -> (
+                    match
+                      place t id ~parent ~prev ~kind ~sid:(int "sid" sid)
+                        ~origin_bid:(int "origin_bid" obid)
+                        ~origin_idx:(int "origin_idx" oidx) ~body_bid ~cost
+                        ~last_idx:(int "last_idx" lidx)
+                    with
+                    | () ->
+                        Hashtbl.replace last parent id;
+                        t
+                    | exception Invalid_argument m -> fail m)
+              in
+              Hashtbl.replace last id none;
+              Option.iter (set_collapsed t id) collapsed)
+          | _ -> fail ("unrecognized line: " ^ line))
         rest;
-      (match !tree with
+      match !tree with
       | Some t -> t
       | None -> raise (Parse_error ("empty tree", 2)))
   | _ -> raise (Parse_error ("bad magic; not a tdrace S-DPST dump", 1))

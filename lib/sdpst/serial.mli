@@ -1,7 +1,5 @@
 (** Textual rendering of an S-DPST (the paper's Figure 9 style). *)
 
-val pp_tree : Node.tree Fmt.t
-
 val to_string : Node.tree -> string
 
 (** One-line structural summary — kinds in preorder with bracketed
@@ -11,8 +9,6 @@ val skeleton : Node.tree -> string
 
 exception Parse_error of string * int
 (** message, 1-based line number *)
-
-val tree_magic : string
 
 (** Serialize the whole tree (preorder, one node per line), suitable for a
     fully offline detector-to-analyzer hand-off. *)

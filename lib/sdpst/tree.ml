@@ -8,12 +8,13 @@
 
 open Node
 
-let rec renumber_depths n =
-  Tdrutil.Vec.iter
+let rec renumber_depths t n =
+  let d = depth t n + 1 in
+  iter_children t
     (fun c ->
-      c.depth <- n.depth + 1;
-      renumber_depths c)
-    n.children
+      set_depth t c d;
+      renumber_depths t c)
+    n
 
 (** [insert_finish tree ~parent ~lo ~hi] splices a new finish node over
     children [lo..hi] (inclusive) of [parent].  The new node inherits the
@@ -21,48 +22,46 @@ let rec renumber_depths n =
     to the program point where the static pass inserts the [finish]
     statement.  Returns the new finish node.
 
-    Note: the new node's [id] comes from the tree's allocator
+    The splice rule: the new node is appended to the arena, takes the
+    adopted range's sibling links as its child list (the range's last
+    child ends it), and takes the range's place among [parent]'s
+    children; only the adopted children's parents and their subtrees'
+    depths are rewritten.  Its id comes from the tree's allocator
     ([next_id]), past every id the tree ever handed out — also after
     {!Analysis.prune} lowered the live count — so it is unique.  Ids
     are then no longer depth-first preorder numbers, nor a left-to-right
     order within a sibling list; steps keep their preorder ids. *)
-let insert_finish tree ~parent ~lo ~hi =
-  let n_children = Tdrutil.Vec.length parent.children in
+let insert_finish t ~parent ~lo ~hi =
+  let n_children = n_children t parent in
   if lo < 0 || hi >= n_children || lo > hi then
     invalid_arg
       (Fmt.str "Tree.insert_finish: range [%d..%d] out of bounds 0..%d" lo hi
          (n_children - 1));
-  let first = Tdrutil.Vec.get parent.children lo in
-  let last = Tdrutil.Vec.get parent.children hi in
-  let fin =
-    {
-      id = tree.next_id;
-      kind = Finish;
-      parent = Some parent;
-      depth = parent.depth + 1;
-      children = Tdrutil.Vec.create ();
-      sid = -1;
-      origin_bid = first.origin_bid;
-      origin_idx = first.origin_idx;
-      body_bid = first.origin_bid;
-      cost = 0;
-      last_idx = last.last_idx;
-      collapsed = None;
-    }
-  in
-  tree.n_nodes <- tree.n_nodes + 1;
-  tree.next_id <- tree.next_id + 1;
-  for i = lo to hi do
-    let c = Tdrutil.Vec.get parent.children i in
-    c.parent <- Some fin;
-    Tdrutil.Vec.push fin.children c
+  let prev = ref none and first = ref (first_child t parent) in
+  for _ = 1 to lo do
+    prev := !first;
+    first := next_sibling t !first
   done;
-  Tdrutil.Vec.replace_range parent.children ~lo ~hi fin;
-  renumber_depths fin;
+  let first = !first and prev = !prev in
+  let last = ref first in
+  for _ = lo + 1 to hi do
+    last := next_sibling t !last
+  done;
+  let last = !last in
+  let after = next_sibling t last in
+  let fin = t.next_id in
+  place t fin ~parent ~prev ~kind:Finish ~sid:(-1)
+    ~origin_bid:(origin_bid t first) ~origin_idx:(origin_idx t first)
+    ~body_bid:(origin_bid t first) ~cost:0 ~last_idx:(last_idx t last);
+  set_next_sibling t fin after;
+  set_next_sibling t last none;
+  set_first_child t fin first;
+  iter_children t (fun c -> set_parent t c fin) fin;
+  renumber_depths t fin;
   fin
 
 (** All steps of the tree, in depth-first (= program) order. *)
-let steps tree =
+let steps t =
   let acc = ref [] in
-  iter_tree (fun n -> if is_step n then acc := n :: !acc) tree;
+  iter_tree (fun n -> if is_step t n then acc := n :: !acc) t;
   List.rev !acc

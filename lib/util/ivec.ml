@@ -24,16 +24,6 @@ let push t x =
 (* One capacity check and one call for a 4-int record: callers that push
    fixed-stride tuples into one vector (e.g. the detector's race buffer)
    are hot enough that four separate [push] calls show up in profiles. *)
-let push4 t a b c d =
-  let n = t.len + 4 in
-  if n > Array.length t.data then grow t n;
-  let data = t.data in
-  Array.unsafe_set data t.len a;
-  Array.unsafe_set data (t.len + 1) b;
-  Array.unsafe_set data (t.len + 2) c;
-  Array.unsafe_set data (t.len + 3) d;
-  t.len <- n
-
 (* Append the slice [lo, hi) of [t] to the end of [t]: the detector's
    scan-replay path re-emits a previously recorded run of race records
    with one memcpy instead of re-scanning the shadow. *)

@@ -22,11 +22,9 @@ val is_empty : t -> bool
 
 val push : t -> int -> unit
 
-(** [push2 t a b] / [push4 t a b c d] push two/four ints with a single
-    capacity check — for fixed-stride tuple buffers on hot paths. *)
+(** [push2 t a b] pushes two ints with a single capacity check — for
+    fixed-stride tuple buffers on hot paths. *)
 val push2 : t -> int -> int -> unit
-
-val push4 : t -> int -> int -> int -> int -> unit
 
 (** [append_slice t lo hi] appends the slice [lo, hi) of [t] to the end
     of [t] (a self-blit; the slice must lie within the current length). *)

@@ -5,8 +5,6 @@ type t
 
 val create : seed:int -> t
 
-val next_int64 : t -> int64
-
 (** Uniform int in [0, bound). @raise Invalid_argument if [bound <= 0]. *)
 val int : t -> int -> int
 

@@ -1,7 +1,7 @@
 (** Growable arrays (amortized O(1) push).
 
-    OCaml 5.1 predates [Dynarray]; this is the small subset the S-DPST and
-    the detectors need.  Elements are stored densely in [0, length).  No
+    OCaml 5.1 predates [Dynarray]; this is the small subset the library
+    needs.  Elements are stored densely in [0, length).  No
     dummy element is required: the backing array starts empty and uses the
     first pushed element as filler when growing. *)
 
@@ -16,13 +16,9 @@ let length t = t.len
 
 let is_empty t = t.len = 0
 
-let frozen () = { data = [||]; len = 0; hint = -1 }
-
 (* A vector's first backing array is a 2-slot literal (an inline
-   allocation, no C call): S-DPST scope nodes are created by the million
-   and most hold a single step. *)
+   allocation, no C call): most vectors stay small. *)
 let grow t filler =
-  if t.hint < 0 then invalid_arg "Vec.push: frozen vector";
   let data =
     if Array.length t.data = 0 && t.hint <= 2 then [| filler; filler |]
     else Array.make (max t.hint (max 8 (2 * Array.length t.data))) filler
@@ -82,16 +78,6 @@ let find_index p t =
     if i >= t.len then None else if p t.data.(i) then Some i else go (i + 1)
   in
   go 0
-
-(** [replace_range t ~lo ~hi x] replaces the elements in positions
-    [lo..hi] (inclusive) by the single element [x], shifting the suffix
-    left.  Used to splice a new finish node over a range of its siblings. *)
-let replace_range t ~lo ~hi x =
-  if lo < 0 || hi >= t.len || lo > hi then invalid_arg "Vec.replace_range";
-  t.data.(lo) <- x;
-  let tail = t.len - (hi + 1) in
-  Array.blit t.data (hi + 1) t.data (lo + 1) tail;
-  t.len <- lo + 1 + tail
 
 (** [ensure t n ~fill] grows [t] to length at least [n], filling new
     slots with [fill] — the primitive behind flat tables indexed by dense

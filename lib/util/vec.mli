@@ -8,10 +8,6 @@ type 'a t
     the filler element). *)
 val create : ?capacity:int -> unit -> 'a t
 
-(** An empty vector that stays empty: pushing raises [Invalid_argument].
-    Safe to share between owners that only read it (S-DPST steps). *)
-val frozen : unit -> 'a t
-
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
@@ -44,11 +40,6 @@ val of_list : 'a list -> 'a t
 val exists : ('a -> bool) -> 'a t -> bool
 
 val find_index : ('a -> bool) -> 'a t -> int option
-
-(** [replace_range t ~lo ~hi x] replaces elements [lo..hi] (inclusive) by
-    the single element [x], shifting the suffix left.
-    @raise Invalid_argument on an invalid range *)
-val replace_range : 'a t -> lo:int -> hi:int -> 'a -> unit
 
 (** [ensure t n ~fill] grows [t] to length at least [n], filling new
     slots with [fill]; no-op if already long enough. *)

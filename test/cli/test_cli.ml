@@ -310,6 +310,35 @@ let with_tmp_program contents f =
 (* Golden renderings of located interpreter diagnostics: every dynamic
    failure of the analyzed program names its stage and source position and
    exits with the input-error code. *)
+(* Two isolated sections race on [x]: [detect] discharges all three
+   reports by mutual exclusion, so [explain] must suggest no finish. *)
+let isolated_pair_src =
+  {|var x: int = 0;
+def main() {
+  finish {
+    async { isolated { x = x + 1; } }
+    async { isolated { x = x + 2; } }
+  }
+  print(x);
+}
+|}
+
+let test_explain_isolated () =
+  with_tmp_program isolated_pair_src (fun f ->
+      let code, out = run_cli [ "detect"; f ] in
+      Alcotest.(check int) "detect exit 0" 0 code;
+      check_contains "detect discharges" out "discharged 3 race report(s)";
+      List.iter
+        (fun backend ->
+          let code, out = run_cli [ "explain"; f; "--backend"; backend ] in
+          Alcotest.(check int) ("explain exit 0 " ^ backend) 0 code;
+          check_contains "explain discharges" out
+            "discharged 3 race report(s)";
+          if contains ~affix:"insert finish" out then
+            Alcotest.failf "explain --backend %s suggests a finish:\n%s"
+              backend out)
+        [ "espbags"; "vclock" ])
+
 let test_located_interp_diagnostics () =
   with_tmp_program "def main() {\n  print(1 / 0);\n}" (fun f ->
       let code, out = run_cli [ "run"; f ] in
@@ -529,6 +558,19 @@ let test_run_par () =
       let code3, out3 = run_cli [ "run"; f; "--par"; "129" ] in
       Alcotest.(check int) "129 domains rejected" 124 code3;
       check_contains "domain cap diagnostic" out3 "at most 128")
+
+(* The scheduling simulation needs a processor: 0 and negative counts
+   are usage errors, not an uncaught Invalid_argument (exit 125). *)
+let test_run_procs_bounded () =
+  with_tmp_program par_fib_src (fun f ->
+      List.iter
+        (fun args ->
+          let code, out = run_cli ([ "run"; f ] @ args) in
+          Alcotest.(check int) (String.concat " " args) 124 code;
+          check_contains "procs diagnostic" out "must be positive")
+        [ [ "-p"; "0" ]; [ "--procs=-1" ] ];
+      let code, _ = run_cli [ "run"; f; "--procs=1" ] in
+      Alcotest.(check int) "one processor" 0 code)
 
 let test_run_par_replay () =
   with_tmp_program par_racy_src (fun f ->
@@ -1155,6 +1197,27 @@ let test_timeout_flag () =
   Alcotest.(check int) "exit 0" 0 code2;
   check_contains "repair still converges" out2 "race-free"
 
+(* Budgets and timeouts are non-negative: a negative value is a usage
+   error (exit 124) naming the flag's bound, never a silent run. *)
+let test_negative_budgets () =
+  List.iter
+    (fun flag ->
+      let code, out = run_cli [ "repair"; sample "fib_buggy.mhj"; "-q"; flag ] in
+      Alcotest.(check int) flag 124 code;
+      check_contains flag out "must be non-negative")
+    [ "--validate-par=-1"; "--timeout-ms=-5"; "--budget-fuel=-1";
+      "--budget-sdpst=-1"; "--budget-dp=-1"; "--budget-validate=-1" ];
+  let code, _ =
+    run_cli [ "detect"; sample "fib_buggy.mhj"; "--timeout-ms=-5" ]
+  in
+  Alcotest.(check int) "detect --timeout-ms=-5" 124 code;
+  let code, _ =
+    run_cli
+      [ "repair"; sample "fib_buggy.mhj"; "-q"; "--budget-dp=0";
+        "--validate-par=0"; "--timeout-ms=60000" ]
+  in
+  Alcotest.(check bool) "zero budgets accepted" true (code <> 124)
+
 let () =
   Alcotest.run "cli"
     [
@@ -1189,6 +1252,8 @@ let () =
           Alcotest.test_case "--set override" `Quick test_set_override;
           Alcotest.test_case "grade-file" `Quick test_grade_file;
           Alcotest.test_case "explain" `Quick test_explain;
+          Alcotest.test_case "explain discharges isolated" `Quick
+            test_explain_isolated;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "located interp diagnostics" `Quick
             test_located_interp_diagnostics;
@@ -1204,6 +1269,7 @@ let () =
           Alcotest.test_case "repair --static-verify" `Quick
             test_repair_static_verify;
           Alcotest.test_case "run --par" `Quick test_run_par;
+          Alcotest.test_case "run -p bounded" `Quick test_run_procs_bounded;
           Alcotest.test_case "run --par replay" `Quick test_run_par_replay;
           Alcotest.test_case "repair --validate-par" `Quick
             test_repair_validate_par;
@@ -1218,6 +1284,7 @@ let () =
             test_bench_detector_quick_json;
           Alcotest.test_case "serve/call --help" `Quick test_serve_help;
           Alcotest.test_case "--timeout-ms" `Quick test_timeout_flag;
+          Alcotest.test_case "negative budgets" `Quick test_negative_budgets;
           Alcotest.test_case "strategy options" `Quick test_strategy_options;
           Alcotest.test_case "call errors" `Quick test_call_errors;
           Alcotest.test_case "job flags documented" `Quick

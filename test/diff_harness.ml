@@ -236,7 +236,7 @@ let pairs_one (module D : Espbags.Shadow.S) ~mode ~spilled ~prune seed =
   let check spill =
     let det, _ = D.detect ?keep ?spill mode prog in
     let pairs = D.pairs det and races = D.races det in
-    let ids (r : Espbags.Race.t) = (r.src.Sdpst.Node.id, r.sink.Sdpst.Node.id) in
+    let ids (r : Espbags.Race.t) = (r.src, r.sink) in
     let want = List.map ids (Espbags.Race.dedupe_by_steps races) in
     let got = pair_ids pairs in
     if got <> want then

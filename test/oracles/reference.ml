@@ -160,9 +160,10 @@ let make_srw () : t =
         | None -> ());
         s
   in
+  let tree = ref (Sdpst.Node.create_tree ~main_bid:(-1)) in
   let report ~src ~sink ~addr ~kind =
-    if src.Sdpst.Node.id <> sink.Sdpst.Node.id then
-      Tdrutil.Vec.push races (Race.make ~src ~sink ~addr ~kind)
+    if src <> sink then
+      Tdrutil.Vec.push races (Race.make ~tree:!tree ~src ~sink ~addr ~kind)
   in
   let on_access ~step ~bid:_ ~idx:_ iaddr kind =
     (match !det_ref with
@@ -201,15 +202,15 @@ let make_srw () : t =
   let monitor =
     {
       Rt.Monitor.on_init =
-        (fun intern ->
+        (fun intern t ->
+          tree := t;
           match !det_ref with
           | Some det -> det.intern <- intern
           | None -> ());
-      on_task_begin = (fun n -> Hbags.task_begin bags ~task:n.Sdpst.Node.id);
-      on_task_end = (fun n -> Hbags.task_end bags ~task:n.Sdpst.Node.id);
-      on_finish_begin =
-        (fun n -> Hbags.finish_begin bags ~finish:n.Sdpst.Node.id);
-      on_finish_end = (fun n -> Hbags.finish_end bags ~finish:n.Sdpst.Node.id);
+      on_task_begin = (fun task -> Hbags.task_begin bags ~task);
+      on_task_end = (fun task -> Hbags.task_end bags ~task);
+      on_finish_begin = (fun finish -> Hbags.finish_begin bags ~finish);
+      on_finish_end = (fun finish -> Hbags.finish_end bags ~finish);
       on_access;
     }
   in
@@ -245,15 +246,16 @@ let make_mrw () : t =
         | None -> ());
         s
   in
+  let tree = ref (Sdpst.Node.create_tree ~main_bid:(-1)) in
   let report ~src ~sink ~addr ~kind =
-    if src.Sdpst.Node.id <> sink.Sdpst.Node.id then
-      Tdrutil.Vec.push races (Race.make ~src ~sink ~addr ~kind)
+    if src <> sink then
+      Tdrutil.Vec.push races (Race.make ~tree:!tree ~src ~sink ~addr ~kind)
   in
   (* Consecutive accesses by the same step are redundant: they would
      produce byte-identical race reports. *)
   let push_unless_last vec (me : access_record) =
     match Tdrutil.Vec.last vec with
-    | Some r when r.step.Sdpst.Node.id = me.step.Sdpst.Node.id -> ()
+    | Some r when r.step = me.step -> ()
     | _ -> Tdrutil.Vec.push vec me
   in
   let on_access ~step ~bid:_ ~idx:_ iaddr kind =
@@ -292,15 +294,15 @@ let make_mrw () : t =
   let monitor =
     {
       Rt.Monitor.on_init =
-        (fun intern ->
+        (fun intern t ->
+          tree := t;
           match !det_ref with
           | Some det -> det.intern <- intern
           | None -> ());
-      on_task_begin = (fun n -> Hbags.task_begin bags ~task:n.Sdpst.Node.id);
-      on_task_end = (fun n -> Hbags.task_end bags ~task:n.Sdpst.Node.id);
-      on_finish_begin =
-        (fun n -> Hbags.finish_begin bags ~finish:n.Sdpst.Node.id);
-      on_finish_end = (fun n -> Hbags.finish_end bags ~finish:n.Sdpst.Node.id);
+      on_task_begin = (fun task -> Hbags.task_begin bags ~task);
+      on_task_end = (fun task -> Hbags.task_end bags ~task);
+      on_finish_begin = (fun finish -> Hbags.finish_begin bags ~finish);
+      on_finish_end = (fun finish -> Hbags.finish_end bags ~finish);
       on_access;
     }
   in

@@ -7,24 +7,21 @@ let build_graphs ?coalesce src =
   let races =
     Espbags.Race.dedupe_by_steps (Espbags.Detector.races det)
   in
-  ignore res;
-  let span, _ = Sdpst.Analysis.span_memo () in
+  let tree = res.Rt.Interp.tree in
+  let span, _ = Sdpst.Analysis.span_memo tree in
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (r : Espbags.Race.t) ->
-      let lca = Sdpst.Lca.ns_lca r.src r.sink in
-      let cur =
-        Option.value ~default:(lca, []) (Hashtbl.find_opt tbl lca.Sdpst.Node.id)
-      in
-      Hashtbl.replace tbl lca.Sdpst.Node.id (fst cur, r :: snd cur))
+      let lca = Sdpst.Lca.ns_lca tree r.src r.sink in
+      let cur = Option.value ~default:[] (Hashtbl.find_opt tbl lca) in
+      Hashtbl.replace tbl lca (r :: cur))
     races;
   Hashtbl.fold
-    (fun _ (lca, rs) acc ->
-      Repair.Depgraph.build ?coalesce ~span lca (List.rev rs) :: acc)
+    (fun lca rs acc ->
+      Repair.Depgraph.build ?coalesce ~span tree lca (List.rev rs) :: acc)
     tbl []
   |> List.sort (fun a b ->
-         Int.compare a.Repair.Depgraph.lca.Sdpst.Node.id
-           b.Repair.Depgraph.lca.Sdpst.Node.id)
+         Int.compare a.Repair.Depgraph.lca b.Repair.Depgraph.lca)
 
 (* The paper's fib example at n = 3: the dependence graph of the subtree
    rooted at Async1 (Figure 10) has 4 non-scope children — Step,
@@ -53,15 +50,15 @@ let test_fib_figure11 () =
      fib(3) = fib(2)'s combining step *)
   let g =
     List.find
-      (fun g ->
-        Sdpst.Node.is_async g.Repair.Depgraph.lca
+      (fun (g : Repair.Depgraph.t) ->
+        Sdpst.Node.is_async g.tree g.lca
         && Repair.Depgraph.n_edges g = 2)
       graphs
   in
   let kinds =
     Array.to_list
       (Array.map
-         (fun n -> Sdpst.Node.kind_name n.Sdpst.Node.kind)
+         (fun n -> Sdpst.Node.kind_name (Sdpst.Node.kind g.tree n))
          g.Repair.Depgraph.first)
   in
   (* async body: arg-evaluation step, then (through the call scope) the
@@ -78,8 +75,8 @@ let test_crossing_queries () =
   let graphs = build_graphs ~coalesce:false fib3 in
   let g =
     List.find
-      (fun g ->
-        Sdpst.Node.is_async g.Repair.Depgraph.lca
+      (fun (g : Repair.Depgraph.t) ->
+        Sdpst.Node.is_async g.tree g.lca
         && Repair.Depgraph.n_edges g = 2)
       graphs
   in
@@ -166,11 +163,12 @@ def main() {
 |}
   in
   let prog = Mhj.Front.compile src in
-  let det, _ = Espbags.Detector.detect Espbags.Detector.Mrw prog in
+  let det, res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
+  let tree = res.Rt.Interp.tree in
   let races = Espbags.Race.dedupe_by_steps (Espbags.Detector.races det) in
-  let span, _ = Sdpst.Analysis.span_memo () in
-  let lca = Sdpst.Lca.ns_lca (List.hd races).src (List.hd races).sink in
-  let g = Repair.Depgraph.build ~span lca races in
+  let span, _ = Sdpst.Analysis.span_memo tree in
+  let lca = Sdpst.Lca.ns_lca tree (List.hd races).src (List.hd races).sink in
+  let g = Repair.Depgraph.build ~span tree lca races in
   (* the ~40 sink steps (reading different cells, hence racing with
      different async subsets) must coalesce into very few vertices *)
   Alcotest.(check bool)
@@ -200,22 +198,24 @@ let check_lifts label prog =
   let d = Repair.Driver.detect Repair.Options.default prog in
   let pairs = Lazy.force d.Repair.Driver.pairs in
   let module P = Espbags.Race.Pairs in
-  let lifter = Sdpst.Lca.lifter () in
+  let tree = P.tree pairs in
+  let lifter = Sdpst.Lca.lifter tree in
   for k = 0 to P.length pairs - 1 do
-    let src = P.src pairs k and sink = P.sink pairs k in
+    let src = P.src_id pairs k and sink = P.sink_id pairs k in
     let l = Sdpst.Lca.lift lifter ~src ~sink in
-    let l' = Sdpst.Lca.ns_lca src sink in
-    let child n = (Sdpst.Lca.nonscope_child_ancestor ~anc:l' n).Sdpst.Node.id in
+    let l' = Sdpst.Lca.ns_lca tree src sink in
+    let child n = Sdpst.Lca.nonscope_child_ancestor tree ~anc:l' n in
     if
-      l != l'
+      l <> l'
       || Sdpst.Lca.src_child lifter <> child src
       || Sdpst.Lca.sink_child lifter <> child sink
     then
       Alcotest.failf "%s: pair %d (%a, %a): lifted (%a, %d, %d), expected \
                       (%a, %d, %d)"
-        label k Sdpst.Node.pp src Sdpst.Node.pp sink Sdpst.Node.pp l
-        (Sdpst.Lca.src_child lifter) (Sdpst.Lca.sink_child lifter)
-        Sdpst.Node.pp l' (child src) (child sink)
+        label k (Sdpst.Node.pp tree) src (Sdpst.Node.pp tree) sink
+        (Sdpst.Node.pp tree) l (Sdpst.Lca.src_child lifter)
+        (Sdpst.Lca.sink_child lifter) (Sdpst.Node.pp tree) l' (child src)
+        (child sink)
   done
 
 let test_lift_table1 () =

@@ -9,7 +9,7 @@ let mk_graph ~asyncs ~times ~edges : Repair.Depgraph.t =
   let n = Array.length times in
   assert (Array.length asyncs = n);
   let tree = Sdpst.Node.create_tree ~main_bid:0 in
-  let root = tree.Sdpst.Node.root in
+  let root = Sdpst.Node.root in
   let nodes =
     Array.init n (fun i ->
         let kind =
@@ -19,33 +19,31 @@ let mk_graph ~asyncs ~times ~edges : Repair.Depgraph.t =
           Sdpst.Node.new_child tree ~parent:root ~kind ~origin_bid:0
             ~origin_idx:i ()
         in
-        c.Sdpst.Node.cost <- times.(i);
         (* interior async nodes get a step child carrying the time *)
         if asyncs.(i) then begin
           let s =
             Sdpst.Node.new_child tree ~parent:c ~kind:Sdpst.Node.Step
               ~origin_bid:(1000 + i) ~origin_idx:0 ()
           in
-          s.Sdpst.Node.cost <- times.(i);
-          c.Sdpst.Node.cost <- 0
-        end;
+          Sdpst.Node.charge tree s times.(i) ~idx:(-1)
+        end
+        else Sdpst.Node.charge tree c times.(i) ~idx:(-1);
         c)
   in
-  ignore nodes;
   (* attach race edges between the steps *)
   let step_of i =
-    let c = Tdrutil.Vec.get root.Sdpst.Node.children i in
-    if Sdpst.Node.is_step c then c else Tdrutil.Vec.get c.Sdpst.Node.children 0
+    let c = nodes.(i) in
+    if Sdpst.Node.is_step tree c then c else Sdpst.Node.first_child tree c
   in
   let races =
     List.map
       (fun (i, j) ->
-        Espbags.Race.make ~src:(step_of i) ~sink:(step_of j)
+        Espbags.Race.make ~tree ~src:(step_of i) ~sink:(step_of j)
           ~addr:(Rt.Addr.Global "x") ~kind:Espbags.Race.Write_read)
       edges
   in
-  let span, _ = Sdpst.Analysis.span_memo () in
-  Repair.Depgraph.build ~coalesce:false ~span root races
+  let span, _ = Sdpst.Analysis.span_memo tree in
+  Repair.Depgraph.build ~coalesce:false ~span tree root races
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3/4: the paper's worked example                              *)

@@ -67,7 +67,7 @@ let test_detects_simple_race () =
         (Fmt.str "%a" Espbags.Race.pp_kind r.kind);
       Alcotest.(check bool)
         "endpoints may happen in parallel" true
-        (Sdpst.Lca.may_happen_in_parallel r.src r.sink)
+        (Sdpst.Lca.may_happen_in_parallel r.tree r.src r.sink)
   | _ -> Alcotest.fail "expected exactly one race"
 
 let test_no_race_when_synchronized () =
@@ -170,7 +170,7 @@ let test_sources_precede_sinks () =
   in
   List.iter
     (fun (r : Espbags.Race.t) ->
-      if r.src.Sdpst.Node.id >= r.sink.Sdpst.Node.id then
+      if r.src >= r.sink then
         Alcotest.fail "race source must precede sink in DFS order")
     (Espbags.Detector.races det)
 
@@ -197,11 +197,11 @@ let mrw_equals_mhp_oracle seed =
     }
   in
   let det = Espbags.Detector.make Espbags.Detector.Mrw in
-  let _res =
+  let res =
     Rt.Interp.run ~monitor:(Rt.Monitor.both recorder det.monitor) prog
   in
   let key (a : Sdpst.Node.t) (b : Sdpst.Node.t) (addr : Rt.Addr.t) =
-    (a.Sdpst.Node.id, b.Sdpst.Node.id, Fmt.str "%a" Rt.Addr.pp addr)
+    (a, b, Fmt.str "%a" Rt.Addr.pp addr)
   in
   let module S = Set.Make (struct
     type t = int * int * string
@@ -222,13 +222,13 @@ let mrw_equals_mhp_oracle seed =
       if
         a1 = a2
         && (k1 = Rt.Monitor.Write || k2 = Rt.Monitor.Write)
-        && s1.Sdpst.Node.id <> s2.Sdpst.Node.id
-        && Sdpst.Lca.may_happen_in_parallel s1 s2
+        && s1 <> s2
+        && Sdpst.Lca.may_happen_in_parallel res.tree s1 s2
       then begin
         let addr = Rt.Addr.Intern.of_id det.intern a1 in
         oracle :=
           S.add
-            (if s1.Sdpst.Node.id < s2.Sdpst.Node.id then key s1 s2 addr
+            (if s1 < s2 then key s1 s2 addr
              else key s2 s1 addr)
             !oracle
       end
@@ -290,7 +290,7 @@ let srw_sound_prop =
       ignore res;
       List.for_all
         (fun (r : Espbags.Race.t) ->
-          Sdpst.Lca.may_happen_in_parallel r.src r.sink)
+          Sdpst.Lca.may_happen_in_parallel r.tree r.src r.sink)
         (Espbags.Detector.races srw))
 
 (* ------------------------------------------------------------------ *)
@@ -310,8 +310,8 @@ let test_trace_roundtrip () =
   Alcotest.(check int) "count" (List.length races) (List.length races2);
   List.iter2
     (fun (a : Espbags.Race.t) (b : Espbags.Race.t) ->
-      Alcotest.(check int) "src" a.src.Sdpst.Node.id b.src.Sdpst.Node.id;
-      Alcotest.(check int) "sink" a.sink.Sdpst.Node.id b.sink.Sdpst.Node.id;
+      Alcotest.(check int) "src" a.src b.src;
+      Alcotest.(check int) "sink" a.sink b.sink;
       Alcotest.(check bool) "addr" true (Rt.Addr.equal a.addr b.addr);
       Alcotest.(check bool) "kind" true (a.kind = b.kind))
     races races2
@@ -367,10 +367,10 @@ def main() {
   let races = Espbags.Detector.races det in
   let sink_ids =
     List.sort_uniq compare
-      (List.map (fun (r : Espbags.Race.t) -> r.sink.Sdpst.Node.id) races)
+      (List.map (fun (r : Espbags.Race.t) -> r.sink) races)
   in
   Alcotest.(check bool) "several sinks" true (List.length sink_ids >= 2);
-  let ids (r : Espbags.Race.t) = (r.src.Sdpst.Node.id, r.sink.Sdpst.Node.id) in
+  let ids (r : Espbags.Race.t) = (r.src, r.sink) in
   let pairs = Espbags.Race.Pairs.of_list races in
   Alcotest.(check (list (pair int int)))
     "report order: first-seen pairs"

@@ -74,11 +74,11 @@ let kind_code = function Rt.Monitor.Read -> 'R' | Rt.Monitor.Write -> 'W'
 let interp_digest p =
   let sid, bid = id_ranks p in
   let h = Hasher.create () in
-  let n (x : Sdpst.Node.t) = x.id in
+  let n (x : Sdpst.Node.t) = x in
   let monitor =
     {
       Rt.Monitor.on_init =
-        (fun i -> Hasher.addf h "init %d" (Rt.Addr.Intern.n_globals i));
+        (fun i _ -> Hasher.addf h "init %d" (Rt.Addr.Intern.n_globals i));
       on_task_begin = (fun x -> Hasher.addf h "tb %d" (n x));
       on_task_end = (fun x -> Hasher.addf h "te %d" (n x));
       on_finish_begin = (fun x -> Hasher.addf h "fb %d" (n x));
@@ -93,12 +93,15 @@ let interp_digest p =
       Hasher.addf h "output %S" r.output;
       Hasher.addf h "work %d" r.work;
       Hasher.addf h "globals %S" (Rt.Value.digest_globals r.globals);
-      Sdpst.Node.iter_tree
-        (fun (x : Sdpst.Node.t) ->
-          Hasher.addf h "n %d %s %d %d %d %d %d" x.id
-            (Sdpst.Node.kind_name x.kind)
-            (sid x.sid) (bid x.origin_bid) x.origin_idx x.last_idx x.cost)
-        r.tree
+      let t = r.tree in
+      let module N = Sdpst.Node in
+      N.iter_tree
+        (fun x ->
+          Hasher.addf h "n %d %s %d %d %d %d %d" x
+            (N.kind_name (N.kind t x))
+            (sid (N.sid t x)) (bid (N.origin_bid t x)) (N.origin_idx t x)
+            (N.last_idx t x) (N.cost t x))
+        t
   | exception e -> Hasher.addf h "raised %s" (Printexc.to_string e));
   Hasher.hex h
 

@@ -360,20 +360,20 @@ def main() {
     }
   in
   let r = Rt.Interp.run ~monitor prog in
-  let root = r.tree.root in
-  let n = Tdrutil.Vec.length root.children in
-  let call = Tdrutil.Vec.get root.children (n - 2)
-  and step = Tdrutil.Vec.get root.children (n - 1) in
+  let t = r.tree in
+  let module N = Sdpst.Node in
+  let step = N.fold_children t (fun _ c -> c) N.none N.root in
+  let call = N.prev_sibling t step in
   Alcotest.(check string) "call node under the root" "call:f"
-    (Sdpst.Node.kind_name call.kind);
+    (N.kind_name (N.kind t call));
   Alcotest.(check bool) "resumed step is the root's child" true
-    (step.kind = Sdpst.Node.Step && Option.get step.parent == root);
+    (N.is_step t step && N.parent t step = N.root);
   Alcotest.(check (pair int int)) "step origin is the call statement"
-    (main.body.bid, 1) (step.origin_bid, step.origin_idx);
-  Alcotest.(check int) "step covers the next statement" 2 step.last_idx;
+    (main.body.bid, 1) (N.origin_bid t step, N.origin_idx t step);
+  Alcotest.(check int) "step covers the next statement" 2 (N.last_idx t step);
   match !last with
   | (s, bid, idx) :: _ ->
-      Alcotest.(check bool) "write reported on the resumed step" true (s == step);
+      Alcotest.(check bool) "write reported on the resumed step" true (s = step);
       Alcotest.(check (pair int int)) "write position" (main.body.bid, 2)
         (bid, idx)
   | [] -> Alcotest.fail "no access reported"

@@ -132,6 +132,21 @@ let test_shadow_chunk_bound () =
       | Ok _ -> Alcotest.failf "shadow_chunk %d accepted" n)
     [ max + 1; 1 lsl 30; max_int ]
 
+(* Budgets are non-negative: a served job with a negative one is a bad
+   request naming the key; zero is a budget like any other. *)
+let test_budgets_bounded () =
+  List.iter
+    (fun key ->
+      (match O.of_json (J.Obj [ (key, J.Int (-1)) ]) with
+      | Error m ->
+          Alcotest.(check bool) (key ^ " names the row") true
+            (String.starts_with ~prefix:("flags." ^ key ^ ":") m)
+      | Ok _ -> Alcotest.failf "%s -1 accepted" key);
+      match O.of_json (J.Obj [ (key, J.Int 0) ]) with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "%s 0 rejected: %s" key m)
+    [ "budget_fuel"; "budget_sdpst"; "budget_dp" ]
+
 (* ------------------------------------------------------------------ *)
 (* NDJSON fuzz                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -219,6 +234,7 @@ let () =
             (cli_roundtrip O.Repair "repair argv round-trips");
           Alcotest.test_case "shadow_chunk bounded" `Quick
             test_shadow_chunk_bound;
+          Alcotest.test_case "budgets bounded" `Quick test_budgets_bounded;
         ] );
       ("protocol", [ QCheck_alcotest.to_alcotest parse_total ]);
     ]

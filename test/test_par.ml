@@ -321,6 +321,47 @@ let test_driver_validate_par () =
            (Fmt.list Repair.Guard.pp_degradation)
            ds)
 
+(* A caller that already ran the program passes its observation as the
+   reference: the verdict, the schedules run and the divergence seeds
+   are those of a validation that runs its own reference — also on a
+   racy program whose schedules diverge, and for the driver, whose
+   converged detection run is the reference. *)
+let test_validate_reference () =
+  let same label (a : Par.Validate.t) (b : Par.Validate.t) =
+    Alcotest.(check (list (pair int string)))
+      (label ^ ": divergences")
+      (List.map (fun (d : Par.Validate.divergence) -> (d.schedule_seed, d.detail))
+         a.divergences)
+      (List.map (fun (d : Par.Validate.divergence) -> (d.schedule_seed, d.detail))
+         b.divergences);
+    Alcotest.(check (pair int int)) (label ^ ": ran, skipped")
+      (a.ran, a.skipped) (b.ran, b.skipped)
+  in
+  let prog = compile racy_src in
+  let own = Par.Validate.check ~schedules:10 prog in
+  Alcotest.(check bool) "the racy program diverges" true
+    (own.divergences <> []);
+  same "racy"
+    own
+    (Par.Validate.check ~schedules:10
+       ~reference:(Par.Validate.reference (Rt.Interp.run prog))
+       prog);
+  let request = { Par.Validate.default_request with schedules = 3 } in
+  List.iter
+    (fun (b : Benchsuite.Bench.t) ->
+      let report =
+        Repair.Driver.repair ~validate_par:request
+          (Benchsuite.Bench.stripped_program b)
+      in
+      match report.validated_par with
+      | Some v ->
+          same b.name (Par.Validate.of_request request report.program) v
+      | None -> Alcotest.failf "%s: not validated" b.name)
+    (List.filter
+       (fun (b : Benchsuite.Bench.t) ->
+         List.mem b.name [ "Fibonacci"; "Quicksort"; "Series"; "Crypt" ])
+       Benchsuite.Suite.all)
+
 (* qcheck variant with uniformly random program seeds, for coverage the
    fixed 1..count sweep cannot give. *)
 let qcheck_differential =
@@ -366,5 +407,6 @@ let () =
           Alcotest.test_case "budget skip" `Quick test_validate_budget_skip;
           Alcotest.test_case "driver integration" `Quick
             test_driver_validate_par;
+          Alcotest.test_case "reference reuse" `Quick test_validate_reference;
         ] );
     ]

@@ -68,7 +68,7 @@ let line name prog strategy =
                 List.iter
                   (fun (i : Repair.Valid.insertion) ->
                     add "insert %d %d..%d at %d:%d..%d"
-                      i.parent.Sdpst.Node.id i.child_lo i.child_hi
+                      i.parent i.child_lo i.child_hi
                       (rank i.placement.bid) i.placement.lo i.placement.hi)
                   g.insertions)
               it.groups)

@@ -100,12 +100,12 @@ let prune_preserves_placement_quality =
         let endpoints = Hashtbl.create 64 in
         List.iter
           (fun (r : Espbags.Race.t) ->
-            Hashtbl.replace endpoints r.src.Sdpst.Node.id ();
-            Hashtbl.replace endpoints r.sink.Sdpst.Node.id ())
+            Hashtbl.replace endpoints r.src ();
+            Hashtbl.replace endpoints r.sink ())
           races;
         let removed =
           Sdpst.Analysis.prune res.tree ~keep:(fun n ->
-              Hashtbl.mem endpoints n.Sdpst.Node.id)
+              Hashtbl.mem endpoints n)
         in
         let _, merged2 = Repair.Driver.place_for_tree ~program:prog races in
         if

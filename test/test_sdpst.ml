@@ -34,7 +34,7 @@ let test_skeletons () =
 let test_ids_are_preorder () =
   let res = run "def main() { async { async { print(1); } } print(2); }" in
   let ids = ref [] in
-  Sdpst.Node.iter_tree (fun n -> ids := n.Sdpst.Node.id :: !ids) res.tree;
+  Sdpst.Node.iter_tree (fun n -> ids := n :: !ids) res.tree;
   let ids = List.rev !ids in
   Alcotest.(check (list int))
     "preorder ids" (List.init (List.length ids) Fun.id) ids
@@ -75,36 +75,35 @@ let test_fib_nslca () =
   let tree = res.Rt.Interp.tree in
   let asyncs = ref [] in
   Sdpst.Node.iter_tree
-    (fun n -> if Sdpst.Node.is_async n then asyncs := n :: !asyncs)
+    (fun n -> if Sdpst.Node.is_async tree n then asyncs := n :: !asyncs)
     tree;
   let asyncs = List.rev !asyncs in
   (* a0 = paper's Async0 (the spawn in main); a1 = Async1 (fib(n-1)) *)
   let a0 = List.hd asyncs in
   let a1 = List.nth asyncs 1 in
   let steps = Sdpst.Tree.steps tree in
-  let step_in_a1 = List.find (fun s -> Sdpst.Lca.is_ancestor a1 s) steps in
+  let step_in_a1 = List.find (fun s -> Sdpst.Lca.is_ancestor tree a1 s) steps in
   (* the combining step "ret.v = X.v + Y.v" of the outer fib call: under
      a0, after a1, not inside any async child of a0 *)
   let sink =
     List.find
       (fun (s : Sdpst.Node.t) ->
-        Sdpst.Lca.is_ancestor a0 s
-        && s.Sdpst.Node.id > a1.Sdpst.Node.id
-        && (not (Sdpst.Lca.is_ancestor a1 s))
+        Sdpst.Lca.is_ancestor tree a0 s
+        && s > a1
+        && (not (Sdpst.Lca.is_ancestor tree a1 s))
         && not
-             (Sdpst.Node.is_async
-                (Sdpst.Lca.nonscope_child_ancestor ~anc:a0 s)))
+             (Sdpst.Node.is_async tree
+                (Sdpst.Lca.nonscope_child_ancestor tree ~anc:a0 s)))
       steps
   in
-  let nslca = Sdpst.Lca.ns_lca step_in_a1 sink in
-  Alcotest.(check int) "NS-LCA is the enclosing async" a0.Sdpst.Node.id
-    nslca.Sdpst.Node.id;
+  let nslca = Sdpst.Lca.ns_lca tree step_in_a1 sink in
+  Alcotest.(check int) "NS-LCA is the enclosing async" a0 nslca;
   Alcotest.(check bool)
     "plain LCA is a scope (the call scope)" true
-    (Sdpst.Node.is_scope (Sdpst.Lca.lca step_in_a1 sink));
+    (Sdpst.Node.is_scope tree (Sdpst.Lca.lca tree step_in_a1 sink));
   Alcotest.(check bool)
     "may happen in parallel (Theorem 1)" true
-    (Sdpst.Lca.may_happen_in_parallel step_in_a1 sink)
+    (Sdpst.Lca.may_happen_in_parallel tree step_in_a1 sink)
 
 let test_theorem1 () =
   let res =
@@ -113,7 +112,7 @@ let test_theorem1 () =
        { print(3); } } print(4); }"
   in
   let steps = Array.of_list (Sdpst.Tree.steps res.tree) in
-  let mhp a b = Sdpst.Lca.may_happen_in_parallel steps.(a) steps.(b) in
+  let mhp a b = Sdpst.Lca.may_happen_in_parallel res.tree steps.(a) steps.(b) in
   Alcotest.(check bool) "async body || continuation" true (mhp 1 2);
   Alcotest.(check bool) "symmetric" true (mhp 2 1);
   Alcotest.(check bool) "program order before spawn" false (mhp 0 1);
@@ -129,13 +128,13 @@ let test_nonscope_children () =
       "def main() { print(0); if (1 < 2) { async { print(1); } print(2); } \
        print(3); }"
   in
-  let kids =
-    Repair.Depgraph.nonscope_children res.tree.Sdpst.Node.root
-  in
+  let kids = Repair.Depgraph.nonscope_children res.tree Sdpst.Node.root in
   Alcotest.(check (list string))
     "kinds"
     [ "step"; "async"; "step"; "step" ]
-    (List.map (fun n -> Sdpst.Node.kind_name n.Sdpst.Node.kind) kids)
+    (List.map
+       (fun n -> Sdpst.Node.kind_name (Sdpst.Node.kind res.tree n))
+       kids)
 
 (* ------------------------------------------------------------------ *)
 (* Spans and drags (the paper's Figure 3/4 cost model)                 *)
@@ -182,9 +181,9 @@ let test_span_work_units () =
   let seq = run "def main() { work(10); work(3); }" in
   Alcotest.(check int)
     "sequential program: span = work" seq.work
-    (Sdpst.Analysis.span_of seq.tree.Sdpst.Node.root);
+    (Sdpst.Analysis.critical_path_length seq.tree);
   let par = run "def main() { work(10); async { work(5); } work(3); }" in
-  let span = Sdpst.Analysis.span_of par.tree.Sdpst.Node.root in
+  let span = Sdpst.Analysis.critical_path_length par.tree in
   Alcotest.(check bool) "parallel program: span < work" true (span < par.work);
   Alcotest.(check int) "work equals step costs" par.work
     (Sdpst.Analysis.work par.tree)
@@ -196,7 +195,7 @@ let test_span_work_units () =
 let test_insert_finish_node () =
   let res = run "def main() { print(0); async { print(1); } print(2); }" in
   let tree = res.tree in
-  let root = tree.Sdpst.Node.root in
+  let root = Sdpst.Node.root in
   Alcotest.(check string)
     "before" "root(step async(step) step)"
     (Sdpst.Serial.skeleton tree);
@@ -206,7 +205,7 @@ let test_insert_finish_node () =
     "after" "root(step finish(async(step)) step)"
     (Sdpst.Serial.skeleton tree);
   Alcotest.(check int) "depth updated" 2
-    (Tdrutil.Vec.get fin.Sdpst.Node.children 0).Sdpst.Node.depth;
+    (Sdpst.Node.depth tree (Sdpst.Node.first_child tree fin));
   Alcotest.(check bool)
     "cpl did not decrease" true
     (Sdpst.Analysis.critical_path_length tree >= cpl_before)
@@ -231,10 +230,12 @@ let test_prune () =
 let test_prune_keeps_marked () =
   let res = run "def main() { async { work(9); } async { work(4); } }" in
   let tree = res.tree in
-  ignore (Sdpst.Analysis.prune tree ~keep:(fun n -> n.Sdpst.Node.cost >= 9));
+  let cost = Sdpst.Node.cost tree in
+  ignore (Sdpst.Analysis.prune tree ~keep:(fun n -> cost n >= 9));
   let kept_intact = ref false in
   Sdpst.Node.iter_tree
-    (fun n -> if Sdpst.Node.is_step n && n.cost >= 9 then kept_intact := true)
+    (fun n ->
+      if Sdpst.Node.is_step tree n && cost n >= 9 then kept_intact := true)
     tree;
   Alcotest.(check bool) "kept subtree intact" true !kept_intact
 
@@ -250,20 +251,20 @@ let test_ids_unique_after_prune () =
   let tree = res.tree in
   let next = tree.Sdpst.Node.next_id in
   let removed =
-    Sdpst.Analysis.prune tree ~keep:(fun n -> n.Sdpst.Node.cost >= 50)
+    Sdpst.Analysis.prune tree ~keep:(fun n -> Sdpst.Node.cost tree n >= 50)
   in
   Alcotest.(check bool) "pruned an early subtree" true (removed > 0);
-  let root = tree.Sdpst.Node.root in
+  let root = Sdpst.Node.root in
   let fins =
     List.init 2 (fun _ ->
         Sdpst.Tree.insert_finish tree ~parent:root ~lo:0 ~hi:0)
   in
   List.iteri
     (fun i (f : Sdpst.Node.t) ->
-      Alcotest.(check int) (Fmt.str "splice %d: fresh id" i) (next + i) f.id)
+      Alcotest.(check int) (Fmt.str "splice %d: fresh id" i) (next + i) f)
     fins;
   let ids = ref [] in
-  Sdpst.Node.iter_tree (fun n -> ids := n.Sdpst.Node.id :: !ids) tree;
+  Sdpst.Node.iter_tree (fun n -> ids := n :: !ids) tree;
   Alcotest.(check int) "ids unique"
     (List.length !ids)
     (List.length (List.sort_uniq Int.compare !ids));
@@ -273,18 +274,19 @@ let test_ids_unique_after_prune () =
 
 (* The span/drag columns against a test-local oracle: one plain
    recursion returning (span, drag), no memo. *)
-let rec oracle (n : Sdpst.Node.t) =
-  match (n.collapsed, n.kind) with
-  | Some (span, drag), _ ->
-      (span, if n.kind = Sdpst.Node.Async then 0 else drag)
-  | None, Sdpst.Node.Step -> (n.cost, n.cost)
+let rec oracle tree (n : Sdpst.Node.t) =
+  let module N = Sdpst.Node in
+  match (N.collapsed tree n, N.kind tree n) with
+  | Some (span, drag), kind ->
+      (span, if kind = N.Async then 0 else drag)
+  | None, N.Step -> (N.cost tree n, N.cost tree n)
   | None, kind ->
       let start, span =
-        Tdrutil.Vec.fold
+        N.fold_children tree
           (fun (start, span) c ->
-            let cs, cd = oracle c in
+            let cs, cd = oracle tree c in
             (start + cd, max span (start + cs)))
-          (0, 0) n.children
+          (0, 0) n
       in
       ( span,
         match kind with
@@ -293,16 +295,16 @@ let rec oracle (n : Sdpst.Node.t) =
         | _ -> start )
 
 let check_columns label (tree : Sdpst.Node.tree) =
-  let span, drag = Sdpst.Analysis.span_memo () in
+  let span, drag = Sdpst.Analysis.span_memo tree in
   Sdpst.Node.iter_tree
     (fun n ->
-      let s, d = oracle n in
+      let s, d = oracle tree n in
       if span n <> s || drag n <> d then
         Alcotest.failf "%s: %a: columns (%d, %d), oracle (%d, %d)" label
-          Sdpst.Node.pp n (span n) (drag n) s d)
+          (Sdpst.Node.pp tree) n (span n) (drag n) s d)
     tree;
   Alcotest.(check int) (label ^ ": cpl")
-    (fst (oracle tree.root))
+    (fst (oracle tree Sdpst.Node.root))
     (Sdpst.Analysis.critical_path_length tree)
 
 (* Every node's (span, drag), on each Table 1 program and Progen 1-50,
@@ -326,7 +328,7 @@ let test_span_columns () =
       let parents = ref [] in
       Sdpst.Node.iter_tree
         (fun n ->
-          if Tdrutil.Vec.length n.Sdpst.Node.children >= 2 then
+          if Sdpst.Node.n_children tree n >= 2 then
             parents := n :: !parents)
         tree;
       List.iteri
@@ -336,9 +338,23 @@ let test_span_columns () =
         !parents;
       check_columns (label ^ " spliced") tree;
       ignore
-        (Sdpst.Analysis.prune tree ~keep:(fun n -> n.Sdpst.Node.cost > 20));
+        (Sdpst.Analysis.prune tree ~keep:(fun n -> Sdpst.Node.cost tree n > 20));
       check_columns (label ^ " pruned") tree)
     programs
+
+(* The arena holds a node in 8 ints: after a run, the whole tree —
+   chunk directory, growth slack and side tables included — stays within
+   10 reachable words per node (test/footprint runs the same bound on
+   two scale presets under @ci). *)
+let test_footprint () =
+  let b = Option.get (Benchsuite.Suite.find "Mergesort") in
+  let tree = (Rt.Interp.run (Benchsuite.Bench.stripped_program b)).tree in
+  let words =
+    float_of_int (Obj.reachable_words (Obj.repr tree))
+    /. float_of_int tree.Sdpst.Node.n_nodes
+  in
+  if words > 10. then
+    Alcotest.failf "Mergesort: %.2f words per S-DPST node (bound 10)" words
 
 (* ------------------------------------------------------------------ *)
 (* Tree serialization                                                  *)
@@ -380,12 +396,30 @@ let serialization_roundtrip_prop =
 let test_tree_serialization_pruned () =
   let res = run "def main() { async { work(50); } async { work(9); } }" in
   ignore
-    (Sdpst.Analysis.prune res.tree ~keep:(fun n -> n.Sdpst.Node.cost > 20));
+    (Sdpst.Analysis.prune res.tree ~keep:(fun n ->
+         Sdpst.Node.cost res.tree n > 20));
   let back =
     Sdpst.Serial.tree_of_string (Sdpst.Serial.tree_to_string res.tree)
   in
   Alcotest.(check bool) "pruned round-trip" true
     (tree_roundtrip_equal res.tree back)
+
+(* A tree edited after the run — finishes spliced in, race-free regions
+   collapsed — keeps its ids, which are then neither consecutive nor in
+   preorder: its dump must read back to a tree that dumps the same. *)
+let test_tree_serialization_edited () =
+  let tree = (run "def main() { print(0); async { work(9); } finish { async \
+                   { work(3); } async { work(40); } } print(2); }").tree in
+  let root = Sdpst.Node.root in
+  ignore (Sdpst.Tree.insert_finish tree ~parent:root ~lo:1 ~hi:2);
+  ignore (Sdpst.Tree.insert_finish tree ~parent:root ~lo:0 ~hi:1);
+  ignore
+    (Sdpst.Analysis.prune tree ~keep:(fun n -> Sdpst.Node.cost tree n > 20));
+  let text = Sdpst.Serial.tree_to_string tree in
+  let back = Sdpst.Serial.tree_of_string text in
+  Alcotest.(check string) "dump of the read-back tree" text
+    (Sdpst.Serial.tree_to_string back);
+  Alcotest.(check bool) "same tree" true (tree_roundtrip_equal tree back)
 
 let test_tree_serialization_errors () =
   let bad s =
@@ -397,7 +431,13 @@ let test_tree_serialization_errors () =
   Alcotest.(check bool) "garbage line" true
     (bad "tdrace-sdpst-v1\nwat\n");
   Alcotest.(check bool) "orphan node" true
-    (bad "tdrace-sdpst-v1\n0 -1 R -1 -1 -1 7 0 -1\n5 99 S -1 0 0 -1 3 0\n")
+    (bad "tdrace-sdpst-v1\n0 -1 R -1 -1 -1 7 0 -1\n5 99 S -1 0 0 -1 3 0\n");
+  Alcotest.(check bool) "duplicate id" true
+    (bad
+       "tdrace-sdpst-v1\n0 -1 R -1 -1 -1 7 0 -1\n1 0 S -1 0 0 -1 3 0\n\
+        1 0 S -1 0 1 -1 3 1\n");
+  Alcotest.(check bool) "field out of range" true
+    (bad "tdrace-sdpst-v1\n0 -1 R -1 -1 -1 7 0 -1\n1 0 S -1 -5 0 -1 3 0\n")
 
 let test_offline_trace_resolution () =
   (* The full offline hand-off: serialize tree + trace, reload both
@@ -417,9 +457,9 @@ let test_offline_trace_resolution () =
   Alcotest.(check int) "races resolved offline" 1 (List.length races);
   let r = List.hd races in
   Alcotest.(check bool) "endpoints are steps" true
-    (Sdpst.Node.is_step r.src && Sdpst.Node.is_step r.sink);
+    (Sdpst.Node.is_step tree r.src && Sdpst.Node.is_step tree r.sink);
   Alcotest.(check bool) "MHP holds on the reloaded tree" true
-    (Sdpst.Lca.may_happen_in_parallel r.src r.sink)
+    (Sdpst.Lca.may_happen_in_parallel tree r.src r.sink)
 
 let () =
   Alcotest.run "sdpst"
@@ -429,6 +469,7 @@ let () =
           Alcotest.test_case "skeletons" `Quick test_skeletons;
           Alcotest.test_case "preorder ids" `Quick test_ids_are_preorder;
           Alcotest.test_case "count by kind" `Quick test_count_by_kind;
+          Alcotest.test_case "footprint" `Quick test_footprint;
         ] );
       ( "ancestry",
         [
@@ -459,6 +500,8 @@ let () =
           QCheck_alcotest.to_alcotest serialization_roundtrip_prop;
           Alcotest.test_case "pruned round-trip" `Quick
             test_tree_serialization_pruned;
+          Alcotest.test_case "spliced and pruned round-trip" `Quick
+            test_tree_serialization_edited;
           Alcotest.test_case "parse errors" `Quick
             test_tree_serialization_errors;
           Alcotest.test_case "offline trace resolution" `Quick

@@ -497,13 +497,14 @@ let test_series_refined_verified () =
 
 (* Statement ids a step may have executed: the step covers statement
    indices [origin_idx .. last_idx] of its origin block. *)
-let step_sids summary (n : Sdpst.Node.t) =
-  let lo = n.Sdpst.Node.origin_idx in
-  let hi = max lo n.Sdpst.Node.last_idx in
+let step_sids summary tree (n : Sdpst.Node.t) =
+  let lo = Sdpst.Node.origin_idx tree n in
+  let hi = max lo (Sdpst.Node.last_idx tree n) in
+  let bid = Sdpst.Node.origin_bid tree n in
   let rec go i acc =
     if i > hi then acc
     else
-      match Static.Summary.stmt_at summary ~bid:n.Sdpst.Node.origin_bid ~idx:i with
+      match Static.Summary.stmt_at summary ~bid ~idx:i with
       | Some sid -> go (i + 1) (sid :: acc)
       | None -> go (i + 1) acc
   in
@@ -523,8 +524,8 @@ let static_mhp_covers_dynamic_races =
       let mhp = Static.Mhp.analyze prog summary in
       List.for_all
         (fun (r : Espbags.Race.t) ->
-          let srcs = step_sids summary r.src in
-          let sinks = step_sids summary r.sink in
+          let srcs = step_sids summary r.tree r.src in
+          let sinks = step_sids summary r.tree r.sink in
           let covered =
             List.exists
               (fun a -> List.exists (fun b -> Static.Mhp.mhp mhp a b) sinks)
@@ -535,19 +536,19 @@ let static_mhp_covers_dynamic_races =
               "seed %d: race %a not covered by any static MHP pair\n\
                src step: block %d, stmts %d..%d; sink step: block %d, stmts \
                %d..%d"
-              seed Espbags.Race.pp r r.src.Sdpst.Node.origin_bid
-              r.src.Sdpst.Node.origin_idx r.src.Sdpst.Node.last_idx
-              r.sink.Sdpst.Node.origin_bid r.sink.Sdpst.Node.origin_idx
-              r.sink.Sdpst.Node.last_idx;
+              seed Espbags.Race.pp r (Sdpst.Node.origin_bid r.tree r.src)
+              (Sdpst.Node.origin_idx r.tree r.src) (Sdpst.Node.last_idx r.tree r.src)
+              (Sdpst.Node.origin_bid r.tree r.sink) (Sdpst.Node.origin_idx r.tree r.sink)
+              (Sdpst.Node.last_idx r.tree r.sink);
           covered)
         (Espbags.Detector.races det))
 
 (* A race signature that is stable across runs (node ids are not). *)
 let race_signature (r : Espbags.Race.t) =
-  ( r.src.Sdpst.Node.origin_bid,
-    r.src.Sdpst.Node.origin_idx,
-    r.sink.Sdpst.Node.origin_bid,
-    r.sink.Sdpst.Node.origin_idx,
+  ( (Sdpst.Node.origin_bid r.tree r.src),
+    (Sdpst.Node.origin_idx r.tree r.src),
+    (Sdpst.Node.origin_bid r.tree r.sink),
+    (Sdpst.Node.origin_idx r.tree r.sink),
     Fmt.str "%a" Rt.Addr.pp r.addr,
     Fmt.str "%a" Espbags.Race.pp_kind r.kind )
 
@@ -655,8 +656,8 @@ let refined_conflicts_cover_dynamic_races =
         (Static.Racecheck.conflicts summary mhp);
       List.for_all
         (fun (r : Espbags.Race.t) ->
-          let srcs = step_sids summary r.src in
-          let sinks = step_sids summary r.sink in
+          let srcs = step_sids summary r.tree r.src in
+          let sinks = step_sids summary r.tree r.sink in
           let covered =
             List.exists
               (fun a ->

@@ -22,15 +22,6 @@ let test_vec_set_last () =
     "last empty" None
     (Tdrutil.Vec.last (Tdrutil.Vec.create ()))
 
-let test_vec_replace_range () =
-  let v = Tdrutil.Vec.of_list [ 0; 1; 2; 3; 4; 5 ] in
-  Tdrutil.Vec.replace_range v ~lo:1 ~hi:3 99;
-  Alcotest.(check (list int))
-    "middle collapsed" [ 0; 99; 4; 5 ] (Tdrutil.Vec.to_list v);
-  let w = Tdrutil.Vec.of_list [ 7 ] in
-  Tdrutil.Vec.replace_range w ~lo:0 ~hi:0 8;
-  Alcotest.(check (list int)) "singleton" [ 8 ] (Tdrutil.Vec.to_list w)
-
 let test_vec_iter_fold () =
   let v = Tdrutil.Vec.of_list [ 1; 2; 3; 4 ] in
   Alcotest.(check int) "fold sum" 10 (Tdrutil.Vec.fold ( + ) 0 v);
@@ -49,23 +40,6 @@ let vec_model =
       let v = Tdrutil.Vec.create () in
       List.iter (Tdrutil.Vec.push v) xs;
       Tdrutil.Vec.to_list v = xs && Tdrutil.Vec.length v = List.length xs)
-
-let vec_replace_model =
-  QCheck.Test.make
-    ~name:"Vec.replace_range agrees with list splice" ~count:200
-    QCheck.(triple (list_of_size (Gen.int_range 1 20) small_int) small_int small_int)
-    (fun (xs, a, b) ->
-      let n = List.length xs in
-      let lo = abs a mod n in
-      let hi = lo + (abs b mod (n - lo)) in
-      let v = Tdrutil.Vec.of_list xs in
-      Tdrutil.Vec.replace_range v ~lo ~hi (-1);
-      let expected =
-        List.filteri (fun i _ -> i < lo) xs
-        @ [ -1 ]
-        @ List.filteri (fun i _ -> i > hi) xs
-      in
-      Tdrutil.Vec.to_list v = expected)
 
 let test_prng_deterministic () =
   let a = Tdrutil.Prng.create ~seed:7 in
@@ -312,10 +286,8 @@ let () =
         [
           Alcotest.test_case "push/get" `Quick test_vec_push_get;
           Alcotest.test_case "set/last" `Quick test_vec_set_last;
-          Alcotest.test_case "replace_range" `Quick test_vec_replace_range;
           Alcotest.test_case "iter/fold" `Quick test_vec_iter_fold;
           QCheck_alcotest.to_alcotest vec_model;
-          QCheck_alcotest.to_alcotest vec_replace_model;
         ] );
       ( "prng",
         [

@@ -3,17 +3,17 @@
 
 let graph_of src =
   let prog = Mhj.Front.compile src in
-  let det, _res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
+  let det, res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
+  let tree = res.Rt.Interp.tree in
   let races = Espbags.Race.dedupe_by_steps (Espbags.Detector.races det) in
-  let span, _ = Sdpst.Analysis.span_memo () in
-  let lca = Sdpst.Lca.ns_lca (List.hd races).src (List.hd races).sink in
+  let span, _ = Sdpst.Analysis.span_memo tree in
+  let lca = Sdpst.Lca.ns_lca tree (List.hd races).src (List.hd races).sink in
   let mine =
     List.filter
-      (fun (r : Espbags.Race.t) ->
-        (Sdpst.Lca.ns_lca r.src r.sink).Sdpst.Node.id = lca.Sdpst.Node.id)
+      (fun (r : Espbags.Race.t) -> Sdpst.Lca.ns_lca tree r.src r.sink = lca)
       races
   in
-  (prog, Repair.Depgraph.build ~coalesce:false ~span lca mine)
+  (prog, Repair.Depgraph.build ~coalesce:false ~span tree lca mine)
 
 (* Paper Figure 5: A1, A2 inside an if-block; A3, A4 outside.  Races
    A2 -> A4 and A3 -> A4. *)
@@ -70,7 +70,7 @@ let test_figure5_placements () =
   | Some ins ->
       Alcotest.(check bool)
         "parent is the if scope" true
-        (Sdpst.Node.is_scope ins.parent)
+        (Sdpst.Node.is_scope g.tree ins.parent)
   | None -> Alcotest.fail "A2 alone should be insertable");
   (* A1..A3: the finish must climb out to the main block, wrapping the
      whole if statement plus A3 *)
@@ -78,7 +78,7 @@ let test_figure5_placements () =
   | Some ins ->
       Alcotest.(check bool)
         "parent is the root" true
-        (ins.parent.Sdpst.Node.kind = Sdpst.Node.Root);
+        (Sdpst.Node.kind g.tree ins.parent = Sdpst.Node.Root);
       Alcotest.(check int)
         "wraps two statements"
         (ins.placement.hi - ins.placement.lo)
@@ -132,23 +132,20 @@ let test_checker_table () =
   let check label src =
     let prog = Mhj.Front.compile src in
     let wrap_ok = Mhj.Scopecheck.wrap_ok (Mhj.Scopecheck.build prog) in
-    let det, _ = Espbags.Detector.detect Espbags.Detector.Mrw prog in
+    let det, res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
+    let tree = res.Rt.Interp.tree in
     let races = Espbags.Race.dedupe_by_steps (Espbags.Detector.races det) in
-    let span, _ = Sdpst.Analysis.span_memo () in
+    let span, _ = Sdpst.Analysis.span_memo tree in
     let groups = Hashtbl.create 8 in
     List.iter
       (fun (r : Espbags.Race.t) ->
-        let l = Sdpst.Lca.ns_lca r.src r.sink in
-        let rs =
-          match Hashtbl.find_opt groups l.Sdpst.Node.id with
-          | Some (_, rs) -> rs
-          | None -> []
-        in
-        Hashtbl.replace groups l.Sdpst.Node.id (l, r :: rs))
+        let l = Sdpst.Lca.ns_lca tree r.src r.sink in
+        let rs = Option.value ~default:[] (Hashtbl.find_opt groups l) in
+        Hashtbl.replace groups l (r :: rs))
       races;
     Hashtbl.iter
-      (fun _ (lca, rs) ->
-        let g = Repair.Depgraph.build ~span lca (List.rev rs) in
+      (fun lca rs ->
+        let g = Repair.Depgraph.build ~span tree lca (List.rev rs) in
         let n = Repair.Depgraph.n_vertices g in
         if n <= 40 then begin
           let valid = Repair.Valid.make_checker ~wrap_ok g in
@@ -170,7 +167,7 @@ let test_checker_table () =
                 in
                 if valid ~i ~j <> expected || valid ~i ~j <> expected then
                   Alcotest.failf "%s: NS-LCA %a, interval (%d, %d)" label
-                    Sdpst.Node.pp lca i j
+                    (Sdpst.Node.pp tree) lca i j
               end)
             scrambled
         end)

@@ -66,8 +66,7 @@ let test_clock_happens_before () =
   let det = Vclock.Seq.make Vclock.Seq.Mrw in
   let m = det.Vclock.Seq.monitor in
   let cur () = Vclock.Seq.Order.cur det.Vclock.Seq.order in
-  let tree = Sdpst.Node.create_tree ~main_bid:0 in
-  let n = tree.Sdpst.Node.root in
+  let n = Sdpst.Node.root in
   m.Rt.Monitor.on_task_begin n;
   (* root = task 0 *)
   m.Rt.Monitor.on_finish_begin n;

@@ -21,10 +21,12 @@ let int_conv check =
   in
   Arg.conv (parse, Fmt.int)
 
-(* A count ([lo] = 1) or budget ([lo] = 0): a usage error below [lo]. *)
-let at_least lo =
+(* A count ([lo] = 1) or budget ([lo] = 0): a usage error below [lo],
+   or above [most]. *)
+let at_least ?(most = max_int) lo =
   int_conv (fun n ->
-      if n >= lo then None
+      if n > most then Some (Fmt.str "must be at most %d" most)
+      else if n >= lo then None
       else Some (if lo = 0 then "must be non-negative" else "must be positive"))
 
 (* One row's flag, absent meaning [default].  Out-of-range values are

@@ -883,14 +883,18 @@ let serve_cmd =
           })
   in
   let workers =
+    (* each worker is a domain of its own, beside the daemon's *)
+    let most = Par.Engine.max_domains - 1 in
     Arg.(
-      value & opt int 2
+      value & opt (Options_cli.at_least ~most 1) 2
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains executing jobs in parallel.")
+          ~doc:
+            (Fmt.str "Worker domains executing jobs in parallel (at most %d)."
+               most))
   in
   let queue =
     Arg.(
-      value & opt int 16
+      value & opt (Options_cli.at_least 0) 16
       & info [ "queue" ] ~docv:"N"
           ~doc:
             "Bounded job-queue capacity.  A job arriving at a full queue \
@@ -909,7 +913,7 @@ let serve_cmd =
   in
   let cache =
     Arg.(
-      value & opt int 64
+      value & opt (Options_cli.at_least 0) 64
       & info [ "cache" ] ~docv:"N"
           ~doc:
             "Result-cache capacity (identical program + flags returns the \
@@ -917,7 +921,7 @@ let serve_cmd =
   in
   let retries =
     Arg.(
-      value & opt int 2
+      value & opt (Options_cli.at_least 0) 2
       & info [ "retries" ] ~docv:"N"
           ~doc:
             "Transient-fault retries per job (injected faults, budget \
@@ -925,7 +929,7 @@ let serve_cmd =
   in
   let backoff =
     Arg.(
-      value & opt int 10
+      value & opt (Options_cli.at_least 0) 10
       & info [ "backoff-ms" ] ~docv:"MS"
           ~doc:
             "First retry delay; doubles per retry, capped.")

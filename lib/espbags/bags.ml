@@ -159,10 +159,11 @@ let in_pbag t x =
   end
 
 (** [scan_report t entries ~out ~sink ~meta] is the detector's fused
-    inner loop.  [entries] is a shadow location's recorded-access list,
-    each element packed as [(task lsl 31) lor sid] — [task] a dense index
-    from {!current_task}, [sid] the recording step's id.  For every entry
-    whose task is currently in a P-bag, the packed 2-int race record
+    inner loop.  [entries] is a shadow location's recorded-access list:
+    its used length in slot 0, then one entry per slot, each packed as
+    [(task lsl 31) lor sid] — [task] a dense index from {!current_task},
+    [sid] the recording step's id.  For every entry whose task is
+    currently in a P-bag, the packed 2-int race record
     [(sid lsl 31) lor sink, meta] is appended to [out] — unless
     [sid = sink] (an access never races with its own step).  Batching
     the loop here keeps the membership-memo probe inlined (one cached
@@ -172,16 +173,14 @@ let in_pbag t x =
     in 31 bits (they are S-DPST node ids; see the detector's record-push
     guard). *)
 let scan_report t entries ~out ~sink ~meta =
-  let n = Tdrutil.Ivec.length entries in
+  let n = Array.unsafe_get entries 0 in
   t.n_scan_entries <- t.n_scan_entries + n;
   let ver = t.version in
-  (* raw backing arrays, hoisted: neither [entries] nor the memo grows
-     during the scan ([out] is a different vector), so the arrays stay
-     valid and the loop body reloads nothing *)
-  let edata = Tdrutil.Ivec.unsafe_data entries in
+  (* the memo's raw backing array, hoisted: it does not grow during the
+     scan, so it stays valid and the loop body reloads nothing *)
   let cdata = Tdrutil.Ivec.unsafe_data t.pbag_cache in
-  for i = 0 to n - 1 do
-    let e = Array.unsafe_get edata i in
+  for i = 1 to n do
+    let e = Array.unsafe_get entries i in
     let x = e lsr 31 in
     let c = Array.unsafe_get cdata x in
     let hit =

@@ -52,14 +52,15 @@ val forever_serial : t -> int -> bool
 val serial_version : t -> int
 
 (** [scan_report t entries ~out ~sink ~meta] appends to [out] the packed
-    2-int race record [(sid lsl 31) lor sink, meta] for every element of
-    [entries] — each packed as [(task lsl 31) lor sid] with [task] a
-    dense index from {!current_task} — whose task is currently in a
-    P-bag, skipping entries whose [sid] equals [sink].  The detector's
-    fused scan-and-report inner loop; [sink] and packed [sid]s must fit
-    in 31 bits (see bags.ml). *)
+    2-int race record [(sid lsl 31) lor sink, meta] for every entry of
+    [entries] — its used length in slot 0, then entries packed as
+    [(task lsl 31) lor sid] with [task] a dense index from
+    {!current_task} — whose task is currently in a P-bag, skipping
+    entries whose [sid] equals [sink].  The detector's fused
+    scan-and-report inner loop; [sink] and packed [sid]s must fit in 31
+    bits (see bags.ml). *)
 val scan_report :
-  t -> Tdrutil.Ivec.t -> out:Tdrutil.Ivec.t -> sink:int -> meta:int -> unit
+  t -> int array -> out:Tdrutil.Ivec.t -> sink:int -> meta:int -> unit
 
 (** A task starts: fresh singleton S-bag. *)
 val task_begin : t -> task:int -> unit

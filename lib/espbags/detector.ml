@@ -12,29 +12,28 @@ module Order = struct
   let srw_parallel b row i = Bags.in_pbag b (Array.unsafe_get row i)
   let srw_store b row i = Array.unsafe_set row i (Bags.current_task b)
 
-  (* no epochs: every location shares this never-written empty vector *)
-  let no_epochs = Tdrutil.Ivec.create ()
-  let new_epochs () = no_epochs
+  let entry_stride = 1
 
-  let record b l _ ~sid =
-    Tdrutil.Ivec.push l ((Bags.current_task b lsl 31) lor sid)
+  let record b l ~sid =
+    let n = Array.unsafe_get l 0 + 1 in
+    Array.unsafe_set l n ((Bags.current_task b lsl 31) lor sid);
+    Array.unsafe_set l 0 n
 
-  let scan_report b l _ ~out ~sink ~meta = Bags.scan_report b l ~out ~sink ~meta
+  let scan_report = Bags.scan_report
   let retire_version = Bags.serial_version
 
   (* an entry of a forever-serial task can never be in a P-bag again *)
-  let retire b l _ =
-    let n = Tdrutil.Ivec.length l in
-    let data = Tdrutil.Ivec.unsafe_data l in
+  let retire b l =
+    let n = Array.unsafe_get l 0 in
     let j = ref 0 in
-    for i = 0 to n - 1 do
-      let e = Array.unsafe_get data i in
+    for i = 1 to n do
+      let e = Array.unsafe_get l i in
       if not (Bags.forever_serial b (e lsr 31)) then begin
-        Array.unsafe_set data !j e;
-        incr j
+        incr j;
+        Array.unsafe_set l !j e
       end
     done;
-    Tdrutil.Ivec.truncate l !j;
+    Array.unsafe_set l 0 !j;
     n - !j
 
   let stats b =

@@ -9,7 +9,7 @@
 
     A recorded access is its task's dense {!Bags} index; it is concurrent
     with the current step iff that task is in a P-bag.  SRW rows are 4
-    ints ([[task; sid]] per slot), MRW lists keep no epochs, and epoch GC
+    ints ([[task; sid]] per slot), MRW entries 1 (no epoch), and epoch GC
     retires the entries of {!Bags.forever_serial} tasks. *)
 
 include Shadow.S with type order = Bags.t

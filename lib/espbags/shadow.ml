@@ -11,20 +11,22 @@
     be retired.  {!Detector} (ESP-bags) and [Vclock.Seq] (vector clocks)
     are its two instances.
 
-    Without flambda, ocamlopt never inlines a functor argument, so
-    {!ORDER} works on whole rows and lists: one call per access and list,
-    never one per shadow entry. *)
+    The dev profile compiles every library [-opaque], so no call across
+    modules is inlined, a functor argument's included: {!ORDER} works on
+    whole rows and lists, one call per access and list, never one per
+    shadow entry. *)
 
 (* Hot path: no allocation, no hashing.  Locations arrive as dense
-   interned ids ({!Rt.Addr.Intern}) indexing slab tables; MRW lists are int
-   vectors of packed entries, and a step is its S-DPST node id, so the
-   shadow holds no pointers.  Per-location step epochs (the last
-   recorded reader / writer step) dedup a list in one compare: the
-   depth-first run never resumes a step, so a step's accesses to a location
-   are contiguous.  The differential suite holds both instances to the
-   races of the seed detector, a test-only oracle.  At scale
-   (DESIGN.md §15) slab chunks, lazy epoch GC and race spill bound memory
-   without changing a report. *)
+   interned ids ({!Rt.Addr.Intern}) indexing slab tables; a location's
+   MRW state is an int row plus two int arrays of packed entries, and a
+   step is its S-DPST node id, so the shadow holds no pointers.
+   Per-location step epochs (the last recorded reader / writer step)
+   dedup a list in one compare: the depth-first run never resumes a
+   step, so a step's accesses to a location are contiguous.  The
+   differential suite holds both instances to the races of the seed
+   detector, a test-only oracle.  At scale (DESIGN.md §15) slab chunks,
+   lazy epoch GC and race spill bound memory without changing a
+   report. *)
 
 module type ORDER = sig
   type t
@@ -58,38 +60,36 @@ module type ORDER = sig
 
   (** {2 MRW lists}
 
-      A location keeps one entry list per direction, each entry packed as
-      [(task lsl 31) lor step id], and a parallel epoch vector that an
-      order may leave unused. *)
+      A location keeps one list per direction, an [int array] whose slot
+      0 holds the used length [n]: its entries sit in slots [1 .. n],
+      [entry_stride] ints each, the first packed as
+      [(task lsl 31) lor step id] and the rest the order's.  The core
+      grows and shrinks the arrays; the order reads and writes them in
+      place. *)
 
-  (** The epoch vector of a fresh list (an order without epochs returns
-      one shared empty vector and never writes it). *)
-  val new_epochs : unit -> Tdrutil.Ivec.t
+  (** Ints per entry. *)
+  val entry_stride : int
 
-  (** Append the current step [sid] to a list and its epoch vector. *)
-  val record : t -> Tdrutil.Ivec.t -> Tdrutil.Ivec.t -> sid:int -> unit
+  (** Append the current step [sid] to a list that has room for one
+      more entry. *)
+  val record : t -> int array -> sid:int -> unit
 
-  (** [scan_report o list epochs ~out ~sink ~meta] appends the packed
-      record [(sid lsl 31) lor sink, meta] to [out] for every entry that
-      may run in parallel with the current step, skipping entries whose
+  (** [scan_report o list ~out ~sink ~meta] appends the packed record
+      [(sid lsl 31) lor sink, meta] to [out] for every entry that may
+      run in parallel with the current step, skipping entries whose
       [sid] is [sink]. *)
   val scan_report :
-    t ->
-    Tdrutil.Ivec.t ->
-    Tdrutil.Ivec.t ->
-    out:Tdrutil.Ivec.t ->
-    sink:int ->
-    meta:int ->
-    unit
+    t -> int array -> out:Tdrutil.Ivec.t -> sink:int -> meta:int -> unit
 
   (** Bumped, only inside a structural transition, each time some
       recorded entries become ordered before all future work; a location
       whose stamp lags sweeps itself with {!retire} on its next access. *)
   val retire_version : t -> int
 
-  (** Drop, in place and order-preserving, the entries of a list (and
-      their epochs) that can never report again; returns how many. *)
-  val retire : t -> Tdrutil.Ivec.t -> Tdrutil.Ivec.t -> int
+  (** Drop, in place and order-preserving, the entries of a list that
+      can never report again, and lower its used length; returns how
+      many. *)
+  val retire : t -> int array -> int
 
   (** The order's counters (the core adds the ["detector."] prefix): the
       first list goes after [skipped], the second after [gc_retired]. *)
@@ -280,8 +280,8 @@ module Make (O : ORDER) : S with type order = O.t = struct
   (* SRW                                                                *)
   (* ---------------------------------------------------------------- *)
 
-  (* One [Islab.slot] probe serves the whole row; the step column is only
-     read behind a task >= 0 guard. *)
+  (* One [Islab.chunk] probe serves the whole row; the step column is
+     only read behind a task >= 0 guard. *)
   let srw_store o row i sid =
     check_sid sid;
     O.srw_store o row i;
@@ -296,7 +296,8 @@ module Make (O : ORDER) : S with type order = O.t = struct
       (fun () -> (Tdrutil.Islab.n_chunks tbl, Tdrutil.Islab.words tbl));
     fun ~step ~bid:_ ~idx:_ addr kind ->
       det.n_accesses <- det.n_accesses + 1;
-      let row, w = Tdrutil.Islab.slot tbl (addr * stride) in
+      let row = Tdrutil.Islab.chunk tbl (addr * stride) in
+      let w = (addr * stride) land (Array.length row - 1) in
       let r = w + half and sid = step in
       let w_set = Array.unsafe_get row w >= 0
       and r_set = Array.unsafe_get row r >= 0 in
@@ -321,123 +322,115 @@ module Make (O : ORDER) : S with type order = O.t = struct
   (* MRW                                                                *)
   (* ---------------------------------------------------------------- *)
 
-  type loc = {
-    w_list : Tdrutil.Ivec.t;  (** recorded writers, packed [task, sid] *)
-    w_eps : Tdrutil.Ivec.t;  (** their epochs, if the order keeps any *)
-    r_list : Tdrutil.Ivec.t;  (** recorded readers *)
-    r_eps : Tdrutil.Ivec.t;
-    mutable w_epoch : int;  (** id of the last recorded writer step; -1 *)
-    mutable r_epoch : int;
-    mutable gc_ver : int;  (** [O.retire_version] at the last sweep here *)
-    (* Scan replay: within one step no transition changes a concurrency
-       answer and the step's own entry never reports, so its repeated
-       same-kind scans append identical runs: the first scan's range is
-       re-emitted with a blit.  Ranges count from the first record ever
-       buffered, so one that starts before [drained] went to disk with a
-       drain and is scanned again. *)
-    mutable rscan_epoch : int;  (** last step whose Read scanned here *)
-    mutable rscan_lo : int;  (** its appended records: [lo, hi) *)
-    mutable rscan_hi : int;
-    mutable wscan_epoch : int;  (** same for Write (both its scans) *)
-    mutable wscan_lo : int;
-    mutable wscan_hi : int;
-  }
+  (* A location's header is one 8-int row of an [Islab]: the ids of its
+     last recorded writer and reader steps (-1 none), [O.retire_version]
+     at its last sweep (-1: never accessed), and two scan-replay ranges.
+     Within one step no transition changes a concurrency answer and the
+     step's own entry never reports, so its repeated same-kind scans
+     append identical runs: the first scan's range of [r_buf] is
+     re-emitted with a blit.  A step that scanned as a reader (writer)
+     is the last recorded reader (writer), so the epochs say whose range
+     it is.  Ranges count from the first record ever buffered, so one
+     that starts before [drained] went to disk with a drain and is
+     scanned again. *)
+  let hdr_stride = 8
+  let w_epoch, r_epoch, gc_ver = (0, 1, 2)
+  let r_lo, r_hi, w_lo, w_hi = (3, 4, 5, 6)
 
-  let fresh_loc () =
-    { w_list = Tdrutil.Ivec.create (); w_eps = O.new_epochs ();
-      r_list = Tdrutil.Ivec.create (); r_eps = O.new_epochs ();
-      w_epoch = -1; r_epoch = -1; gc_ver = 0;
-      rscan_epoch = -1; rscan_lo = 0; rscan_hi = 0;
-      wscan_epoch = -1; wscan_lo = 0; wscan_hi = 0 }
-
-  (* Epoch-GC sweep of one list; shrink the backing arrays when the
-     survivors fit in a quarter, or the capacity freed by a big
-     retirement wave would stay pinned. *)
-  let retire o l eps =
-    let n = O.retire o l eps in
-    let cap = Tdrutil.Ivec.capacity l in
-    if cap >= 32 && Tdrutil.Ivec.length l * 4 <= cap then begin
-      Tdrutil.Ivec.compact l;
-      Tdrutil.Ivec.compact eps
-    end;
-    n
+  (* Record step [sid] in [l], the list at [i] of [lists], which first
+     grows if full: a list holds a power-of-two number of entries. *)
+  let push o lists i l sid =
+    check_sid sid;
+    let len = Array.length l and stride = O.entry_stride in
+    if Array.unsafe_get l 0 + stride < len then O.record o l ~sid
+    else begin
+      let l' = Array.make (if len = 1 then 1 + stride else (2 * len) - 1) 0 in
+      Array.blit l 0 l' 0 len;
+      Tdrutil.Slab.set lists i l';
+      O.record o l' ~sid
+    end
 
   let mrw_access ?chunk det version =
     let o = det.order in
-    (* shared physical sentinel for untouched slots: location state is
-       created lazily on first access (and counted), without an option *)
-    let null_loc = fresh_loc () in
-    let shadow = Tdrutil.Slab.create ?chunk ~fill:null_loc () in
+    let hdr = Tdrutil.Islab.create ?chunk ~fill:(-1) () in
+    (* a location's writer list sits at [2 * addr] of [lists], its reader
+       list next to it; untouched lists share one never-written empty
+       array *)
+    let empty = [| 0 |] in
+    let lists = Tdrutil.Slab.create ?chunk ~fill:empty () in
     det.shadow_info <-
       (fun () ->
-        (* table words plus the lists' backing capacity: the lists are
-           the part epoch GC reclaims, so the bench must see them *)
-        let words = ref (Tdrutil.Slab.words shadow) in
-        let cap = Tdrutil.Ivec.capacity in
+        (* the tables plus the lists: the lists are the part epoch GC
+           reclaims, so the bench must see them *)
+        let words = ref (Tdrutil.Islab.words hdr + Tdrutil.Slab.words lists) in
         Tdrutil.Slab.iter_present
-          (fun s ->
-            if s != null_loc then
-              words :=
-                !words + cap s.w_list + cap s.w_eps + cap s.r_list
-                + cap s.r_eps)
-          shadow;
-        (Tdrutil.Slab.n_chunks shadow, !words));
+          (fun l -> if l != empty then words := !words + Array.length l)
+          lists;
+        (Tdrutil.Islab.n_chunks hdr + Tdrutil.Slab.n_chunks lists, !words));
+    (* epoch-GC sweep of one list; shrink its array when the survivors
+       fit in a quarter, or the capacity freed by a big retirement wave
+       would stay pinned *)
+    let sweep i =
+      let l = Tdrutil.Slab.get lists i in
+      if Array.unsafe_get l 0 = 0 then 0
+      else begin
+        let n = O.retire o l in
+        let used = Array.unsafe_get l 0 and cap = Array.length l - 1 in
+        if cap >= 32 && used * 4 <= cap then
+          Tdrutil.Slab.set lists i (Array.sub l 0 (used + 1));
+        n
+      end
+    in
     fun ~step ~bid:_ ~idx:_ addr kind ->
       det.n_accesses <- det.n_accesses + 1;
-      let s = Tdrutil.Slab.get shadow addr in
-      let s =
-        if s != null_loc then s
-        else begin
-          let s = fresh_loc () in
-          Tdrutil.Slab.set shadow addr s;
-          det.n_locations <- det.n_locations + 1;
-          s
-        end
-      in
-      (* lazy epoch GC: a retirement wave happened since this location's
-         last sweep (always between steps, so never mid-scan-replay) *)
-      let v = !version in
-      if s.gc_ver <> v then begin
-        s.gc_ver <- v;
-        det.n_retired <-
-          det.n_retired + retire o s.w_list s.w_eps + retire o s.r_list s.r_eps
+      let h = Tdrutil.Islab.chunk hdr (addr * hdr_stride) in
+      let at = (addr * hdr_stride) land (Array.length h - 1) in
+      (* first access, or lazy epoch GC: a retirement wave happened since
+         this location's last sweep (always between steps, so never
+         mid-scan-replay) *)
+      let v = !version and g = Array.unsafe_get h (at + gc_ver) in
+      if g <> v then begin
+        Array.unsafe_set h (at + gc_ver) v;
+        if g < 0 then det.n_locations <- det.n_locations + 1
+        else
+          det.n_retired <-
+            det.n_retired + sweep (2 * addr) + sweep ((2 * addr) + 1)
       end;
       let sid = step in
       let base = det.drained and out = det.r_buf in
       (match kind with
       | Rt.Monitor.Read ->
-          if s.rscan_epoch = sid && s.rscan_lo >= base then
-            Tdrutil.Ivec.append_slice out (s.rscan_lo - base)
-              (s.rscan_hi - base)
+          let lo = Array.unsafe_get h (at + r_lo) in
+          if Array.unsafe_get h (at + r_epoch) = sid && lo >= base then
+            Tdrutil.Ivec.append_slice out (lo - base)
+              (Array.unsafe_get h (at + r_hi) - base)
           else begin
-            s.rscan_epoch <- sid;
-            s.rscan_lo <- base + Tdrutil.Ivec.length out;
-            O.scan_report o s.w_list s.w_eps ~out ~sink:sid
+            Array.unsafe_set h (at + r_lo) (base + Tdrutil.Ivec.length out);
+            O.scan_report o (Tdrutil.Slab.get lists (2 * addr)) ~out ~sink:sid
               ~meta:((addr lsl 2) lor wr);
-            s.rscan_hi <- base + Tdrutil.Ivec.length out
-          end;
-          if s.r_epoch <> sid then begin
-            check_sid sid;
-            s.r_epoch <- sid;
-            O.record o s.r_list s.r_eps ~sid
+            Array.unsafe_set h (at + r_hi) (base + Tdrutil.Ivec.length out);
+            if Array.unsafe_get h (at + r_epoch) <> sid then begin
+              Array.unsafe_set h (at + r_epoch) sid;
+              let i = (2 * addr) + 1 in
+              push o lists i (Tdrutil.Slab.get lists i) sid
+            end
           end
       | Rt.Monitor.Write ->
-          if s.wscan_epoch = sid && s.wscan_lo >= base then
-            Tdrutil.Ivec.append_slice out (s.wscan_lo - base)
-              (s.wscan_hi - base)
+          let lo = Array.unsafe_get h (at + w_lo) in
+          if Array.unsafe_get h (at + w_epoch) = sid && lo >= base then
+            Tdrutil.Ivec.append_slice out (lo - base)
+              (Array.unsafe_get h (at + w_hi) - base)
           else begin
-            s.wscan_epoch <- sid;
-            s.wscan_lo <- base + Tdrutil.Ivec.length out;
-            O.scan_report o s.w_list s.w_eps ~out ~sink:sid
-              ~meta:((addr lsl 2) lor ww);
-            O.scan_report o s.r_list s.r_eps ~out ~sink:sid
-              ~meta:((addr lsl 2) lor rw);
-            s.wscan_hi <- base + Tdrutil.Ivec.length out
-          end;
-          if s.w_epoch <> sid then begin
-            check_sid sid;
-            s.w_epoch <- sid;
-            O.record o s.w_list s.w_eps ~sid
+            let wl = Tdrutil.Slab.get lists (2 * addr) in
+            Array.unsafe_set h (at + w_lo) (base + Tdrutil.Ivec.length out);
+            O.scan_report o wl ~out ~sink:sid ~meta:((addr lsl 2) lor ww);
+            O.scan_report o (Tdrutil.Slab.get lists ((2 * addr) + 1)) ~out
+              ~sink:sid ~meta:((addr lsl 2) lor rw);
+            Array.unsafe_set h (at + w_hi) (base + Tdrutil.Ivec.length out);
+            if Array.unsafe_get h (at + w_epoch) <> sid then begin
+              Array.unsafe_set h (at + w_epoch) sid;
+              push o lists (2 * addr) wl sid
+            end
           end);
       maybe_spill det
 

@@ -3,11 +3,11 @@
    [1 lsl bits] slots), so presence is one [Array.length] test and absent
    reads touch no per-chunk storage at all. *)
 
-let default_chunk = 8192
+let default_chunk = 4096
 let max_chunk = 1 lsl 20
 
 (* Smallest power of two >= max 8 n, as its exponent.  The floor of 8
-   keeps small strided groups (see [slot]) inside one chunk; the ceiling
+   keeps small strided groups (see [chunk]) inside one chunk; the ceiling
    keeps the loop finite and a chunk allocatable. *)
 let bits_for n =
   if n <= 0 then invalid_arg "Islab.create: chunk size must be positive";
@@ -68,6 +68,6 @@ let set t i v =
   if i < 0 then invalid_arg "Islab.set: negative index";
   Array.unsafe_set (chunk_of t (i lsr t.bits)) (i land t.mask) v
 
-let slot t i =
-  if i < 0 then invalid_arg "Islab.slot: negative index";
-  (chunk_of t (i lsr t.bits), i land t.mask)
+let chunk t i =
+  if i < 0 then invalid_arg "Islab.chunk: negative index";
+  chunk_of t (i lsr t.bits)

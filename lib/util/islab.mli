@@ -10,7 +10,9 @@
     copies.  Reads of untouched slots return the table's [fill] without
     allocating. *)
 
-(** Default slab size in slots (power of two): 64 KiB of [int]s. *)
+(** Default slab size in slots (power of two): 32 KiB of [int]s, so an
+    MRW detection's first header chunk and first list chunk together
+    take 64 KiB. *)
 val default_chunk : int
 
 (** Largest accepted slab size in slots, [2^20] (8 MiB of [int]s). *)
@@ -45,10 +47,12 @@ val get : t -> int -> int
 (** @raise Invalid_argument on a negative index *)
 val set : t -> int -> int -> unit
 
-(** [slot t i] returns the backing chunk and offset of slot [i],
-    materializing its chunk (so the caller can read {e and} write it in
-    place).  For struct-of-arrays shadow rows packed at a fixed stride: a
+(** [chunk t i] is the backing chunk of slot [i], materialized, so the
+    caller can read {e and} write it in place; the slot sits at offset
+    [i land (Array.length c - 1)] of chunk [c] (chunks are powers of two
+    long).  For struct-of-arrays shadow rows packed at a fixed stride: a
     row of a power-of-two stride no larger than 8, aligned to it, never
-    straddles a chunk, so one directory probe serves the whole row.
+    straddles a chunk, so one directory probe serves the whole row, and
+    returning the bare chunk keeps the probe free of allocation.
     @raise Invalid_argument on a negative index *)
-val slot : t -> int -> int array * int
+val chunk : t -> int -> int array

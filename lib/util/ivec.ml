@@ -21,9 +21,6 @@ let push t x =
   Array.unsafe_set t.data t.len x;
   t.len <- t.len + 1
 
-(* One capacity check and one call for a 4-int record: callers that push
-   fixed-stride tuples into one vector (e.g. the detector's race buffer)
-   are hot enough that four separate [push] calls show up in profiles. *)
 (* Append the slice [lo, hi) of [t] to the end of [t]: the detector's
    scan-replay path re-emits a previously recorded run of race records
    with one memcpy instead of re-scanning the shadow. *)
@@ -36,6 +33,8 @@ let append_slice t lo hi =
     t.len <- n
   end
 
+(* One capacity check and one call for a 2-int record: the detector's
+   race buffer is hot enough that two [push] calls show up in profiles. *)
 let push2 t a b =
   let n = t.len + 2 in
   if n > Array.length t.data then grow t n;
@@ -96,14 +95,8 @@ let of_list xs =
 
 let clear t = t.len <- 0
 
-let truncate t n =
-  if n < 0 || n > t.len then invalid_arg "Ivec.truncate";
-  t.len <- n
-
-(* Shrink the backing array to the live length: after an in-place filter
-   ([truncate]) of a long-lived vector, the freed capacity would
-   otherwise be pinned until the next growth. *)
+(* Shrink the backing array to the live length: after a [clear] of a
+   long-lived vector, the freed capacity would otherwise be pinned until
+   the next growth. *)
 let compact t =
   if Array.length t.data > t.len then t.data <- Array.sub t.data 0 t.len
-
-let capacity t = Array.length t.data

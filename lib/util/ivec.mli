@@ -70,14 +70,6 @@ val of_list : int list -> t
 
 val clear : t -> unit
 
-(** [truncate t n] drops elements [n ..] (keeps the backing array).
-    With [unsafe_data]/[unsafe_set], the tail of an in-place filter.
-    @raise Invalid_argument if [n] is negative or beyond the length *)
-val truncate : t -> int -> unit
-
 (** Shrink the backing array to the live length, releasing capacity freed
-    by [truncate]/[pop] (invalidates any held [unsafe_data]). *)
+    by [clear]/[pop] (invalidates any held [unsafe_data]). *)
 val compact : t -> unit
-
-(** Allocated backing slots (>= [length]), for footprint accounting. *)
-val capacity : t -> int

@@ -1,5 +1,5 @@
 (* See slab.mli — the boxed-element counterpart of Islab, for shadow
-   tables whose slots are records (one [mrw_loc] per touched location).
+   tables whose slots are blocks (the MRW lists' int arrays).
    Absent chunks are zero-length arrays, as in Islab. *)
 
 type 'a t = {

@@ -1,6 +1,6 @@
 (** Sparse slab-allocated tables of boxed elements — {!Islab} for ['a]
     slots, with the same chunk sizes.  Used for the MRW detectors'
-    shadow: one location record per touched address id, where chunked
+    access lists: one int array per touched list, where chunked
     growth keeps footprint proportional to touched chunks and avoids a
     doubling copy (which for a boxed table would also re-run the GC write
     barrier per moved slot). *)

@@ -22,6 +22,11 @@ val copy : t -> t
 (** Pointwise max of the second clock into [into]. *)
 val merge : into:t -> t -> unit
 
+(** The backing array: slot [i] is [get c i] below its length, and
+    every slot past it reads 0.  For the detector's batched scan loops;
+    invalidated by any growth ([set], [incr], [merge]). *)
+val data : t -> int array
+
 (** [covers c i e]: is epoch [e] of task [i] ordered before the holder
     of [c] (that is, [get c i >= e])? *)
 val covers : t -> int -> int -> bool

@@ -102,21 +102,27 @@ module Order = struct
     Array.unsafe_set row i o.cur_tidx;
     Array.unsafe_set row (i + 2) (Clock.get o.cur o.cur_tidx)
 
-  let new_epochs () = Tdrutil.Ivec.create ()
+  (* an MRW entry is the packed task and step, then the task's epoch *)
+  let entry_stride = 2
 
-  let record o l eps ~sid =
-    Tdrutil.Ivec.push l ((o.cur_tidx lsl 31) lor sid);
-    Tdrutil.Ivec.push eps (Clock.get o.cur o.cur_tidx)
+  let record o l ~sid =
+    let n = Array.unsafe_get l 0 in
+    Array.unsafe_set l (n + 1) ((o.cur_tidx lsl 31) lor sid);
+    Array.unsafe_set l (n + 2) (Clock.get o.cur o.cur_tidx);
+    Array.unsafe_set l 0 (n + 2)
 
-  (* one clock lookup per entry, in place of a union-find find *)
-  let scan_report o l eps ~out ~sink ~meta =
-    let cur = o.cur in
-    let n = Tdrutil.Ivec.length l in
+  (* one clock read per entry, in place of a union-find find; the
+     clock's array is hoisted, since a scan grows no clock *)
+  let scan_report o l ~out ~sink ~meta =
+    let n = Array.unsafe_get l 0 / 2 in
     o.n_scan_entries <- o.n_scan_entries + n;
-    for i = 0 to n - 1 do
-      let e = Tdrutil.Ivec.unsafe_get l i in
-      if not (Clock.covers cur (e lsr 31) (Tdrutil.Ivec.unsafe_get eps i))
-      then begin
+    let cv = Clock.data o.cur in
+    let len = Array.length cv in
+    for k = 0 to n - 1 do
+      let e = Array.unsafe_get l ((2 * k) + 1) in
+      let t = e lsr 31 in
+      let known = if t < len then Array.unsafe_get cv t else 0 in
+      if known < Array.unsafe_get l ((2 * k) + 2) then begin
         let src = e land ((1 lsl 31) - 1) in
         if src <> sink then Tdrutil.Ivec.push2 out ((src lsl 31) lor sink) meta
       end
@@ -124,23 +130,23 @@ module Order = struct
 
   let retire_version o = o.retire_ver
 
-  let retire o l eps =
-    let n = Tdrutil.Ivec.length l in
-    let data = Tdrutil.Ivec.unsafe_data l in
-    let edata = Tdrutil.Ivec.unsafe_data eps in
-    let rc = o.retire_clock in
+  let retire o l =
+    let n = Array.unsafe_get l 0 in
+    let rc = Clock.data o.retire_clock in
+    let len = Array.length rc in
     let j = ref 0 in
-    for i = 0 to n - 1 do
-      let e = Array.unsafe_get data i and ep = Array.unsafe_get edata i in
-      if not (Clock.covers rc (e lsr 31) ep) then begin
-        Array.unsafe_set data !j e;
-        Array.unsafe_set edata !j ep;
-        incr j
+    for i = 1 to n / 2 do
+      let e = Array.unsafe_get l ((2 * i) - 1)
+      and ep = Array.unsafe_get l (2 * i) in
+      let t = e lsr 31 in
+      if (if t < len then Array.unsafe_get rc t else 0) < ep then begin
+        Array.unsafe_set l (!j + 1) e;
+        Array.unsafe_set l (!j + 2) ep;
+        j := !j + 2
       end
     done;
-    Tdrutil.Ivec.truncate l !j;
-    Tdrutil.Ivec.truncate eps !j;
-    n - !j
+    Array.unsafe_set l 0 !j;
+    (n - !j) / 2
 
   let stats o =
     ( [ ("tasks", o.n_tasks); ("clock_merges", o.n_merges);

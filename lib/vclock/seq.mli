@@ -17,10 +17,10 @@
       cover every joined epoch — ordered again (ESP-bags: P-bag unioned
       into the S-bag).
 
-    SRW rows are 8 ints ([[task; sid; epoch; _]] per slot), MRW lists
-    keep a parallel epoch vector.  A task's clock is released the moment
-    it ends (it is only read at its own forks and its end-merge), so
-    clock footprint tracks live tasks.  Epoch GC: when a finish closes
+    SRW rows are 8 ints ([[task; sid; epoch; _]] per slot), MRW entries
+    2 (the packed entry, then its epoch).  A task's clock is released
+    the moment it ends (it is only read at its own forks and its
+    end-merge), so clock footprint tracks live tasks.  Epoch GC: when a finish closes
     with only the root task live, every entry the root's clock covers at
     that moment is ordered before all future work (which forks from the
     root and inherits that clock), so MRW entries passing a snapshot of

@@ -1218,6 +1218,26 @@ let test_negative_budgets () =
   in
   Alcotest.(check bool) "zero budgets accepted" true (code <> 124)
 
+(* Out-of-range serve flags are usage errors at parse time.  The socket
+   sits in a directory that does not exist, so even a daemon that parsed
+   them would fail to bind before it starts a worker domain. *)
+let test_serve_flags_bounded () =
+  let dir = Filename.temp_file "tdrepair_cli" ".missing" in
+  Sys.remove dir;
+  let socket = Filename.concat dir "s.sock" in
+  List.iter
+    (fun (flag, why) ->
+      let code, out = run_cli [ "serve"; flag; "--socket"; socket ] in
+      Alcotest.(check int) flag 124 code;
+      check_contains flag out why)
+    [ ("--workers=129", "must be at most 127");
+      ("--workers=128", "must be at most 127");
+      ("--workers=0", "must be positive");
+      ("--queue=-1", "must be non-negative");
+      ("--cache=-1", "must be non-negative");
+      ("--retries=-1", "must be non-negative");
+      ("--backoff-ms=-1", "must be non-negative") ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -1283,6 +1303,8 @@ let () =
           Alcotest.test_case "bench detector-quick JSON" `Quick
             test_bench_detector_quick_json;
           Alcotest.test_case "serve/call --help" `Quick test_serve_help;
+          Alcotest.test_case "serve flags bounded" `Quick
+            test_serve_flags_bounded;
           Alcotest.test_case "--timeout-ms" `Quick test_timeout_flag;
           Alcotest.test_case "negative budgets" `Quick test_negative_budgets;
           Alcotest.test_case "strategy options" `Quick test_strategy_options;

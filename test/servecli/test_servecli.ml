@@ -54,8 +54,19 @@ let start_daemon ?(args = []) () =
     Unix.create_process binary (Array.of_list argv) Unix.stdin log_fd log_fd
   in
   Unix.close log_fd;
+  (* the socket file appears at bind, a moment before the daemon
+     listens: it is up once a connection is accepted *)
+  let listening () =
+    Sys.file_exists sock
+    &&
+    match C.connect sock with
+    | c ->
+        C.close c;
+        true
+    | exception Unix.Unix_error _ -> false
+  in
   let rec wait n =
-    if Sys.file_exists sock then ()
+    if listening () then ()
     else if n = 0 then
       Alcotest.failf "daemon did not come up; log:\n%s" (read_file log)
     else begin

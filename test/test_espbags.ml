@@ -424,6 +424,91 @@ def main() {
     Alcotest.(check int) "no descriptor leaked" before after
   end
 
+(* ------------------------------------------------------------------ *)
+(* Shadow memory                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words [f] allocates. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* An SRW access allocates nothing: over a hot-address workload, a
+   detection allocates at most half a minor word per access more than
+   the uninstrumented run (the slack covers the detector's own growing
+   vectors and clocks, which are amortized over the accesses). *)
+let test_srw_allocation_free () =
+  let prog =
+    Mhj.Front.compile
+      (Benchsuite.Progen.generate_scaled
+         { shape = Hot { tasks = 16; reps = 256; hot = 16 }; racy_pairs = 2 })
+  in
+  ignore (Rt.Interp.run prog);
+  let base = minor_words (fun () -> Rt.Interp.run prog) in
+  List.iter
+    (fun (name, detect) ->
+      let accesses = ref 0 in
+      let words = minor_words (fun () -> accesses := detect ()) in
+      let extra = (words -. base) /. float_of_int !accesses in
+      Alcotest.(check bool)
+        (Fmt.str "%s: %.2f extra minor words per access over %d accesses"
+           name extra !accesses)
+        true
+        (!accesses > 10_000 && extra <= 0.5))
+    [ ( "espbags",
+        fun () ->
+          (fst (Espbags.Detector.detect Espbags.Detector.Srw prog))
+            .Espbags.Detector.n_accesses );
+      ( "vclock",
+        fun () ->
+          (fst (Vclock.Seq.detect Vclock.Seq.Srw prog)).Vclock.Seq.n_accesses
+      ) ]
+
+(* Epoch GC's retire-and-shrink path, on both backends: one location
+   collects 200 entries inside a top-level finish and is accessed again
+   after it, so that access sweeps both of its lists and shrinks their
+   arrays.  Races stay those of the seed oracle, and the shadow's words
+   fall between the finish's end and the end of the run. *)
+let test_retire_and_shrink () =
+  let prog =
+    Mhj.Front.compile
+      {|
+var x: int = 0;
+def main() {
+  finish { for (i = 0 to 99) { async { x = x + 1; } } }
+  x = x + 1;
+  print(x);
+}
+|}
+  in
+  let oracle =
+    Espbags.Race.exact_sigs
+      (Oracles.Reference.races (fst (Oracles.Reference.detect Mrw prog)))
+  in
+  let check (module D : Espbags.Shadow.S) name =
+    let det = D.make D.Mrw in
+    let words () = List.assoc "detector.shadow_words" (D.stats det) in
+    let at_finish = ref None in
+    let probe =
+      { Rt.Monitor.nop with
+        on_finish_end =
+          (fun _ -> if !at_finish = None then at_finish := Some (words ())) }
+    in
+    ignore (Rt.Interp.run ~monitor:(Rt.Monitor.both det.D.monitor probe) prog);
+    Alcotest.(check bool) (name ^ ": races as the seed oracle") true
+      (Espbags.Race.exact_sigs (D.races det) = oracle);
+    Alcotest.(check int) (name ^ ": every entry retired") 200
+      (List.assoc "detector.gc_retired" (D.stats det));
+    let before = Option.get !at_finish and after = words () in
+    Alcotest.(check bool)
+      (Fmt.str "%s: shadow words fall after the sweep (%d -> %d)" name before
+         after)
+      true (after < before)
+  in
+  check (module Espbags.Detector) "espbags";
+  check (module Vclock.Seq) "vclock"
+
 let () =
   Alcotest.run "espbags"
     [
@@ -459,5 +544,11 @@ let () =
             test_spill_closed_on_abort;
           Alcotest.test_case "pairs need report order" `Quick
             test_pairs_report_order;
+        ] );
+      ( "shadow",
+        [
+          Alcotest.test_case "SRW allocation-free" `Quick
+            test_srw_allocation_free;
+          Alcotest.test_case "retire and shrink" `Quick test_retire_and_shrink;
         ] );
     ]

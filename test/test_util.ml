@@ -124,7 +124,8 @@ let test_islab_slot_stride () =
      straddles chunks *)
   let t = Tdrutil.Islab.create ~chunk:1 ~fill:0 () in
   Alcotest.(check bool) "chunk floor >= 8" true (Tdrutil.Islab.chunk_slots t >= 8);
-  let arr, off = Tdrutil.Islab.slot t 16 in
+  let arr = Tdrutil.Islab.chunk t 16 in
+  let off = 16 land (Array.length arr - 1) in
   for k = 0 to 7 do
     arr.(off + k) <- 100 + k
   done;
@@ -152,7 +153,7 @@ let test_islab_slot_stride () =
     [ max + 1; 1 lsl 30; max_int ]
 
 (* Model-based check of both slab tables against a plain array: random
-   get/set/slot/iter_present sequences, with chunk sizes around the
+   get/set/chunk/iter_present sequences, with chunk sizes around the
    8-slot floor so a run crosses many chunk boundaries, and after every
    step the chunk count and backing words the detectors' gauges report
    (chunks plus a directory of one word per chunk index, grown by at
@@ -160,7 +161,7 @@ let test_islab_slot_stride () =
 type slab_op =
   | Get of int
   | Set of int * int
-  | Row of int * int  (** stride, aligned first slot: {!Tdrutil.Islab.slot} *)
+  | Row of int * int  (** stride, aligned first slot: {!Tdrutil.Islab.chunk} *)
   | Iter  (** {!Tdrutil.Slab.iter_present} *)
 
 let pp_slab_op ppf = function
@@ -235,7 +236,8 @@ let slabs_match_model =
               model.(i) <- v;
               touch i
           | Row (stride, i) ->
-              let row, off = Tdrutil.Islab.slot it i in
+              let row = Tdrutil.Islab.chunk it i in
+              let off = i land (Array.length row - 1) in
               for k = 0 to stride - 1 do
                 expect (Fmt.str "islab row %d+%d" i k) row.(off + k)
                   model.(i + k);

@@ -30,7 +30,7 @@ let figure3 () : Repair.Depgraph.t =
       [ (1, 3); (0, 5); (3, 5) ]
   in
   let span, _ = Sdpst.Analysis.span_memo tree in
-  Repair.Depgraph.build ~coalesce:false ~span tree root races
+  Oracles.List_depgraph.build ~coalesce:false ~span tree root races
 
 (* A larger random placement problem, for timing the O(n^3 d) DP. *)
 let random_graph ~seed ~n : Repair.Depgraph.t =
@@ -68,4 +68,4 @@ let random_graph ~seed ~n : Repair.Depgraph.t =
       :: !races
   done;
   let span, _ = Sdpst.Analysis.span_memo tree in
-  Repair.Depgraph.build ~coalesce:false ~span tree root !races
+  Oracles.List_depgraph.build ~coalesce:false ~span tree root !races

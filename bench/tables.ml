@@ -45,10 +45,11 @@ let table2_row (b : Benchsuite.Bench.t) : t2_row =
   let stripped = Benchsuite.Bench.stripped_program b in
   (* HJ-Seq: plain (detector-free) execution *)
   let _, seq_s = time (fun () -> Rt.Interp.run stripped) in
-  let (det, res), detect_s =
-    time (fun () -> Espbags.Detector.detect Espbags.Detector.Mrw stripped)
+  let d, detect_s =
+    time (fun () -> Repair.Driver.detect Repair.Options.default stripped)
   in
-  let races = Espbags.Detector.races det in
+  let res = d.run.result in
+  let races = Repair.Isolate.suppress stripped (Lazy.force d.run.races) in
   let tree_path = Filename.temp_file "tdrace_t2" ".tree" in
   let trace_path = Filename.temp_file "tdrace_t2" ".trc" in
   let write path s =
@@ -71,10 +72,8 @@ let table2_row (b : Benchsuite.Bench.t) : t2_row =
           Repair.Driver.place_for_tree ~program:stripped loaded
         in
         let repaired = Repair.Static_place.apply stripped merged in
-        let check, _ =
-          Espbags.Detector.detect Espbags.Detector.Mrw repaired
-        in
-        (Espbags.Detector.race_count check = 0, 1))
+        let check = Repair.Driver.detect Repair.Options.default repaired in
+        (Espbags.Race.Pairs.length (Lazy.force check.pairs) = 0, 1))
   in
   Sys.remove tree_path;
   Sys.remove trace_path;
@@ -119,12 +118,14 @@ let table3_4 () =
   List.iter
     (fun (b : Benchsuite.Bench.t) ->
       let stripped = Benchsuite.Bench.stripped_program b in
-      let (det_srw, _), t_det_srw =
-        time (fun () -> Espbags.Detector.detect Espbags.Detector.Srw stripped)
+      let detect mode =
+        Repair.Driver.detect { Repair.Options.default with mode } stripped
       in
-      let (det_mrw, _), t_det_mrw =
-        time (fun () -> Espbags.Detector.detect Espbags.Detector.Mrw stripped)
+      let n_races (d : Repair.Driver.detection) =
+        Espbags.Race.Pairs.n_races (Lazy.force d.pairs)
       in
+      let det_srw, t_det_srw = time (fun () -> detect Espbags.Detector.Srw) in
+      let det_mrw, t_det_mrw = time (fun () -> detect Espbags.Detector.Mrw) in
       let rep_srw, t_rep_srw =
         time (fun () -> Repair.Driver.repair
             ~options:{ Repair.Options.default with mode = Espbags.Detector.Srw }
@@ -138,7 +139,9 @@ let table3_4 () =
       (* the SRW confirmation run: detection on the repaired program *)
       let _, t_second =
         time (fun () ->
-            Espbags.Detector.detect Espbags.Detector.Srw rep_srw.program)
+            Repair.Driver.detect
+              { Repair.Options.default with mode = Espbags.Detector.Srw }
+              rep_srw.program)
       in
       Fmt.pr
         "%-14s | %9.1fms %9.1fms | %9.2fs %9.2fs | %9.1fms | %8.2fs %8.2fs \
@@ -147,8 +150,7 @@ let table3_4 () =
         (t_second *. 1000.)
         (t_rep_srw +. t_second)
         t_rep_mrw
-        (Espbags.Detector.race_count det_srw)
-        (Espbags.Detector.race_count det_mrw))
+        (n_races det_srw) (n_races det_mrw))
     Benchsuite.Suite.all
 
 (* ------------------------------------------------------------------ *)
@@ -298,7 +300,7 @@ let ablation_coalesce () =
       Hashtbl.iter
         (fun _ (lca, rs) ->
           let g =
-            Repair.Depgraph.build ~coalesce ~span tree lca (List.rev rs)
+            Oracles.List_depgraph.build ~coalesce ~span tree lca (List.rev rs)
           in
           max_n := max !max_n (Repair.Depgraph.n_vertices g);
           let out = Repair.Dp_place.solve g in

@@ -24,27 +24,30 @@ let write_or_print output src =
 
 module Ec = Repair.Exit_code
 
-(* Every pipeline failure exits through the Exit_code contract with a
-   located Diag printed on stderr (exit_code.mli documents the codes). *)
+(* Every failure exits through the Exit_code contract with a Diag
+   printed on stderr (exit_code.mli documents the codes); one no stage
+   classifies is an internal error that names the failed call. *)
 let or_die f =
   try f () with
-  | e -> (
-      let diag =
+  | e ->
+      let d =
         match e with
         | Repair.Driver.Unrepairable m ->
-            Some (Repair.Diag.make ~stage:Repair.Diag.Place m)
+            Repair.Diag.make ~stage:Repair.Diag.Place m
         | Repair.Faultinject.Injected (fault, msg) ->
-            Some
-              (Repair.Diag.make
-                 ~stage:(Repair.Faultinject.stage_of fault)
-                 msg)
-        | e -> Repair.Diag.of_exn e
+            Repair.Diag.make ~stage:(Repair.Faultinject.stage_of fault) msg
+        | e -> (
+            match Repair.Diag.of_exn e with
+            | Some d -> d
+            | None ->
+                Repair.Diag.internal ~stage:Repair.Diag.Detect
+                  (match e with
+                  | Unix.Unix_error (err, call, arg) ->
+                      Fmt.str "%s(%s): %s" call arg (Unix.error_message err)
+                  | e -> Printexc.to_string e))
       in
-      match diag with
-      | Some d ->
-          Fmt.epr "%a@." Repair.Diag.pp d;
-          exit (Ec.of_diag d)
-      | None -> raise e)
+      Fmt.epr "%a@." Repair.Diag.pp d;
+      exit (Ec.of_diag d)
 
 let compile path = Mhj.Front.compile (read_file path)
 
@@ -259,6 +262,11 @@ let cleanup_spill spill ~n_spilled =
   | Some path when n_spilled = 0 -> ( try Sys.remove path with Sys_error _ -> ())
   | _ -> ()
 
+let pp_discharged (d : Repair.Driver.detection) =
+  let n = Espbags.Race.Pairs.n_races (Lazy.force d.discharged) in
+  if n > 0 then
+    Fmt.pr "discharged %d race report(s) serialized by isolated section(s)@." n
+
 let detect_cmd =
   let run file (o : O.t) trace dump_tree dump_sdpst timeout_ms =
     or_die (fun () ->
@@ -277,7 +285,8 @@ let detect_cmd =
           d.prune;
         let res = d.run.result and n_spilled = d.run.n_spilled in
         cleanup_spill o.spill ~n_spilled;
-        let races, discharged = Lazy.force d.races in
+        let pairs = Lazy.force d.pairs in
+        let races = Repair.Isolate.suppress prog (Lazy.force d.run.races) in
         if dump_sdpst then Fmt.pr "%s@." (Sdpst.Serial.to_string res.tree);
         (match dump_tree with
         | Some path ->
@@ -289,18 +298,15 @@ let detect_cmd =
           (match d.backend with
           | `Espbags -> "ESP-bags"
           | `Vclock -> "vector-clock")
-          (List.length races)
-          (Espbags.Race.Pairs.length (Lazy.force d.pairs));
+          (Espbags.Race.Pairs.n_races pairs)
+          (Espbags.Race.Pairs.length pairs);
         Fmt.pr
           "checked %d access(es) over %d location(s); S-DPST has %d node(s)@."
           d.run.n_accesses d.run.n_locations
           res.Rt.Interp.tree.Sdpst.Node.n_nodes;
         if d.run.n_skipped > 0 then
           Fmt.pr "skipped %d access(es) proven sequential@." d.run.n_skipped;
-        if discharged <> [] then
-          Fmt.pr
-            "discharged %d race report(s) serialized by isolated section(s)@."
-            (List.length discharged);
+        pp_discharged d;
         (match o.spill with
         | Some path when n_spilled > 0 ->
             Fmt.pr "spilled %d race record(s) to %s@." n_spilled path
@@ -314,7 +320,7 @@ let detect_cmd =
            the detected races, without rewriting anything. *)
         (match o.strategy with
         | `Finish -> ()
-        | choice when races = [] ->
+        | choice when Espbags.Race.Pairs.length pairs = 0 ->
             Fmt.pr "strategy %a: program already race-free@."
               Repair.Strategy.pp_choice choice
         | choice -> (
@@ -604,12 +610,12 @@ let grade_cmd =
         let summary, verdicts = Benchsuite.Students.grade_all () in
         if verbose then
           List.iter
-            (fun (v : Benchsuite.Students.verdict) ->
+            (fun ({ submission; marks = m } : Benchsuite.Students.verdict) ->
               Fmt.pr "submission %02d: %a (expected %a), races=%d, cpl=%d, \
                       tool cpl=%d@."
-                v.submission.id Benchsuite.Students.pp_expected v.graded
-                Benchsuite.Students.pp_expected v.submission.expected v.races
-                v.cpl v.tool_cpl)
+                submission.id Benchsuite.Students.pp_expected m.graded
+                Benchsuite.Students.pp_expected submission.expected m.races
+                m.cpl m.tool_cpl)
             verdicts;
         Fmt.pr
           "59 submissions: %d racy, %d over-synchronized, %d matched the \
@@ -629,36 +635,29 @@ let grade_file_cmd =
   let run file =
     or_die (fun () ->
         let prog = compile file in
-        let det, res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
-        let races = Espbags.Detector.race_count det in
-        if races > 0 then begin
-          Fmt.pr
-            "verdict: RACY — %d race(s) remain; e.g. %a@."
-            races
-            (Fmt.option Espbags.Race.pp)
-            (List.nth_opt (Espbags.Detector.races det) 0);
-          exit Ec.grade_racy
-        end
-        else begin
-          (* race-free: compare available parallelism against what the tool
-             itself would have produced from the unsynchronized version *)
-          let stripped = Mhj.Transform.strip_finishes prog in
-          let tool = Repair.Driver.repair stripped in
-          let tool_res = Rt.Interp.run tool.program in
-          let cpl t = Sdpst.Analysis.critical_path_length t in
-          let submitted = cpl res.tree and reference = cpl tool_res.tree in
-          if submitted > reference then begin
+        let d, m = Benchsuite.Students.mark prog in
+        match m.graded with
+        | Racy ->
             Fmt.pr
-              "verdict: OVER-SYNCHRONIZED — race-free, but critical path %d                vs the tool's %d (%.2fx less parallelism)@."
-              submitted reference
-              (float_of_int submitted /. float_of_int reference);
+              "verdict: RACY — %d race(s) remain; e.g. %a@."
+              m.races
+              (Fmt.option Espbags.Race.pp)
+              (List.nth_opt
+                 (Repair.Isolate.suppress prog (Lazy.force d.run.races))
+                 0);
+            exit Ec.grade_racy
+        | Oversync ->
+            Fmt.pr
+              "verdict: OVER-SYNCHRONIZED — race-free, but critical path %d \
+               vs the tool's %d (%.2fx less parallelism)@."
+              m.cpl m.tool_cpl
+              (float_of_int m.cpl /. float_of_int m.tool_cpl);
             exit Ec.grade_oversync
-          end
-          else
+        | Optimal ->
             Fmt.pr
-              "verdict: OPTIMAL — race-free with the tool's parallelism                (critical path %d)@."
-              submitted
-        end)
+              "verdict: OPTIMAL — race-free with the tool's parallelism \
+               (critical path %d)@."
+              m.cpl)
   in
   Cmd.v
     (Cmd.info "grade-file"
@@ -674,7 +673,7 @@ let explain_cmd =
         let d = Repair.Driver.detect o prog in
         let res = d.run.result in
         cleanup_spill o.spill ~n_spilled:d.run.n_spilled;
-        let races, discharged = Lazy.force d.races in
+        let pairs = Lazy.force d.pairs in
         let a, f, s, st = Sdpst.Node.count_by_kind res.tree in
         Fmt.pr
           "S-DPST: %d nodes (%d asyncs, %d finishes, %d scopes, %d steps), \
@@ -689,11 +688,9 @@ let explain_cmd =
           (float_of_int res.work
           /. float_of_int
                (max 1 (Sdpst.Analysis.critical_path_length res.tree)));
-        if discharged <> [] then
-          Fmt.pr
-            "discharged %d race report(s) serialized by isolated section(s)@."
-            (List.length discharged);
-        if races = [] then Fmt.pr "no data races for this input@."
+        pp_discharged d;
+        if Espbags.Race.Pairs.length pairs = 0 then
+          Fmt.pr "no data races for this input@."
         else begin
           (* group by contended variable *)
           let by_var = Hashtbl.create 16 in
@@ -702,9 +699,9 @@ let explain_cmd =
               let v = Fmt.str "%a" Rt.Addr.pp r.addr in
               Hashtbl.replace by_var v
                 (1 + Option.value ~default:0 (Hashtbl.find_opt by_var v)))
-            races;
+            (Repair.Isolate.suppress prog (Lazy.force d.run.races));
           Fmt.pr "%d race report(s) on %d location(s); most contended:@."
-            (List.length races) (Hashtbl.length by_var);
+            (Espbags.Race.Pairs.n_races pairs) (Hashtbl.length by_var);
           let sorted =
             Hashtbl.fold (fun v n acc -> (n, v) :: acc) by_var []
             |> List.sort (fun a b -> compare b a)
@@ -713,9 +710,7 @@ let explain_cmd =
             (fun i (n, v) -> if i < 10 then Fmt.pr "  %6d  %s@." n v)
             sorted;
           (* per NS-LCA dependence graphs *)
-          let groups, merged =
-            Repair.Driver.place_pairs ~program:prog (Lazy.force d.pairs)
-          in
+          let groups, merged = Repair.Driver.place_pairs ~program:prog pairs in
           Fmt.pr "NS-LCA groups: %d@." (List.length groups);
           List.iteri
             (fun i (g : Repair.Driver.group_result) ->

@@ -31,7 +31,7 @@ let mk_graph () =
   in
   let races = List.map edge [ (1, 3); (0, 5); (3, 5) ] in
   let span, _ = Sdpst.Analysis.span_memo tree in
-  Repair.Depgraph.build ~coalesce:false ~span tree root races
+  Oracles.List_depgraph.build ~coalesce:false ~span tree root races
 
 let name_of i = String.make 1 (Char.chr (Char.code 'A' + i))
 

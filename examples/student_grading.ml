@@ -14,11 +14,11 @@ let () =
   Fmt.pr "grading 59 quicksort submissions (paper §7.4)...@.@.";
   let summary, verdicts = Benchsuite.Students.grade_all ~n:64 () in
   List.iter
-    (fun (v : Benchsuite.Students.verdict) ->
+    (fun ({ submission; marks = m } : Benchsuite.Students.verdict) ->
       Fmt.pr "  submission %02d: %-17s (races: %3d, CPL: %5d, tool CPL: %5d)@."
-        v.submission.id
-        (Fmt.str "%a" Benchsuite.Students.pp_expected v.graded)
-        v.races v.cpl v.tool_cpl)
+        submission.id
+        (Fmt.str "%a" Benchsuite.Students.pp_expected m.graded)
+        m.races m.cpl m.tool_cpl)
     verdicts;
   Fmt.pr "@.summary: %d racy, %d over-synchronized, %d matched the tool@."
     summary.racy summary.oversync summary.optimal;

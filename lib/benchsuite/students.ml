@@ -192,41 +192,47 @@ let submissions ?(n = 120) () : submission list =
 (* Grading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type verdict = {
-  submission : submission;
+type marks = {
   graded : expected;  (** the tool's classification *)
-  races : int;
-  cpl : int;  (** submission's critical path length *)
+  races : int;  (** race reports surviving isolated discharge *)
+  cpl : int;  (** the program's critical path length *)
   tool_cpl : int;  (** critical path length of the tool's repair *)
 }
 
-(** Grade one submission: detect races; if race-free, compare critical
-    path length against the tool-repaired version of the same program
-    with all finishes stripped (i.e. what the tool would have produced
-    from the same starting point). *)
-let grade (s : submission) : verdict =
-  let prog = Mhj.Front.compile s.src in
-  let det, res = Espbags.Detector.detect Espbags.Detector.Mrw prog in
+(** Grade one program: detect races as every other caller does
+    ({!Repair.Driver.detect}, isolated sections discharged); compare the
+    critical path length against the tool-repaired version of the same
+    program with all finishes stripped (i.e. what the tool would have
+    produced from the same starting point). *)
+let mark (prog : Mhj.Ast.program) : Repair.Driver.detection * marks =
+  let d = Repair.Driver.detect Repair.Options.default prog in
   let stripped = Mhj.Transform.strip_finishes prog in
   let repaired = (Repair.Driver.repair stripped).program in
   let tool_res = Rt.Interp.run repaired in
   let tool_cpl = Sdpst.Analysis.critical_path_length tool_res.tree in
-  let races = Espbags.Detector.race_count det in
-  let cpl = Sdpst.Analysis.critical_path_length res.tree in
+  let races = Espbags.Race.Pairs.n_races (Lazy.force d.pairs) in
+  let cpl = Sdpst.Analysis.critical_path_length d.run.result.tree in
   let graded =
     if races > 0 then Racy else if cpl > tool_cpl then Oversync else Optimal
   in
-  { submission = s; graded; races; cpl; tool_cpl }
+  (d, { graded; races; cpl; tool_cpl })
+
+type verdict = { submission : submission; marks : marks }
+
+let grade (s : submission) : verdict =
+  { submission = s; marks = snd (mark (Mhj.Front.compile s.src)) }
 
 type summary = { racy : int; oversync : int; optimal : int; mismatches : int }
 
 (** Grade the whole class; the paper's counts are 5 / 29 / 25. *)
 let grade_all ?n () : summary * verdict list =
   let verdicts = List.map grade (submissions ?n ()) in
-  let count c = List.length (List.filter (fun v -> v.graded = c) verdicts) in
+  let count c =
+    List.length (List.filter (fun v -> v.marks.graded = c) verdicts)
+  in
   let mismatches =
     List.length
-      (List.filter (fun v -> v.graded <> v.submission.expected) verdicts)
+      (List.filter (fun v -> v.marks.graded <> v.submission.expected) verdicts)
   in
   ( {
       racy = count Racy;

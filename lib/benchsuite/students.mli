@@ -14,13 +14,19 @@ type submission = { id : int; expected : expected; src : string }
 (** The 59 submissions.  @param n array size of the sorting exercise. *)
 val submissions : ?n:int -> unit -> submission list
 
-type verdict = {
-  submission : submission;
+type marks = {
   graded : expected;  (** the tool's classification *)
-  races : int;
-  cpl : int;  (** submission's critical path length *)
+  races : int;  (** race reports surviving isolated discharge *)
+  cpl : int;  (** the program's critical path length *)
   tool_cpl : int;  (** critical path length of the tool's repair *)
 }
+
+(** Grade one program as §7.4 does, beside its {!Repair.Driver.detect}
+    run: races first, then the critical path against the tool's repair of
+    the finish-stripped program.  [grade] and [grade-file] use it. *)
+val mark : Mhj.Ast.program -> Repair.Driver.detection * marks
+
+type verdict = { submission : submission; marks : marks }
 
 val grade : submission -> verdict
 

@@ -122,7 +122,7 @@ let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
     let rec search lo hi =
       if lo >= hi then
         invalid_arg
-          (Fmt.str "Depgraph.build: node %d is not a non-scope child of %a" id
+          (Fmt.str "Depgraph.of_pairs: node %d is not a non-scope child of %a" id
              (Sdpst.Node.pp tree) lca)
       else
         let mid = (lo + hi) / 2 in
@@ -145,7 +145,7 @@ let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
       last_sink := sink;
       let j' = raw_vertex_of sink in
       if j' < !j then
-        invalid_arg "Depgraph.build: sink vertices out of report order";
+        invalid_arg "Depgraph.of_pairs: sink vertices out of report order";
       j := j'
     end;
     let src = Tdrutil.Ivec.get l.src_child k in
@@ -156,7 +156,7 @@ let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
     let i = !i and j = !j in
     if i >= j then
       invalid_arg
-        (Fmt.str "Depgraph.build: race edge (%d, %d) is not left-to-right" i j);
+        (Fmt.str "Depgraph.of_pairs: race edge (%d, %d) is not left-to-right" i j);
     if stamp.(i) <> j then begin
       stamp.(i) <- j;
       raw_edges := (i, j) :: !raw_edges
@@ -269,29 +269,6 @@ let of_pairs ?(coalesce = true) ~(span : Sdpst.Node.t -> int) (l : lifted) : t
     cum = build_cum n_groups edges;
     n_raw;
   }
-
-(** {!of_pairs} on the distinct pairs of [races], taken in order of sink
-    id (stable, so report-order input is kept as it is), each endpoint
-    lifted to the non-scope child of [lca] that contains it. *)
-let build ?coalesce ~span tree lca (races : Espbags.Race.t list) : t =
-  let by_sink (a : Espbags.Race.t) (b : Espbags.Race.t) =
-    Int.compare a.sink b.sink
-  in
-  let module P = Espbags.Race.Pairs in
-  let pairs = P.of_list (List.stable_sort by_sink races) in
-  let child n = Sdpst.Lca.nonscope_child_ancestor tree ~anc:lca n in
-  let lifted pick =
-    Tdrutil.Ivec.of_list
-      (List.init (P.length pairs) (fun k -> child (pick pairs k)))
-  in
-  of_pairs ?coalesce ~span
-    {
-      tree;
-      nslca = lca;
-      pairs = Tdrutil.Ivec.of_list (List.init (P.length pairs) Fun.id);
-      src_child = lifted P.src_id;
-      sink_child = lifted P.sink_id;
-    }
 
 let pp ppf (g : t) =
   let node = Sdpst.Node.pp g.tree in

@@ -5,7 +5,7 @@
     the non-scope children of [L] (left to right) and whose edges are the
     races lifted to the children containing their endpoints.  Runs of
     non-async children that cannot host a useful finish boundary are
-    coalesced into super-vertices (see [build]). *)
+    coalesced into super-vertices (see {!of_pairs}). *)
 
 type t = private {
   tree : Sdpst.Node.tree;
@@ -65,19 +65,5 @@ type lifted = {
     @raise Invalid_argument if a lifted child is not a non-scope child of
       [nslca], an edge is not left-to-right, or sink vertices decrease. *)
 val of_pairs : ?coalesce:bool -> span:(Sdpst.Node.t -> int) -> lifted -> t
-
-(** {!of_pairs} on the distinct step pairs of [races], taken in order of
-    sink id (a stable sort: races in report order are kept as they are),
-    each endpoint lifted to the non-scope child of [lca] containing it
-    ({!Sdpst.Lca.nonscope_child_ancestor}); [races] are races of the
-    given tree.
-    @raise Invalid_argument as {!of_pairs} *)
-val build :
-  ?coalesce:bool ->
-  span:(Sdpst.Node.t -> int) ->
-  Sdpst.Node.tree ->
-  Sdpst.Node.t ->
-  Espbags.Race.t list ->
-  t
 
 val pp : t Fmt.t

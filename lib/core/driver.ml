@@ -135,8 +135,8 @@ type detection = {
   backend : Vclock.Select.choice;
   prune : Static.Prune.t option;
   run : Vclock.Select.detection;
-  races : (Espbags.Race.t list * Espbags.Race.t list) Lazy.t;
   pairs : Espbags.Race.Pairs.t Lazy.t;
+  discharged : Espbags.Race.Pairs.t Lazy.t;
 }
 
 let detect (o : Options.t) prog =
@@ -159,15 +159,16 @@ let detect (o : Options.t) prog =
               ?spill:(Option.map Espbags.Spill.config o.spill)
               o.mode prog))
   in
-  (* Races whose both endpoints sit inside [isolated] sections are
+  (* Pairs whose both endpoints sit inside [isolated] sections are
      discharged by mutual exclusion — the detectors run the body as a
      plain scope and cannot see the serialization. *)
+  let split = lazy (Isolate.partition prog (Lazy.force run.pairs)) in
   {
     backend;
     prune;
     run;
-    races = lazy (Isolate.split prog (Lazy.force run.races));
-    pairs = lazy (Isolate.suppress_pairs prog (Lazy.force run.pairs));
+    pairs = lazy (fst (Lazy.force split));
+    discharged = lazy (snd (Lazy.force split));
   }
 
 (* ------------------------------------------------------------------ *)

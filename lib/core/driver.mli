@@ -84,17 +84,21 @@ type backend = Options.backend
     pre-pass when [static_prune] is set, the resolved backend over the
     shadow chunk size, spill file and fuel budget the options ask for, and
     isolated-section discharge of the reported races.  The CLI's
-    [detect], the daemon's detect jobs, every repair iteration and every
-    tournament verify run go through it. *)
+    [detect], [explain] and [grade-file], the daemon's detect jobs,
+    student grading, every repair iteration and every tournament verify
+    run go through it, and decide from its pair sets alone. *)
 type detection = {
   backend : Vclock.Select.choice;  (** the resolved backend *)
   prune : Static.Prune.t option;  (** the pre-pass, when [static_prune] *)
-  run : Vclock.Select.detection;  (** the detector's own result *)
-  races : (Espbags.Race.t list * Espbags.Race.t list) Lazy.t;
-      (** {!Isolate.split}: the surviving races and those discharged by
-          isolated sections *)
+  run : Vclock.Select.detection;
+      (** the detector's own result; its race records, discharged ones
+          included, are for printing only ({!Isolate.suppress}) *)
   pairs : Espbags.Race.Pairs.t Lazy.t;
-      (** the distinct step pairs of the surviving races *)
+      (** the distinct step pairs of the races that survive isolated
+          discharge ({!Isolate.partition}): what every verdict, count and
+          placement reads *)
+  discharged : Espbags.Race.Pairs.t Lazy.t;
+      (** the step pairs isolated sections discharge *)
 }
 
 (** [options.sets] is not read: overrides are applied where the program

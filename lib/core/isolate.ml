@@ -40,35 +40,30 @@ let covers (iso : IntSet.t) tree (src : Sdpst.Node.t) (sink : Sdpst.Node.t) =
   IntSet.mem (Sdpst.Node.origin_bid tree src) iso
   && IntSet.mem (Sdpst.Node.origin_bid tree sink) iso
 
-(** Remove the races discharged by the program's [isolated] sections.
-    Returns the surviving races and the discharged ones. *)
-let split (p : Mhj.Ast.program) (races : Espbags.Race.t list) :
-    Espbags.Race.t list * Espbags.Race.t list =
-  if Mhj.Ast.count_isolated p = 0 then (races, [])
+(** The races surviving mutual-exclusion discharge: the records the
+    printers show.  Every decision reads the pairs of {!partition}. *)
+let suppress (p : Mhj.Ast.program) (races : Espbags.Race.t list) :
+    Espbags.Race.t list =
+  if Mhj.Ast.count_isolated p = 0 then races
   else begin
     let iso = bids p in
-    List.partition
+    List.filter
       (fun (r : Espbags.Race.t) -> not (covers iso r.tree r.src r.sink))
       races
   end
 
-(** The races surviving mutual-exclusion discharge. *)
-let suppress (p : Mhj.Ast.program) (races : Espbags.Race.t list) :
-    Espbags.Race.t list =
-  fst (split p races)
-
-(** The step pairs surviving mutual-exclusion discharge (multiplicities
-    kept, so [n_races] counts the surviving races). *)
-let suppress_pairs (p : Mhj.Ast.program) (pairs : Espbags.Race.Pairs.t) :
-    Espbags.Race.Pairs.t =
-  if Mhj.Ast.count_isolated p = 0 then pairs
+(** A run's step pairs split by mutual-exclusion discharge: the surviving
+    pairs and the discharged ones, each in first-seen order with its
+    multiplicity, so [n_races] counts race reports. *)
+let partition (p : Mhj.Ast.program) (pairs : Espbags.Race.Pairs.t) :
+    Espbags.Race.Pairs.t * Espbags.Race.Pairs.t =
+  let module P = Espbags.Race.Pairs in
+  if Mhj.Ast.count_isolated p = 0 then (pairs, P.filter (fun _ -> false) pairs)
   else begin
     let iso = bids p in
-    let module P = Espbags.Race.Pairs in
     let tree = P.tree pairs in
-    P.filter
-      (fun k -> not (covers iso tree (P.src_id pairs k) (P.sink_id pairs k)))
-      pairs
+    let covered k = covers iso tree (P.src_id pairs k) (P.sink_id pairs k) in
+    (P.filter (fun k -> not (covered k)) pairs, P.filter covered pairs)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -26,17 +26,17 @@ let pp_placement_loc scopes ppf (p : Mhj.Transform.placement) =
 
 (** How many dynamic NS-LCA instances demanded each static placement —
     the evidence for a context-sensitive finish (a placement demanded by
-    only some contexts could be guarded by a condition). *)
-let contexts_per_placement (it : Driver.iteration) :
+    only some contexts could be guarded by a condition).  A demand counts
+    towards the inserted placement that absorbed it. *)
+let contexts_per_placement scopes (it : Driver.iteration) :
     (Mhj.Transform.placement * int) list =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun (g : Driver.group_result) ->
       List.iter
         (fun (ins : Valid.insertion) ->
-          let key =
-            (ins.placement.bid, ins.placement.lo, ins.placement.hi)
-          in
+          let p = Static_place.absorbing ~scopes it.merged ins.placement in
+          let key = (p.bid, p.lo, p.hi) in
           Hashtbl.replace tbl key
             (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
         g.insertions)
@@ -62,7 +62,7 @@ let pp_iteration scopes ppf (idx, (it : Driver.iteration)) =
       Fmt.pf ppf "  insert finish around %a  (demanded by %d dynamic \
                   context(s))@\n"
         (pp_placement_loc scopes) p n_contexts)
-    (contexts_per_placement it);
+    (contexts_per_placement scopes it);
   if it.merged.Static_place.n_merged > 0 then
     Fmt.pf ppf "  (%d crossing placement(s) merged by range union)@\n"
       it.merged.Static_place.n_merged

@@ -10,10 +10,12 @@ val placement_span :
   (Mhj.Loc.t * Mhj.Loc.t) option
 
 (** How many dynamic NS-LCA instances demanded each static placement of an
-    iteration.  A placement demanded by only some contexts is a candidate
-    for a context-sensitive (conditionally executed) finish. *)
+    iteration, counted against the inserted placement that absorbed each
+    demand ({!Static_place.absorbing}).  A placement demanded by only some
+    contexts is a candidate for a context-sensitive (conditionally
+    executed) finish. *)
 val contexts_per_placement :
-  Driver.iteration -> (Mhj.Transform.placement * int) list
+  Mhj.Scopecheck.t -> Driver.iteration -> (Mhj.Transform.placement * int) list
 
 (** Render the report for a repair of [original]. *)
 val pp : (Mhj.Ast.program * Driver.report) Fmt.t

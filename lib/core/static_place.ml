@@ -157,6 +157,20 @@ let merge ~(scopes : Mhj.Scopecheck.t)
   let placements = fix initial in
   { placements; n_demanded; n_merged = !n_merged }
 
+(* Unions only grow ranges, so some final placement holds every
+   canonical demand; nested structure makes the smallest one its own. *)
+let absorbing ~scopes (m : merged) (p : Mhj.Transform.placement) =
+  let c = canonicalize scopes p in
+  let holds (q : Mhj.Transform.placement) =
+    q.bid = c.bid && q.lo <= c.lo && c.hi <= q.hi
+  in
+  let narrower (a : Mhj.Transform.placement) (b : Mhj.Transform.placement) =
+    if b.hi - b.lo < a.hi - a.lo then b else a
+  in
+  match List.filter holds m.placements with
+  | [] -> c
+  | q :: rest -> List.fold_left narrower q rest
+
 (** Apply merged placements to the program. *)
 let apply (p : Mhj.Ast.program) (m : merged) : Mhj.Ast.program =
   Mhj.Transform.insert_finishes p m.placements

@@ -22,5 +22,13 @@ val merge :
   (int * Mhj.Transform.placement) list ->
   merged
 
+(** The placement of [merged] that a raw demand became: the smallest one
+    holding the demand's canonical form. *)
+val absorbing :
+  scopes:Mhj.Scopecheck.t ->
+  merged ->
+  Mhj.Transform.placement ->
+  Mhj.Transform.placement
+
 (** Apply the merged placements to the program. *)
 val apply : Mhj.Ast.program -> merged -> Mhj.Ast.program

@@ -4,6 +4,7 @@ let src = Logs.Src.create "tdrace.strategy" ~doc:"repair-strategy tournament"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 module Score = Compgraph.Score
+module Pairs = Espbags.Race.Pairs
 
 type kind = Finish | Isolated | Elide | Chunk
 
@@ -54,19 +55,23 @@ let unproduced ?(rounds = 0) kind note =
    freedom alone is not a repair. *)
 let output (d : Driver.detection) = d.run.result.Rt.Interp.output
 
-(* Serialization edges for scoring: each discharged race pins its two
-   step instances into a depth-first mutual-exclusion order. *)
-let serialize_pairs (discharged : Espbags.Race.t list) : (int * int) list =
-  List.map
-    (fun (r : Espbags.Race.t) ->
-      (r.src, r.sink))
-    discharged
-
-(* The score of a candidate's clean run. *)
-let score_of (d : Driver.detection) discharged =
+(* The score of a candidate's clean run.  Each discharged pair is a
+   serialization edge: it pins its two step instances into a depth-first
+   mutual-exclusion order. *)
+let score_of (d : Driver.detection) =
+  let discharged = Lazy.force d.discharged in
   Obs.Trace.with_span "score" (fun () ->
-      Score.of_tree ~serialize:(serialize_pairs discharged)
+      Score.of_tree
+        ~serialize:
+          (List.init (Pairs.length discharged) (fun k ->
+               (Pairs.src_id discharged k, Pairs.sink_id discharged k)))
         d.run.result.Rt.Interp.tree)
+
+(* The pairs [k] of [pairs], in order. *)
+let iter_pairs (pairs : Pairs.t) f =
+  for k = 0 to Pairs.length pairs - 1 do
+    f (Pairs.src_id pairs k) (Pairs.sink_id pairs k)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Strategy: finish insertion (the paper's repair)                     *)
@@ -79,13 +84,14 @@ let finish_candidate ~options ~first prog : candidate * Driver.report option =
   let expected = output first in
   match Driver.repair_detected ~options ~first prog with
   | report, last ->
-      let surviving, discharged = Lazy.force last.Driver.races in
       let same = output last = expected in
       ( {
           kind = Finish;
           program = Some report.Driver.program;
-          verified = report.converged && surviving = [] && same;
-          score = Some (score_of last discharged);
+          verified =
+            report.converged && Pairs.length (Lazy.force last.pairs) = 0
+            && same;
+          score = Some (score_of last);
           rounds = List.length report.iterations;
           note = (if same then "" else "output differs");
         },
@@ -96,19 +102,20 @@ let finish_candidate ~options ~first prog : candidate * Driver.report option =
 (* Strategy: isolated sections                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Wrap each surviving race's uncovered endpoint ranges.  An endpoint's
+(* Wrap each surviving pair's uncovered endpoint ranges.  An endpoint's
    range is its step's statement span [origin_idx .. last_idx] in
    [origin_bid]; ranges in one block are unioned when they overlap or
    touch.  Fails when a range is not serializable (task constructs or
    user calls inside — mirrors the type checker's isolated rule). *)
-let isolated_placements (p : Mhj.Ast.program) (races : Espbags.Race.t list) :
+let isolated_placements (p : Mhj.Ast.program) (pairs : Pairs.t) :
     (Mhj.Transform.placement list, string) result =
   let sc = Mhj.Scopecheck.build p in
   let iso = Isolate.bids p in
-  let ranges : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
+  let ranges : (int, (int * int) list) Hashtbl.t = Hashtbl.create 8 in
   let err = ref None in
   let fail msg = if !err = None then err := Some msg in
-  let add_endpoint tree (n : Sdpst.Node.t) =
+  let tree = Pairs.tree pairs in
+  let add_endpoint (n : Sdpst.Node.t) =
     let bid = Sdpst.Node.origin_bid tree n in
     if not (Isolate.IntSet.mem bid iso) then
       match Hashtbl.find_opt sc.Mhj.Scopecheck.blocks bid with
@@ -126,37 +133,27 @@ let isolated_placements (p : Mhj.Ast.program) (races : Espbags.Race.t list) :
               if Mhj.Scopecheck.wrap_ok sc ~bid ~lo ~hi then hi
               else Array.length stmts - 1
             in
-            let ok = ref (Mhj.Scopecheck.wrap_ok sc ~bid ~lo ~hi) in
-            for i = lo to hi do
-              if not (Isolate.wrappable_stmt stmts.(i)) then ok := false
-            done;
-            if not !ok then
-              fail "racing statements are not serializable in isolated"
-            else begin
-              let r =
-                match Hashtbl.find_opt ranges bid with
-                | Some r -> r
-                | None ->
-                    let r = ref [] in
-                    Hashtbl.add ranges bid r;
-                    r
-              in
-              r := (lo, hi) :: !r
-            end
+            if
+              Mhj.Scopecheck.wrap_ok sc ~bid ~lo ~hi
+              && Array.for_all Isolate.wrappable_stmt
+                   (Array.sub stmts lo (hi - lo + 1))
+            then
+              Hashtbl.replace ranges bid
+                ((lo, hi)
+                :: Option.value ~default:[] (Hashtbl.find_opt ranges bid))
+            else fail "racing statements are not serializable in isolated"
           end
   in
-  List.iter
-    (fun (r : Espbags.Race.t) ->
-      add_endpoint r.tree r.src;
-      add_endpoint r.tree r.sink)
-    races;
+  iter_pairs pairs (fun src sink ->
+      add_endpoint src;
+      add_endpoint sink);
   match !err with
   | Some msg -> Error msg
   | None ->
       let pls =
         Hashtbl.fold
           (fun bid r acc ->
-            let sorted = List.sort compare !r in
+            let sorted = List.sort compare r in
             let merged =
               List.fold_left
                 (fun acc (lo, hi) ->
@@ -179,20 +176,20 @@ let isolated_max_rounds = 5
 (* The refinement loop shared by the iterative strategies: from the
    input's detection [first], discharge isolated pairs, and when clean
    check the candidate still prints the test's expected output;
-   otherwise [step] rewrites the program against the surviving races and
+   otherwise [step] rewrites the program against the surviving pairs and
    the rewrite is detected, at most [max_rounds] times. *)
 let iterate kind ~max_rounds ~options ~first step prog : candidate =
   let expected = output first in
   let rec go p d round =
-    let surviving, discharged = Lazy.force d.Driver.races in
+    let surviving = Lazy.force d.Driver.pairs in
     let fail note = unproduced ~rounds:round kind note in
-    if surviving = [] then
+    if Pairs.length surviving = 0 then
       if output d = expected then
         {
           kind;
           program = Some p;
           verified = true;
-          score = Some (score_of d discharged);
+          score = Some (score_of d);
           rounds = round;
           note = "";
         }
@@ -207,10 +204,10 @@ let iterate kind ~max_rounds ~options ~first step prog : candidate =
 
 let isolated_candidate ~options ~first prog : candidate =
   iterate Isolated ~max_rounds:isolated_max_rounds ~options ~first
-    (fun p races ->
+    (fun p pairs ->
       Result.map
         (Mhj.Transform.insert_isolated p)
-        (isolated_placements p races))
+        (isolated_placements p pairs))
     prog
 
 (* ------------------------------------------------------------------ *)
@@ -225,18 +222,18 @@ let rec async_sid tree (n : Sdpst.Node.t) : int option =
 
 let elide_candidate ~options ~first prog : candidate =
   iterate Elide ~max_rounds:(Mhj.Ast.count_asyncs prog + 1) ~options ~first
-    (fun p races ->
-      let sids =
-        List.fold_left
-          (fun acc (r : Espbags.Race.t) ->
-            let add acc n =
-              match async_sid r.tree n with
-              | Some sid -> Isolate.IntSet.add sid acc
-              | None -> acc
-            in
-            add (add acc r.src) r.sink)
-          Isolate.IntSet.empty races
+    (fun p pairs ->
+      let tree = Pairs.tree pairs in
+      let sids = ref Isolate.IntSet.empty in
+      let add n =
+        Option.iter
+          (fun sid -> sids := Isolate.IntSet.add sid !sids)
+          (async_sid tree n)
       in
+      iter_pairs pairs (fun src sink ->
+          add src;
+          add sink);
+      let sids = !sids in
       if Isolate.IntSet.is_empty sids then
         Error "racing tasks have no async ancestor"
       else Ok (Mhj.Transform.elide_asyncs p (Isolate.IntSet.elements sids)))
@@ -313,22 +310,21 @@ let chunk_max_rounds = 4
 
 let chunk_candidate ~options ~first prog : candidate =
   iterate Chunk ~max_rounds:chunk_max_rounds ~options ~first
-    (fun p races ->
+    (fun p pairs ->
       let tbl = loop_table p in
+      let tree = Pairs.tree pairs in
       (* minimum racing iteration distance per loop *)
       let dmin : (int, int) Hashtbl.t = Hashtbl.create 4 in
       let err = ref None in
-      List.iter
-        (fun (r : Espbags.Race.t) ->
+      iter_pairs pairs (fun src sink ->
           if !err = None then
-            match race_loop tbl r.tree r.src r.sink with
+            match race_loop tbl tree src sink with
             | Some (for_sid, d) when d >= 1 ->
                 let cur =
                   Option.value ~default:max_int (Hashtbl.find_opt dmin for_sid)
                 in
                 Hashtbl.replace dmin for_sid (min cur d)
-            | _ -> err := Some "race is not carried by a chunkable loop")
-        races;
+            | _ -> err := Some "race is not carried by a chunkable loop");
       match !err with
       | Some note -> Error note
       | None ->
@@ -421,14 +417,14 @@ let run ?(options = { Options.default with backend = `Auto }) (choice : choice)
   | `Tournament ->
       (* Finish runs last: its repair may splice finishes into [first]'s
          S-DPST or prune it, and the others read parent chains off
-         [first]'s races.  So [first] outlives three candidates' own
-         runs.  The candidates read all of its races, pairs and detector
-         counters; reading them now lets the detector state those close
-         over (shadow memory, race buffer) go before the first of those
-         runs. *)
+         [first]'s pairs.  So [first] outlives three candidates' own
+         runs.  The candidates read its pair sets and detector counters;
+         reading them now lets the detector state those close over
+         (shadow memory, ordering state) go before the first of those
+         runs.  Its unread race records keep only the race buffer. *)
       Obs.Trace.with_span "races" (fun () ->
-          ignore (Lazy.force first.races);
           ignore (Lazy.force first.pairs);
+          ignore (Lazy.force first.discharged);
           ignore (Lazy.force first.run.stats));
       let iso = alt Isolated isolated_candidate in
       let eli = alt Elide elide_candidate in

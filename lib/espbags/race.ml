@@ -139,19 +139,3 @@ let exact_sigs races = List.map exact_sig races
 
 let pp_sig ppf (src, sink, addr, kind) =
   Fmt.pf ppf "(%d -> %d) %s %s" src sink addr kind
-
-(** Distinct static (source stmt, sink stmt) pairs — the count a user sees
-    as "distinct racy statement pairs". *)
-let count_static (races : t list) : int =
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      let k =
-        let origin n =
-          (Sdpst.Node.origin_bid r.tree n, Sdpst.Node.origin_idx r.tree n)
-        in
-        (origin r.src, origin r.sink)
-      in
-      Hashtbl.replace seen k ())
-    races;
-  Hashtbl.length seen

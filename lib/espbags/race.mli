@@ -87,6 +87,3 @@ end
     record of each pair.
     @raise Invalid_argument on a list out of report order (see {!Pairs}) *)
 val dedupe_by_steps : t list -> t list
-
-(** Number of distinct static (source stmt, sink stmt) pairs. *)
-val count_static : t list -> int

@@ -126,6 +126,11 @@ module type S = sig
   (** Races recorded so far (spilled ones included), in report order. *)
   val races : t -> Race.t list
 
+  (** [races] of the finished run, deferred: the reader keeps only the
+      race buffer, the tree, the address table and the spill file, not
+      the shadow memory or the ordering state. *)
+  val race_reader : t -> unit -> Race.t list
+
   (** The distinct step pairs of {!races}, with multiplicities, read in
       one pass over the spill file and then [r_buf] without building a
       race record. *)
@@ -209,25 +214,29 @@ module Make (O : ORDER) : S with type order = O.t = struct
   let clean t = race_count t = 0
   let sid_mask = (1 lsl 31) - 1
 
-  let races t =
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        let ss = Tdrutil.Ivec.unsafe_get t.r_buf i
-        and meta = Tdrutil.Ivec.unsafe_get t.r_buf (i + 1) in
-        go (i - 2)
-          (Race.make ~tree:t.tree ~src:(ss lsr 31) ~sink:(ss land sid_mask)
-             ~addr:(Rt.Addr.Intern.of_id t.intern (meta lsr 2))
-             ~kind:(Trace.kind_of_code (meta land 3))
-          :: acc)
-    in
-    let in_mem = go (Tdrutil.Ivec.length t.r_buf - 2) [] in
-    match t.spill with
-    | None -> in_mem
-    | Some sp ->
-        (* spilled records came first: report order is preserved *)
-        Spill.records sp ~tree:t.tree
-        @ in_mem
+  let race_reader t =
+    let r_buf = t.r_buf and tree = t.tree and intern = t.intern in
+    let spill = t.spill in
+    fun () ->
+      let rec go i acc =
+        if i < 0 then acc
+        else
+          let ss = Tdrutil.Ivec.unsafe_get r_buf i
+          and meta = Tdrutil.Ivec.unsafe_get r_buf (i + 1) in
+          go (i - 2)
+            (Race.make ~tree ~src:(ss lsr 31) ~sink:(ss land sid_mask)
+               ~addr:(Rt.Addr.Intern.of_id intern (meta lsr 2))
+               ~kind:(Trace.kind_of_code (meta land 3))
+            :: acc)
+      in
+      let in_mem = go (Tdrutil.Ivec.length r_buf - 2) [] in
+      match spill with
+      | None -> in_mem
+      | Some sp ->
+          (* spilled records came first: report order is preserved *)
+          Spill.records sp ~tree @ in_mem
+
+  let races t = race_reader t ()
 
   let pairs t =
     Race.Pairs.build ~tree:t.tree (fun add ->

@@ -19,7 +19,7 @@ type outcome = {
 
 let run_detect (o : Repair.Options.t) prog =
   let d = Repair.Driver.detect o prog in
-  let races = fst (Lazy.force d.races) in
+  let pairs = Lazy.force d.pairs in
   let report =
     J.Obj
       [
@@ -28,8 +28,8 @@ let run_detect (o : Repair.Options.t) prog =
           J.Str
             (match o.mode with Espbags.Detector.Mrw -> "mrw" | Srw -> "srw") );
         ("backend", J.Str (Fmt.str "%a" Vclock.Select.pp_choice d.backend));
-        ("races", J.Int (List.length races));
-        ("race_pairs", J.Int (Espbags.Race.Pairs.length (Lazy.force d.pairs)));
+        ("races", J.Int (Espbags.Race.Pairs.n_races pairs));
+        ("race_pairs", J.Int (Espbags.Race.Pairs.length pairs));
         ("accesses", J.Int d.run.n_accesses);
         ("locations", J.Int d.run.n_locations);
         ("skipped", J.Int d.run.n_skipped);
@@ -37,7 +37,7 @@ let run_detect (o : Repair.Options.t) prog =
           J.List
             (List.map
                (fun r -> J.Str (Fmt.str "%a" Espbags.Race.pp r))
-               races) );
+               (Repair.Isolate.suppress prog (Lazy.force d.run.races))) );
       ]
   in
   (P.Sok, Some report, None)

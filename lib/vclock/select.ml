@@ -116,7 +116,7 @@ type detection = {
 let run (module D : Espbags.Shadow.S) ?fuel ?keep ?chunk ?spill mode prog =
   let det, result = D.detect ?fuel ?keep ?chunk ?spill mode prog in
   {
-    races = lazy (D.races det);
+    races = (let read = D.race_reader det in lazy (read ()));
     pairs = lazy (D.pairs det);
     stats = lazy (D.stats det);
     n_accesses = det.D.n_accesses;

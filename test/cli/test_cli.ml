@@ -339,6 +339,96 @@ let test_explain_isolated () =
               backend out)
         [ "espbags"; "vclock" ])
 
+(* grade-file judges race freedom as detect does: the isolated pair's
+   three reports are discharged, and the tool's repair of the stripped
+   program has the same critical path. *)
+let test_grade_file_isolated () =
+  with_tmp_program isolated_pair_src (fun f ->
+      let code, out = run_cli [ "grade-file"; f ] in
+      Alcotest.(check int) "optimal exit code" 0 code;
+      check_contains "optimal verdict" out "OPTIMAL")
+
+(* The "insert finish around ..." lines of one output, as a sorted set:
+   [explain] prints them bare, [repair --report] with a demand count. *)
+let finish_lines out =
+  String.split_on_char '\n' out
+  |> List.filter_map (fun l ->
+         let l = String.trim l in
+         if contains ~affix:"insert finish around" l then
+           Some
+             (match String.index_opt l '(' with
+             | Some i -> String.trim (String.sub l 0 i)
+             | None -> l)
+         else None)
+  |> List.sort_uniq compare
+
+(* The first "iteration 1:" block of a [repair --report]. *)
+let first_iteration out =
+  let lines = String.split_on_char '\n' out in
+  let rec skip = function
+    | l :: rest when contains ~affix:"iteration 1:" l -> take [] rest
+    | _ :: rest -> skip rest
+    | [] -> []
+  and take acc = function
+    | l :: rest when String.length l > 0 && l.[0] = ' ' -> take (l :: acc) rest
+    | _ -> List.rev acc
+  in
+  String.concat "\n" (skip lines)
+
+(* [explain] suggests exactly the finishes [repair]'s first iteration
+   inserts: both place the same discharged pair set. *)
+let explain_matches_repair what f =
+  let code, out = run_cli [ "explain"; f ] in
+  Alcotest.(check int) (what ^ ": explain exit 0") 0 code;
+  let code', report = run_cli [ "repair"; f; "-q"; "--report" ] in
+  if code' <> 0 && code' <> 2 then
+    Alcotest.failf "%s: repair exit %d:\n%s" what code' report;
+  Alcotest.(check (list string))
+    (what ^ ": explain = repair iteration 1")
+    (finish_lines (first_iteration report))
+    (finish_lines out)
+
+let isolated_mixed_srcs =
+  [ isolated_pair_src;
+    {|var x: int = 0;
+def main() {
+  async { isolated { x = x + 1; } }
+  async { x = x + 2; }
+  print(x);
+}
+|};
+    {|var x: int = 0;
+var y: int = 0;
+def main() {
+  finish {
+    async { isolated { x = x + 1; } y = y + 1; }
+    async { isolated { x = x + 2; } }
+  }
+  print(x);
+  print(y);
+}
+|} ]
+
+let test_explain_matches_repair () =
+  List.iter
+    (fun s -> explain_matches_repair s (sample s))
+    [ "fib_buggy.mhj"; "figure5.mhj"; "pipeline.mhj"; "quicksort.mhj";
+      "stencil.mhj" ];
+  List.iteri
+    (fun i src ->
+      with_tmp_program src (explain_matches_repair (Fmt.str "isolated %d" i)))
+    isolated_mixed_srcs;
+  for seed = 1 to 50 do
+    with_tmp_program (Benchsuite.Progen.generate ~seed ())
+      (explain_matches_repair (Fmt.str "progen %d" seed))
+  done;
+  List.iter
+    (fun (b : Benchsuite.Bench.t) ->
+      with_tmp_program
+        (Mhj.Pretty.program_to_string (Benchsuite.Bench.stripped_program b))
+        (explain_matches_repair b.name))
+    Benchsuite.Suite.all
+
 let test_located_interp_diagnostics () =
   with_tmp_program "def main() {\n  print(1 / 0);\n}" (fun f ->
       let code, out = run_cli [ "run"; f ] in
@@ -1238,6 +1328,20 @@ let test_serve_flags_bounded () =
       ("--retries=-1", "must be non-negative");
       ("--backoff-ms=-1", "must be non-negative") ]
 
+(* A socket path in a missing directory fails at bind, before any worker
+   starts: a located internal diagnostic and exit 1, not an uncaught
+   exception. *)
+let test_serve_missing_dir () =
+  let dir = Filename.temp_file "tdrepair_cli" ".missing" in
+  Sys.remove dir;
+  let code, out =
+    run_cli [ "serve"; "--socket"; Filename.concat dir "s.sock" ]
+  in
+  Alcotest.(check int) "internal-error exit" 1 code;
+  check_contains "names the call" out "bind";
+  if contains ~affix:"uncaught exception" out then
+    Alcotest.failf "serve escaped or_die:\n%s" out
+
 let () =
   Alcotest.run "cli"
     [
@@ -1274,6 +1378,10 @@ let () =
           Alcotest.test_case "explain" `Quick test_explain;
           Alcotest.test_case "explain discharges isolated" `Quick
             test_explain_isolated;
+          Alcotest.test_case "grade-file discharges isolated" `Quick
+            test_grade_file_isolated;
+          Alcotest.test_case "explain = repair iteration 1" `Quick
+            test_explain_matches_repair;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "located interp diagnostics" `Quick
             test_located_interp_diagnostics;
@@ -1305,6 +1413,8 @@ let () =
           Alcotest.test_case "serve/call --help" `Quick test_serve_help;
           Alcotest.test_case "serve flags bounded" `Quick
             test_serve_flags_bounded;
+          Alcotest.test_case "serve socket in missing dir" `Quick
+            test_serve_missing_dir;
           Alcotest.test_case "--timeout-ms" `Quick test_timeout_flag;
           Alcotest.test_case "negative budgets" `Quick test_negative_budgets;
           Alcotest.test_case "strategy options" `Quick test_strategy_options;

@@ -315,4 +315,4 @@ let race_free ~(backend : [< Repair.Options.backend ]) prog =
   let d =
     Repair.Driver.detect { Repair.Options.default with backend } prog
   in
-  fst (Lazy.force d.Repair.Driver.races) = []
+  Espbags.Race.Pairs.length (Lazy.force d.Repair.Driver.pairs) = 0

@@ -18,7 +18,7 @@ let build_graphs ?coalesce src =
     races;
   Hashtbl.fold
     (fun lca rs acc ->
-      Repair.Depgraph.build ?coalesce ~span tree lca (List.rev rs) :: acc)
+      Oracles.List_depgraph.build ?coalesce ~span tree lca (List.rev rs) :: acc)
     tbl []
   |> List.sort (fun a b ->
          Int.compare a.Repair.Depgraph.lca b.Repair.Depgraph.lca)
@@ -168,7 +168,7 @@ def main() {
   let races = Espbags.Race.dedupe_by_steps (Espbags.Detector.races det) in
   let span, _ = Sdpst.Analysis.span_memo tree in
   let lca = Sdpst.Lca.ns_lca tree (List.hd races).src (List.hd races).sink in
-  let g = Repair.Depgraph.build ~span tree lca races in
+  let g = Oracles.List_depgraph.build ~span tree lca races in
   (* the ~40 sink steps (reading different cells, hence racing with
      different async subsets) must coalesce into very few vertices *)
   Alcotest.(check bool)

@@ -43,7 +43,7 @@ let mk_graph ~asyncs ~times ~edges : Repair.Depgraph.t =
       edges
   in
   let span, _ = Sdpst.Analysis.span_memo tree in
-  Repair.Depgraph.build ~coalesce:false ~span tree root races
+  Oracles.List_depgraph.build ~coalesce:false ~span tree root races
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3/4: the paper's worked example                              *)

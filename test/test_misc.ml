@@ -145,7 +145,7 @@ let test_parallelism_metric () =
   Alcotest.(check bool) "serial parallelism ~ 1" true
     (Compgraph.Metrics.parallelism gs < 1.1)
 
-let test_race_static_count () =
+let test_race_dynamic_count () =
   let prog =
     compile
       {|
@@ -158,9 +158,8 @@ def main() {
   in
   let det, _ = Espbags.Detector.detect Espbags.Detector.Mrw prog in
   let races = Espbags.Detector.races det in
-  (* four dynamic races but a single static (source stmt, sink stmt) pair *)
-  Alcotest.(check int) "dynamic" 4 (List.length races);
-  Alcotest.(check int) "static" 1 (Espbags.Race.count_static races)
+  (* one race per async instance *)
+  Alcotest.(check int) "dynamic" 4 (List.length races)
 
 let test_builtin_table () =
   Alcotest.(check bool) "work is builtin" true (Mhj.Builtins.is_builtin "work");
@@ -202,8 +201,8 @@ let () =
           Alcotest.test_case "detector stats" `Quick test_detector_stats;
           Alcotest.test_case "parallelism metric" `Quick
             test_parallelism_metric;
-          Alcotest.test_case "static race count" `Quick
-            test_race_static_count;
+          Alcotest.test_case "dynamic race count" `Quick
+            test_race_dynamic_count;
           Alcotest.test_case "builtin table" `Quick test_builtin_table;
         ] );
     ]

@@ -28,7 +28,9 @@ let test_contexts_per_placement () =
   let prog = Mhj.Front.compile (fib_src 8) in
   let report = Repair.Driver.repair prog in
   let it = List.hd report.iterations in
-  let contexts = Repair.Report.contexts_per_placement it in
+  let contexts =
+    Repair.Report.contexts_per_placement (Mhj.Scopecheck.build prog) it
+  in
   (* two static placements: the in-fib finish demanded by every internal
      call instance, the in-main finish demanded once *)
   Alcotest.(check int) "two static placements" 2 (List.length contexts);

@@ -20,7 +20,7 @@ let test_deterministic () =
 let test_verdict_details () =
   let _, verdicts = Benchsuite.Students.grade_all ~n:48 () in
   List.iter
-    (fun (v : Benchsuite.Students.verdict) ->
+    (fun ({ marks = v; _ } : Benchsuite.Students.verdict) ->
       match v.graded with
       | Benchsuite.Students.Racy ->
           if v.races = 0 then Alcotest.fail "racy verdict without races"
@@ -32,6 +32,30 @@ let test_verdict_details () =
             Alcotest.fail "optimal verdict inconsistent")
     verdicts
 
+(* Two isolated sections race on [x]: grading discharges the reports by
+   mutual exclusion, as [Driver.detect] does, so the submission is race
+   free and as parallel as the tool's repair. *)
+let test_isolated_discharged () =
+  let src =
+    {|var x: int = 0;
+def main() {
+  finish {
+    async { isolated { x = x + 1; } }
+    async { isolated { x = x + 2; } }
+  }
+  print(x);
+}
+|}
+  in
+  let v =
+    (Benchsuite.Students.grade
+       { Benchsuite.Students.id = 0; expected = Optimal; src })
+      .marks
+  in
+  Alcotest.(check int) "no surviving race" 0 v.races;
+  Alcotest.(check bool) "graded optimal" true
+    (v.graded = Benchsuite.Students.Optimal)
+
 let () =
   Alcotest.run "students"
     [
@@ -40,5 +64,7 @@ let () =
           Alcotest.test_case "paper counts (5/29/25)" `Quick test_counts;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "verdict consistency" `Quick test_verdict_details;
+          Alcotest.test_case "isolated discharged" `Quick
+            test_isolated_discharged;
         ] );
     ]

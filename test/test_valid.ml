@@ -13,7 +13,7 @@ let graph_of src =
       (fun (r : Espbags.Race.t) -> Sdpst.Lca.ns_lca tree r.src r.sink = lca)
       races
   in
-  (prog, Repair.Depgraph.build ~coalesce:false ~span tree lca mine)
+  (prog, Oracles.List_depgraph.build ~coalesce:false ~span tree lca mine)
 
 (* Paper Figure 5: A1, A2 inside an if-block; A3, A4 outside.  Races
    A2 -> A4 and A3 -> A4. *)
@@ -145,7 +145,7 @@ let test_checker_table () =
       races;
     Hashtbl.iter
       (fun lca rs ->
-        let g = Repair.Depgraph.build ~span tree lca (List.rev rs) in
+        let g = Oracles.List_depgraph.build ~span tree lca (List.rev rs) in
         let n = Repair.Depgraph.n_vertices g in
         if n <= 40 then begin
           let valid = Repair.Valid.make_checker ~wrap_ok g in

@@ -26,28 +26,29 @@ module Ec = Repair.Exit_code
 
 (* Every failure exits through the Exit_code contract with a Diag
    printed on stderr (exit_code.mli documents the codes); one no stage
-   classifies is an internal error that names the failed call. *)
-let or_die f =
+   classifies is an internal error (exit 1) labelled with [cmd], the
+   command that failed, and naming the failed call. *)
+let or_die cmd f =
   try f () with
   | e ->
       let d =
         match e with
         | Repair.Driver.Unrepairable m ->
-            Repair.Diag.make ~stage:Repair.Diag.Place m
+            Some (Repair.Diag.make ~stage:Repair.Diag.Place m)
         | Repair.Faultinject.Injected (fault, msg) ->
-            Repair.Diag.make ~stage:(Repair.Faultinject.stage_of fault) msg
-        | e -> (
-            match Repair.Diag.of_exn e with
-            | Some d -> d
-            | None ->
-                Repair.Diag.internal ~stage:Repair.Diag.Detect
-                  (match e with
-                  | Unix.Unix_error (err, call, arg) ->
-                      Fmt.str "%s(%s): %s" call arg (Unix.error_message err)
-                  | e -> Printexc.to_string e))
+            Some
+              (Repair.Diag.make ~stage:(Repair.Faultinject.stage_of fault) msg)
+        | e -> Repair.Diag.of_exn e
       in
-      Fmt.epr "%a@." Repair.Diag.pp d;
-      exit (Ec.of_diag d)
+      (match d with
+      | Some d -> Fmt.epr "%a@." Repair.Diag.pp d
+      | None ->
+          Fmt.epr "error[%s]: internal error (please report): %s@." cmd
+            (match e with
+            | Unix.Unix_error (err, call, arg) ->
+                Fmt.str "%s(%s): %s" call arg (Unix.error_message err)
+            | e -> Printexc.to_string e));
+      exit (Option.fold ~none:Ec.internal_error ~some:Ec.of_diag d)
 
 let compile path = Mhj.Front.compile (read_file path)
 
@@ -88,34 +89,16 @@ let pp_candidates ppf (outcome : Repair.Strategy.outcome) =
             (if c.note = "" then "no race-free candidate" else c.note))
     outcome.Repair.Strategy.candidates
 
-let sets_arg = Options_cli.arg O.Row.sets O.default.sets
+(* Every named flag is a row of the Options_cli table. *)
+let arg = Options_cli.arg
 
-let quiet_arg =
-  Arg.(
-    value & flag
-    & info [ "q"; "quiet" ] ~doc:"Do not print the repaired program.")
-
-let output_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Write the result to $(docv).")
-
-let timeout_arg =
-  Arg.(
-    value
-    & opt (some (Options_cli.at_least 0)) None
-    & info [ "timeout-ms" ] ~docv:"MS"
-        ~doc:
-          "Wall-clock watchdog for the whole job: abort once $(docv) \
-           milliseconds have elapsed (exit code 4).  The same cooperative \
-           watchdog guards every job in $(b,tdrepair serve).")
+module R = Options_cli.Row
 
 (* ---------------------------- commands ----------------------------- *)
 
 let parse_cmd =
   let run file =
-    or_die (fun () ->
+    or_die "parse" (fun () ->
         let prog = compile file in
         Fmt.pr "%s" (Mhj.Pretty.program_to_string prog))
   in
@@ -125,7 +108,7 @@ let parse_cmd =
 
 let run_cmd =
   let run file procs sets par seed pace_ns =
-    or_die (fun () ->
+    or_die "run" (fun () ->
         let prog = O.apply_sets sets (compile file) in
         match par with
         | None ->
@@ -145,7 +128,7 @@ let run_cmd =
               (Compgraph.Sched.makespan ~procs g)
               res.tree.Sdpst.Node.n_nodes
         | Some n ->
-            let n = if n <= 0 then Domain.recommended_domain_count () else n in
+            let n = if n = 0 then Domain.recommended_domain_count () else n in
             let mode =
               if n = 1 then Par.Engine.Fuzz { seed }
               else Par.Engine.Domains { n; seed }
@@ -174,57 +157,14 @@ let run_cmd =
               (if n = 1 then " (deterministic fuzz schedule)" else "")
               seed res.work sched_line res.wall_s)
   in
-  let procs =
-    Arg.(
-      value & opt (Options_cli.at_least 1) 12
-      & info [ "p"; "procs" ] ~docv:"P"
-          ~doc:"Processors for the scheduling simulation.")
-  in
-  let par =
-    let domains =
-      Options_cli.int_conv (fun n ->
-          if n > Par.Engine.max_domains then
-            Some
-              (Fmt.str "domain count must be at most %d" Par.Engine.max_domains)
-          else None)
-    in
-    Arg.(
-      value
-      & opt ~vopt:(Some 0) (some domains) None
-      & info [ "par" ] ~docv:"N"
-          ~doc:
-            (Fmt.str
-               "Execute on the parallel backend with $(docv) OCaml domains \
-                (at most %d) instead of depth-first.  $(b,--par=1) is the \
-                deterministic schedule-fuzzing mode (replayable from \
-                $(b,--seed)); $(b,--par) alone uses the recommended domain \
-                count."
-               Par.Engine.max_domains))
-  in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:
-            "Schedule seed: with $(b,--par=1) the same seed replays the \
-             same schedule exactly; with more domains it drives victim \
-             selection (best-effort).")
-  in
-  let pace =
-    Arg.(
-      value & opt int 0
-      & info [ "pace" ] ~docv:"NS"
-          ~doc:
-            "Pace parallel execution: each cost unit also costs $(docv) \
-             nanoseconds of sleep, so wall-clock time reflects schedule \
-             overlap (used by $(b,bench speedup)).")
-  in
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "Execute a program: depth-first with work/critical-path analysis \
           (default), or for real on the parallel backend ($(b,--par)).")
-    Term.(const run $ file_arg $ procs $ sets_arg $ par $ seed $ pace)
+    Term.(
+      const run $ file_arg $ arg R.procs $ arg R.sets $ arg R.par $ arg R.seed
+      $ arg R.pace)
 
 (* Print the repaired program, or write it to -o's file. *)
 let emit_repaired ~output ~quiet prog =
@@ -269,7 +209,7 @@ let pp_discharged (d : Repair.Driver.detection) =
 
 let detect_cmd =
   let run file (o : O.t) trace dump_tree dump_sdpst timeout_ms =
-    or_die (fun () ->
+    or_die "detect" (fun () ->
       Rt.Watchdog.with_timeout ~ms:timeout_ms @@ fun () ->
         let prog = load file o in
         print_auto_backend prog o.backend;
@@ -340,36 +280,18 @@ let detect_cmd =
             Fmt.pr "trace written to %s@." path
         | None -> ())
   in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"OUT" ~doc:"Write a race trace file to $(docv).")
-  in
-  let dump =
-    Arg.(value & flag & info [ "dump-sdpst" ] ~doc:"Print the S-DPST.")
-  in
-  let dump_tree =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dump-tree" ] ~docv:"OUT"
-          ~doc:
-            "Serialize the S-DPST to $(docv), for offline analysis with \
-             $(b,analyze).")
-  in
   Cmd.v
     (Cmd.info "detect"
        ~doc:
          "Execute a program under a race detector (ESP-bags or vector \
           clocks, see $(b,--backend)) and report its data races.")
     Term.(
-      const run $ file_arg $ Options_cli.term O.Detect $ trace $ dump_tree
-      $ dump $ timeout_arg)
+      const run $ file_arg $ Options_cli.term O.Detect $ arg R.race_trace
+      $ arg R.dump_tree $ arg R.dump_sdpst $ arg R.timeout_ms)
 
 let analyze_cmd =
   let run file tree_path trace_path output quiet =
-    or_die (fun () ->
+    or_die "analyze" (fun () ->
         let prog = compile file in
         let tree = Sdpst.Serial.tree_of_string (read_file tree_path) in
         let _mode, races = Espbags.Trace.of_string tree (read_file trace_path) in
@@ -387,27 +309,14 @@ let analyze_cmd =
           merged.Repair.Static_place.placements;
         emit_repaired ~output ~quiet (Repair.Static_place.apply prog merged))
   in
-  let tree_path =
-    Arg.(
-      required
-      & opt (some non_dir_file) None
-      & info [ "tree" ] ~docv:"FILE"
-          ~doc:"S-DPST dump produced by $(b,detect --dump-tree).")
-  in
-  let trace_path =
-    Arg.(
-      required
-      & opt (some non_dir_file) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Race trace produced by $(b,detect --trace).")
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
          "Compute finish placements offline from a recorded S-DPST and race \
           trace (the paper's Appendix A analyzer; no re-execution).")
     Term.(
-      const run $ file_arg $ tree_path $ trace_path $ output_arg $ quiet_arg)
+      const run $ file_arg $ arg R.tree $ arg R.race_trace_in $ arg R.output
+      $ arg R.quiet)
 
 let repair_cmd =
   let run file (o : O.t) output report_flag quiet validate_par validate_seed
@@ -415,7 +324,7 @@ let repair_cmd =
     (* Enable tracing before the compile so the parse/typecheck/normalize
        spans land in the file too. *)
     if trace_file <> None then Obs.Trace.enable ();
-    or_die (fun () ->
+    or_die "repair" (fun () ->
       Rt.Watchdog.with_timeout ~ms:timeout_ms @@ fun () ->
         check_spill_writable o.spill;
         let prog = load file o in
@@ -493,63 +402,6 @@ let repair_cmd =
         if report.degradations <> [] || report.verified_static = Some false
         then exit Ec.degraded)
   in
-  let report_flag =
-    Arg.(
-      value & flag
-      & info [ "report" ]
-          ~doc:"Print the detailed per-iteration repair report.")
-  in
-  let validate_par =
-    Arg.(
-      value
-      & opt ~vopt:(Some 10) (some (Options_cli.at_least 0)) None
-      & info [ "validate-par" ] ~docv:"K"
-          ~doc:
-            "After convergence, re-run the repaired program under $(docv) \
-             deterministic fuzzed parallel schedules (default 10) and \
-             require each to reproduce the sequential semantics.  A \
-             divergence exits 2; schedules skipped under \
-             $(b,--budget-validate) exit 4.")
-  in
-  let validate_seed =
-    Arg.(
-      value & opt int 1
-      & info [ "validate-seed" ] ~docv:"S"
-          ~doc:
-            "Base schedule seed for $(b,--validate-par); schedule $(i,k) \
-             uses seed S+$(i,k), replayable with $(b,run --par=1 --seed).")
-  in
-  let budget_validate =
-    Arg.(
-      value
-      & opt (some (Options_cli.at_least 0)) None
-      & info [ "budget-validate" ] ~docv:"MS"
-          ~doc:
-            "Wall-clock budget for $(b,--validate-par) in milliseconds; \
-             remaining schedules are skipped once it is exceeded (exit \
-             code 4).")
-  in
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome-trace-format JSON timeline of the pipeline to \
-             $(docv): one span per stage (parse, detect, placement, \
-             rewrite, ...) per repair iteration.  Open it with \
-             chrome://tracing or ui.perfetto.dev.")
-  in
-  let metrics_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write the run's counters (detector, static pruner, parallel \
-             engine, driver) to $(docv) as one JSON object with sorted \
-             keys.")
-  in
   Cmd.v
     (Cmd.info "repair"
        ~doc:
@@ -560,13 +412,14 @@ let repair_cmd =
           input, 4 repaired but degraded by a $(b,--budget-*) limit or \
           left unproven by $(b,--static-verify), 5 unrepairable.")
     Term.(
-      const run $ file_arg $ Options_cli.term O.Repair $ output_arg
-      $ report_flag $ quiet_arg $ validate_par $ validate_seed $ budget_validate
-      $ trace_file $ metrics_file $ timeout_arg)
+      const run $ file_arg $ Options_cli.term O.Repair $ arg R.output
+      $ arg R.report $ arg R.quiet $ arg R.validate_par $ arg R.validate_seed
+      $ arg R.budget_validate $ arg R.chrome_trace $ arg R.metrics
+      $ arg R.timeout_ms)
 
 let strip_cmd =
   let run file output =
-    or_die (fun () ->
+    or_die "strip" (fun () ->
         write_or_print output
           (Mhj.Pretty.program_to_string
              (Mhj.Transform.strip_finishes (compile file))))
@@ -576,22 +429,22 @@ let strip_cmd =
        ~doc:
          "Remove every finish statement (the paper's §7.1 buggy-program \
           construction).")
-    Term.(const run $ file_arg $ output_arg)
+    Term.(const run $ file_arg $ arg R.output)
 
 let elide_cmd =
   let run file output =
-    or_die (fun () ->
+    or_die "elide" (fun () ->
         write_or_print output
           (Mhj.Pretty.program_to_string (Mhj.Elision.elide (compile file))))
   in
   Cmd.v
     (Cmd.info "elide"
        ~doc:"Print the serial elision (all parallel constructs erased).")
-    Term.(const run $ file_arg $ output_arg)
+    Term.(const run $ file_arg $ arg R.output)
 
 let coverage_cmd =
   let run file sets =
-    or_die (fun () ->
+    or_die "coverage" (fun () ->
         let prog = O.apply_sets sets (compile file) in
         let res = Rt.Interp.run prog in
         let cov = Repair.Coverage.of_runs prog [ res.tree ] in
@@ -602,11 +455,11 @@ let coverage_cmd =
        ~doc:
          "Report which statements and async sites the test input exercises \
           (paper §9 extension).")
-    Term.(const run $ file_arg $ sets_arg)
+    Term.(const run $ file_arg $ arg R.sets)
 
 let grade_cmd =
   let run verbose =
-    or_die (fun () ->
+    or_die "grade" (fun () ->
         let summary, verdicts = Benchsuite.Students.grade_all () in
         if verbose then
           List.iter
@@ -622,18 +475,15 @@ let grade_cmd =
            tool (paper: 5 / 29 / 25); generator/grader mismatches: %d@."
           summary.racy summary.oversync summary.optimal summary.mismatches)
   in
-  let verbose =
-    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Per-submission detail.")
-  in
   Cmd.v
     (Cmd.info "grade"
        ~doc:
          "Grade the synthetic student quicksort submissions (paper §7.4).")
-    Term.(const run $ verbose)
+    Term.(const run $ arg R.verbose)
 
 let grade_file_cmd =
   let run file =
-    or_die (fun () ->
+    or_die "grade-file" (fun () ->
         let prog = compile file in
         let d, m = Benchsuite.Students.mark prog in
         match m.graded with
@@ -667,7 +517,7 @@ let grade_file_cmd =
 
 let explain_cmd =
   let run file (o : O.t) =
-    or_die (fun () ->
+    or_die "explain" (fun () ->
         let prog = load file o in
         check_spill_writable o.spill;
         let d = Repair.Driver.detect o prog in
@@ -751,7 +601,7 @@ let bench_list_cmd =
 
 let emit_cmd =
   let run name which output =
-    or_die (fun () ->
+    or_die "emit" (fun () ->
         match Benchsuite.Suite.find name with
         | None ->
             Fmt.epr "unknown benchmark %S; try 'tdrepair benchmarks'@." name;
@@ -771,24 +621,15 @@ let emit_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"NAME" ~doc:"Benchmark name (see $(b,benchmarks)).")
   in
-  let which =
-    Arg.(
-      value
-      & opt (enum [ ("repair", `Repair); ("perf", `Perf); ("stripped", `Stripped) ]) `Repair
-      & info [ "size" ] ~docv:"WHICH"
-          ~doc:
-            "Which variant to emit: $(b,repair) input size, $(b,perf) input \
-             size, or the finish-$(b,stripped) repair-size program.")
-  in
   Cmd.v
     (Cmd.info "emit"
        ~doc:"Print a benchmark's Mini-HJ source (for use with the other \
              commands).")
-    Term.(const run $ name_arg $ which $ output_arg)
+    Term.(const run $ name_arg $ arg R.size $ arg R.output)
 
 let lint_cmd =
   let run files exit_zero suite explain =
-    or_die (fun () ->
+    or_die "lint" (fun () ->
         let total = ref 0 in
         let lint_one label prog =
           let findings = Static.Lint.run ~explain prog in
@@ -817,30 +658,6 @@ let lint_cmd =
       value & pos_all non_dir_file []
       & info [] ~docv:"FILE" ~doc:"Mini-HJ source files to lint.")
   in
-  let exit_zero =
-    Arg.(
-      value & flag
-      & info [ "exit-zero" ]
-          ~doc:
-            "Exit 0 even when findings are reported (CI mode: only \
-             crashes and invalid input fail).")
-  in
-  let suite =
-    Arg.(
-      value & flag
-      & info [ "suite" ]
-          ~doc:"Also lint every built-in benchmark program (in-process).")
-  in
-  let explain =
-    Arg.(
-      value & flag
-      & info [ "explain" ]
-          ~doc:
-            "Annotate each static-race finding with the reason the affine \
-             index refinement could not discharge the pair (non-affine \
-             subscript, non-constant loop bounds, global collision, or a \
-             genuine possible overlap).")
-  in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
@@ -850,19 +667,13 @@ let lint_cmd =
           are refined by an affine subscript analysis; see \
           $(b,--explain).  Exit codes: 0 no findings, 3 invalid input, 6 \
           findings reported (0 with $(b,--exit-zero)).")
-    Term.(const run $ files $ exit_zero $ suite $ explain)
-
-let socket_arg =
-  Arg.(
-    value
-    & opt string "/tmp/tdrepair.sock"
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:"Unix-domain socket path the daemon listens on.")
+    Term.(
+      const run $ files $ arg R.exit_zero $ arg R.suite $ arg R.explain)
 
 let serve_cmd =
   let run socket workers queue max_frame cache retries backoff_ms timeout_ms
       hard_ms verbose =
-    or_die (fun () ->
+    or_die "serve" (fun () ->
         Serve.Daemon.run
           {
             Serve.Daemon.socket;
@@ -877,70 +688,6 @@ let serve_cmd =
             verbose;
           })
   in
-  let workers =
-    (* each worker is a domain of its own, beside the daemon's *)
-    let most = Par.Engine.max_domains - 1 in
-    Arg.(
-      value & opt (Options_cli.at_least ~most 1) 2
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            (Fmt.str "Worker domains executing jobs in parallel (at most %d)."
-               most))
-  in
-  let queue =
-    Arg.(
-      value & opt (Options_cli.at_least 0) 16
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Bounded job-queue capacity.  A job arriving at a full queue \
-             is refused with an $(b,overloaded) reply (load shedding), \
-             never buffered without bound.")
-  in
-  let max_frame =
-    Arg.(
-      value
-      & opt int (1 lsl 20)
-      & info [ "max-frame" ] ~docv:"BYTES"
-          ~doc:
-            "Per-connection frame limit: a request line longer than \
-             $(docv) bytes gets an $(b,oversized-frame) error and the \
-             connection is closed.")
-  in
-  let cache =
-    Arg.(
-      value & opt (Options_cli.at_least 0) 64
-      & info [ "cache" ] ~docv:"N"
-          ~doc:
-            "Result-cache capacity (identical program + flags returns the \
-             cached report byte-for-byte).  0 disables caching.")
-  in
-  let retries =
-    Arg.(
-      value & opt (Options_cli.at_least 0) 2
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Transient-fault retries per job (injected faults, budget \
-             exhaustion) before the job is declared $(b,failed).")
-  in
-  let backoff =
-    Arg.(
-      value & opt (Options_cli.at_least 0) 10
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:
-            "First retry delay; doubles per retry, capped.")
-  in
-  let hard =
-    Arg.(
-      value & opt int 5000
-      & info [ "hard-watchdog-ms" ] ~docv:"MS"
-          ~doc:
-            "Hard watchdog: a worker busy on one job beyond $(docv) is \
-             declared wedged — the job is answered $(b,degraded), the \
-             domain abandoned, and a replacement worker spawned.")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "verbose" ] ~doc:"Log lifecycle events.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -951,13 +698,14 @@ let serve_cmd =
           content-hash result cache.  SIGTERM drains in-flight jobs and \
           exits cleanly.  See DESIGN.md §12 for the protocol.")
     Term.(
-      const run $ socket_arg $ workers $ queue $ max_frame $ cache $ retries
-      $ backoff $ timeout_arg $ hard $ verbose)
+      const run $ arg R.socket $ arg R.workers $ arg R.queue $ arg R.max_frame
+      $ arg R.cache $ arg R.retries $ arg R.backoff_ms $ arg R.timeout_ms
+      $ arg R.hard_watchdog_ms $ arg R.serve_verbose)
 
 let call_cmd =
   let module J = Obs.Json in
   let run socket health shutdown op id file (o : O.t) timeout_ms trace =
-    or_die (fun () ->
+    or_die "call" (fun () ->
         let req =
           if health then J.Obj [ ("op", J.Str "health") ]
           else if shutdown then J.Obj [ ("op", J.Str "shutdown") ]
@@ -1009,31 +757,12 @@ let call_cmd =
                  with J.Parse_error _ -> None)
                 (function J.Str s -> Some s | _ -> None)
             in
-            (match status with
-            | Some ("ok" | "draining") | None -> ()
+            (* an error reply (bad request, oversized frame) carries no
+               status, and is a failure like one that does not parse *)
+            match status with
+            | Some ("ok" | "draining") -> ()
             | Some "degraded" -> exit Ec.degraded
-            | Some _ -> exit Ec.internal_error))
-  in
-  let health =
-    Arg.(
-      value & flag
-      & info [ "health" ] ~doc:"Request the daemon's health report.")
-  in
-  let shutdown =
-    Arg.(
-      value & flag & info [ "shutdown" ] ~doc:"Ask the daemon to drain.")
-  in
-  let op =
-    Arg.(
-      value
-      & opt (enum [ ("detect", "detect"); ("repair", "repair");
-                    ("lint", "lint") ]) "repair"
-      & info [ "op" ] ~docv:"OP" ~doc:"Job kind to submit.")
-  in
-  let id =
-    Arg.(
-      value & opt string "cli"
-      & info [ "id" ] ~docv:"ID" ~doc:"Client job id echoed on the reply.")
+            | _ -> exit Ec.internal_error)
   in
   let file =
     Arg.(
@@ -1041,28 +770,23 @@ let call_cmd =
       & pos 0 (some non_dir_file) None
       & info [] ~docv:"FILE" ~doc:"Mini-HJ source file to submit.")
   in
-  let trace =
-    Arg.(
-      value & flag
-      & info [ "trace" ]
-          ~doc:"Ask for the job's pipeline span names in the reply.")
-  in
   (* call takes two of the job options; the daemon fills in the rest *)
   let options =
     Term.(
       const (fun strategy sets -> { O.default with strategy; sets })
-      $ Options_cli.arg O.Row.strategy O.default.strategy
-      $ sets_arg)
+      $ arg R.strategy $ arg R.sets)
   in
   Cmd.v
     (Cmd.info "call"
        ~doc:
          "Submit one job (or a health/shutdown request) to a running \
           $(b,tdrepair serve) daemon and print the raw JSON reply.  Exit \
-          codes: 0 ok, 4 degraded, 1 failed/overloaded.")
+          codes: 0 ok or draining, 4 degraded, 7 no daemon at the socket, \
+          1 any other reply (failed, overloaded, cancelled, an error reply \
+          or one that does not parse).")
     Term.(
-      const run $ socket_arg $ health $ shutdown $ op $ id $ file $ options
-      $ timeout_arg $ trace)
+      const run $ arg R.socket $ arg R.health $ arg R.shutdown $ arg R.op
+      $ arg R.id $ file $ options $ arg R.timeout_ms $ arg R.span_names)
 
 let main_cmd =
   let doc =

@@ -34,11 +34,20 @@ let default =
   }
 
 type command = Detect | Repair
+type range = { lo : int; hi : int; noun : string }
+
+let out_of_range { lo; hi; noun } n =
+  let say w = Some (if noun = "" then w else noun ^ " " ^ w) in
+  if n > hi then say (Printf.sprintf "must be at most %d" hi)
+  else if n >= lo then None
+  else if lo = 0 then say "must be non-negative"
+  else if lo = 1 then say "must be positive"
+  else say (Printf.sprintf "must be at least %d" lo)
 
 type _ kind =
   | Flag : bool kind
   | Enum : (string * 'a) list -> 'a kind
-  | Int : (int -> string option) -> int option kind
+  | Int : range -> int option kind
   | Path : string option kind
   | Sets : (string * int) list kind
 
@@ -61,9 +70,8 @@ let row ?(commands = [ Detect; Repair ]) ?(docv = "") key kind set doc =
 let repair_only = [ Repair ]
 
 let budget key set doc =
-  row key ~docv:"N" ~commands:repair_only
-    (Int (fun n -> if n < 0 then Some "must be non-negative" else None))
-    set doc
+  let non_negative = Int { lo = 0; hi = max_int; noun = "" } in
+  row key ~docv:"N" ~commands:repair_only non_negative set doc
 
 let strategies =
   [
@@ -151,14 +159,7 @@ module Row = struct
 
   let shadow_chunk =
     row "shadow_chunk" ~docv:"N"
-      (Int
-         (fun n ->
-           if n <= 0 then Some "chunk size must be positive"
-           else if n > Tdrutil.Islab.max_chunk then
-             Some
-               (Printf.sprintf "chunk size must be at most %d"
-                  Tdrutil.Islab.max_chunk)
-           else None))
+      (Int { lo = 1; hi = Tdrutil.Islab.max_chunk; noun = "chunk size" })
       (fun shadow_chunk o -> { o with shadow_chunk })
       (Printf.sprintf
          "Grow the detector's shadow tables in slab chunks of $(docv) \
@@ -237,8 +238,8 @@ let decode : type a. string -> a kind -> J.t -> (a, string) result =
   | Enum names, J.Str s when List.mem_assoc s names -> Ok (List.assoc s names)
   | Enum names, _ ->
       err ("one of " ^ String.concat ", " (List.map (fun (s, _) -> s) names))
-  | Int check, J.Int n -> (
-      match check n with
+  | Int range, J.Int n -> (
+      match out_of_range range n with
       | None -> Ok (Some n)
       | Some why -> Error (Printf.sprintf "flags.%s: %s" key why))
   | Int _, _ -> err "an integer"
@@ -295,15 +296,6 @@ let validate cmd o =
   | Repair when o.strategy <> `Finish && o.spill <> None ->
       finish_only Row.spill
   | _ -> Ok ()
-
-let parse_set spec =
-  match String.index_opt spec '=' with
-  | None -> Error "expects NAME=INT"
-  | Some i -> (
-      let v = String.sub spec (i + 1) (String.length spec - i - 1) in
-      match int_of_string_opt v with
-      | Some n -> Ok (String.sub spec 0 i, n)
-      | None -> Error (Printf.sprintf "%S is not an integer" v))
 
 let apply_sets sets prog =
   List.fold_left

@@ -39,15 +39,23 @@ val default : t
 
 type command = Detect | Repair
 
+(** The integers [lo..hi]; a non-empty [noun] leads {!out_of_range}'s
+    message. *)
+type range = { lo : int; hi : int; noun : string }
+
+(** Why [n] is outside the range, or [None]: "must be non-negative"
+    below a [lo] of 0, "must be positive" below 1, "must be at least
+    LO" below another, "must be at most HI" above.  The CLI says it as
+    {!of_json} does. *)
+val out_of_range : range -> int -> string option
+
 type _ kind =
   | Flag : bool kind  (** a CLI switch; a JSON boolean *)
   | Enum : (string * 'a) list -> 'a kind  (** one of the named values *)
-  | Int : (int -> string option) -> int option kind
-      (** an optional integer; the function says why a value is out of
-          range *)
+  | Int : range -> int option kind  (** an optional integer in range *)
   | Path : string option kind  (** an optional file path *)
   | Sets : (string * int) list kind
-      (** repeatable [NAME=INT] on the CLI ({!parse_set}); an object of
+      (** repeatable [NAME=INT] on the CLI; an object of
           integers in JSON *)
 
 type 'a row = {
@@ -95,9 +103,6 @@ val pp_strategy : strategy Fmt.t
     cannot report a static verdict or a spill count, so [repair] with
     [static_verify] or [spill] needs strategy [finish]. *)
 val validate : command -> t -> (unit, string) result
-
-(** One [NAME=INT] override, as the CLI spells it. *)
-val parse_set : string -> (string * int, string) result
 
 (** Apply int-global overrides ({!Mhj.Transform.set_global_int}).
     @raise Diag.Fail (typecheck stage) naming a missing or non-int

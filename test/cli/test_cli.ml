@@ -650,15 +650,19 @@ let test_run_par () =
       check_contains "domain cap diagnostic" out3 "at most 128")
 
 (* The scheduling simulation needs a processor: 0 and negative counts
-   are usage errors, not an uncaught Invalid_argument (exit 125). *)
+   are usage errors, not an uncaught Invalid_argument (exit 125).  So
+   are a negative pace and a domain count below 1. *)
 let test_run_procs_bounded () =
   with_tmp_program par_fib_src (fun f ->
       List.iter
-        (fun args ->
+        (fun (args, why) ->
           let code, out = run_cli ([ "run"; f ] @ args) in
           Alcotest.(check int) (String.concat " " args) 124 code;
-          check_contains "procs diagnostic" out "must be positive")
-        [ [ "-p"; "0" ]; [ "--procs=-1" ] ];
+          check_contains "diagnostic" out why)
+        [ ([ "-p"; "0" ], "must be positive");
+          ([ "--procs=-1" ], "must be positive");
+          ([ "--pace=-1" ], "must be non-negative");
+          ([ "--par=-1" ], "domain count must be positive") ];
       let code, _ = run_cli [ "run"; f; "--procs=1" ] in
       Alcotest.(check int) "one processor" 0 code)
 
@@ -1198,33 +1202,39 @@ let test_call_errors () =
     (List.length (String.split_on_char '\n' (String.trim out)));
   check_contains "names the socket" out missing
 
+(* The long flags [tdrepair CMD --help=plain] lists, sorted: the option
+   lines after the description. *)
+let flags_of cmd =
+  let code, out = run_cli [ cmd; "--help=plain" ] in
+  Alcotest.(check int) (cmd ^ " help exit 0") 0 code;
+  let rec options = function
+    | l :: rest when not (String.ends_with ~suffix:"OPTIONS" l) -> options rest
+    | ls -> ls
+  in
+  options (String.split_on_char '\n' out)
+  |> List.filter (fun l ->
+         String.length l > 8 && String.sub l 0 8 = "       -")
+  |> List.concat_map (fun l ->
+         String.split_on_char ',' (String.trim l)
+         |> List.filter_map (fun tok ->
+                let tok = String.trim tok in
+                if String.length tok > 2 && String.sub tok 0 2 = "--" then
+                  let stop =
+                    List.fold_left
+                      (fun acc c ->
+                        match String.index_opt tok c with
+                        | Some i -> min acc i
+                        | None -> acc)
+                      (String.length tok) [ '='; ' '; '[' ]
+                  in
+                  Some (String.sub tok 0 stop)
+                else None))
+  |> List.sort_uniq compare
+
 (* Doc-drift guard: every job-option row is a flag of the commands it
    names and a key documented in DESIGN.md §12, and detect and repair
    expose exactly their flag sets. *)
 let test_job_flags_documented () =
-  let flags_of cmd =
-    let code, out = run_cli [ cmd; "--help=plain" ] in
-    Alcotest.(check int) (cmd ^ " help exit 0") 0 code;
-    String.split_on_char '\n' out
-    |> List.filter (fun l ->
-           String.length l > 8 && String.sub l 0 8 = "       -")
-    |> List.concat_map (fun l ->
-           String.split_on_char ',' (String.trim l)
-           |> List.filter_map (fun tok ->
-                  let tok = String.trim tok in
-                  if String.length tok > 2 && String.sub tok 0 2 = "--" then
-                    let stop =
-                      List.fold_left
-                        (fun acc c ->
-                          match String.index_opt tok c with
-                          | Some i -> min acc i
-                          | None -> acc)
-                        (String.length tok) [ '='; ' '; '[' ]
-                    in
-                    Some (String.sub tok 0 stop)
-                  else None))
-    |> List.sort_uniq compare
-  in
   let detect = flags_of "detect" and repair = flags_of "repair" in
   let design =
     let ic = open_in_bin (Filename.concat here "../../DESIGN.md") in
@@ -1308,13 +1318,18 @@ let test_negative_budgets () =
   in
   Alcotest.(check bool) "zero budgets accepted" true (code <> 124)
 
+(* A socket path in a directory that does not exist: a daemon that got
+   past parsing would stop at bind, before it starts a worker domain. *)
+let missing_socket () =
+  let dir = Filename.temp_file "tdrepair_cli" ".missing" in
+  Sys.remove dir;
+  Filename.concat dir "s.sock"
+
 (* Out-of-range serve flags are usage errors at parse time.  The socket
    sits in a directory that does not exist, so even a daemon that parsed
    them would fail to bind before it starts a worker domain. *)
 let test_serve_flags_bounded () =
-  let dir = Filename.temp_file "tdrepair_cli" ".missing" in
-  Sys.remove dir;
-  let socket = Filename.concat dir "s.sock" in
+  let socket = missing_socket () in
   List.iter
     (fun (flag, why) ->
       let code, out = run_cli [ "serve"; flag; "--socket"; socket ] in
@@ -1326,21 +1341,156 @@ let test_serve_flags_bounded () =
       ("--queue=-1", "must be non-negative");
       ("--cache=-1", "must be non-negative");
       ("--retries=-1", "must be non-negative");
-      ("--backoff-ms=-1", "must be non-negative") ]
+      ("--backoff-ms=-1", "must be non-negative");
+      ("--max-frame=0", "must be positive");
+      ("--hard-watchdog-ms=-1", "must be positive") ]
 
 (* A socket path in a missing directory fails at bind, before any worker
    starts: a located internal diagnostic and exit 1, not an uncaught
    exception. *)
 let test_serve_missing_dir () =
-  let dir = Filename.temp_file "tdrepair_cli" ".missing" in
-  Sys.remove dir;
-  let code, out =
-    run_cli [ "serve"; "--socket"; Filename.concat dir "s.sock" ]
-  in
+  let code, out = run_cli [ "serve"; "--socket"; missing_socket () ] in
   Alcotest.(check int) "internal-error exit" 1 code;
   check_contains "names the call" out "bind";
+  check_contains "names the command" out "error[serve]";
+  if contains ~affix:"error[detect]" out then
+    Alcotest.failf "serve's failure labelled detect:\n%s" out;
   if contains ~affix:"uncaught exception" out then
     Alcotest.failf "serve escaped or_die:\n%s" out
+
+(* ------------------------------------------------------------------ *)
+(* The flag table (Options_cli)                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Cli = Options_cli
+module O = Repair.Options
+
+let subcommands =
+  [ "parse"; "run"; "detect"; "analyze"; "repair"; "lint"; "strip"; "elide";
+    "coverage"; "grade"; "grade-file"; "explain"; "benchmarks"; "emit";
+    "serve"; "call" ]
+
+let long_name (Cli.Any r) =
+  List.find (fun n -> String.length n > 1) r.Cli.names
+
+(* The integer rows, with their ranges. *)
+let int_rows =
+  List.filter_map
+    (fun (Cli.Any r as a) ->
+      match r.Cli.kind with
+      | Cli.Int range | Cli.Int_opt range -> Some (a, range)
+      | _ -> None)
+    Cli.rows
+
+let in_range { O.lo; hi; _ } n = lo <= n && n <= hi
+
+let boundaries { O.lo; hi; _ } =
+  [ 0; -1; lo - 1; lo; hi; hi + 1; max_int; min_int ]
+
+(* Not integers at all; the last is max_int + 1. *)
+let junk = [ "x"; "1.5"; "12abc"; ""; "4611686018427387904" ]
+
+(* Whether the row, read through Options_cli.arg, accepts --NAME=VALUE.
+   In-process and parse-only: no pool, domain or daemon starts. *)
+let accepts (Cli.Any r as a) value =
+  let open Cmdliner in
+  let cmd = Cmd.v (Cmd.info "t") Term.(const ignore $ Cli.arg r) in
+  let argv = [| "t"; Fmt.str "--%s=%s" (long_name a) value |] in
+  let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  match Cmd.eval_value ~argv ~err:null ~help:null cmd with
+  | Ok (`Ok ()) -> true
+  | _ -> false
+
+let test_row_boundaries () =
+  Alcotest.(check bool) "integer rows found" true (List.length int_rows >= 19);
+  List.iter
+    (fun (a, range) ->
+      let name = long_name a in
+      List.iter
+        (fun n ->
+          Alcotest.(check bool)
+            (Fmt.str "--%s=%d" name n)
+            (in_range range n)
+            (accepts a (string_of_int n)))
+        (boundaries range);
+      List.iter
+        (fun v ->
+          Alcotest.(check bool) (Fmt.str "--%s=%S" name v) false (accepts a v))
+        junk)
+    int_rows
+
+let rows_accept_their_range =
+  QCheck.Test.make ~name:"every integer row accepts exactly its range"
+    ~count:500
+    QCheck.(pair (int_bound (List.length int_rows - 1)) int)
+    (fun (i, n) ->
+      let a, range = List.nth int_rows i in
+      accepts a (string_of_int n) = in_range range n)
+
+(* Each integer row, on every command that takes it, exits 124 with the
+   converter's message on values outside its range and on junk.  Only
+   rejected values run: serve and call get a socket in a missing
+   directory, and no in-range value of a pool or daemon flag is tried. *)
+let test_rows_reject_out_of_range () =
+  let socket = missing_socket () in
+  List.iter
+    (fun (a, (range : O.range)) ->
+      let (Cli.Any r) = a in
+      let bad =
+        (if range.lo > min_int then [ range.lo - 1 ] else [])
+        @ if range.hi < max_int then [ range.hi + 1 ] else []
+      in
+      let cases =
+        ("x", {|"x" is not an integer|})
+        :: List.map
+             (fun n -> (string_of_int n, Option.get (O.out_of_range range n)))
+             bad
+      in
+      List.iter
+        (fun cmd ->
+          let prefix =
+            match cmd with
+            | "serve" | "call" -> [ cmd; "--socket"; socket ]
+            | _ -> [ cmd; sample "fib_buggy.mhj" ]
+          in
+          List.iter
+            (fun (v, why) ->
+              let flag = Fmt.str "--%s=%s" (long_name a) v in
+              let code, out = run_cli (prefix @ [ flag ]) in
+              Alcotest.(check int) (cmd ^ " " ^ flag) 124 code;
+              check_contains (cmd ^ " " ^ flag) out why)
+            cases)
+        r.Cli.commands)
+    int_rows
+
+(* Every flag a subcommand's help lists is a row naming that subcommand,
+   and every row's flag is listed by the subcommands it names. *)
+let test_help_flags_are_rows () =
+  List.iter
+    (fun cmd ->
+      let rows =
+        List.filter (fun (Cli.Any r) -> List.mem cmd r.Cli.commands) Cli.rows
+      in
+      let names = List.map (fun a -> "--" ^ long_name a) rows in
+      Alcotest.(check int) (cmd ^ ": one row per flag")
+        (List.length names)
+        (List.length (List.sort_uniq compare names));
+      Alcotest.(check (list string))
+        (cmd ^ " --help flags are its rows")
+        (List.sort compare names)
+        (List.filter
+           (fun f -> f <> "--help" && f <> "--version")
+           (flags_of cmd)))
+    subcommands;
+  List.iter
+    (fun (Cli.Any r) ->
+      List.iter
+        (fun c ->
+          if not (List.mem c subcommands) then
+            Alcotest.failf "row --%s names no subcommand %S"
+              (List.hd r.Cli.names) c)
+        r.Cli.commands)
+    Cli.rows
 
 let () =
   Alcotest.run "cli"
@@ -1415,6 +1565,13 @@ let () =
             test_serve_flags_bounded;
           Alcotest.test_case "serve socket in missing dir" `Quick
             test_serve_missing_dir;
+          Alcotest.test_case "flag rows: boundaries" `Quick
+            test_row_boundaries;
+          QCheck_alcotest.to_alcotest rows_accept_their_range;
+          Alcotest.test_case "flag rows: out of range exits 124" `Quick
+            test_rows_reject_out_of_range;
+          Alcotest.test_case "flag rows: every --help flag is a row" `Quick
+            test_help_flags_are_rows;
           Alcotest.test_case "--timeout-ms" `Quick test_timeout_flag;
           Alcotest.test_case "negative budgets" `Quick test_negative_budgets;
           Alcotest.test_case "strategy options" `Quick test_strategy_options;

@@ -218,6 +218,35 @@ let test_oversized_frame_closes_conn () =
   Alcotest.(check string) "daemon alive" "ok" (str_field "status" h);
   C.close c2
 
+(* [tdrepair call ARGS] against the daemon: exit code and output. *)
+let call d args =
+  let out = Filename.temp_file "tdr_call" ".out" in
+  let cmd =
+    Fmt.str "%s call --socket %s %s > %s 2>&1" (Filename.quote binary)
+      (Filename.quote d.sock)
+      (String.concat " " (List.map Filename.quote args))
+      (Filename.quote out)
+  in
+  let code = Sys.command cmd in
+  let text = read_file out in
+  Sys.remove out;
+  (code, text)
+
+(* call exits 1 on any reply that is not ok, degraded or draining: an
+   oversized-frame error carries no status at all. *)
+let test_call_error_reply () =
+  with_daemon ~args:[ "--max-frame"; "64" ] @@ fun d ->
+  let src = Filename.temp_file "tdr_call" ".mhj" in
+  Out_channel.with_open_bin src (fun oc -> output_string oc racy_src);
+  let code, out = call d [ src ] in
+  Sys.remove src;
+  Alcotest.(check bool) "reply printed" true
+    (contains ~affix:"oversized-frame" out);
+  Alcotest.(check int) "error reply exits 1" 1 code;
+  let code, out = call d [ "--health" ] in
+  Alcotest.(check bool) "health printed" true (contains ~affix:"\"ok\"" out);
+  Alcotest.(check int) "health exits 0" 0 code
+
 let slow_flags ms =
   [
     ("faults", J.List [ J.Str (Fmt.str "slow_stage:%d" ms) ]);
@@ -436,6 +465,8 @@ let () =
             test_malformed_frame_conn_survives;
           Alcotest.test_case "oversized frame: conn closed" `Quick
             test_oversized_frame_closes_conn;
+          Alcotest.test_case "call exits 1 on an error reply" `Quick
+            test_call_error_reply;
           Alcotest.test_case "overload shed" `Quick test_overload_shed;
           Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "health shape" `Quick test_health_shape;

@@ -61,23 +61,36 @@ let test_schedule_extremes () =
   Alcotest.(check int) "T_1 = work" (Compgraph.Metrics.work g) t1;
   Alcotest.(check int) "T_inf = span" (Compgraph.Metrics.span g) tinf
 
+(* Brent's and Graham's bounds on a greedy schedule of [g] at [procs]
+   processors, and Brent's bound at [2 * procs].  Not [tp2 <= tp]: greedy
+   list scheduling is not monotone in the processor count (Graham's
+   anomalies), see [test_graham_anomaly]. *)
+let greedy_bounds g procs =
+  let work = Compgraph.Metrics.work g in
+  let span = Compgraph.Metrics.span g in
+  let tp = Compgraph.Sched.makespan ~procs g in
+  let tp2 = Compgraph.Sched.makespan ~procs:(2 * procs) g in
+  tp >= span
+  && tp >= (work + procs - 1) / procs
+  && tp <= (work / procs) + span
+  && tp2 <= (work / (2 * procs)) + span
+
 let brent_bound =
   QCheck.Test.make
-    ~name:"greedy schedule satisfies Brent's bound and monotonicity"
+    ~name:"greedy schedule satisfies Brent's bound at p and 2p"
     ~count:30
     QCheck.(pair (int_range 0 100000) (int_range 1 16))
     (fun (seed, procs) ->
       let src = Benchsuite.Progen.generate ~seed () in
-      let res = run src in
-      let g = Compgraph.Graph.of_sdpst res.tree in
-      let work = Compgraph.Metrics.work g in
-      let span = Compgraph.Metrics.span g in
-      let tp = Compgraph.Sched.makespan ~procs g in
-      let tp2 = Compgraph.Sched.makespan ~procs:(2 * procs) g in
-      tp >= span
-      && tp >= (work + procs - 1) / procs
-      && tp <= (work / procs) + span
-      && tp2 <= tp)
+      greedy_bounds (Compgraph.Graph.of_sdpst (run src).tree) procs)
+
+(* Graham's anomaly: twice the processors can lengthen a greedy
+   schedule, so the bounds must allow it. *)
+let test_graham_anomaly () =
+  let g = graph_of (Benchsuite.Progen.generate ~seed:31426 ()) in
+  Alcotest.(check int) "T_5" 246 (Compgraph.Sched.makespan ~procs:5 g);
+  Alcotest.(check int) "T_10" 252 (Compgraph.Sched.makespan ~procs:10 g);
+  Alcotest.(check bool) "greedy bounds at p = 5" true (greedy_bounds g 5)
 
 let test_sched_stats () =
   let res =
@@ -219,6 +232,8 @@ let () =
         [
           Alcotest.test_case "extremes" `Quick test_schedule_extremes;
           QCheck_alcotest.to_alcotest brent_bound;
+          Alcotest.test_case "Graham's anomaly allowed" `Quick
+            test_graham_anomaly;
           Alcotest.test_case "stats" `Quick test_sched_stats;
           Alcotest.test_case "simultaneous completions drain" `Quick
             test_sched_simultaneous_drain;

@@ -50,10 +50,7 @@ let word = G.(string_size ~gen:(char_range 'a' 'z') (1 -- 6))
 let gen_value : type a. a O.kind -> a G.t = function
   | O.Flag -> G.bool
   | O.Enum names -> G.oneofl (List.map snd names)
-  | O.Int check ->
-      G.(
-        opt (int_range (-5) 100_000)
-        |> map (Option.map (fun n -> if check n = None then n else 1 - n)))
+  | O.Int { lo; hi; _ } -> G.(opt (int_range lo (min hi 100_000)))
   | O.Path -> G.(opt (map (fun w -> "/tmp/" ^ w ^ ".trace") word))
   | O.Sets -> G.(list_size (0 -- 3) (pair word (int_range (-50) 50)))
 
@@ -147,6 +144,48 @@ let test_budgets_bounded () =
       | Error m -> Alcotest.failf "%s 0 rejected: %s" key m)
     [ "budget_fuel"; "budget_sdpst"; "budget_dp" ]
 
+(* of_json reads the same declared ranges as the CLI: at every integer
+   row's boundaries it accepts exactly the in-range values, and refuses
+   the others with the row's key and the range's own words. *)
+let test_int_rows_boundaries () =
+  List.iter
+    (fun (O.Field (r, _)) ->
+      match r.O.kind with
+      | O.Int range ->
+          List.iter
+            (fun n ->
+              let got = O.of_json (J.Obj [ (r.O.key, J.Int n) ]) in
+              match (O.out_of_range range n, got) with
+              | None, Ok o ->
+                  Alcotest.(check bool)
+                    (Fmt.str "%s %d read" r.O.key n)
+                    true
+                    (r.O.set (Some n) O.default = o)
+              | Some why, Error m ->
+                  Alcotest.(check string)
+                    (Fmt.str "%s %d" r.O.key n)
+                    (Fmt.str "flags.%s: %s" r.O.key why)
+                    m
+              | _ ->
+                  Alcotest.failf "%s %d: range and of_json disagree" r.O.key
+                    n)
+            [ 0; -1; range.lo - 1; range.lo; range.hi; range.hi + 1; max_int;
+              min_int ]
+      | _ -> ())
+    (O.fields O.default);
+  (* the words themselves, as served jobs have always been told them *)
+  List.iter
+    (fun (key, n, want) ->
+      Alcotest.(check (result reject string))
+        key (Error want)
+        (O.of_json (J.Obj [ (key, J.Int n) ])))
+    [ ("budget_fuel", -1, "flags.budget_fuel: must be non-negative");
+      ("shadow_chunk", 0, "flags.shadow_chunk: chunk size must be positive");
+      ( "shadow_chunk",
+        Tdrutil.Islab.max_chunk + 1,
+        Fmt.str "flags.shadow_chunk: chunk size must be at most %d"
+          Tdrutil.Islab.max_chunk ) ]
+
 (* ------------------------------------------------------------------ *)
 (* NDJSON fuzz                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -235,6 +274,8 @@ let () =
           Alcotest.test_case "shadow_chunk bounded" `Quick
             test_shadow_chunk_bound;
           Alcotest.test_case "budgets bounded" `Quick test_budgets_bounded;
+          Alcotest.test_case "int rows: of_json boundaries" `Quick
+            test_int_rows_boundaries;
         ] );
       ("protocol", [ QCheck_alcotest.to_alcotest parse_total ]);
     ]

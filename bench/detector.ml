@@ -31,74 +31,48 @@
    plus a warmup), with a [Gc.full_major] before every configuration so
    one configuration's garbage is not collected on another's clock.
 
-   Environment knobs: TDR_BENCH_REPEAT, TDR_BENCH_SUITE
-   (comma-separated benchmark names; default all),
-   TDR_BENCH_DETECTOR_JSON (default BENCH_detector.json; "-" disables).
-   The quick variant (`bench detector-quick`, @ci) times the same way but
-   writes the JSON only when TDR_BENCH_DETECTOR_JSON is set explicitly,
-   keeping all the race-set identity assertions. *)
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt s with Some f -> f | None -> default)
-  | None -> default
+   Knobs (Harness): TDR_BENCH_REPEAT, TDR_BENCH_SUITE,
+   TDR_BENCH_MIN_SPEEDUP, TDR_BENCH_OUT.  The quick variant (`bench
+   detector-quick`, @ci) times the same way and keeps all the race-set
+   identity assertions. *)
 
 let suite () =
-  match Sys.getenv_opt "TDR_BENCH_SUITE" with
-  | None | Some "" -> Benchsuite.Suite.all
-  | Some spec -> (
-      let names = String.split_on_char ',' spec in
-      match
-        List.filter
-          (fun (b : Benchsuite.Bench.t) -> List.mem b.name names)
-          Benchsuite.Suite.all
-      with
-      | [] ->
-          failwith
-            (Fmt.str
-               "detector bench: TDR_BENCH_SUITE=%S matches no benchmark \
-                (try 'tdrepair benchmarks')"
-               spec)
-      | bs -> bs)
+  Harness.suite ~sweep:"detector"
+    (fun (b : Benchsuite.Bench.t) -> b.name)
+    Benchsuite.Suite.all
 
 type row = {
   name : string;
   accesses : int;
   races : int;
-  nop : Clock.sample;  (** uninstrumented baseline *)
-  srw : Clock.sample;
-  mrw : Clock.sample;
+  nop : Harness.sample;  (** uninstrumented baseline *)
+  srw : Harness.sample;
+  mrw : Harness.sample;
   analysis_s : float;  (** Static.Prune.make, paid once per program *)
   mrw_pruned_s : float;
   skipped : int;
-  ref_srw : Clock.sample;
-  ref_mrw : Clock.sample;
-  vc_srw : Clock.sample;
-  vc_mrw : Clock.sample;
+  ref_srw : Harness.sample;
+  ref_mrw : Harness.sample;
+  vc_srw : Harness.sample;
+  vc_mrw : Harness.sample;
 }
 
 (* Detection time: run minus uninstrumented baseline, [None] below the
-   noise floor (Clock): on interpreter-bound programs the run-to-run
+   noise floor (Harness): on interpreter-bound programs the run-to-run
    variance of the baseline itself can exceed the detector's
    contribution.  Such columns are printed as n/a, written as null and
    excluded from the summary speedups. *)
-let det r t = Option.get (Clock.det_time t r.nop)
+let det r t = Option.get (Harness.det_time t r.nop)
 
-let mrw_aps r = Clock.rate r.accesses r.mrw r.nop
+let mrw_aps r = Harness.rate r.accesses r.mrw r.nop
 
-let vc_mrw_aps r = Clock.rate r.accesses r.vc_mrw r.nop
+let vc_mrw_aps r = Harness.rate r.accesses r.vc_mrw r.nop
 
-let ref_mrw_aps r = Clock.rate r.accesses r.ref_mrw r.nop
+let ref_mrw_aps r = Harness.rate r.accesses r.ref_mrw r.nop
 
 (* Ratio of two columns' detection times, when both are measurements. *)
 let ratio r ~seed t =
-  match (Clock.det_time seed r.nop, Clock.det_time t r.nop) with
+  match (Harness.det_time seed r.nop, Harness.det_time t r.nop) with
   | Some a, Some b -> Some (a /. b)
   | _ -> None
 
@@ -111,13 +85,6 @@ let row_measurable r = Option.is_some (mrw_speedup r)
 
 let vc_row_measurable r = Option.is_some (vc_mrw_speedup r)
 
-let identical name what a b =
-  if a <> b then
-    failwith
-      (Fmt.str "detector bench: %s: %s race records differ (%d vs %d) — \
-                detector bug"
-         name what (List.length a) (List.length b))
-
 let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
   let prog = Benchsuite.Bench.stripped_program b in
   (* The configurations are timed in interleaved rounds (every
@@ -129,7 +96,7 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
      another's clock. *)
   let once f =
     Gc.full_major ();
-    let r, s = Clock.time f in
+    let r, s = Obs.Clock.time f in
     ignore (Sys.opaque_identity r);
     s
   in
@@ -158,16 +125,16 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
     ignore (vc_srw_f ());
     ignore (vc_mrw_f ())
   done;
-  let nop_t = Clock.sample ()
-  and srw_t = Clock.sample ()
-  and mrw_t = Clock.sample ()
-  and analysis_t = Clock.sample ()
-  and pruned_t = Clock.sample ()
-  and ref_srw_t = Clock.sample ()
-  and ref_mrw_t = Clock.sample ()
-  and vc_srw_t = Clock.sample ()
-  and vc_mrw_t = Clock.sample () in
-  let time t f = Clock.record t (once f) in
+  let nop_t = Harness.sample ()
+  and srw_t = Harness.sample ()
+  and mrw_t = Harness.sample ()
+  and analysis_t = Harness.sample ()
+  and pruned_t = Harness.sample ()
+  and ref_srw_t = Harness.sample ()
+  and ref_mrw_t = Harness.sample ()
+  and vc_srw_t = Harness.sample ()
+  and vc_mrw_t = Harness.sample () in
+  let time t f = Harness.record t (once f) in
   for _ = 1 to max 1 repeat do
     time nop_t nop;
     time srw_t (fun () -> ignore (srw_f ()));
@@ -179,6 +146,7 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
     time vc_srw_t (fun () -> ignore (vc_srw_f ()));
     time vc_mrw_t (fun () -> ignore (vc_mrw_f ()))
   done;
+  let identical = Harness.identical ~sweep:"detector" b.name in
   let srw = srw_f ()
   and mrw = mrw_f ()
   and pruned = pruned_f ()
@@ -186,19 +154,19 @@ let measure ~warmup ~repeat (b : Benchsuite.Bench.t) : row =
   and ref_mrw = ref_mrw_f ()
   and vc_srw = vc_srw_f ()
   and vc_mrw = vc_mrw_f () in
-  identical b.name "ESP-bags SRW vs seed"
+  identical "ESP-bags SRW vs seed"
     (Espbags.Race.exact_sigs (Espbags.Detector.races srw))
     (Espbags.Race.exact_sigs (Oracles.Reference.races ref_srw));
-  identical b.name "ESP-bags MRW vs seed"
+  identical "ESP-bags MRW vs seed"
     (Espbags.Race.exact_sigs (Espbags.Detector.races mrw))
     (Espbags.Race.exact_sigs (Oracles.Reference.races ref_mrw));
-  identical b.name "vclock SRW vs seed"
+  identical "vclock SRW vs seed"
     (Espbags.Race.exact_sigs (Vclock.Seq.races vc_srw))
     (Espbags.Race.exact_sigs (Oracles.Reference.races ref_srw));
-  identical b.name "vclock MRW vs seed"
+  identical "vclock MRW vs seed"
     (Espbags.Race.exact_sigs (Vclock.Seq.races vc_mrw))
     (Espbags.Race.exact_sigs (Oracles.Reference.races ref_mrw));
-  identical b.name "MRW vs pruned MRW"
+  identical "MRW vs pruned MRW"
     (List.sort compare (Espbags.Race.exact_sigs (Espbags.Detector.races mrw)))
     (List.sort compare
        (Espbags.Race.exact_sigs (Espbags.Detector.races pruned)));
@@ -236,63 +204,72 @@ let geomean rows f =
 
 let srw_speedup r = ratio r ~seed:r.ref_srw r.srw
 
-let json_of_rows ~repeat rows =
-  let buf = Buffer.create 2048 in
-  let opt3 = Clock.json_opt "%.3f" and opt0 = Clock.json_opt "%.0f" in
+let report ~repeat rows =
+  let module J = Obs.Json in
+  let m = Harness.measured in
   let row_json r =
-    Fmt.str
-      "    {\"name\": %S, \"accesses\": %d, \"races\": %d, \"nop_s\": %.6f, \
-       \"srw_s\": %.6f, \"mrw_s\": %.6f, \"prune_analysis_s\": %.6f, \
-       \"mrw_pruned_s\": %.6f, \"skipped_accesses\": %d, \"ref_srw_s\": \
-       %.6f, \"ref_mrw_s\": %.6f, \"vc_srw_s\": %.6f, \"vc_mrw_s\": %.6f, \
-       \"mrw_det_accesses_per_s\": %s, \
-       \"vc_mrw_det_accesses_per_s\": %s, \
-       \"ref_mrw_det_accesses_per_s\": %s, \"mrw_speedup_vs_seed\": %s, \
-       \"vc_mrw_speedup_vs_seed\": %s, \"mrw_overhead\": %.3f, \
-       \"ref_mrw_overhead\": %.3f, \"measurable\": %b, \"vc_measurable\": \
-       %b}"
-      r.name r.accesses r.races r.nop.best r.srw.best r.mrw.best r.analysis_s
-      r.mrw_pruned_s r.skipped r.ref_srw.best r.ref_mrw.best r.vc_srw.best
-      r.vc_mrw.best
-      (opt0 (mrw_aps r)) (opt0 (vc_mrw_aps r)) (opt0 (ref_mrw_aps r))
-      (opt3 (mrw_speedup r)) (opt3 (vc_mrw_speedup r))
-      (r.mrw.best /. r.nop.best) (r.ref_mrw.best /. r.nop.best)
-      (row_measurable r) (vc_row_measurable r)
+    J.Obj
+      [
+        ("name", J.Str r.name);
+        ("accesses", J.Int r.accesses);
+        ("races", J.Int r.races);
+        ("nop_s", J.Float r.nop.best);
+        ("srw_s", J.Float r.srw.best);
+        ("mrw_s", J.Float r.mrw.best);
+        ("prune_analysis_s", J.Float r.analysis_s);
+        ("mrw_pruned_s", J.Float r.mrw_pruned_s);
+        ("skipped_accesses", J.Int r.skipped);
+        ("ref_srw_s", J.Float r.ref_srw.best);
+        ("ref_mrw_s", J.Float r.ref_mrw.best);
+        ("vc_srw_s", J.Float r.vc_srw.best);
+        ("vc_mrw_s", J.Float r.vc_mrw.best);
+        ("mrw_det_accesses_per_s", m (mrw_aps r));
+        ("vc_mrw_det_accesses_per_s", m (vc_mrw_aps r));
+        ("ref_mrw_det_accesses_per_s", m (ref_mrw_aps r));
+        ("mrw_speedup_vs_seed", m (mrw_speedup r));
+        ("vc_mrw_speedup_vs_seed", m (vc_mrw_speedup r));
+        ("mrw_overhead", Harness.ratio (r.mrw.best /. r.nop.best));
+        ("ref_mrw_overhead", Harness.ratio (r.ref_mrw.best /. r.nop.best));
+        ("measurable", J.Bool (row_measurable r));
+        ("vc_measurable", J.Bool (vc_row_measurable r));
+      ]
   in
   let mrows = List.filter row_measurable rows in
   let vrows = List.filter vc_row_measurable rows in
   let srows = List.filter (fun r -> Option.is_some (srw_speedup r)) rows in
   let accesses r = float_of_int r.accesses in
-  let field name fmt v = Buffer.add_string buf (Fmt.str "  \"%s\": %s,\n" name (fmt v)) in
-  Buffer.add_string buf "{\n";
-  field "repeat" string_of_int repeat;
-  field "measured_rows" string_of_int (List.length mrows);
-  field "vc_measured_rows" string_of_int (List.length vrows);
-  field "aggregate_mrw_speedup_vs_seed" opt3
-    (total_ratio mrows (fun r -> det r r.ref_mrw) (fun r -> det r r.mrw));
-  field "aggregate_vc_mrw_speedup_vs_seed" opt3
-    (total_ratio vrows (fun r -> det r r.ref_mrw) (fun r -> det r r.vc_mrw));
-  field "total_accesses" (Fmt.str "%.0f")
-    (List.fold_left (fun acc r -> acc +. accesses r) 0. mrows);
-  field "aggregate_mrw_det_accesses_per_s" opt0
-    (total_ratio mrows accesses (fun r -> det r r.mrw));
-  field "aggregate_vc_mrw_det_accesses_per_s" opt0
-    (total_ratio vrows accesses (fun r -> det r r.vc_mrw));
-  field "aggregate_ref_mrw_det_accesses_per_s" opt0
-    (total_ratio mrows accesses (fun r -> det r r.ref_mrw));
-  field "geomean_mrw_speedup_vs_seed" opt3 (geomean mrows mrw_speedup);
-  field "geomean_vc_mrw_speedup_vs_seed" opt3 (geomean vrows vc_mrw_speedup);
-  field "geomean_srw_speedup_vs_seed" opt3 (geomean srows srw_speedup);
-  Buffer.add_string buf "  \"rows\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map row_json rows));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  J.Obj
+    [
+      ("repeat", J.Int repeat);
+      ("measured_rows", J.Int (List.length mrows));
+      ("vc_measured_rows", J.Int (List.length vrows));
+      ( "aggregate_mrw_speedup_vs_seed",
+        m (total_ratio mrows (fun r -> det r r.ref_mrw) (fun r -> det r r.mrw))
+      );
+      ( "aggregate_vc_mrw_speedup_vs_seed",
+        m
+          (total_ratio vrows
+             (fun r -> det r r.ref_mrw)
+             (fun r -> det r r.vc_mrw)) );
+      ( "total_accesses",
+        J.Int (List.fold_left (fun acc r -> acc + r.accesses) 0 mrows) );
+      ( "aggregate_mrw_det_accesses_per_s",
+        m (total_ratio mrows accesses (fun r -> det r r.mrw)) );
+      ( "aggregate_vc_mrw_det_accesses_per_s",
+        m (total_ratio vrows accesses (fun r -> det r r.vc_mrw)) );
+      ( "aggregate_ref_mrw_det_accesses_per_s",
+        m (total_ratio mrows accesses (fun r -> det r r.ref_mrw)) );
+      ("geomean_mrw_speedup_vs_seed", m (geomean mrows mrw_speedup));
+      ("geomean_vc_mrw_speedup_vs_seed", m (geomean vrows vc_mrw_speedup));
+      ("geomean_srw_speedup_vs_seed", m (geomean srows srw_speedup));
+      ("rows", J.List (List.map row_json rows));
+    ]
 
 let sweep ~quick () =
   (* Quick mode times like the full sweep: with the interpreter baseline
      a few milliseconds on small programs, a single cold run can land a
      detection time anywhere above the noise floor. *)
-  let repeat = max 1 (env_int "TDR_BENCH_REPEAT" 5) in
+  let repeat = max 1 (Harness.env_int "TDR_BENCH_REPEAT" 5) in
   let warmup = 1 in
   Fmt.pr "== detector shootout: seed / ESP-bags / vector clocks ==@.";
   Fmt.pr
@@ -336,7 +313,7 @@ let sweep ~quick () =
      entirely when no row's detection time is above the noise floor. *)
   (match agg with
   | Some agg ->
-      let floor = env_float "TDR_BENCH_MIN_SPEEDUP" 1.0 in
+      let floor = Harness.env_float "TDR_BENCH_MIN_SPEEDUP" 1.0 in
       if agg < floor then
         failwith
           (Fmt.str
@@ -345,25 +322,8 @@ let sweep ~quick () =
               overhead regression?"
              agg floor)
   | None -> ());
-  (* Quick mode writes the JSON only on explicit request (the @ci alias
-     must not litter the build dir), full mode by default. *)
-  let json_dest =
-    match Sys.getenv_opt "TDR_BENCH_DETECTOR_JSON" with
-    | Some "-" -> None
-    | Some path -> Some path
-    | None -> if quick then None else Some "BENCH_detector.json"
-  in
-  match json_dest with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (json_of_rows ~repeat rows);
-      close_out oc;
-      Fmt.pr "[detector data written to %s]@." path
+  Harness.write ~quick "detector" (report ~repeat rows)
 
 let run () = sweep ~quick:false ()
 
-(* CI variant: JSON only when TDR_BENCH_DETECTOR_JSON is set; the
-   race-set identity assertions (ESP-bags and vclock vs seed, pruned vs
-   unpruned) still run on the whole suite. *)
 let run_quick () = sweep ~quick:true ()

@@ -9,9 +9,18 @@
                                   detector|detector-quick|scale|scale-quick|
                                   strategies|strategies-quick|speedup|micro|all]
 
-   (table3 and table4 are produced by the same SRW-vs-MRW sweep;
-   detector-quick and prune-quick are the CI variants of the
-   detector-overhead and prune-ablation sweeps.) *)
+   (table3 and table4 are produced by the same SRW-vs-MRW sweep; the
+   -quick pieces are the @ci variants of their sweeps.)
+
+   The detector, scale, strategies, prune and speedup sweeps write
+   BENCH_<name>.json through Harness, which also reads every knob:
+   TDR_BENCH_OUT (output directory; a full sweep writes into the
+   current directory when unset, a quick one only when set, "-" never),
+   TDR_BENCH_SUITE (row filter), TDR_BENCH_REPEAT, TDR_BENCH_DOMAINS and
+   the gates TDR_BENCH_MIN_SPEEDUP, TDR_PRUNE_MIN_DISCHARGE,
+   TDR_BENCH_MIN_ACCESSES_PER_S, TDR_BENCH_MAX_RSS_MB,
+   TDR_BENCH_MIN_RETAINED and TDR_BENCH_MIN_NONFINISH (README, "Bench
+   knobs"). *)
 
 let usage () =
   Fmt.epr
@@ -21,7 +30,7 @@ let usage () =
 
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  let t0 = Clock.now_ns () in
+  let t0 = Obs.Clock.now_ns () in
   (match which with
   | "table1" -> Tables.table1 ()
   | "table2" -> Tables.table2 ()
@@ -55,4 +64,4 @@ let () =
       Speedup.run ();
       Micro.run_and_print ()
   | _ -> usage ());
-  Fmt.pr "@.[bench completed in %.1fs]@." (Clock.elapsed_s t0)
+  Fmt.pr "@.[bench completed in %.1fs]@." (Obs.Clock.elapsed_s t0)

@@ -21,35 +21,18 @@
    `intact conflicts` column reports coarse -> refined unproven-pair
    counts (series drops to 0 — statically verified race-free).
 
-   Environment knobs: TDR_PRUNE_MIN_DISCHARGE (minimum additional
+   Knobs (Harness): TDR_PRUNE_MIN_DISCHARGE (minimum additional
    statements the refinement must discharge across the suite, stripped
-   and intact programs combined; default 1), TDR_BENCH_PRUNE_JSON
-   (output path, default BENCH_prune.json; "-" disables).  The quick
-   variant (`bench prune-quick`, @ci) skips the JSON but keeps every
-   assertion and the discharge floor. *)
-
-let time = Clock.time
+   and intact programs combined; default 1), TDR_BENCH_OUT.  The quick
+   variant (`bench prune-quick`, @ci) keeps every assertion and the
+   discharge floor. *)
 
 let hr () = Fmt.pr "%s@." (String.make 112 '-')
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default)
-  | None -> default
-
-(* Stable across runs: node ids differ, static coordinates do not. *)
-let race_signature (r : Espbags.Race.t) =
-  let module N = Sdpst.Node in
-  ( N.origin_bid r.tree r.src,
-    N.origin_idx r.tree r.src,
-    N.origin_bid r.tree r.sink,
-    N.origin_idx r.tree r.sink,
-    Fmt.str "%a" Rt.Addr.pp r.addr,
-    Fmt.str "%a" Espbags.Race.pp_kind r.kind )
-
-let signatures det =
-  List.sort_uniq compare
-    (List.map race_signature (Espbags.Detector.races det))
+(* Race records in report order differ between runs that skip accesses;
+   the multiset must not. *)
+let sigs det =
+  List.sort compare (Espbags.Race.exact_sigs (Espbags.Detector.races det))
 
 type row = {
   name : string;
@@ -74,31 +57,25 @@ type row = {
 let sweep_row (b : Benchsuite.Bench.t) : row =
   let prog = Benchsuite.Bench.stripped_program b in
   let (full, _), full_s =
-    time (fun () -> Espbags.Detector.detect Espbags.Detector.Mrw prog)
+    Obs.Clock.time (fun () -> Espbags.Detector.detect Espbags.Detector.Mrw prog)
   in
   let coarse_pr = Static.Prune.make ~refine:false prog in
-  let pr, analysis_s = time (fun () -> Static.Prune.make prog) in
+  let pr, analysis_s = Obs.Clock.time (fun () -> Static.Prune.make prog) in
   let (coarse_pruned, _), coarse_s =
-    time (fun () ->
+    Obs.Clock.time (fun () ->
         Espbags.Detector.detect
           ~keep:(Static.Prune.keep_fn coarse_pr)
           Espbags.Detector.Mrw prog)
   in
   let (pruned, _), refined_s =
-    time (fun () ->
+    Obs.Clock.time (fun () ->
         Espbags.Detector.detect
           ~keep:(Static.Prune.keep_fn pr)
           Espbags.Detector.Mrw prog)
   in
-  let full_sigs = signatures full in
-  if full_sigs <> signatures coarse_pruned then
-    Fmt.failwith "%s: race sets differ under the coarse prune" b.name;
-  if full_sigs <> signatures pruned then
-    Fmt.failwith
-      "%s: race sets differ under --static-prune (full %d, pruned %d)"
-      b.name
-      (Espbags.Detector.race_count full)
-      (Espbags.Detector.race_count pruned);
+  let identical = Harness.identical ~sweep:"prune" b.name in
+  identical "MRW vs coarse-pruned MRW" (sigs full) (sigs coarse_pruned);
+  identical "MRW vs refined-pruned MRW" (sigs full) (sigs pruned);
   if Static.Prune.n_kept pr > Static.Prune.n_kept coarse_pr then
     Fmt.failwith
       "%s: refinement kept %d statement(s), coarse only %d — refinement \
@@ -129,50 +106,45 @@ let sweep_row (b : Benchsuite.Bench.t) : row =
     intact_refined_conflicts = Static.Prune.n_conflicts irefined;
   }
 
-let json_of_rows rows =
-  let buf = Buffer.create 2048 in
+let report rows =
+  let module J = Obs.Json in
   let row_json r =
-    Fmt.str
-      "    {\"name\": %S, \"full_ms\": %.3f, \"coarse_pruned_ms\": %.3f, \
-       \"refined_pruned_ms\": %.3f, \"analysis_ms\": %.3f, \"races\": %d, \
-       \"stmts_total\": %d, \"coarse_kept\": %d, \"refined_kept\": %d, \
-       \"accesses\": %d, \"skipped_accesses\": %d, \"intact_stmts\": %d, \
-       \"intact_coarse_kept\": %d, \"intact_refined_kept\": %d, \
-       \"intact_coarse_conflicts\": %d, \"intact_refined_conflicts\": %d}"
-      r.name r.full_ms r.coarse_ms r.refined_ms r.analysis_ms r.races
-      r.stmts_total r.coarse_kept r.refined_kept r.accesses r.skipped
-      r.intact_stmts r.intact_coarse_kept r.intact_refined_kept
-      r.intact_coarse_conflicts r.intact_refined_conflicts
+    J.Obj
+      [
+        ("name", J.Str r.name);
+        ("full_ms", J.Float r.full_ms);
+        ("coarse_pruned_ms", J.Float r.coarse_ms);
+        ("refined_pruned_ms", J.Float r.refined_ms);
+        ("analysis_ms", J.Float r.analysis_ms);
+        ("races", J.Int r.races);
+        ("stmts_total", J.Int r.stmts_total);
+        ("coarse_kept", J.Int r.coarse_kept);
+        ("refined_kept", J.Int r.refined_kept);
+        ("accesses", J.Int r.accesses);
+        ("skipped_accesses", J.Int r.skipped);
+        ("intact_stmts", J.Int r.intact_stmts);
+        ("intact_coarse_kept", J.Int r.intact_coarse_kept);
+        ("intact_refined_kept", J.Int r.intact_refined_kept);
+        ("intact_coarse_conflicts", J.Int r.intact_coarse_conflicts);
+        ("intact_refined_conflicts", J.Int r.intact_refined_conflicts);
+      ]
   in
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Fmt.str "  \"stmts_total\": %d,\n" (total (fun r -> r.stmts_total)));
-  Buffer.add_string buf
-    (Fmt.str "  \"coarse_kept\": %d,\n" (total (fun r -> r.coarse_kept)));
-  Buffer.add_string buf
-    (Fmt.str "  \"refined_kept\": %d,\n" (total (fun r -> r.refined_kept)));
-  Buffer.add_string buf
-    (Fmt.str "  \"intact_coarse_kept\": %d,\n"
-       (total (fun r -> r.intact_coarse_kept)));
-  Buffer.add_string buf
-    (Fmt.str "  \"intact_refined_kept\": %d,\n"
-       (total (fun r -> r.intact_refined_kept)));
-  Buffer.add_string buf
-    (Fmt.str "  \"intact_coarse_conflicts\": %d,\n"
-       (total (fun r -> r.intact_coarse_conflicts)));
-  Buffer.add_string buf
-    (Fmt.str "  \"intact_refined_conflicts\": %d,\n"
-       (total (fun r -> r.intact_refined_conflicts)));
-  Buffer.add_string buf
-    (Fmt.str "  \"refinement_extra_discharged\": %d,\n"
-       (total (fun r ->
+  let total f = J.Int (List.fold_left (fun acc r -> acc + f r) 0 rows) in
+  J.Obj
+    [
+      ("stmts_total", total (fun r -> r.stmts_total));
+      ("coarse_kept", total (fun r -> r.coarse_kept));
+      ("refined_kept", total (fun r -> r.refined_kept));
+      ("intact_coarse_kept", total (fun r -> r.intact_coarse_kept));
+      ("intact_refined_kept", total (fun r -> r.intact_refined_kept));
+      ("intact_coarse_conflicts", total (fun r -> r.intact_coarse_conflicts));
+      ("intact_refined_conflicts", total (fun r -> r.intact_refined_conflicts));
+      ( "refinement_extra_discharged",
+        total (fun r ->
             r.coarse_kept - r.refined_kept
-            + (r.intact_coarse_kept - r.intact_refined_kept))));
-  Buffer.add_string buf "  \"rows\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map row_json rows));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+            + (r.intact_coarse_kept - r.intact_refined_kept)) );
+      ("rows", J.List (List.map row_json rows));
+    ]
 
 let sweep ~quick () =
   Fmt.pr
@@ -217,7 +189,7 @@ let sweep ~quick () =
   let extra =
     coarse_kept - refined_kept + (icoarse_kept - irefined_kept)
   in
-  let floor = env_int "TDR_PRUNE_MIN_DISCHARGE" 1 in
+  let floor = Harness.env_int "TDR_PRUNE_MIN_DISCHARGE" 1 in
   if extra < floor then
     failwith
       (Fmt.str
@@ -225,19 +197,8 @@ let sweep ~quick () =
           statement(s), below the %d floor (TDR_PRUNE_MIN_DISCHARGE) — \
           refinement regression?"
          extra floor);
-  if quick then ()
-  else
-    match Sys.getenv_opt "TDR_BENCH_PRUNE_JSON" with
-    | Some "-" -> ()
-    | path_opt ->
-        let path = Option.value ~default:"BENCH_prune.json" path_opt in
-        let oc = open_out path in
-        output_string oc (json_of_rows rows);
-        close_out oc;
-        Fmt.pr "[prune data written to %s]@." path
+  Harness.write ~quick "prune" (report rows)
 
 let run () = sweep ~quick:false ()
 
-(* CI variant: no JSON, but the full race-set identity, one-sidedness and
-   discharge-floor assertions over the whole Table 1 suite. *)
 let run_quick () = sweep ~quick:true ()

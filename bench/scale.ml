@@ -9,7 +9,7 @@
    deterministic execution with the default slab-chunked shadow.  Per
    row it records detection throughput (accesses per second of
    detection time = run minus uninstrumented baseline; null when that
-   difference is below the noise floor — see Clock), the GC-heap
+   difference is below the noise floor — see Harness), the GC-heap
    high-water mark of the run (Obs.Rusage.watermark — per-run, unlike
    process RSS, which is monotone), allocated shadow slabs/words,
    entries retired by epoch GC, and clocks freed (vclock).  The
@@ -28,27 +28,13 @@
    chunked shadow words strictly below what a dense table of the same
    backend would need there (sublinear growth in the untouched span).
 
-   Environment knobs (mirroring `bench detector`): TDR_BENCH_REPEAT
-   (default 2), TDR_BENCH_SCALE_SUITE (comma-separated workload names),
-   TDR_BENCH_SCALE_JSON (default BENCH_scale.json; "-" disables),
-   TDR_BENCH_MIN_ACCESSES_PER_S (throughput floor over the aggregate;
-   default 20000, 0 disables), TDR_BENCH_MAX_RSS_MB (process peak-RSS
-   ceiling; default 0 = disabled).  The quick variant (`bench
-   scale-quick`, @ci) shrinks every workload ~16x (~10^5 accesses),
-   does a single run per configuration and writes JSON only when
-   TDR_BENCH_SCALE_JSON is set explicitly, keeping all assertions, the
-   sparse row's and the spill path's included. *)
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt s with Some f -> f | None -> default)
-  | None -> default
+   Knobs (Harness): TDR_BENCH_REPEAT (default 2), TDR_BENCH_SUITE
+   (workload names), TDR_BENCH_MIN_ACCESSES_PER_S (throughput floor over
+   the aggregate; default 20000, 0 disables), TDR_BENCH_MAX_RSS_MB
+   (process peak-RSS ceiling; default 0 = disabled), TDR_BENCH_OUT.  The
+   quick variant (`bench scale-quick`, @ci) shrinks every workload ~16x
+   (~10^5 accesses) and does a single run per configuration, keeping all
+   assertions, the sparse row's and the spill path's included. *)
 
 (* Quick variants: every dimension cut so each workload lands near 10^5
    accesses; shapes and ratios preserved. *)
@@ -82,19 +68,7 @@ let workloads ~quick () =
         Benchsuite.Progen.scale_presets
     else Benchsuite.Progen.scale_presets
   in
-  match Sys.getenv_opt "TDR_BENCH_SCALE_SUITE" with
-  | None | Some "" -> all
-  | Some spec -> (
-      let names = String.split_on_char ',' spec in
-      match List.filter (fun (n, _) -> List.mem n names) all with
-      | [] ->
-          failwith
-            (Fmt.str
-               "scale bench: TDR_BENCH_SCALE_SUITE=%S matches no workload \
-                (have: %s)"
-               spec
-               (String.concat ", " (List.map fst all)))
-      | ws -> ws)
+  Harness.suite ~sweep:"scale" fst all
 
 type mem = {
   hw_words : int;  (** GC-heap high-water mark of the run *)
@@ -110,8 +84,8 @@ type row = {
   accesses : int;
   races : int;
   id_span : int;  (** address ids the run interned *)
-  nop_t : Clock.sample;  (** uninstrumented baseline *)
-  chunked_t : Clock.sample;
+  nop_t : Harness.sample;  (** uninstrumented baseline *)
+  chunked_t : Harness.sample;
   chunked : mem;
   spilled : int;  (** records through the forced-spill identity run *)
 }
@@ -120,10 +94,10 @@ type row = {
    row's gate bounds the chunked table's words with it. *)
 let chunk = Tdrutil.Islab.default_chunk
 
-(* Detection throughput; [None] below the noise floor (Clock). *)
-let aps r = Clock.rate r.accesses r.chunked_t r.nop_t
+(* Detection throughput; [None] below the noise floor (Harness). *)
+let aps r = Harness.rate r.accesses r.chunked_t r.nop_t
 
-let row_measurable r = Clock.measurable r.chunked_t r.nop_t
+let row_measurable r = Option.is_some (aps r)
 
 (* Aggregate throughput over the measurable rows; [None] without any. *)
 let aggregate_aps mrows =
@@ -132,22 +106,14 @@ let aggregate_aps mrows =
   else
     Some
       (total (fun r -> float_of_int r.accesses)
-      /. total (fun r -> Option.get (Clock.det_time r.chunked_t r.nop_t)))
-
-let identical workload what a b =
-  if a <> b then
-    failwith
-      (Fmt.str
-         "scale bench: %s: %s race records differ (%d vs %d) — memory \
-          bounds changed the report"
-         workload what (List.length a) (List.length b))
+      /. total (fun r -> Option.get (Harness.det_time r.chunked_t r.nop_t)))
 
 (* One measured detection run: time, heap high-water mark, and detector
    gauges, under a [Gc.full_major]-cleaned heap. *)
 let run_one f =
   Gc.full_major ();
   let wm = Obs.Rusage.watermark () in
-  let r, s = Clock.time f in
+  let r, s = Obs.Clock.time f in
   let hw = Obs.Rusage.dispose wm in
   (r, s, hw)
 
@@ -157,10 +123,10 @@ let stat det key =
 let measure ~repeat ~spill_dir (name, cfg) : row list =
   let src = Benchsuite.Progen.generate_scaled cfg in
   let prog = Mhj.Front.compile src in
-  let nop_t = Clock.sample () in
+  let nop_t = Harness.sample () in
   for _ = 1 to repeat do
     let _, s, _ = run_one (fun () -> ignore (Rt.Interp.run prog)) in
-    Clock.record nop_t s
+    Harness.record nop_t s
   done;
   (* unbounded oracle: the seed implementation, hashtable bags and boxed
      shadow — no slabs, no GC, no spill *)
@@ -170,24 +136,25 @@ let measure ~repeat ~spill_dir (name, cfg) : row list =
          (fst (Oracles.Reference.detect Espbags.Detector.Mrw prog)))
   in
   let time_runs f =
-    let t = Clock.sample () and last = ref None and hw = ref 0 in
+    let t = Harness.sample () and last = ref None and hw = ref 0 in
     for _ = 1 to repeat do
       let det, s, h = run_one f in
-      Clock.record t s;
+      Harness.record t s;
       if h > !hw then hw := h;
       last := Some det
     done;
     (Option.get !last, t, !hw)
   in
+  let identical = Harness.identical ~sweep:"scale" name in
   let backend bname ~detect ~races ~stats ~intern ~spill_races : row =
     let chunked_det, chunked_t, chunked_hw = time_runs detect in
     let csigs = Espbags.Race.exact_sigs (races chunked_det) in
-    identical name (bname ^ " chunked vs seed oracle") csigs oracle;
+    identical (bname ^ " chunked vs seed oracle") csigs oracle;
     (* force the spill path: a cap far below the race count drains
        r_buf to disk mid-run; the report must survive the round-trip *)
     let spill_path = Filename.concat spill_dir (name ^ "-" ^ bname ^ ".spill") in
     let n_spilled, spill_sigs = spill_races spill_path in
-    identical name (bname ^ " spilled vs seed oracle") spill_sigs oracle;
+    identical (bname ^ " spilled vs seed oracle") spill_sigs oracle;
     if List.length oracle > 4 && n_spilled = 0 then
       failwith
         (Fmt.str "scale bench: %s: %s spill run spilled nothing" name bname);
@@ -241,43 +208,44 @@ let measure ~repeat ~spill_dir (name, cfg) : row list =
   in
   [ eb_row; vc_row ]
 
-let json_of_rows ~repeat ~quick rows =
-  let buf = Buffer.create 4096 in
+let report ~repeat ~quick rows =
+  let module J = Obs.Json in
   let row_json r =
-    Fmt.str
-      "    {\"workload\": %S, \"backend\": %S, \"accesses\": %d, \"races\": \
-       %d, \"nop_s\": %.6f, \"chunked_s\": %.6f, \
-       \"det_accesses_per_s\": %s, \"chunked_hw_words\": %d, \
-       \"chunked_shadow_slabs\": %d, \"chunked_shadow_words\": %d, \
-       \"gc_retired\": %d, \"clocks_freed\": %d, \"spilled_races\": %d, \
-       \"measurable\": %b}"
-      r.workload r.backend r.accesses r.races r.nop_t.best r.chunked_t.best
-      (Clock.json_opt "%.0f" (aps r))
-      r.chunked.hw_words r.chunked.shadow_slabs r.chunked.shadow_words
-      r.chunked.gc_retired r.chunked.clocks_freed r.spilled (row_measurable r)
+    J.Obj
+      [
+        ("workload", J.Str r.workload);
+        ("backend", J.Str r.backend);
+        ("accesses", J.Int r.accesses);
+        ("races", J.Int r.races);
+        ("nop_s", J.Float r.nop_t.best);
+        ("chunked_s", J.Float r.chunked_t.best);
+        ("det_accesses_per_s", Harness.measured (aps r));
+        ("chunked_hw_words", J.Int r.chunked.hw_words);
+        ("chunked_shadow_slabs", J.Int r.chunked.shadow_slabs);
+        ("chunked_shadow_words", J.Int r.chunked.shadow_words);
+        ("gc_retired", J.Int r.chunked.gc_retired);
+        ("clocks_freed", J.Int r.chunked.clocks_freed);
+        ("spilled_races", J.Int r.spilled);
+        ("measurable", J.Bool (row_measurable r));
+      ]
   in
   let mrows = List.filter row_measurable rows in
-  let total_over rs f = List.fold_left (fun acc r -> acc +. f r) 0. rs in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Fmt.str "  \"repeat\": %d,\n" repeat);
-  Buffer.add_string buf (Fmt.str "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf
-    (Fmt.str "  \"measured_rows\": %d,\n" (List.length mrows));
-  Buffer.add_string buf
-    (Fmt.str "  \"total_accesses\": %.0f,\n"
-       (total_over rows (fun r -> float_of_int r.accesses)));
-  Buffer.add_string buf
-    (Fmt.str "  \"aggregate_det_accesses_per_s\": %s,\n"
-       (Clock.json_opt "%.0f" (aggregate_aps mrows)));
-  Buffer.add_string buf
-    (Fmt.str "  \"peak_rss_kb\": %d,\n" (Obs.Rusage.peak_rss_kb ()));
-  Buffer.add_string buf "  \"rows\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map row_json rows));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  J.Obj
+    [
+      ("repeat", J.Int repeat);
+      ("quick", J.Bool quick);
+      ("measured_rows", J.Int (List.length mrows));
+      ( "total_accesses",
+        J.Int (List.fold_left (fun acc r -> acc + r.accesses) 0 rows) );
+      ("aggregate_det_accesses_per_s", Harness.measured (aggregate_aps mrows));
+      ("peak_rss_kb", J.Int (Obs.Rusage.peak_rss_kb ()));
+      ("rows", J.List (List.map row_json rows));
+    ]
 
 let sweep ~quick () =
-  let repeat = max 1 (if quick then 1 else env_int "TDR_BENCH_REPEAT" 2) in
+  let repeat =
+    max 1 (if quick then 1 else Harness.env_int "TDR_BENCH_REPEAT" 2)
+  in
   let spill_dir = Filename.temp_file "tdr-scale" "" in
   Sys.remove spill_dir;
   Unix.mkdir spill_dir 0o755;
@@ -349,7 +317,7 @@ let sweep ~quick () =
         (List.length rows)
         (match agg_aps with Some v -> Fmt.str "%.0f" v | None -> "n/a")
         (List.length mrows) (rss_kb / 1024);
-      (let floor = env_float "TDR_BENCH_MIN_ACCESSES_PER_S" 20_000. in
+      (let floor = Harness.env_float "TDR_BENCH_MIN_ACCESSES_PER_S" 20_000. in
        match agg_aps with
        | Some agg when floor > 0. && agg < floor ->
            failwith
@@ -358,26 +326,14 @@ let sweep ~quick () =
                  floor (TDR_BENCH_MIN_ACCESSES_PER_S)"
                 agg floor)
        | _ -> ());
-      (let ceil_mb = env_int "TDR_BENCH_MAX_RSS_MB" 0 in
+      (let ceil_mb = Harness.env_int "TDR_BENCH_MAX_RSS_MB" 0 in
        if ceil_mb > 0 && rss_kb / 1024 > ceil_mb then
          failwith
            (Fmt.str
               "scale bench: process peak RSS %d MB exceeds the %d MB \
                ceiling (TDR_BENCH_MAX_RSS_MB)"
               (rss_kb / 1024) ceil_mb));
-      let json_dest =
-        match Sys.getenv_opt "TDR_BENCH_SCALE_JSON" with
-        | Some "-" -> None
-        | Some path -> Some path
-        | None -> if quick then None else Some "BENCH_scale.json"
-      in
-      match json_dest with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (json_of_rows ~repeat ~quick rows);
-          close_out oc;
-          Fmt.pr "[scale data written to %s]@." path)
+      Harness.write ~quick "scale" (report ~repeat ~quick rows))
 
 let run () = sweep ~quick:false ()
 

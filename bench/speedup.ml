@@ -17,13 +17,8 @@
    expert-synchronized benchmark programs are race-free, so any mismatch
    is an engine bug and aborts the sweep.
 
-   Environment knobs: TDR_BENCH_DOMAINS (default 4), TDR_BENCH_REPEAT
-   (default 1), TDR_BENCH_JSON (default speedup.json; "-" disables). *)
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default)
-  | None -> default
+   Knobs (Harness): TDR_BENCH_DOMAINS (default 4), TDR_BENCH_REPEAT
+   (default 1), TDR_BENCH_OUT. *)
 
 let target_s = 0.4
 
@@ -63,9 +58,9 @@ let measure ~domains ~repeat (b : Benchsuite.Bench.t) : row =
   in
   (* pacing makes runs self-similar, so no warmup; repeat>1 takes the
      fastest (least-preempted) run of each side *)
-  let r1, seq_s = Clock.time_run ~warmup:0 ~repeat (fun () -> run 1) in
+  let r1, seq_s = Obs.Clock.time_run ~warmup:0 ~repeat (fun () -> run 1) in
   ignore r1;
-  let rp, par_s = Clock.time_run ~warmup:0 ~repeat (fun () -> run domains) in
+  let rp, par_s = Obs.Clock.time_run ~warmup:0 ~repeat (fun () -> run domains) in
   let predicted =
     let w = float_of_int seq.work and c = float_of_int (max 1 cpl) in
     w /. Float.max c (w /. float_of_int domains)
@@ -88,31 +83,35 @@ let measure ~domains ~repeat (b : Benchsuite.Bench.t) : row =
     n_steals;
   }
 
-let json_of_rows ~domains ~repeat rows =
-  let buf = Buffer.create 1024 in
+let report ~domains ~repeat rows =
+  let module J = Obs.Json in
   let row_json (r : row) =
-    Fmt.str
-      "    {\"name\": %S, \"work\": %d, \"cpl\": %d, \"pace_ns\": %d, \
-       \"predicted_speedup\": %.3f, \"seq_s\": %.4f, \"par_s\": %.4f, \
-       \"speedup\": %.3f, \"n_tasks\": %d, \"n_steals\": %d}"
-      r.name r.work r.cpl r.pace_ns r.predicted r.seq_s r.par_s r.speedup
-      r.n_tasks r.n_steals
+    J.Obj
+      [
+        ("name", J.Str r.name);
+        ("work", J.Int r.work);
+        ("cpl", J.Int r.cpl);
+        ("pace_ns", J.Int r.pace_ns);
+        ("predicted_speedup", Harness.ratio r.predicted);
+        ("seq_s", J.Float r.seq_s);
+        ("par_s", J.Float r.par_s);
+        ("speedup", Harness.ratio r.speedup);
+        ("n_tasks", J.Int r.n_tasks);
+        ("n_steals", J.Int r.n_steals);
+      ]
   in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Fmt.str "  \"domains\": %d,\n" domains);
-  Buffer.add_string buf
-    (Fmt.str "  \"recommended_domains\": %d,\n"
-       (Domain.recommended_domain_count ()));
-  Buffer.add_string buf (Fmt.str "  \"pace_target_s\": %.3f,\n" target_s);
-  Buffer.add_string buf (Fmt.str "  \"repeat\": %d,\n" repeat);
-  Buffer.add_string buf "  \"rows\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map row_json rows));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  J.Obj
+    [
+      ("domains", J.Int domains);
+      ("recommended_domains", J.Int (Domain.recommended_domain_count ()));
+      ("pace_target_s", J.Float target_s);
+      ("repeat", J.Int repeat);
+      ("rows", J.List (List.map row_json rows));
+    ]
 
 let run () =
-  let domains = env_int "TDR_BENCH_DOMAINS" 4 in
-  let repeat = env_int "TDR_BENCH_REPEAT" 1 in
+  let domains = Harness.env_int "TDR_BENCH_DOMAINS" 4 in
+  let repeat = Harness.env_int "TDR_BENCH_REPEAT" 1 in
   Fmt.pr
     "== parallel speedup: %d domain(s), paced to ~%.1fs sequential ==@."
     domains target_s;
@@ -132,11 +131,4 @@ let run () =
   in
   Fmt.pr "%d of %d benchmark(s) above 1.5x at %d domain(s)@." above
     (List.length rows) domains;
-  match Sys.getenv_opt "TDR_BENCH_JSON" with
-  | Some "-" -> ()
-  | path_opt ->
-      let path = Option.value ~default:"speedup.json" path_opt in
-      let oc = open_out path in
-      output_string oc (json_of_rows ~domains ~repeat rows);
-      close_out oc;
-      Fmt.pr "[speedup data written to %s]@." path
+  Harness.write ~quick:false "speedup" (report ~domains ~repeat rows)

@@ -35,26 +35,13 @@
      - every winner retains at least TDR_BENCH_MIN_RETAINED (default
        0.15, 0 disables) of the original parallelism.
 
-   Environment knobs: TDR_BENCH_STRATEGIES_SUITE (comma-separated row
-   names), TDR_BENCH_STRATEGIES_JSON (default BENCH_strategies.json;
-   "-" disables), TDR_BENCH_MIN_RETAINED, TDR_BENCH_MIN_NONFINISH.
-   The quick variant (`bench strategies-quick`, @ci) shrinks the heavy
-   inner loops ~4x and writes JSON only when TDR_BENCH_STRATEGIES_JSON
-   is set explicitly; all assertions stay on. *)
+   Knobs (Harness): TDR_BENCH_SUITE (row names),
+   TDR_BENCH_MIN_RETAINED, TDR_BENCH_MIN_NONFINISH, TDR_BENCH_OUT.  The
+   quick variant (`bench strategies-quick`, @ci) shrinks the heavy inner
+   loops ~4x; all assertions stay on. *)
 
 module Strategy = Repair.Strategy
 module Score = Compgraph.Score
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt s with Some f -> f | None -> default)
-  | None -> default
 
 (* ------------------------------------------------------------------ *)
 (* Suite                                                               *)
@@ -158,19 +145,7 @@ let suite ~quick () =
       ("stencil", stencil_src ~reps:(r 127));
     ]
   in
-  match Sys.getenv_opt "TDR_BENCH_STRATEGIES_SUITE" with
-  | None | Some "" -> all
-  | Some spec -> (
-      let names = String.split_on_char ',' spec in
-      match List.filter (fun (n, _) -> List.mem n names) all with
-      | [] ->
-          failwith
-            (Fmt.str
-               "strategies bench: TDR_BENCH_STRATEGIES_SUITE=%S matches no \
-                row (have: %s)"
-               spec
-               (String.concat ", " (List.map fst all)))
-      | rows -> rows)
+  Harness.suite ~sweep:"strategies" fst all
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
@@ -187,9 +162,9 @@ type row = {
 let measure (name, src) =
   let prog = Mhj.Front.compile src in
   let original = Score.of_tree (Rt.Interp.run prog).Rt.Interp.tree in
-  let t0 = Clock.now_ns () in
+  let t0 = Obs.Clock.now_ns () in
   let outcome = Strategy.run `Tournament prog in
-  let tournament_s = Clock.elapsed_s t0 in
+  let tournament_s = Obs.Clock.elapsed_s t0 in
   let winner_par =
     match outcome.Strategy.winner.score with
     | Some s -> s.Score.parallelism
@@ -220,6 +195,8 @@ let cpl_cell (c : Strategy.candidate) =
 (* Assertions                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let min_retained () = Harness.env_float "TDR_BENCH_MIN_RETAINED" 0.15
+
 let assert_rows rows =
   List.iter
     (fun r ->
@@ -247,14 +224,14 @@ let assert_rows rows =
          (fun r -> r.outcome.Strategy.winner.Strategy.kind <> Strategy.Finish)
          rows)
   in
-  let min_nonfinish = env_int "TDR_BENCH_MIN_NONFINISH" 2 in
+  let min_nonfinish = Harness.env_int "TDR_BENCH_MIN_NONFINISH" 2 in
   if List.length rows >= 3 && nonfinish < min_nonfinish then
     failwith
       (Fmt.str
          "strategies bench: only %d rows select a non-finish winner (need \
           %d; TDR_BENCH_MIN_NONFINISH)"
          nonfinish min_nonfinish);
-  let floor = env_float "TDR_BENCH_MIN_RETAINED" 0.15 in
+  let floor = min_retained () in
   List.iter
     (fun r ->
       if floor > 0. && r.retained < floor then
@@ -270,54 +247,49 @@ let assert_rows rows =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
+module J = Obs.Json
+
 let score_json (s : Score.t) =
-  Fmt.str
-    "{\"work\": %d, \"cpl\": %d, \"makespan\": %d, \"parallelism\": %.3f}"
-    s.Score.work s.Score.cpl s.Score.makespan s.Score.parallelism
+  J.Obj
+    [
+      ("work", J.Int s.Score.work);
+      ("cpl", J.Int s.Score.cpl);
+      ("makespan", J.Int s.Score.makespan);
+      ("parallelism", Harness.ratio s.Score.parallelism);
+    ]
 
 let candidate_json (c : Strategy.candidate) =
-  let score =
-    match c.Strategy.score with Some s -> score_json s | None -> "null"
-  in
-  Fmt.str
-    "      {\"kind\": %S, \"produced\": %b, \"verified\": %b, \"rounds\": \
-     %d, \"score\": %s}"
-    (Strategy.kind_name c.Strategy.kind)
-    (c.Strategy.program <> None)
-    c.Strategy.verified c.Strategy.rounds score
+  J.Obj
+    [
+      ("kind", J.Str (Strategy.kind_name c.Strategy.kind));
+      ("produced", J.Bool (c.Strategy.program <> None));
+      ("verified", J.Bool c.Strategy.verified);
+      ("rounds", J.Int c.Strategy.rounds);
+      ("score", Option.fold ~none:J.Null ~some:score_json c.Strategy.score);
+    ]
 
 let row_json r =
-  Fmt.str
-    "    {\n\
-    \      \"name\": %S,\n\
-    \      \"winner\": %S,\n\
-    \      \"retained\": %.3f,\n\
-    \      \"tournament_s\": %.3f,\n\
-    \      \"original\": %s,\n\
-    \      \"candidates\": [\n\
-     %s\n\
-    \      ]\n\
-    \    }"
-    r.name
-    (Strategy.kind_name r.outcome.Strategy.winner.Strategy.kind)
-    r.retained r.tournament_s (score_json r.original)
-    (String.concat ",\n"
-       (List.map candidate_json r.outcome.Strategy.candidates))
+  J.Obj
+    [
+      ("name", J.Str r.name);
+      ( "winner",
+        J.Str (Strategy.kind_name r.outcome.Strategy.winner.Strategy.kind) );
+      ("retained", Harness.ratio r.retained);
+      ("tournament_s", J.Float r.tournament_s);
+      ("original", score_json r.original);
+      ( "candidates",
+        J.List (List.map candidate_json r.outcome.Strategy.candidates) );
+    ]
 
-let json_of_rows ~quick ~nonfinish rows =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"bench\": \"strategies\",\n";
-  Buffer.add_string buf (Fmt.str "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf
-    (Fmt.str "  \"min_retained\": %.3f,\n"
-       (env_float "TDR_BENCH_MIN_RETAINED" 0.15));
-  Buffer.add_string buf
-    (Fmt.str "  \"nonfinish_winners\": %d,\n" nonfinish);
-  Buffer.add_string buf "  \"rows\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map row_json rows));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+let report ~quick ~nonfinish rows =
+  J.Obj
+    [
+      ("bench", J.Str "strategies");
+      ("quick", J.Bool quick);
+      ("min_retained", J.Float (min_retained ()));
+      ("nonfinish_winners", J.Int nonfinish);
+      ("rows", J.List (List.map row_json rows));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -351,19 +323,7 @@ let sweep ~quick () =
     "every winner race-free and never worse than finish insertion; %d of \
      %d rows select a non-finish winner@."
     nonfinish (List.length rows);
-  let json_dest =
-    match Sys.getenv_opt "TDR_BENCH_STRATEGIES_JSON" with
-    | Some "-" -> None
-    | Some path -> Some path
-    | None -> if quick then None else Some "BENCH_strategies.json"
-  in
-  match json_dest with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (json_of_rows ~quick ~nonfinish rows);
-      close_out oc;
-      Fmt.pr "[strategies data written to %s]@." path
+  Harness.write ~quick "strategies" (report ~quick ~nonfinish rows)
 
 let run () = sweep ~quick:false ()
 

@@ -2,8 +2,6 @@
    evaluation (§7).  Each function prints the same rows/series the paper
    reports; EXPERIMENTS.md records paper-vs-measured. *)
 
-let time = Clock.time
-
 let hr () = Fmt.pr "%s@." (String.make 100 '-')
 
 (* ------------------------------------------------------------------ *)
@@ -44,9 +42,10 @@ type t2_row = {
 let table2_row (b : Benchsuite.Bench.t) : t2_row =
   let stripped = Benchsuite.Bench.stripped_program b in
   (* HJ-Seq: plain (detector-free) execution *)
-  let _, seq_s = time (fun () -> Rt.Interp.run stripped) in
+  let _, seq_s = Obs.Clock.time (fun () -> Rt.Interp.run stripped) in
   let d, detect_s =
-    time (fun () -> Repair.Driver.detect Repair.Options.default stripped)
+    Obs.Clock.time (fun () ->
+        Repair.Driver.detect Repair.Options.default stripped)
   in
   let res = d.run.result in
   let races = Repair.Isolate.suppress stripped (Lazy.force d.run.races) in
@@ -65,7 +64,7 @@ let table2_row (b : Benchsuite.Bench.t) : t2_row =
   write tree_path (Sdpst.Serial.tree_to_string res.tree);
   Espbags.Trace.save trace_path ~mode:Espbags.Detector.Mrw races;
   let (converged, iterations), repair_s =
-    time (fun () ->
+    Obs.Clock.time (fun () ->
         let tree = Sdpst.Serial.tree_of_string (read tree_path) in
         let _mode, loaded = Espbags.Trace.load trace_path tree in
         let _groups, merged =
@@ -124,21 +123,22 @@ let table3_4 () =
       let n_races (d : Repair.Driver.detection) =
         Espbags.Race.Pairs.n_races (Lazy.force d.pairs)
       in
-      let det_srw, t_det_srw = time (fun () -> detect Espbags.Detector.Srw) in
-      let det_mrw, t_det_mrw = time (fun () -> detect Espbags.Detector.Mrw) in
+      let timed_detect mode = Obs.Clock.time (fun () -> detect mode) in
+      let det_srw, t_det_srw = timed_detect Espbags.Detector.Srw in
+      let det_mrw, t_det_mrw = timed_detect Espbags.Detector.Mrw in
       let rep_srw, t_rep_srw =
-        time (fun () -> Repair.Driver.repair
+        Obs.Clock.time (fun () -> Repair.Driver.repair
             ~options:{ Repair.Options.default with mode = Espbags.Detector.Srw }
             stripped)
       in
       let _rep_mrw, t_rep_mrw =
-        time (fun () -> Repair.Driver.repair
+        Obs.Clock.time (fun () -> Repair.Driver.repair
             ~options:{ Repair.Options.default with mode = Espbags.Detector.Mrw }
             stripped)
       in
       (* the SRW confirmation run: detection on the repaired program *)
       let _, t_second =
-        time (fun () ->
+        Obs.Clock.time (fun () ->
             Repair.Driver.detect
               { Repair.Options.default with mode = Espbags.Detector.Srw }
               rep_srw.program)
@@ -294,7 +294,7 @@ let ablation_coalesce () =
     races;
   List.iter
     (fun coalesce ->
-      let t0 = Clock.now_ns () in
+      let t0 = Obs.Clock.now_ns () in
       let max_n = ref 0 in
       let total_cost = ref 0 in
       Hashtbl.iter
@@ -310,7 +310,7 @@ let ablation_coalesce () =
         "  coalesce=%-5b groups=%d  max vertices=%4d  sum of DP optima=%d  \
          wall=%.3fs@."
         coalesce (Hashtbl.length groups) !max_n !total_cost
-        (Clock.elapsed_s t0))
+        (Obs.Clock.elapsed_s t0))
     [ true; false ];
   Fmt.pr
     "(the wall-time gap is the O(n^3) blow-up coalescing removes; merging \

@@ -144,7 +144,7 @@ module Row = struct
   let timeout_ms =
     row [ "timeout-ms" ] ~docv:"MS"
       [ "detect"; "repair"; "serve"; "call" ]
-      (Int_opt (range 0)) None
+      (Int_opt Serve.Protocol.timeout_ms_range) None
       "Wall-clock watchdog for the whole job: abort once $(docv) \
        milliseconds have elapsed (exit code 4).  The same cooperative \
        watchdog guards every job in $(b,tdrepair serve)."
@@ -187,7 +187,7 @@ module Row = struct
   (* detect and analyze *)
 
   let race_trace =
-    row [ "trace" ] ~docv:"OUT" [ "detect" ] Path None
+    row [ "race-trace" ] ~docv:"OUT" [ "detect" ] Path None
       "Write a race trace file to $(docv)."
 
   let dump_sdpst = flag [ "dump-sdpst" ] [ "detect" ] "Print the S-DPST."
@@ -202,8 +202,8 @@ module Row = struct
       "S-DPST dump produced by $(b,detect --dump-tree)."
 
   let race_trace_in =
-    row [ "trace" ] ~docv:"FILE" [ "analyze" ] File ""
-      "Race trace produced by $(b,detect --trace)."
+    row [ "race-trace" ] ~docv:"FILE" [ "analyze" ] File ""
+      "Race trace produced by $(b,detect --race-trace)."
 
   (* repair *)
 
@@ -296,7 +296,8 @@ module Row = struct
        cached report byte-for-byte).  0 disables caching."
 
   let retries =
-    row [ "retries" ] ~docv:"N" [ "serve" ] (Int (range 0)) 2
+    row [ "retries" ] ~docv:"N" [ "serve" ]
+      (Int Serve.Protocol.retries_range) 2
       "Transient-fault retries per job (injected faults, budget \
        exhaustion) before the job is declared $(b,failed)."
 
@@ -330,7 +331,7 @@ module Row = struct
       "Client job id echoed on the reply."
 
   let span_names =
-    flag [ "trace" ] [ "call" ]
+    flag [ "spans" ] [ "call" ]
       "Ask for the job's pipeline span names in the reply."
 end
 

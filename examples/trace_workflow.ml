@@ -6,7 +6,7 @@
 
    The phase separation matters: the detector and the analyzer communicate
    only through the recorded files, exactly like the paper's toolchain
-   (and the tdrepair CLI's `detect --trace --dump-tree` / `analyze`).
+   (and the tdrepair CLI's `detect --race-trace --dump-tree` / `analyze`).
 
    Run with: dune exec examples/trace_workflow.exe *)
 

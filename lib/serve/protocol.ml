@@ -52,7 +52,13 @@ let as_string what = function
   | J.Str s -> s
   | _ -> bad "%s must be a string" what
 
-let as_int what = function J.Int n -> n | _ -> bad "%s must be an integer" what
+(* A job key's integer, in the range its CLI flag declares. *)
+let as_int key range = function
+  | J.Int n ->
+      Option.iter (bad "flags.%s: %s" key)
+        (Repair.Options.out_of_range range n);
+      n
+  | _ -> bad "%s must be an integer" key
 
 let as_bool what = function
   | J.Bool b -> b
@@ -88,12 +94,16 @@ let fault_to_string = function
   | FI.Insert_fail -> "insert_fail"
   | FI.Worker_crash -> "worker_crash"
 
+let timeout_ms_range = { Repair.Options.lo = 0; hi = max_int; noun = "" }
+let retries_range = { Repair.Options.lo = 0; hi = max_int; noun = "" }
+
 (* The job-level keys; every other key of "flags" is a job option. *)
 let job_keys = [ "timeout_ms"; "retries"; "faults"; "trace" ]
 
 let parse_flags kvs =
   let own, rest = List.partition (fun (k, _) -> List.mem k job_keys) kvs in
   let get k = List.assoc_opt k own in
+  let int k range = Option.map (as_int k range) (get k) in
   let options =
     match Repair.Options.of_json (J.Obj rest) with
     | Ok o -> o
@@ -101,8 +111,8 @@ let parse_flags kvs =
   in
   {
     options;
-    timeout_ms = Option.map (as_int "timeout_ms") (get "timeout_ms");
-    retries = Option.map (as_int "retries") (get "retries");
+    timeout_ms = int "timeout_ms" timeout_ms_range;
+    retries = int "retries" retries_range;
     faults =
       (match get "faults" with
       | None -> []

@@ -32,6 +32,11 @@ type flags = {
 
 val default_flags : flags
 
+(** The ranges of ["timeout_ms"] and ["retries"], shared with their CLI
+    flags ([--timeout-ms], [serve --retries]). *)
+val timeout_ms_range : Repair.Options.range
+val retries_range : Repair.Options.range
+
 type job_spec = { id : string; op : op; src : string; flags : flags }
 
 type request =

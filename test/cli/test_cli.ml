@@ -191,7 +191,7 @@ let test_benchmarks_listing () =
 let test_trace_file () =
   let trc = Filename.temp_file "tdrepair_cli" ".trc" in
   let code, out =
-    run_cli [ "detect"; sample "figure5.mhj"; "--trace"; trc ]
+    run_cli [ "detect"; sample "figure5.mhj"; "--race-trace"; trc ]
   in
   Alcotest.(check int) "exit 0" 0 code;
   check_contains "trace note" out "trace written";
@@ -206,13 +206,14 @@ let test_offline_analyze () =
   let trc = Filename.temp_file "tdrepair_cli" ".trc" in
   let code, _ =
     run_cli
-      [ "detect"; sample "fib_buggy.mhj"; "--trace"; trc; "--dump-tree"; tree ]
+      [ "detect"; sample "fib_buggy.mhj"; "--race-trace"; trc; "--dump-tree";
+        tree ]
   in
   Alcotest.(check int) "detect exit 0" 0 code;
   let code2, out2 =
     run_cli
-      [ "analyze"; sample "fib_buggy.mhj"; "--tree"; tree; "--trace"; trc;
-        "-q" ]
+      [ "analyze"; sample "fib_buggy.mhj"; "--tree"; tree; "--race-trace";
+        trc; "-q" ]
   in
   Alcotest.(check int) "analyze exit 0" 0 code2;
   check_contains "analyze" out2 "finish statement(s):";
@@ -966,19 +967,22 @@ let test_repair_backend_metrics () =
   Sys.remove metrics2
 
 (* The bench shootout's JSON schema: run `bench detector-quick` on one
-   small benchmark and assert the vclock columns are present and sane.
-   The run also exercises the bench's own race-set identity assertions
-   (both backends vs the seed). *)
+   small benchmark, writing into a fresh TDR_BENCH_OUT directory, and
+   assert the keys are sorted at every level and the vclock columns are
+   present and sane.  The run also exercises the bench's own race-set
+   identity assertions (both backends vs the seed). *)
 let bench_binary = Filename.concat here "../../bench/main.exe"
 
 let test_bench_detector_quick_json () =
-  let json = Filename.temp_file "tdrepair_cli" ".bench.json" in
+  let dir = Filename.temp_file "tdrepair_cli" ".bench" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let json = Filename.concat dir "BENCH_detector.json" in
   let out_file = Filename.temp_file "tdrepair_cli" ".out" in
   let cmd =
     Fmt.str
-      "TDR_BENCH_SUITE=Fibonacci TDR_BENCH_DETECTOR_JSON=%s %s \
-       detector-quick > %s 2>&1"
-      (Filename.quote json)
+      "TDR_BENCH_SUITE=Fibonacci TDR_BENCH_OUT=%s %s detector-quick > %s 2>&1"
+      (Filename.quote dir)
       (Filename.quote bench_binary)
       (Filename.quote out_file)
   in
@@ -989,6 +993,8 @@ let test_bench_detector_quick_json () =
   check_contains "identity line" out "byte-identical to the seed";
   let j = Obs.Json.of_string (read_file json) in
   Sys.remove json;
+  Sys.rmdir dir;
+  Alcotest.(check bool) "bench keys sorted" true (keys_sorted j);
   let top k =
     match Obs.Json.member k j with
     | Some v -> v
@@ -1267,9 +1273,9 @@ let test_job_flags_documented () =
         ("`" ^ r.key ^ "`"))
     (Repair.Options.fields Repair.Options.default);
   Alcotest.(check (list string)) "detect flags"
-    [ "--backend"; "--dump-sdpst"; "--dump-tree"; "--help"; "--mode"; "--set";
-      "--shadow-chunk"; "--spill"; "--static-prune"; "--strategy";
-      "--timeout-ms"; "--trace"; "--version" ]
+    [ "--backend"; "--dump-sdpst"; "--dump-tree"; "--help"; "--mode";
+      "--race-trace"; "--set"; "--shadow-chunk"; "--spill"; "--static-prune";
+      "--strategy"; "--timeout-ms"; "--version" ]
     detect;
   Alcotest.(check (list string)) "repair flags"
     [ "--backend"; "--budget-dp"; "--budget-fuel"; "--budget-sdpst";
@@ -1492,6 +1498,21 @@ let test_help_flags_are_rows () =
         r.Cli.commands)
     Cli.rows
 
+(* --trace FILE means one thing: the Chrome trace of a repair.  The race
+   trace file of detect and analyze is --race-trace, and call asks for
+   span names with --spans. *)
+let test_trace_names_chrome_trace () =
+  let traces =
+    List.filter (fun (Cli.Any r) -> List.mem "trace" r.Cli.names) Cli.rows
+  in
+  Alcotest.(check (list (list string)))
+    "the rows named trace" [ Cli.Row.chrome_trace.commands ]
+    (List.map (fun (Cli.Any r) -> r.Cli.commands) traces);
+  match traces with
+  | [ Cli.Any r ] ->
+      Alcotest.(check string) "its doc" Cli.Row.chrome_trace.doc r.Cli.doc
+  | _ -> ()
+
 let () =
   Alcotest.run "cli"
     [
@@ -1572,6 +1593,8 @@ let () =
             test_rows_reject_out_of_range;
           Alcotest.test_case "flag rows: every --help flag is a row" `Quick
             test_help_flags_are_rows;
+          Alcotest.test_case "flag rows: trace is the Chrome trace" `Quick
+            test_trace_names_chrome_trace;
           Alcotest.test_case "--timeout-ms" `Quick test_timeout_flag;
           Alcotest.test_case "negative budgets" `Quick test_negative_budgets;
           Alcotest.test_case "strategy options" `Quick test_strategy_options;

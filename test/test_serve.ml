@@ -168,9 +168,10 @@ let test_protocol_errors_typed () =
     (contains ~affix:{|"error": "bad-request"|}
        (err {|{"op":"repair","id":"x","src":"","flags":{"faults":["nope"]}}|}))
 
-(* Served flags get the checks the CLI applies: a shadow chunk out of
-   range and an unknown key are bad requests naming the problem, not
-   internal failures or silently ignored keys. *)
+(* Served flags get the checks the CLI applies: a shadow chunk, a
+   timeout or a retry count out of range and an unknown key are bad
+   requests naming the problem, not internal failures or silently
+   ignored keys. *)
 let test_protocol_flag_checks () =
   let detail flags =
     let line =
@@ -194,7 +195,14 @@ let test_protocol_flag_checks () =
   Alcotest.(check bool) "unknown key named" true
     (contains ~affix:"static_prun" (detail {|{"static_prun":true}|}));
   Alcotest.(check bool) "ill-typed value named" true
-    (contains ~affix:"budget_fuel" (detail {|{"budget_fuel":"lots"}|}))
+    (contains ~affix:"budget_fuel" (detail {|{"budget_fuel":"lots"}|}));
+  (* the job's own keys get the range of their CLI flag *)
+  List.iter
+    (fun (flags, why) ->
+      Alcotest.(check string) (flags ^ " rejected") why (detail flags))
+    [ ({|{"timeout_ms":-1}|}, "flags.timeout_ms: must be non-negative");
+      ({|{"retries":-5}|}, "flags.retries: must be non-negative");
+      ({|{"retries":-1}|}, "flags.retries: must be non-negative") ]
 
 (* A non-finish strategy cannot report a static verdict or a spill
    count: the daemon refuses such jobs before admitting them, as the CLI

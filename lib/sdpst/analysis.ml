@@ -116,17 +116,18 @@ let span_memo t =
     the scope to one sequential leaf would hide that boundary and
     deterministically shift the DP to a different, longer placement
     (e.g. progen seed 451531: CPL 409 vs 449).  So a scope collapses
-    only when its subtree spawns no task — then its expansion is a run
-    of pure-drag sinks, which vertex coalescing merges away anyway —
-    and otherwise pruning recurses, still collapsing the race-free
-    async/finish subtrees below it.  Returns the number of nodes
-    removed. *)
+    only when it is spawn-free: its subtree holds no async and no finish
+    ({!Node.spawns}).  Then its expansion is a run of pure-drag sinks,
+    which vertex coalescing merges away anyway.  Otherwise pruning
+    recurses, still collapsing the race-free async/finish subtrees below
+    it.  So a collapsed scope is spawn-free also in a tree read back
+    from a dump ({!Serial}), where its subtree is gone.  Returns the
+    number of nodes removed. *)
 let prune t ~keep =
   let removed = ref 0 in
   let rec subtree_size n = fold_children t (fun acc c -> acc + subtree_size c) 1 n in
   let rec contains_kept n = keep n || exists_child t contains_kept n in
-  let rec contains_async n = is_async t n || exists_child t contains_async n in
-  let scope_safe c = (not (is_scope t c)) || not (contains_async c) in
+  let scope_safe c = (not (is_scope t c)) || not (spawns t c) in
   (* one memo for the whole pass: collapsing a subtree keeps its exact
      (span, drag), so no evaluated entry goes stale *)
   let m = memo t in

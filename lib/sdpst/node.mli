@@ -82,6 +82,21 @@ val is_async : tree -> t -> bool
 (** Non-scope in the paper's sense: async, finish, step, or the root. *)
 val is_nonscope : tree -> t -> bool
 
+(** Does the node's subtree hold an async or a finish, the node itself
+    included?  One bit of the node's row, set when such a node is
+    created under it ({!add_child}, {!place}, {!new_child}): the bit
+    survives {!set_collapsed}, a {!Tree.insert_finish} splice and a
+    {!Serial} round-trip. *)
+val spawns : tree -> t -> bool
+
+(** [spawn_free_top tree n] is the outermost scope ancestor [s] of [n]
+    such that no node on the path from [n]'s parent up to [s] is
+    collapsed, spawns, or is not a scope; {!none} when [n]'s parent is
+    not such a scope.  No finish boundary can fall strictly inside [s]:
+    a finish contains an async and starts and ends in one scope.  Reads
+    one row per ancestor climbed. *)
+val spawn_free_top : tree -> t -> t
+
 (** Both tests of an ancestor walk in one read: [1] for a non-scope
     node, [3] for an async (a non-scope node too), [0] for a scope. *)
 val shape : tree -> t -> int

@@ -25,11 +25,14 @@ let write_or_print output src =
 module Ec = Repair.Exit_code
 
 (* Every failure exits through the Exit_code contract with a Diag
-   printed on stderr (exit_code.mli documents the codes); one no stage
-   classifies is an internal error (exit 1) labelled with [cmd], the
-   command that failed, and naming the failed call. *)
+   printed on stderr (exit_code.mli documents the codes).  A file the
+   command line names that cannot be read or written is an input error
+   (exit 3); a failure no stage classifies is an internal error (exit 1)
+   labelled with [cmd], the command that failed, and naming the failed
+   call. *)
 let or_die cmd f =
   try f () with
+  | Sys_error m -> Options_cli.input_error "%s" m
   | e ->
       let d =
         match e with
@@ -293,8 +296,17 @@ let analyze_cmd =
   let run file tree_path trace_path output quiet =
     or_die "analyze" (fun () ->
         let prog = compile file in
-        let tree = Sdpst.Serial.tree_of_string (read_file tree_path) in
-        let _mode, races = Espbags.Trace.of_string tree (read_file trace_path) in
+        let malformed path (m, line) =
+          Options_cli.input_error "%s:%d: %s" path line m
+        in
+        let tree =
+          try Sdpst.Serial.tree_of_string (read_file tree_path)
+          with Sdpst.Serial.Parse_error (m, l) -> malformed tree_path (m, l)
+        in
+        let _mode, races =
+          try Espbags.Trace.of_string tree (read_file trace_path)
+          with Espbags.Trace.Parse_error (m, l) -> malformed trace_path (m, l)
+        in
         let groups, merged = Repair.Driver.place_for_tree ~program:prog races in
         Fmt.pr
           "%d race(s) in %d NS-LCA group(s) -> %d finish statement(s):@."

@@ -356,6 +356,77 @@ let test_footprint () =
   if words > 10. then
     Alcotest.failf "Mergesort: %.2f words per S-DPST node (bound 10)" words
 
+(* Every field of a row reads back as written: a call scope with the
+   largest sid, origin and last statement, an async under it, which
+   sets the scope's spawns bit, and a collapsed summary.  The sid field
+   sits below the spawns bit in one int, so a sid read that does not
+   mask its field fails here. *)
+let test_row_fields () =
+  let module N = Sdpst.Node in
+  let tree = N.create_tree ~main_bid:7 in
+  let big = (1 lsl 31) - 2 in
+  N.place tree 1 ~parent:N.root ~prev:N.none ~kind:(N.Scope (N.Scall "f"))
+    ~sid:big ~origin_bid:big ~origin_idx:big ~body_bid:big ~cost:3
+    ~last_idx:big;
+  let a = N.new_child tree ~parent:1 ~kind:N.Async ~sid:5 () in
+  let step = N.new_child tree ~parent:N.root ~kind:N.Step () in
+  N.set_collapsed tree 1 (12, 5);
+  let int = Alcotest.(check int) in
+  int "sid" big (N.sid tree 1);
+  int "origin_bid" big (N.origin_bid tree 1);
+  int "origin_idx" big (N.origin_idx tree 1);
+  int "body_bid" big (N.body_bid tree 1);
+  int "cost" 3 (N.cost tree 1);
+  int "last_idx" big (N.last_idx tree 1);
+  int "parent" N.root (N.parent tree 1);
+  int "depth" 1 (N.depth tree 1);
+  Alcotest.(check string) "kind" "call:f" (N.kind_name (N.kind tree 1));
+  Alcotest.(check (option (pair int int))) "collapsed" (Some (12, 5))
+    (N.collapsed tree 1);
+  Alcotest.(check bool) "scope spawns" true (N.spawns tree 1);
+  Alcotest.(check bool) "root spawns" true (N.spawns tree N.root);
+  Alcotest.(check bool) "async spawns" true (N.spawns tree a);
+  int "async sid" 5 (N.sid tree a);
+  Alcotest.(check bool) "step does not spawn" false (N.spawns tree step);
+  int "step sid" (-1) (N.sid tree step)
+
+(* The spawns bit of each node and the outermost spawn-free scope of
+   each step: marking stops at the first marked ancestor, so a bit
+   missed once stays missed above. *)
+let test_spawn_free_tops () =
+  let src =
+    "def f() { work(2); }\n\
+     def main() { print(0); if (1 < 2) { for (i = 0 to 1) { f(); } } \
+     async { if (1 < 2) { { work(1); } } } \
+     if (1 < 2) { work(1); async { work(2); } { work(3); } } }"
+  in
+  let tree = (run src).tree in
+  let module N = Sdpst.Node in
+  let rec spawns n =
+    N.is_async tree n
+    || N.kind tree n = N.Finish
+    || N.exists_child tree spawns n
+  in
+  (* the outermost scope ancestor on a path of spawn-free scopes *)
+  let rec top n =
+    let p = N.parent tree n in
+    if p >= 0 && N.is_scope tree p && not (spawns p) then
+      match top p with t when t <> N.none -> t | _ -> p
+    else N.none
+  in
+  let tops = ref 0 in
+  N.iter_tree
+    (fun n ->
+      Alcotest.(check bool) (Fmt.str "%a spawns" (N.pp tree) n) (spawns n)
+        (N.spawns tree n);
+      if N.is_step tree n then begin
+        Alcotest.(check int) (Fmt.str "%a top" (N.pp tree) n) (top n)
+          (N.spawn_free_top tree n);
+        if top n <> N.none then incr tops
+      end)
+    tree;
+  Alcotest.(check bool) "some steps have a spawn-free top" true (!tops >= 4)
+
 (* ------------------------------------------------------------------ *)
 (* Tree serialization                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -408,18 +479,41 @@ let test_tree_serialization_pruned () =
    collapsed — keeps its ids, which are then neither consecutive nor in
    preorder: its dump must read back to a tree that dumps the same. *)
 let test_tree_serialization_edited () =
-  let tree = (run "def main() { print(0); async { work(9); } finish { async \
-                   { work(3); } async { work(40); } } print(2); }").tree in
-  let root = Sdpst.Node.root in
-  ignore (Sdpst.Tree.insert_finish tree ~parent:root ~lo:1 ~hi:2);
-  ignore (Sdpst.Tree.insert_finish tree ~parent:root ~lo:0 ~hi:1);
-  ignore
-    (Sdpst.Analysis.prune tree ~keep:(fun n -> Sdpst.Node.cost tree n > 20));
-  let text = Sdpst.Serial.tree_to_string tree in
-  let back = Sdpst.Serial.tree_of_string text in
-  Alcotest.(check string) "dump of the read-back tree" text
-    (Sdpst.Serial.tree_to_string back);
-  Alcotest.(check bool) "same tree" true (tree_roundtrip_equal tree back)
+  let check src =
+    let tree = (run src).tree in
+    let root = Sdpst.Node.root in
+    ignore (Sdpst.Tree.insert_finish tree ~parent:root ~lo:1 ~hi:2);
+    ignore (Sdpst.Tree.insert_finish tree ~parent:root ~lo:0 ~hi:1);
+    ignore
+      (Sdpst.Analysis.prune tree ~keep:(fun n -> Sdpst.Node.cost tree n > 20));
+    let text = Sdpst.Serial.tree_to_string tree in
+    let back = Sdpst.Serial.tree_of_string text in
+    Alcotest.(check string) "dump of the read-back tree" text
+      (Sdpst.Serial.tree_to_string back);
+    Alcotest.(check bool) "same tree" true (tree_roundtrip_equal tree back);
+    (* the dump has no spawns bit: the read-back tree marks its own *)
+    Sdpst.Node.iter_tree
+      (fun n ->
+        Alcotest.(check bool) "spawns bit read back"
+          (Sdpst.Node.spawns tree n) (Sdpst.Node.spawns back n);
+        if Sdpst.Node.is_step tree n then
+          Alcotest.(check int)
+            (Fmt.str "spawn-free top of %a" (Sdpst.Node.pp tree) n)
+            (Sdpst.Node.spawn_free_top tree n)
+            (Sdpst.Node.spawn_free_top back n))
+      tree
+  in
+  check
+    "def main() { print(0); async { work(9); } finish { async { work(3); } \
+     async { work(40); } } print(2); }";
+  (* spawn-free scopes, a finish-only scope (never collapsed: it holds a
+     finish) and an empty block *)
+  check
+    "def f() { work(2); }\n\
+     def main() { print(0); async { work(9); } if (1 < 2) { for (i = 0 \
+     to 2) { work(1); f(); } } if (1 < 2) { finish { work(1); } work(5); \
+     } finish { async { work(3); } async { work(40); } } { { } work(30); \
+     } if (1 < 2) { work(1); async { work(2); } work(25); } print(2); }"
 
 let test_tree_serialization_errors () =
   let bad s =
@@ -470,6 +564,8 @@ let () =
           Alcotest.test_case "preorder ids" `Quick test_ids_are_preorder;
           Alcotest.test_case "count by kind" `Quick test_count_by_kind;
           Alcotest.test_case "footprint" `Quick test_footprint;
+          Alcotest.test_case "row fields" `Quick test_row_fields;
+          Alcotest.test_case "spawn-free tops" `Quick test_spawn_free_tops;
         ] );
       ( "ancestry",
         [

@@ -5,7 +5,8 @@
     0  success (repair converged at full fidelity / command succeeded)
     1  internal error (a bug in the tool, not the input)
     2  repair did not converge within its iteration bound
-    3  input error (parse, typecheck, or runtime fault of the program)
+    3  input error (parse, typecheck, or runtime fault of the program, or
+       a file named on the command line that cannot be read or written)
     4  resource budget exhausted: the result, if any, is best-effort
        (a degradation fired: S-DPST pruning, DP interval-cover fallback)
     5  unrepairable: some race admits no scope-valid finish placement

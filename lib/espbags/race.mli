@@ -79,6 +79,14 @@ module Pairs : sig
   (** The tree of the steps. *)
   val tree : t -> Sdpst.Node.tree
 
+  (** [map f t] moves both steps of every pair by [f] and merges the
+      pairs that meet, in first-seen order, each with the summed
+      multiplicity of the pairs moved onto it.  With [f] monotone in
+      step id, the moved pairs are in report order too.
+      @raise Invalid_argument if a moved source does not precede its
+        moved sink *)
+  val map : (Sdpst.Node.t -> Sdpst.Node.t) -> t -> t
+
   (** The pairs [k] with [keep k], in order, multiplicities kept. *)
   val filter : (int -> bool) -> t -> t
 end

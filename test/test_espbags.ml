@@ -385,6 +385,38 @@ def main() {
   Alcotest.(check bool) "dedupe_by_steps raises out of report order" true
     (raises (fun () -> Espbags.Race.dedupe_by_steps out_of_order))
 
+(* Race.Pairs.map merges the pairs it moves together, summing their
+   reports, keeps the others in first-seen order, and rejects a move
+   that puts a sink before its source. *)
+let test_pairs_map () =
+  let det, _ =
+    detect Espbags.Detector.Mrw
+      {|
+var x: int = 0;
+def main() {
+  async { x = 1; }
+  if (1 < 2) { print(x); print(x); }
+  print(x);
+}
+|}
+  in
+  let module P = Espbags.Race.Pairs in
+  let pairs = P.of_list (Espbags.Detector.races det) in
+  Alcotest.(check int) "two pairs" 2 (P.length pairs);
+  Alcotest.(check int) "three reports" 3 (P.n_races pairs);
+  let same = P.map Fun.id pairs in
+  Alcotest.(check (list (pair int int))) "identity keeps the pairs"
+    (Diff_harness.pair_ids pairs) (Diff_harness.pair_ids same);
+  let first = P.sink_id pairs 0 and last = P.sink_id pairs 1 in
+  let merged = P.map (fun n -> if n = last then first else n) pairs in
+  Alcotest.(check (list (pair int int))) "the sinks merge"
+    [ (P.src_id pairs 0, first) ] (Diff_harness.pair_ids merged);
+  Alcotest.(check int) "reports summed" 3 (P.count merged 0);
+  Alcotest.(check bool) "a sink moved before its source raises" true
+    (match P.map (fun n -> if n = first then P.src_id pairs 0 else n) pairs with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* A run that dies after its first spill drain must still release the
    spill file: OCaml never closes channels on GC, so a served job with a
    spill path and a fuel or time limit would leak one descriptor per
@@ -541,6 +573,7 @@ let () =
             test_spill_closed_on_abort;
           Alcotest.test_case "pairs need report order" `Quick
             test_pairs_report_order;
+          Alcotest.test_case "pairs map" `Quick test_pairs_map;
         ] );
       ( "shadow",
         [
